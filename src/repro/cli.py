@@ -33,25 +33,11 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.checks.cli import add_lint_arguments, run_lint_args
-from repro.core.fleet import KERNELS, set_default_kernel
 from repro.errors import ReproError
 from repro.experiments import common, run_figure
 from repro.experiments.figures import FIGURES
 from repro.experiments.headline import headline_claims
 from repro.power.profile import PAPER_EVAL, PROFILES, get_profile
-
-
-def _add_kernel_argument(subparser: argparse.ArgumentParser) -> None:
-    """``--kernel {python,numpy}`` on every simulation-running command."""
-    subparser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="cost-kernel implementation: 'numpy' scores disks through "
-        "the columnar FleetCostState, 'python' through the scalar "
-        "reference path; both are byte-identical "
-        "(default: $REPRO_KERNEL or numpy)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,11 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("cumulative", "tottime", "calls"),
         default="cumulative",
     )
-    _add_kernel_argument(profile)
 
     figure = sub.add_parser("figure", help="reproduce one paper figure")
     figure.add_argument("figure_id", choices=sorted(FIGURES))
-    _add_kernel_argument(figure)
 
     simulate = sub.add_parser("simulate", help="run one scheduler once")
     simulate.add_argument(
@@ -141,14 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="lto-gen8",
         help="tape power-profile name for --tier runs",
     )
-    _add_kernel_argument(simulate)
 
     compare = sub.add_parser("compare", help="compare all schedulers")
     compare.add_argument(
         "--trace", choices=("cello", "financial"), default="cello"
     )
     compare.add_argument("--replication", type=int, default=3)
-    _add_kernel_argument(compare)
 
     headline = sub.add_parser(
         "headline", help="measure the paper's abstract claims"
@@ -156,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     headline.add_argument(
         "--trace", choices=("cello", "financial"), default="cello"
     )
-    _add_kernel_argument(headline)
 
     bench = sub.add_parser(
         "bench",
@@ -189,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="validate an existing BENCH_*.json instead of running",
     )
-    _add_kernel_argument(bench)
 
     serve = sub.add_parser(
         "serve",
@@ -337,12 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _run_serve,
         "lint": run_lint_args,
     }
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        # Process-wide switch: every SimulationConfig built by the
-        # handler (workers inherit it across fork) resolves to this
-        # kernel unless a config pins one explicitly.
-        set_default_kernel(kernel)
     try:
         return handlers[args.command](args)
     except ReproError as exc:

@@ -7,12 +7,7 @@ from repro.core.cost import (
     performance_cost,
 )
 from repro.core.covering_scheduler import CoveringSetScheduler
-from repro.core.fleet import (
-    KERNELS,
-    FleetCostState,
-    default_kernel,
-    set_default_kernel,
-)
+from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.mwis import MWISOfflineScheduler, MWISResult
 from repro.core.offline import OfflineEvaluation, OfflineEvaluator, chain_energies
@@ -48,7 +43,6 @@ __all__ = [
     "CoveringSetScheduler",
     "FleetCostState",
     "HeuristicScheduler",
-    "KERNELS",
     "InterArrivalEstimator",
     "MWISOfflineScheduler",
     "MWISResult",
@@ -69,7 +63,6 @@ __all__ = [
     "WSCBatchScheduler",
     "WriteOffloadingScheduler",
     "chain_energies",
-    "default_kernel",
     "energy_cost",
     "gap_energy",
     "make_scheduler",
@@ -77,5 +70,4 @@ __all__ = [
     "performance_cost",
     "saving_value",
     "saving_window",
-    "set_default_kernel",
 ]

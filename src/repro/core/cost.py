@@ -106,17 +106,11 @@ class CostFunction:
     def cost(self, disk: DiskView, now: float, profile: DiskPowerProfile) -> float:
         """Evaluate ``C(dk)`` for one disk at time ``now``.
 
-        Live :class:`~repro.disk.drive.SimulatedDisk` views expose a
-        memoised ``marginal_energy`` (same value as :func:`energy_cost`
-        on their own profile, which in the simulator is always the
-        ``profile`` passed here); plain protocol views fall back to the
-        reference Eq. 5 evaluation.
+        The reference specification of Eq. 6: the schedulers score
+        through :class:`~repro.core.fleet.FleetCostState`, which the
+        tests hold bit-identical to this.
         """
-        marginal = getattr(disk, "marginal_energy", None)
-        if marginal is not None:
-            energy = marginal(now)
-        else:
-            energy = energy_cost(disk.state, disk.last_request_time, now, profile)
+        energy = energy_cost(disk.state, disk.last_request_time, now, profile)
         queue_length = disk.queue_length
         if queue_length < 0:
             raise ConfigurationError("queue length must be >= 0")

@@ -39,31 +39,18 @@ class CoveringSetScheduler(OnlineScheduler):
         self.cost_function = cost_function or PAPER_COST_FUNCTION
 
     def choose(self, request: Request, view: SystemView) -> DiskId:
-        # One allocation-free pass: prefer the cheapest covering replica,
-        # falling back to the cheapest replica overall when the covering
-        # subset holds none of them (cost() is a pure read, so scoring
-        # non-covering replicas alongside changes no decision).
+        # The cheapest covering replica, or the cheapest replica overall
+        # when the covering subset holds none of them.
         locations = view.locations(request.data_id)
-        covering = self.covering
-        best: Optional[DiskId] = None
-        best_key = None
-        fallback: Optional[DiskId] = None
-        fallback_key = None
-        for disk_id in locations:
-            disk = view.disk(disk_id)
-            cost = self.cost_function.cost(disk, view.now, view.profile)
-            key = (cost, disk.queue_length, disk_id)
-            if disk_id in covering:
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = disk_id
-            elif best is None and (fallback_key is None or key < fallback_key):
-                fallback_key = key
-                fallback = disk_id
-        if best is None:
-            best = fallback
-        assert best is not None
-        return best
+        candidates = tuple(filter(self.covering.__contains__, locations))
+        cost_function = self.cost_function
+        return view.fleet.choose(
+            candidates or locations,
+            view.now,
+            cost_function.alpha,
+            cost_function.beta,
+            cost_function.load_weight,
+        )
 
     @property
     def name(self) -> str:

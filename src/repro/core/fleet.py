@@ -1,18 +1,18 @@
-"""Columnar fleet-cost kernel: Eq. 5/Eq. 6 over the fleet as arrays.
+"""Columnar fleet-cost state: the live Eq. 5/Eq. 6 scoring path.
 
-The per-arrival hot path of the online Heuristic — and the per-tick
-weight pass of the WSC batch scheduler — score disks with Eq. 5
-(marginal energy) and Eq. 6 (composite cost). The scalar path walks
-Python objects: one attribute dance per disk per score. This module
-mirrors the scheduling-relevant state of every disk into four parallel
-``array('d')`` columns (structure-of-arrays):
+The per-arrival choice of the online Heuristic and the per-tick weight
+pass of the WSC batch scheduler score disks with Eq. 5 (marginal
+energy) and Eq. 6 (composite cost). Rather than walking disk objects,
+they read four parallel ``array('d')`` columns (structure-of-arrays)
+that every :class:`~repro.disk.drive.SimulatedDisk` keeps current for
+its own slot:
 
 ``pi``
     Idle-power slope in watts: ``profile.idle_power`` while the disk is
     IDLE with a recorded ``Tlast``, else ``0.0``.
 ``const``
-    Memoised constant term in joules: the standby/spin-down wake-up
-    cost ``Eup + Edown + TB * PI`` in those states, else ``0.0``.
+    Constant term in joules: the standby/spin-down wake-up cost
+    ``Eup + Edown + TB * PI`` in those states, else ``0.0``.
 ``tlast``
     ``Tlast`` of Eq. 5 (seconds); meaningless — and masked by
     ``pi == 0`` — until the disk first receives a request.
@@ -24,83 +24,37 @@ so that for every disk, at every instant::
     E(dk) = (now - tlast) * pi + const          (Eq. 5)
     C(dk) = E(dk) * alpha / beta + queue * lw   (Eq. 6, lw = 1 - alpha)
 
-**bit-identically** to the scalar reference (`repro.core.cost`): in the
-IDLE branch ``const`` is ``0.0`` and IEEE-754 guarantees ``x + 0.0 == x``
-for the non-negative products that occur; in every other branch ``pi``
-is ``0.0`` and the expression collapses to the memoised constant. The
-same expression evaluated elementwise by numpy ufuncs produces the same
-bits — numpy does not fuse the multiply-add.
-
-The columns are plain ``array('d')`` buffers: the disks' state-machine
-hooks write single slots at Python-float speed, while numpy views
-created once with :func:`numpy.frombuffer` share the memory zero-copy
-for the vectorised passes. Candidate sets smaller than
-:data:`SMALL_CANDIDATE_CUTOFF` are scored by a scalar gather over the
-columns instead — ufunc dispatch overhead dwarfs the arithmetic at
-replication-factor-sized candidate lists — with the identical
-arithmetic, so the adaptive switch can never change a decision.
+**bit-identically** to the reference specification
+(:func:`repro.core.cost.energy_cost`, :meth:`CostFunction.cost`): in
+the IDLE branch ``const`` is ``0.0`` and IEEE-754 guarantees
+``x + 0.0 == x`` for the non-negative products that occur; in every
+other branch ``pi`` is ``0.0`` and the expression collapses to the
+constant. :meth:`FleetCostState.encode` is the one place that maps a
+power state to its ``(pi, const)`` pair.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.power.profile import DiskPowerProfile
 from repro.power.states import DiskPowerState
 from repro.types import DiskId
 
-#: Below this many candidates the scalar gather beats the numpy path
-#: (ufunc dispatch costs ~µs; the paper's replication factors are 1-5).
-SMALL_CANDIDATE_CUTOFF = 32
-
-#: Recognised cost-kernel names.
-KERNELS = ("python", "numpy")
-
-#: Environment variable consulted for the session-wide default kernel.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-_default_kernel_override: Optional[str] = None
-
-
-def default_kernel() -> str:
-    """The kernel used when a config does not pin one explicitly.
-
-    Resolution order: :func:`set_default_kernel` override, then the
-    ``REPRO_KERNEL`` environment variable, then ``"numpy"``.
-    """
-    if _default_kernel_override is not None:
-        return _default_kernel_override
-    kernel = os.environ.get(KERNEL_ENV_VAR, "numpy")
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"{KERNEL_ENV_VAR}={kernel!r}: expected one of {KERNELS}"
-        )
-    return kernel
-
-
-def set_default_kernel(kernel: Optional[str]) -> None:
-    """Process-wide kernel override (the CLI ``--kernel`` flag).
-
-    ``None`` clears the override, falling back to the environment.
-    """
-    global _default_kernel_override
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}: expected one of {KERNELS}")
-    _default_kernel_override = kernel
+_IDLE = DiskPowerState.IDLE
+_STANDBY = DiskPowerState.STANDBY
+_SPIN_DOWN = DiskPowerState.SPIN_DOWN
 
 
 class FleetCostState:
-    """Columnar mirror of per-disk scheduling state, plus its kernels.
+    """Columnar per-disk scheduling state and the Eq. 6 arg-min over it.
 
-    Owned by the :class:`~repro.sim.storage.StorageSystem` when the
-    ``numpy`` kernel is selected and exposed to schedulers as
-    ``view.fleet``; each :class:`~repro.disk.drive.SimulatedDisk` holds
-    direct references to the columns and maintains its own slot from the
-    state-transition/submit/complete hooks.
+    Owned by the disk fleet's wiring (:class:`~repro.sim.storage.StorageSystem`
+    and :class:`~repro.serve.backend.SimBackend`) and exposed to
+    schedulers as ``view.fleet``; each
+    :class:`~repro.disk.drive.SimulatedDisk` writes its own slot from
+    its state-transition/submit/complete hooks.
     """
 
     __slots__ = (
@@ -111,23 +65,14 @@ class FleetCostState:
         "queue",
         "idle_power",
         "standby_marginal",
-        "_np_pi",
-        "_np_const",
-        "_np_tlast",
-        "_np_queue",
     )
 
-    def __init__(
-        self,
-        num_disks: int,
-        profile: DiskPowerProfile,
-        initial_state: DiskPowerState = DiskPowerState.STANDBY,
-    ):
+    def __init__(self, num_disks: int, profile: DiskPowerProfile):
         if num_disks <= 0:
             raise ValueError("num_disks must be positive")
         self.num_disks = num_disks
         self.idle_power = profile.idle_power
-        # Same expression SimulatedDisk memoises for STANDBY/SPIN_DOWN.
+        # Same expression as energy_cost()'s STANDBY/SPIN_DOWN branch.
         self.standby_marginal = (
             profile.transition_energy
             + profile.breakeven_time * profile.idle_power
@@ -137,40 +82,29 @@ class FleetCostState:
         self.const = array("d", zeros)
         self.tlast = array("d", zeros)
         self.queue = array("d", zeros)
-        if initial_state in (DiskPowerState.STANDBY, DiskPowerState.SPIN_DOWN):
-            for i in range(num_disks):
-                self.const[i] = self.standby_marginal
-        # IDLE starts with Tlast unset => pi stays 0 and E(dk) is 0,
-        # matching energy_cost()'s never-touched branch.
-        # Zero-copy float64 views over the same buffers: the scalar
-        # hooks write through the array('d') handles, the vector
-        # kernels read through these.
-        self._np_pi = np.frombuffer(self.pi, dtype=np.float64)
-        self._np_const = np.frombuffer(self.const, dtype=np.float64)
-        self._np_tlast = np.frombuffer(self.tlast, dtype=np.float64)
-        self._np_queue = np.frombuffer(self.queue, dtype=np.float64)
 
-    # -- scalar reads (tests, parity checks) ---------------------------
-
-    def marginal_energy(self, disk_id: DiskId, now: float) -> float:
-        """Eq. 5 marginal energy in joules from the columns (debug read)."""
-        return (now - self.tlast[disk_id]) * self.pi[disk_id] + self.const[
-            disk_id
-        ]
-
-    def cost(
+    def encode(
         self,
         disk_id: DiskId,
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> float:
-        """Eq. 6 for one disk from the columns (reference/debug read)."""
-        energy = self.marginal_energy(disk_id, now)
-        return energy * alpha / beta + self.queue[disk_id] * load_weight
+        state: DiskPowerState,
+        last_request_time: Optional[float],
+    ) -> None:
+        """Write ``disk_id``'s Eq. 5 terms for ``state`` into ``pi``/``const``.
 
-    # -- kernels -------------------------------------------------------
+        Mirrors the branches of :func:`repro.core.cost.energy_cost`: a
+        spinning-up or active disk takes requests for free, a standby or
+        spinning-down one costs the full wake-up, and an idle one pays
+        its idle extension — nothing until it has seen a request.
+        """
+        pi = 0.0  # ACTIVE / SPIN_UP
+        const = 0.0
+        if state is _IDLE:
+            if last_request_time is not None:
+                pi = self.idle_power
+        elif state is _STANDBY or state is _SPIN_DOWN:
+            const = self.standby_marginal
+        self.pi[disk_id] = pi
+        self.const[disk_id] = const
 
     def choose(
         self,
@@ -182,27 +116,10 @@ class FleetCostState:
     ) -> DiskId:
         """Cheapest candidate by Eq. 6; ties by queue, then disk id.
 
-        Bit-identical to the scalar loop in
-        :meth:`repro.core.heuristic.HeuristicScheduler.choose` — same
-        arithmetic, same evaluation order, same unrolled tie-break.
-        Dispatches between the scalar gather and the vectorised pass on
-        candidate-set size; both branches are exposed directly
-        (:meth:`choose_scalar`, :meth:`choose_vector`) for parity tests
-        and microbenches.
+        Equal to ``min`` over the ``(CostFunction.cost, queue_length,
+        disk_id)`` key, with the comparisons unrolled so no key tuple is
+        allocated per candidate. ``candidates`` must be non-empty.
         """
-        if len(candidates) < SMALL_CANDIDATE_CUTOFF:
-            return self.choose_scalar(candidates, now, alpha, beta, load_weight)
-        return self.choose_vector(candidates, now, alpha, beta, load_weight)
-
-    def choose_scalar(
-        self,
-        candidates: Sequence[DiskId],
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> DiskId:
-        """The scalar-gather branch of :meth:`choose` (any size)."""
         pi = self.pi
         const = self.const
         tlast = self.tlast
@@ -213,6 +130,9 @@ class FleetCostState:
         for disk_id in candidates:
             energy = (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
             queue_length = queue[disk_id]
+            # NOTE: `energy * alpha / beta` in this order, as in
+            # CostFunction.cost(): folding alpha/beta into one factor
+            # rounds differently and would flip near-tie decisions.
             cost = energy * alpha / beta + queue_length * load_weight
             if (
                 best_disk < 0
@@ -234,28 +154,6 @@ class FleetCostState:
         assert best_disk >= 0  # candidates is non-empty
         return best_disk
 
-    def choose_vector(
-        self,
-        candidates: Sequence[DiskId],
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> DiskId:
-        """The vectorised branch of :meth:`choose` (any size)."""
-        idx = np.asarray(candidates, dtype=np.intp)
-        energy = (now - self._np_tlast[idx]) * self._np_pi[idx]
-        energy += self._np_const[idx]
-        queue = self._np_queue[idx]
-        cost = energy * alpha / beta + queue * load_weight
-        sel = np.flatnonzero(cost == cost.min())
-        if len(sel) > 1:
-            tied_queues = queue[sel]
-            sel = sel[tied_queues == tied_queues.min()]
-            if len(sel) > 1:
-                return int(idx[sel].min())
-        return int(idx[sel[0]])
-
     def weights(
         self,
         disk_ids: Sequence[DiskId],
@@ -264,26 +162,7 @@ class FleetCostState:
         beta: float,
         load_weight: float,
     ) -> List[float]:
-        """Eq. 6 weights for ``disk_ids`` (the WSC per-tick weight pass).
-
-        Bit-identical to calling :meth:`repro.core.cost.CostFunction.cost`
-        per disk. Both branches are exposed directly
-        (:meth:`weights_scalar`, :meth:`weights_vector`) for parity
-        tests and microbenches.
-        """
-        if len(disk_ids) < SMALL_CANDIDATE_CUTOFF:
-            return self.weights_scalar(disk_ids, now, alpha, beta, load_weight)
-        return self.weights_vector(disk_ids, now, alpha, beta, load_weight)
-
-    def weights_scalar(
-        self,
-        disk_ids: Sequence[DiskId],
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> List[float]:
-        """The scalar branch of :meth:`weights` (any size)."""
+        """Eq. 6 weights for ``disk_ids`` (the WSC per-tick weight pass)."""
         pi = self.pi
         const = self.const
         tlast = self.tlast
@@ -294,33 +173,9 @@ class FleetCostState:
             for d in disk_ids
         ]
 
-    def weights_vector(
-        self,
-        disk_ids: Sequence[DiskId],
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> List[float]:
-        """The vectorised branch of :meth:`weights` (any size)."""
-        idx = np.asarray(disk_ids, dtype=np.intp)
-        energy = (now - self._np_tlast[idx]) * self._np_pi[idx]
-        energy += self._np_const[idx]
-        cost = energy * alpha / beta + self._np_queue[idx] * load_weight
-        result: List[float] = cost.tolist()
-        return result
-
     def energies(self, disk_ids: Sequence[DiskId], now: float) -> List[float]:
         """Eq. 5 energies for ``disk_ids`` (plain-WSC set weights)."""
-        if len(disk_ids) < SMALL_CANDIDATE_CUTOFF:
-            pi = self.pi
-            const = self.const
-            tlast = self.tlast
-            return [
-                (now - tlast[d]) * pi[d] + const[d] for d in disk_ids
-            ]
-        idx = np.asarray(disk_ids, dtype=np.intp)
-        energy = (now - self._np_tlast[idx]) * self._np_pi[idx]
-        energy += self._np_const[idx]
-        result: List[float] = energy.tolist()
-        return result
+        pi = self.pi
+        const = self.const
+        tlast = self.tlast
+        return [(now - tlast[d]) * pi[d] + const[d] for d in disk_ids]

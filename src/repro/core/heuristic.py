@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
-from repro.core.fleet import FleetCostState
+from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
 from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
 from repro.errors import ReplicaUnavailableError
 from repro.types import DiskId, Request
@@ -26,6 +25,9 @@ from repro.types import DiskId, Request
 
 class HeuristicScheduler(OnlineScheduler):
     """Cost-function online scheduler.
+
+    Scores the live replicas through the view's fleet cost columns
+    (:meth:`~repro.core.fleet.FleetCostState.choose`).
 
     Args:
         cost_function: The Eq. 6 instance to minimise; defaults to the
@@ -42,59 +44,13 @@ class HeuristicScheduler(OnlineScheduler):
                 f"no live replica for data {request.data_id}"
             )
         cost_function = self.cost_function
-        # Columnar kernel: views that carry a FleetCostState mirror
-        # (StorageSystem under --kernel numpy) score candidates straight
-        # from the fleet columns — bit-identical to the loop below.
-        fleet: Optional[FleetCostState] = getattr(view, "fleet", None)
-        if fleet is not None:
-            return fleet.choose(
-                locations,
-                view.now,
-                cost_function.alpha,
-                cost_function.beta,
-                cost_function.load_weight,
-            )
-        # Inlined CostFunction.cost(): this loop runs once per arrival and
-        # dominated the profile; hoisting the weights and reading each
-        # disk's queue once roughly halves its attribute traffic. The
-        # arithmetic matches CostFunction.cost() bit for bit (evaluation
-        # order `energy * alpha / beta` included).
-        alpha = cost_function.alpha
-        beta = cost_function.beta
-        load_weight = cost_function.load_weight
-        now = view.now
-        profile = view.profile
-        disk_of = view.disk
-        best_disk: Optional[DiskId] = None
-        best_cost = 0.0
-        best_queue = 0
-        for disk_id in locations:
-            disk = disk_of(disk_id)
-            try:
-                energy = disk.marginal_energy(now)
-            except AttributeError:  # plain DiskView (tests, analyses)
-                energy = energy_cost(disk.state, disk.last_request_time, now, profile)
-            queue_length = disk.queue_length
-            cost = energy * alpha / beta + queue_length * load_weight
-            # Deterministic tie-breaks: shorter queue, then lower disk id —
-            # the unrolled comparisons equal `<` on the old
-            # (cost, queue_length, disk_id) tuple key without allocating it.
-            if (
-                best_disk is None
-                or cost < best_cost
-                or (
-                    cost == best_cost
-                    and (
-                        queue_length < best_queue
-                        or (queue_length == best_queue and disk_id < best_disk)
-                    )
-                )
-            ):
-                best_cost = cost
-                best_queue = queue_length
-                best_disk = disk_id
-        assert best_disk is not None  # locations is non-empty
-        return best_disk
+        return view.fleet.choose(
+            locations,
+            view.now,
+            cost_function.alpha,
+            cost_function.beta,
+            cost_function.load_weight,
+        )
 
     @property
     def name(self) -> str:

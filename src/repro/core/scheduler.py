@@ -9,7 +9,8 @@ Three families, matching the paper's three models (Section 2.2):
   returns a complete :class:`~repro.types.Assignment`.
 
 Online and batch schedulers observe the live system through a
-:class:`SystemView` (disk power states, queue lengths, ``Tlast``); the
+:class:`SystemView` (disk power states, queue lengths, ``Tlast``, and
+the same state as Eq. 5/6 cost columns in ``view.fleet``); the
 offline scheduler works directly on a
 :class:`~repro.core.problem.SchedulingProblem`.
 """
@@ -20,6 +21,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, Dict, Protocol, Sequence, Tuple
 
 from repro.core.cost import DiskView
+from repro.core.fleet import FleetCostState
 from repro.core.problem import SchedulingProblem
 from repro.errors import ConfigurationError
 from repro.power.profile import DiskPowerProfile
@@ -39,6 +41,12 @@ class SystemView(Protocol):
     def disk_ids(self) -> Sequence[DiskId]: ...
 
     def disk(self, disk_id: DiskId) -> DiskView: ...
+
+    @property
+    def fleet(self) -> FleetCostState:
+        """Every disk's Eq. 5/6 terms as columns, kept current by the
+        disks themselves; the cost-based schedulers score through it."""
+        ...
 
     def locations(self, data_id: DataId) -> Tuple[DiskId, ...]: ...
 

@@ -19,13 +19,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.algorithms.set_cover import (
-    SetCoverInstance,
-    greedy_weighted_set_cover,
     greedy_weighted_set_cover_dense,
     repr_tie_ranks,
 )
-from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
-from repro.core.fleet import FleetCostState
+from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
 from repro.core.scheduler import BatchScheduler, SystemView, register_scheduler
 from repro.errors import ReplicaUnavailableError, SchedulingError
 from repro.types import DiskId, Request, RequestId
@@ -73,21 +70,8 @@ class WSCBatchScheduler(BatchScheduler):
             located.append(available)
             for disk_id in available:
                 coverage.setdefault(disk_id, []).append(request.request_id)
-        fleet: Optional[FleetCostState] = getattr(view, "fleet", None)
-        if fleet is not None:
-            weights = self._fleet_weights(coverage, fleet, view.now)
-            chosen_set = self._cover_dense(requests, coverage, weights)
-        else:
-            weights = {
-                disk_id: self._disk_weight(disk_id, view)
-                for disk_id in coverage
-            }
-            instance = SetCoverInstance.build(
-                universe=[request.request_id for request in requests],
-                sets=coverage,
-                weights=weights,
-            )
-            chosen_set = set(greedy_weighted_set_cover(instance))
+        weights = self._weights(list(coverage), view)
+        chosen_set = self._cover_dense(requests, coverage, weights)
         # Route each request to its cheapest chosen location; tie-break on
         # queue length so covered disks share load, then on disk id. The
         # unrolled comparison equals `min` with the old
@@ -127,30 +111,23 @@ class WSCBatchScheduler(BatchScheduler):
             result[request.request_id] = best
         return result
 
-    def _fleet_weights(
-        self,
-        coverage: Dict[DiskId, List[RequestId]],
-        fleet: FleetCostState,
-        now: float,
+    def _weights(
+        self, disk_ids: List[DiskId], view: SystemView
     ) -> Dict[DiskId, float]:
-        """One vectorised Eq. 6 (or Eq. 5) pass over all covering disks.
-
-        Bit-identical to calling :meth:`_disk_weight` per disk: the
-        fleet columns encode the same memoised marginal-energy terms and
-        the kernels evaluate the same expressions in the same order.
-        """
-        disk_ids = list(coverage)
+        """One Eq. 6 (or Eq. 5) pass over the fleet columns of all
+        covering disks."""
+        fleet = view.fleet
         if self.use_cost_function:
             cost_function = self.cost_function
             values = fleet.weights(
                 disk_ids,
-                now,
+                view.now,
                 cost_function.alpha,
                 cost_function.beta,
                 cost_function.load_weight,
             )
         else:
-            values = fleet.energies(disk_ids, now)
+            values = fleet.energies(disk_ids, view.now)
         return dict(zip(disk_ids, values))
 
     @staticmethod
@@ -186,16 +163,6 @@ class WSCBatchScheduler(BatchScheduler):
             membership, weight_array, repr_tie_ranks(disk_ids)
         )
         return {disk_ids[row] for row in chosen_rows}
-
-    def _disk_weight(self, disk_id: DiskId, view: SystemView) -> float:
-        disk = view.disk(disk_id)
-        if self.use_cost_function:
-            # Takes the memoised marginal-energy fast path on live disks.
-            return self.cost_function.cost(disk, view.now, view.profile)
-        marginal = getattr(disk, "marginal_energy", None)
-        if marginal is not None:
-            return float(marginal(view.now))  # float() narrows the Any from getattr
-        return energy_cost(disk.state, disk.last_request_time, view.now, view.profile)
 
     @property
     def name(self) -> str:

@@ -6,8 +6,11 @@ One :class:`SimulatedDisk` combines:
 * the five-state power machine of the paper's disk model
   (standby / spin-up / idle / active / spin-down),
 * a :class:`~repro.power.policy.PowerPolicy` deciding when an idle disk
-  spins down (2CPM in the paper's experiments), and
-* a :class:`~repro.disk.stats.DiskStats` ledger integrating time and energy.
+  spins down (2CPM in the paper's experiments),
+* a :class:`~repro.disk.stats.DiskStats` ledger integrating time and energy,
+  and
+* its slot in the fleet's Eq. 5/6 cost columns
+  (:class:`~repro.core.fleet.FleetCostState`), which the schedulers read.
 
 Semantics match Section 2 of the paper:
 
@@ -22,14 +25,14 @@ Semantics match Section 2 of the paper:
 from __future__ import annotations
 
 import random
-from array import array
 from heapq import heappush
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
+from repro.core.fleet import FleetCostState
 from repro.disk.service import ConstantServiceModel, ServiceTimeModel
 from repro.disk.stats import DiskStats
-from repro.errors import ConfigurationError, ReplicaUnavailableError, SimulationError
+from repro.errors import ReplicaUnavailableError, SimulationError
 from repro.faults.health import DiskHealth
 from repro.power.policy import PowerPolicy, TwoCompetitivePolicy
 from repro.power.profile import DiskPowerProfile
@@ -37,16 +40,11 @@ from repro.power.states import DiskPowerState
 from repro.types import DiskId, Request
 
 if TYPE_CHECKING:  # used only in annotations; avoids a package import cycle
-    from repro.core.fleet import FleetCostState
     from repro.faults.plan import SpinUpFaults
     from repro.sim.engine import EventCallback, ReusableTimer, SimulationEngine
 
 CompletionCallback = Callable[[Request, DiskId, float], None]
 FaultDeathCallback = Callable[[DiskId, List[Request]], None]
-
-#: Placeholder for the fleet column slots while no fleet is attached —
-#: keeps them non-Optional so the hot-path hooks skip None-narrowing.
-_NO_FLEET_COLUMN: "array[float]" = array("d")
 
 # Hot-path aliases: one global load instead of an enum attribute lookup
 # per state test in submit / completion (the two per-request functions).
@@ -76,13 +74,7 @@ class SimulatedDisk:
         "_service_timer",
         "_idle_timeout_s",
         "last_request_time",
-        "_idle_power_w",
-        "_standby_marginal_j",
-        "_marginal_const_by_state",
-        "_marginal_const",
-        "_f_live",
-        "_f_pi",
-        "_f_const",
+        "_fleet",
         "_f_tlast",
         "_f_queue",
         "_health",
@@ -106,6 +98,7 @@ class SimulatedDisk:
         on_complete: Optional[CompletionCallback] = None,
         initial_state: DiskPowerState = DiskPowerState.STANDBY,
         record_transitions: bool = False,
+        fleet: Optional[FleetCostState] = None,
     ):
         if initial_state not in (DiskPowerState.STANDBY, DiskPowerState.IDLE):
             raise SimulationError(
@@ -140,30 +133,19 @@ class SimulatedDisk:
         self._idle_timeout_s = self._policy.idle_timeout(profile)
         #: ``Tlast`` of Eq. 5 — when this disk last *received* a request.
         self.last_request_time: Optional[float] = None
-        # Eq. 5 memo: the marginal energy is a per-state constant except
-        # in IDLE, where it grows with the idle extension. Precompute the
-        # profile-derived constants once and refresh the per-state value
-        # on every transition; marginal_energy() then reads a field.
-        self._idle_power_w = profile.idle_power
-        self._standby_marginal_j = (
-            profile.transition_energy + profile.breakeven_time * profile.idle_power
-        )
-        self._marginal_const_by_state: Dict[DiskPowerState, Optional[float]] = {
-            DiskPowerState.ACTIVE: 0.0,
-            DiskPowerState.SPIN_UP: 0.0,
-            DiskPowerState.STANDBY: self._standby_marginal_j,
-            DiskPowerState.SPIN_DOWN: self._standby_marginal_j,
-            DiskPowerState.IDLE: None,  # dynamic: idle extension
-        }
-        self._marginal_const = self._marginal_const_by_state[initial_state]
-        # Columnar fleet mirror (repro.core.fleet): direct references to
-        # the fleet's columns, armed by attach_fleet(). On the python
-        # kernel _f_live stays False and each hook costs one flag test.
-        self._f_live = False
-        self._f_pi: "array[float]" = _NO_FLEET_COLUMN
-        self._f_const: "array[float]" = _NO_FLEET_COLUMN
-        self._f_tlast: "array[float]" = _NO_FLEET_COLUMN
-        self._f_queue: "array[float]" = _NO_FLEET_COLUMN
+        # This disk's slot in the fleet's cost columns (repro.core.fleet),
+        # written from every hook below; schedulers score through the
+        # columns. A standalone disk keeps a private fleet.
+        if fleet is None:
+            fleet = FleetCostState(disk_id + 1, profile)
+        elif not 0 <= disk_id < fleet.num_disks:
+            raise SimulationError(
+                f"disk id {disk_id} outside fleet of {fleet.num_disks}"
+            )
+        self._fleet = fleet
+        self._f_tlast = fleet.tlast
+        self._f_queue = fleet.queue
+        fleet.encode(disk_id, initial_state, None)
         # Fault-injection hooks; inert until enable_fault_injection().
         self._health = DiskHealth.HEALTHY
         self._fault_capable = False
@@ -188,65 +170,6 @@ class SimulatedDisk:
     def queue_length(self) -> int:
         """``P(dk)`` of Eq. 7: queued requests plus the one in service."""
         return len(self._queue) + (1 if self._in_service is not None else 0)
-
-    def marginal_energy(self, now: float) -> float:
-        """Eq. 5 ``E(dk)`` in joules, from the per-state memo.
-
-        Bit-identical to :func:`repro.core.cost.energy_cost` on this
-        disk's live state — the constant branches are precomputed from
-        the same profile expressions, and the IDLE branch evaluates the
-        same arithmetic on demand.
-        """
-        const = self._marginal_const
-        if const is not None:
-            return const
-        # IDLE: charge the idle-time extension (Tnow - Tlast) * PI.
-        t_last = self.last_request_time
-        if t_last is None:
-            return 0.0
-        extension = now - t_last
-        if extension < 0:
-            raise ConfigurationError(
-                f"last_request_time {t_last} is in the future of {now}"
-            )
-        return extension * self._idle_power_w
-
-    def attach_fleet(self, fleet: "FleetCostState") -> None:
-        """Mirror this disk's scheduling state into ``fleet``'s columns.
-
-        The disk writes its slot (indexed by ``disk_id``) on every
-        state transition, submit, completion and crash-stop from then
-        on; the current state is written immediately so the mirror is
-        consistent from the moment of attachment.
-        """
-        if not 0 <= self.disk_id < fleet.num_disks:
-            raise SimulationError(
-                f"disk id {self.disk_id} outside fleet of {fleet.num_disks}"
-            )
-        self._f_pi = fleet.pi
-        self._f_const = fleet.const
-        self._f_tlast = fleet.tlast
-        self._f_queue = fleet.queue
-        self._f_live = True
-        i = self.disk_id
-        self._f_tlast[i] = (
-            self.last_request_time if self.last_request_time is not None else 0.0
-        )
-        self._f_queue[i] = float(self.queue_length)
-        self._write_fleet_energy()
-
-    def _write_fleet_energy(self) -> None:
-        """Refresh this disk's Eq. 5 encoding in the fleet columns."""
-        i = self.disk_id
-        const = self._marginal_const
-        if const is None:  # IDLE: energy grows with the idle extension
-            self._f_pi[i] = (
-                self._idle_power_w if self.last_request_time is not None else 0.0
-            )
-            self._f_const[i] = 0.0
-        else:
-            self._f_pi[i] = 0.0
-            self._f_const[i] = const
 
     @property
     def health(self) -> DiskHealth:
@@ -274,10 +197,9 @@ class SimulatedDisk:
         engine = self._engine
         now = engine._now
         self.last_request_time = now
-        if self._f_live:
-            i = self.disk_id
-            self._f_tlast[i] = now
-            self._f_queue[i] += 1.0
+        i = self.disk_id
+        self._f_tlast[i] = now
+        self._f_queue[i] += 1.0
         state = self._state
         if state is not _IDLE:
             self._queue.append(request)
@@ -309,10 +231,7 @@ class SimulatedDisk:
         stats._current_state = _ACTIVE
         stats._state_since = now
         self._state = _ACTIVE
-        self._marginal_const = 0.0
-        if self._f_live:
-            # IDLE already encoded const = 0.0; only pi changes.
-            self._f_pi[self.disk_id] = 0.0
+        self._fleet.encode(i, _ACTIVE, now)
         self._in_service = request
         if duration > 0:
             if self._fault_capable:
@@ -403,8 +322,7 @@ class SimulatedDisk:
             self._in_service = None
         drained.extend(self._queue)
         self._queue.clear()
-        if self._f_live:
-            self._f_queue[self.disk_id] = 0.0
+        self._f_queue[self.disk_id] = 0.0
         if self._state is not DiskPowerState.STANDBY:
             self._transition(DiskPowerState.STANDBY)
         return drained
@@ -446,9 +364,7 @@ class SimulatedDisk:
     def _transition(self, new_state: DiskPowerState) -> None:
         self.stats.transition(new_state, self._engine.now)
         self._state = new_state
-        self._marginal_const = self._marginal_const_by_state[new_state]
-        if self._f_live:
-            self._write_fleet_energy()
+        self._fleet.encode(self.disk_id, new_state, self.last_request_time)
 
     def _start_spin_up(self) -> None:
         self._transition(DiskPowerState.SPIN_UP)
@@ -548,8 +464,7 @@ class SimulatedDisk:
         if request is None:
             raise SimulationError("service completion with no request in flight")
         self._in_service = None
-        if self._f_live:
-            self._f_queue[self.disk_id] -= 1.0
+        self._f_queue[self.disk_id] -= 1.0
         stats = self.stats
         stats.requests_serviced += 1
         if self._on_complete is not None:
@@ -564,12 +479,7 @@ class SimulatedDisk:
         stats._current_state = _IDLE
         stats._state_since = now
         self._state = _IDLE
-        self._marginal_const = None
-        if self._f_live:
-            # ACTIVE already encoded const = 0.0, and last_request_time
-            # is non-None here (set when this request was submitted) —
-            # only pi changes.
-            self._f_pi[self.disk_id] = self._idle_power_w
+        self._fleet.encode(self.disk_id, _IDLE, self.last_request_time)
         timeout = self._idle_timeout_s
         if timeout is not None:
             engine = self._engine
@@ -601,8 +511,7 @@ class SimulatedDisk:
         if request is None:
             raise SimulationError("service completion with no request in flight")
         self._in_service = None
-        if self._f_live:
-            self._f_queue[self.disk_id] -= 1.0
+        self._f_queue[self.disk_id] -= 1.0
         self.stats.note_request_serviced()
         if self._on_complete is not None:
             self._on_complete(request, self.disk_id, self._engine.now)

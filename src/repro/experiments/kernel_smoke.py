@@ -1,14 +1,13 @@
-"""Cross-kernel digest smoke: pin a bench's reports, re-check per kernel.
+"""fig6 digest pin: digest a bench's reports and check them against a pin.
 
 ``python -m repro.experiments.kernel_smoke`` executes every spec of one
 bench (default: fig6 at CI smoke scale), digests each canonical report
 JSON, and folds the per-spec digests into one combined SHA-256. The
-combined digest is what gets pinned: generate the pin once under the
-scalar reference kernel (``--kernel python --write <pin>``), then any
-later run — in particular CI's ``--kernel numpy`` pass — must reproduce
-it bit for bit (``--check <pin>``). A mismatch means the columnar
-kernel (or anything else on the simulation path) changed an observable
-result, which the determinism contract forbids.
+combined digest is what gets pinned (``--write <pin>``); any later run
+must reproduce it bit for bit (``--check <pin>``). A mismatch means
+something on the simulation path changed an observable result, which
+the determinism contract forbids unless the pin is regenerated on
+purpose.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.fleet import KERNELS, set_default_kernel
 from repro.experiments.harness import canonical_json, execute_spec
 from repro.experiments.harness.bench import BENCHES
 from repro.experiments.harness.serialize import sha256_hex
@@ -56,22 +54,16 @@ def digest_bench(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for the kernel-smoke CLI."""
+    """Argument parser for the digest-pin CLI."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.kernel_smoke",
-        description="digest a bench's reports under one cost kernel and "
-        "compare against a committed pin",
+        description="digest a bench's reports and compare against a "
+        "committed pin",
     )
     parser.add_argument("--bench", default=DEFAULT_BENCH)
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     parser.add_argument("--mwis-scale", type=float, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=None,
-        help="cost kernel to run under (default: $REPRO_KERNEL or numpy)",
-    )
     parser.add_argument(
         "--check",
         metavar="PIN",
@@ -90,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the sweep, print per-spec digests, write/check the pin."""
     args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        set_default_kernel(args.kernel)
     mwis_scale = args.mwis_scale if args.mwis_scale is not None else args.scale
     combined, per_spec = digest_bench(
         args.bench, args.scale, mwis_scale, args.seed

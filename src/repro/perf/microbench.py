@@ -12,11 +12,10 @@ bisecting a full experiment:
   live :class:`StorageSystem` view (Eq. 5 evaluation per replica).
 * ``storage_dispatch`` — a small end-to-end trace replay (arrival →
   cost → dispatch → service → completion).
-* ``kernel_choose_{python,numpy}_{10,180,1000}`` — the columnar
-  fleet-cost kernel's Eq. 5/Eq. 6 argmin (scalar gather vs vectorised
-  pass) over whole-fleet candidate sets of each size.
-* ``wsc_weight_pass_{python,numpy}_180`` — the WSC batch scheduler's
-  per-tick Eq. 6 weight pass over every covering disk.
+* ``fleet_choose_{10,180,1000}`` — :meth:`FleetCostState.choose`,
+  the Eq. 5/Eq. 6 arg-min, over whole-fleet candidate sets of each size.
+* ``wsc_weight_pass_180`` — the WSC batch scheduler's per-tick Eq. 6
+  weight pass over every covering disk.
 * ``perf_core`` — the headline number: events/sec of the fig6 workload
   cell (cello, rf=3, heuristic) via the harness's
   :func:`~repro.experiments.harness.runner.execute_spec`, measured with
@@ -135,9 +134,9 @@ def _build_fleet_fixture(num_disks: int, seed: int = 1) -> Any:
     """A :class:`FleetCostState` with a deterministic mixed-state fleet.
 
     Roughly the state mix a mid-run fig6 cell shows: a third standby
-    (memoised wake-up constant), the rest idle with a recorded ``Tlast``
-    and a small queue — so both Eq. 5 branches and the queue term are
-    live in the measured arithmetic.
+    (wake-up constant), the rest idle with a recorded ``Tlast`` and a
+    small queue — so both Eq. 5 branches and the queue term are live in
+    the measured arithmetic.
     """
     import random
 
@@ -145,63 +144,55 @@ def _build_fleet_fixture(num_disks: int, seed: int = 1) -> Any:
     from repro.power.profile import PAPER_EVAL
     from repro.power.states import DiskPowerState
 
-    fleet = FleetCostState(
-        num_disks, PAPER_EVAL, initial_state=DiskPowerState.STANDBY
-    )
+    fleet = FleetCostState(num_disks, PAPER_EVAL)
     rng = random.Random(seed)
     for disk_id in range(num_disks):
         if rng.random() < 2.0 / 3.0:
             # IDLE with a recorded last-request time and queued work.
-            fleet.const[disk_id] = 0.0
-            fleet.pi[disk_id] = fleet.idle_power
-            fleet.tlast[disk_id] = rng.uniform(0.0, 3600.0)
+            tlast = rng.uniform(0.0, 3600.0)
+            fleet.encode(disk_id, DiskPowerState.IDLE, tlast)
+            fleet.tlast[disk_id] = tlast
             fleet.queue[disk_id] = float(rng.randrange(0, 4))
+        else:
+            fleet.encode(disk_id, DiskPowerState.STANDBY, None)
     return fleet
 
 
-def bench_kernel_choose(
-    num_disks: int, *, vector: bool, iterations: int = 2_000, seed: int = 1
+def bench_fleet_choose(
+    num_disks: int, *, iterations: int = 2_000, seed: int = 1
 ) -> MicrobenchResult:
-    """Eq. 5/Eq. 6 argmin over the whole fleet, scalar vs vectorised.
+    """Eq. 5/Eq. 6 arg-min over the whole fleet.
 
     Scores all ``num_disks`` disks per call — the worst-case candidate
-    set — through the requested :class:`FleetCostState` branch, so the
-    scalar-vs-numpy crossover is visible across fleet sizes.
+    set — through :meth:`FleetCostState.choose`.
     """
     fleet = _build_fleet_fixture(num_disks, seed=seed)
-    choose = fleet.choose_vector if vector else fleet.choose_scalar
+    choose = fleet.choose
     candidates = list(range(num_disks))
     now = 3600.0
     started = time.perf_counter()
     for _ in range(iterations):
         choose(candidates, now, 0.2, 100.0, 0.8)
     wall_s = time.perf_counter() - started
-    kernel = "numpy" if vector else "python"
-    return MicrobenchResult(
-        f"kernel_choose_{kernel}_{num_disks}", iterations, wall_s
-    )
+    return MicrobenchResult(f"fleet_choose_{num_disks}", iterations, wall_s)
 
 
 def bench_wsc_weight_pass(
     num_disks: int = 180,
     *,
-    vector: bool,
     iterations: int = 2_000,
     seed: int = 1,
 ) -> MicrobenchResult:
     """The WSC per-tick weight pass: Eq. 6 over every covering disk."""
     fleet = _build_fleet_fixture(num_disks, seed=seed)
-    weights = fleet.weights_vector if vector else fleet.weights_scalar
+    weights = fleet.weights
     disk_ids = list(range(num_disks))
     now = 3600.0
     started = time.perf_counter()
     for _ in range(iterations):
         weights(disk_ids, now, 0.2, 100.0, 0.8)
     wall_s = time.perf_counter() - started
-    kernel = "numpy" if vector else "python"
-    return MicrobenchResult(
-        f"wsc_weight_pass_{kernel}_{num_disks}", iterations, wall_s
-    )
+    return MicrobenchResult(f"wsc_weight_pass_{num_disks}", iterations, wall_s)
 
 
 def _build_choose_fixture(
@@ -385,30 +376,16 @@ def run_suite(
         ),
         bench_storage_dispatch(scale=min(scale, 0.05), seed=seed),
     ]
-    kernel_iterations = 200 if quick else 2_000
+    fleet_iterations = 200 if quick else 2_000
     for num_disks in (10, 180, 1000):
         micro.append(
-            bench_kernel_choose(
-                num_disks,
-                vector=False,
-                iterations=kernel_iterations,
-                seed=seed,
+            bench_fleet_choose(
+                num_disks, iterations=fleet_iterations, seed=seed
             )
         )
-        micro.append(
-            bench_kernel_choose(
-                num_disks,
-                vector=True,
-                iterations=kernel_iterations,
-                seed=seed,
-            )
-        )
-    for vector in (False, True):
-        micro.append(
-            bench_wsc_weight_pass(
-                vector=vector, iterations=kernel_iterations, seed=seed
-            )
-        )
+    micro.append(
+        bench_wsc_weight_pass(iterations=fleet_iterations, seed=seed)
+    )
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):
             micro.append(

@@ -3,11 +3,13 @@
 :class:`SimBackend` wires the same pieces as
 :class:`~repro.sim.storage.StorageSystem` — one
 :class:`~repro.sim.engine.SimulationEngine`, a fleet of
-:class:`~repro.disk.drive.SimulatedDisk` instances, a placement catalog —
-but inverts who owns time. The trace replayer preloads every arrival and
-drains the engine once; here the *service clock* owns the timeline, and
-the backend is advanced incrementally (``advance_to``) as asyncio time
-passes, with requests injected at their live arrival instants.
+:class:`~repro.disk.drive.SimulatedDisk` instances writing the shared
+Eq. 5/6 cost columns (:class:`~repro.core.fleet.FleetCostState`), a
+placement catalog — but inverts who owns time. The trace replayer
+preloads every arrival and drains the engine once; here the *service
+clock* owns the timeline, and the backend is advanced incrementally
+(``advance_to``) as asyncio time passes, with requests injected at their
+live arrival instants.
 
 The backend implements the :class:`~repro.core.scheduler.SystemView`
 protocol, so the existing online/batch schedulers run against it
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.fleet import FleetCostState
 from repro.disk.drive import SimulatedDisk
 from repro.errors import PlacementError, SchedulingError, SimulationError
 from repro.placement.catalog import PlacementCatalog
@@ -65,6 +68,9 @@ class SimBackend:
         self._locations_by_data = catalog.mapping()
         self._config = config
         self._engine = SimulationEngine()
+        #: Columnar Eq. 5/6 state (``view.fleet``), scored exactly as on
+        #: the replay path.
+        self.fleet = FleetCostState(config.num_disks, config.profile)
         self._disks: Dict[DiskId, SimulatedDisk] = {
             disk_id: SimulatedDisk(
                 disk_id=disk_id,
@@ -76,6 +82,7 @@ class SimBackend:
                 on_complete=on_complete,
                 initial_state=config.initial_state,
                 record_transitions=config.record_transitions,
+                fleet=self.fleet,
             )
             for disk_id in range(config.num_disks)
         }

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.policy import BlockCache
-from repro.core.fleet import KERNELS, default_kernel
 from repro.disk.service import AnalyticServiceModel, ServiceTimeModel
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -48,15 +47,6 @@ class SimulationConfig:
             :mod:`repro.faults`). ``None`` — or a plan with no fault
             source, e.g. ``FaultPlan.none()`` — runs the exact pre-fault
             code path and produces byte-identical reports.
-        kernel: Cost-kernel selection: ``"numpy"`` mirrors per-disk
-            scheduling state into the columnar
-            :class:`~repro.core.fleet.FleetCostState` and schedulers
-            score through it; ``"python"`` is the pure-Python reference
-            path. Both produce byte-identical reports (the determinism
-            tier pins this), so the kernel is deliberately *not* part of
-            the run's cache identity. Defaults to
-            :func:`repro.core.fleet.default_kernel` (the ``--kernel``
-            CLI flag / ``REPRO_KERNEL`` environment variable).
         tier: Optional cold-tier configuration (see
             :class:`~repro.tape.config.TierConfig`). ``None`` — the
             default — runs the exact disk-only code path and produces
@@ -78,16 +68,11 @@ class SimulationConfig:
     cache_hit_time: float = 0.0002
     record_transitions: bool = False
     fault_plan: Optional[FaultPlan] = None
-    kernel: str = field(default_factory=default_kernel)
     tier: Optional[TierConfig] = None
 
     def __post_init__(self) -> None:
         if self.num_disks <= 0:
             raise ConfigurationError("num_disks must be positive")
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}: expected one of {KERNELS}"
-            )
         if self.horizon is not None and self.horizon < 0:
             raise ConfigurationError("horizon must be >= 0")
         if self.drain_slack < 0:

@@ -17,7 +17,7 @@ import operator
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.fleet import SMALL_CANDIDATE_CUTOFF, FleetCostState
+from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
 from repro.disk.drive import SimulatedDisk
@@ -82,6 +82,9 @@ class StorageSystem:
         self._config = config
         self._engine = engine if engine is not None else SimulationEngine()
         self._metrics = MetricsCollector()
+        #: Columnar Eq. 5/6 state (``view.fleet``): every disk writes its
+        #: own slot, and the cost-based schedulers score through it.
+        self.fleet = FleetCostState(config.num_disks, config.profile)
         self._disks: Dict[DiskId, SimulatedDisk] = {
             disk_id: SimulatedDisk(
                 disk_id=disk_id,
@@ -93,19 +96,10 @@ class StorageSystem:
                 on_complete=self._metrics.on_complete,
                 initial_state=config.initial_state,
                 record_transitions=config.record_transitions,
+                fleet=self.fleet,
             )
             for disk_id in range(config.num_disks)
         }
-        #: Columnar cost kernel (``view.fleet``): schedulers score
-        #: through it when attached; ``None`` selects the pure-Python
-        #: reference path. Both kernels are byte-identical by contract.
-        self.fleet: Optional[FleetCostState] = None
-        if config.kernel == "numpy":
-            self.fleet = FleetCostState(
-                config.num_disks, config.profile, config.initial_state
-            )
-            for disk in self._disks.values():
-                disk.attach_fleet(self.fleet)
         self._batch_buffer: List[Request] = []
         self._tick_scheduled = False
         self._offered = 0
@@ -272,10 +266,10 @@ class StorageSystem:
 
         * no cache + no faults + online scheduler: choose + submit with
           the scheduler-output invariant checks kept;
-        * additionally Heuristic + the columnar kernel: the closure
-          gathers placement and scores through the fleet directly — the
-          chosen disk is one of the request's replicas by construction,
-          so the read-placement re-check is redundant.
+        * additionally Heuristic: the closure gathers placement and
+          scores through the fleet directly — the chosen disk is one of
+          the request's replicas by construction, so the read-placement
+          re-check is redundant.
         """
         if (
             self.cache is not None
@@ -287,23 +281,12 @@ class StorageSystem:
         locations_by_data = self._locations_by_data
         disks = self._disks
         engine = self._engine
-        if isinstance(scheduler, HeuristicScheduler) and self.fleet is not None:
-            fleet = self.fleet
-            fleet_choose = fleet.choose
+        if isinstance(scheduler, HeuristicScheduler):
+            fleet_choose = self.fleet.choose
             cost_function = scheduler.cost_function
             alpha = cost_function.alpha
             beta = cost_function.beta
             load_weight = cost_function.load_weight
-            # The replication factor is far below the kernel's cutoff, so
-            # every arrival takes FleetCostState.choose's scalar-gather
-            # branch — inline it over the captured columns (same
-            # arithmetic, same unrolled tie-break) and keep the method
-            # call for the general case.
-            pi = fleet.pi
-            const = fleet.const
-            tlast = fleet.tlast
-            queue = fleet.queue
-            cutoff = SMALL_CANDIDATE_CUTOFF
             # Disk ids are dense (range(num_disks)), so a list of bound
             # submit methods replaces the dict hash + attribute lookup
             # on the hand-off.
@@ -320,41 +303,10 @@ class StorageSystem:
                     raise ReplicaUnavailableError(
                         f"no live replica for data {request.data_id}"
                     )
-                now = engine._now
-                if len(locations) < cutoff:
-                    best_disk = -1
-                    best_cost = 0.0
-                    best_queue = 0.0
-                    for disk_id in locations:
-                        energy = (
-                            (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
-                        )
-                        queue_length = queue[disk_id]
-                        cost = (
-                            energy * alpha / beta + queue_length * load_weight
-                        )
-                        if (
-                            best_disk < 0
-                            or cost < best_cost
-                            or (
-                                cost == best_cost
-                                and (
-                                    queue_length < best_queue
-                                    or (
-                                        queue_length == best_queue
-                                        and disk_id < best_disk
-                                    )
-                                )
-                            )
-                        ):
-                            best_cost = cost
-                            best_queue = queue_length
-                            best_disk = disk_id
-                else:
-                    best_disk = fleet_choose(
-                        locations, now, alpha, beta, load_weight
-                    )
-                submit_by_disk[best_disk](request)
+                disk_id = fleet_choose(
+                    locations, engine._now, alpha, beta, load_weight
+                )
+                submit_by_disk[disk_id](request)
 
             return heuristic_arrival
         choose = scheduler.choose

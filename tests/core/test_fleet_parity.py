@@ -1,12 +1,13 @@
-"""Hypothesis parity: the columnar kernel vs the scalar reference path.
+"""Hypothesis parity: the fleet columns vs the Eq. 5/Eq. 6 specification.
 
-The ``numpy`` kernel is only admissible because it is *bit-identical* to
-the scalar schedulers: same Eq. 5/Eq. 6 arithmetic (evaluation order
-included), same (cost, queue, disk id) tie-break. These properties pin
-that claim on randomly generated fleets, states and candidate sets —
-both kernel branches (scalar gather and vectorised pass) against the
-pure-Python :class:`~repro.core.heuristic.HeuristicScheduler` loop and
-the reference :func:`~repro.core.cost.energy_cost` evaluation.
+The schedulers score disks only through :class:`FleetCostState`, so its
+arithmetic must be *bit-identical* to the reference specification —
+:func:`~repro.core.cost.energy_cost` (Eq. 5) and
+:meth:`~repro.core.cost.CostFunction.cost` (Eq. 6) — with the
+(cost, queue, disk id) tie-break. These properties pin that on randomly
+generated fleets, states and candidate sets: the columns are filled
+through :meth:`FleetCostState.encode`, and every answer is compared with
+a brute-force evaluation of the specification.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -16,10 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core.cost import CostFunction, energy_cost
 from repro.core.fleet import FleetCostState
-from repro.core.heuristic import HeuristicScheduler
 from repro.power.profile import PAPER_EVAL
 from repro.power.states import DiskPowerState
-from repro.types import OpKind, Request
 
 NOW = 100.0
 
@@ -30,7 +29,7 @@ _STATES = tuple(DiskPowerState)
 
 
 class FakeDisk:
-    """Protocol-only disk view: forces the scalar energy_cost fallback."""
+    """Protocol-only disk view (:class:`~repro.core.cost.DiskView`)."""
 
     def __init__(
         self,
@@ -43,49 +42,22 @@ class FakeDisk:
         self.last_request_time = last_request_time
 
 
-class FakeView:
-    """SystemView without a ``fleet`` attribute: the scalar path."""
-
-    def __init__(
-        self, disks: Dict[int, FakeDisk], locations: Tuple[int, ...]
-    ):
-        self._disks = disks
-        self._locations = locations
-        self.now = NOW
-        self.profile = PAPER_EVAL
-
-    def disk(self, disk_id: int) -> FakeDisk:
-        return self._disks[disk_id]
-
-    def available_locations(self, data_id: int) -> Tuple[int, ...]:
-        return self._locations
+Instance = Tuple[Dict[int, FakeDisk], Tuple[int, ...], CostFunction]
 
 
-def _mirror(disks: Dict[int, FakeDisk]) -> FleetCostState:
-    """Encode the fake disks into fleet columns exactly as the drive
-    hooks do (ACTIVE/SPIN_UP zero; STANDBY/SPIN_DOWN memoised wake-up
-    constant; IDLE idle-power slope once ``Tlast`` is recorded)."""
-    fleet = FleetCostState(
-        len(disks), PAPER_EVAL, initial_state=DiskPowerState.IDLE
-    )
+def _fleet(disks: Dict[int, FakeDisk]) -> FleetCostState:
+    """The fake disks' state, written into columns as a live disk does."""
+    fleet = FleetCostState(len(disks), PAPER_EVAL)
     for disk_id, disk in disks.items():
+        fleet.encode(disk_id, disk.state, disk.last_request_time)
         if disk.last_request_time is not None:
             fleet.tlast[disk_id] = disk.last_request_time
-        if disk.state in (DiskPowerState.STANDBY, DiskPowerState.SPIN_DOWN):
-            fleet.const[disk_id] = fleet.standby_marginal
-        elif (
-            disk.state is DiskPowerState.IDLE
-            and disk.last_request_time is not None
-        ):
-            fleet.pi[disk_id] = fleet.idle_power
         fleet.queue[disk_id] = float(disk.queue_length)
     return fleet
 
 
 @st.composite
-def fleet_instances(draw):
-    # Up to 40 disks so candidate sets straddle the scalar/vector
-    # cutoff (32) through the adaptive front door too.
+def fleet_instances(draw: st.DrawFn) -> Instance:
     num_disks = draw(st.integers(min_value=1, max_value=40))
     disks = {
         disk_id: FakeDisk(
@@ -107,65 +79,54 @@ def fleet_instances(draw):
     return disks, candidates, CostFunction(alpha=alpha, beta=beta)
 
 
-@settings(max_examples=200, deadline=None)
-@given(fleet_instances())
-def test_choose_parity_including_ties(instance) -> None:
-    """Both kernel branches pick the scalar scheduler's exact disk."""
-    disks, candidates, cost_function = instance
-    view = FakeView(disks, candidates)
-    scheduler = HeuristicScheduler(cost_function)
-    request = Request(
-        request_id=0, time=NOW, data_id=0, size_bytes=1, op=OpKind.READ
-    )
-    expected = scheduler.choose(request, view)
-
-    fleet = _mirror(disks)
-    args = (
+def _args(
+    candidates: Tuple[int, ...], cost_function: CostFunction
+) -> Tuple[Tuple[int, ...], float, float, float, float]:
+    return (
         candidates,
         NOW,
         cost_function.alpha,
         cost_function.beta,
         cost_function.load_weight,
     )
-    assert fleet.choose_scalar(*args) == expected
-    assert fleet.choose_vector(*args) == expected
-    assert fleet.choose(*args) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
-def test_weights_parity_full_precision(instance) -> None:
-    """Eq. 6 weights match the scalar reference bit for bit."""
+def test_choose_parity_including_ties(instance: Instance) -> None:
+    """``choose`` is the arg-min of Eq. 6 under the (cost, queue, id) key."""
     disks, candidates, cost_function = instance
-    fleet = _mirror(disks)
-    expected: List[float] = []
-    for disk_id in candidates:
-        disk = disks[disk_id]
-        energy = energy_cost(
-            disk.state, disk.last_request_time, NOW, PAPER_EVAL
-        )
-        expected.append(
-            energy * cost_function.alpha / cost_function.beta
-            + disk.queue_length * cost_function.load_weight
-        )
-    args = (
+    expected = min(
         candidates,
-        NOW,
-        cost_function.alpha,
-        cost_function.beta,
-        cost_function.load_weight,
+        key=lambda disk_id: (
+            cost_function.cost(disks[disk_id], NOW, PAPER_EVAL),
+            disks[disk_id].queue_length,
+            disk_id,
+        ),
     )
-    assert fleet.weights_scalar(*args) == expected
-    assert fleet.weights_vector(*args) == expected
-    assert fleet.weights(*args) == expected
+    fleet = _fleet(disks)
+    assert fleet.choose(*_args(candidates, cost_function)) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
-def test_energies_parity_full_precision(instance) -> None:
-    """Eq. 5 energies match the reference evaluation bit for bit."""
+def test_weights_parity_full_precision(instance: Instance) -> None:
+    """Eq. 6 weights match ``CostFunction.cost`` bit for bit."""
+    disks, candidates, cost_function = instance
+    expected: List[float] = [
+        cost_function.cost(disks[disk_id], NOW, PAPER_EVAL)
+        for disk_id in candidates
+    ]
+    fleet = _fleet(disks)
+    assert fleet.weights(*_args(candidates, cost_function)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet_instances())
+def test_energies_parity_full_precision(instance: Instance) -> None:
+    """Eq. 5 energies match ``energy_cost`` bit for bit."""
     disks, candidates, _ = instance
-    fleet = _mirror(disks)
+    fleet = _fleet(disks)
     expected = [
         energy_cost(
             disks[disk_id].state,

@@ -1,18 +1,16 @@
 """Determinism/equivalence tier: same spec => byte-identical reports.
 
-Four equivalences, each proven on canonical report JSON (sorted keys,
+Three equivalences, each proven on canonical report JSON (sorted keys,
 compact separators — see ``repro.experiments.harness.serialize``):
 
 * two fresh serial runs of the same spec;
 * a serial sweep vs a 2-worker process-pool sweep;
-* a fresh compute vs a persistent-cache hit (across cache reopen);
-* the scalar ``python`` cost kernel vs the columnar ``numpy`` kernel.
+* a fresh compute vs a persistent-cache hit (across cache reopen).
 """
 
 import pickle
 from dataclasses import replace
 
-from repro.core.fleet import set_default_kernel
 from repro.experiments.harness import (
     RunCache,
     SweepRunner,
@@ -121,27 +119,6 @@ class TestPoolEquivalence:
         for spec in specs:
             assert _report_bytes(serial.payloads[spec]) == _report_bytes(
                 parallel.payloads[spec]
-            ), spec.label()
-
-
-class TestKernelEquivalence:
-    def test_python_and_numpy_kernels_byte_identical(self):
-        """The columnar kernel is a pure optimisation: every scheduler
-        (fault-injected cell included) produces byte-identical reports
-        under both cost kernels."""
-        specs = _specs()
-        try:
-            set_default_kernel("numpy")
-            vectorised = {spec: execute_spec(spec) for spec in specs}
-            clear_memos()
-            set_default_kernel("python")
-            scalar = {spec: execute_spec(spec) for spec in specs}
-        finally:
-            set_default_kernel(None)
-            clear_memos()
-        for spec in specs:
-            assert _report_bytes(vectorised[spec]) == _report_bytes(
-                scalar[spec]
             ), spec.label()
 
 

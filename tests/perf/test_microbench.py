@@ -38,9 +38,8 @@ def test_suite_records_every_microbench(quick_payload):
         "storage_dispatch",
     }
     for size in (10, 180, 1000):
-        expected.add(f"kernel_choose_python_{size}")
-        expected.add(f"kernel_choose_numpy_{size}")
-    expected.update({"wsc_weight_pass_python_180", "wsc_weight_pass_numpy_180"})
+        expected.add(f"fleet_choose_{size}")
+    expected.add("wsc_weight_pass_180")
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):
             expected.add(f"tape_plan_{policy}_{queue_depth}")

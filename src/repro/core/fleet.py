@@ -50,9 +50,10 @@ _SPIN_DOWN = DiskPowerState.SPIN_DOWN
 class FleetCostState:
     """Columnar per-disk scheduling state and the Eq. 6 arg-min over it.
 
-    Owned by the disk fleet's wiring (:class:`~repro.sim.storage.StorageSystem`
-    and :class:`~repro.serve.backend.SimBackend`) and exposed to
-    schedulers as ``view.fleet``; each
+    Owned by the disk fleet's one wiring
+    (:class:`~repro.sim.fleet.DiskFleet`, under the trace replay, the
+    serving backend and the tiered system) and exposed to schedulers as
+    ``view.fleet``; each
     :class:`~repro.disk.drive.SimulatedDisk` writes its own slot from
     its state-transition/submit/complete hooks.
     """

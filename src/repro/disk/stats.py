@@ -1,168 +1,58 @@
 """Per-disk statistics: state-time breakdown, energy, spin counts.
 
-:class:`DiskStats` is a pure accumulator — the drive notifies it of every
-state transition and it integrates time and energy per state. The paper's
-Fig. 9 / Fig. 17 per-disk breakdowns come straight out of
-:meth:`DiskStats.state_fractions`.
+:class:`DiskStats` is the :class:`~repro.power.ledger.StateLedger` over
+the disk power states, counting spin-ups and spin-downs — the drive
+notifies it of every state transition and it integrates time and energy
+per state. The paper's Fig. 9 / Fig. 17 per-disk breakdowns come
+straight out of :meth:`DiskStats.state_fractions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.errors import SimulationError
+from repro.power.ledger import StateLedger
 from repro.power.profile import DiskPowerProfile
 from repro.power.states import DiskPowerState
 
 
-@dataclass(slots=True)
-class DiskStats:
+class DiskStats(StateLedger[DiskPowerState]):
     """Time/energy ledger of one simulated disk.
 
-    Attributes:
-        profile: Power profile used to convert state time into energy.
-        state_time: Seconds accumulated per power state.
-        spin_ups: Completed spin-up transitions.
-        spin_downs: Completed spin-down transitions.
-        requests_serviced: Requests whose I/O completed on this disk.
-        transitions: Optional ``(time, state)`` log (see
-            :meth:`enable_transition_log`); feeds the state-period
-            analyses in :mod:`repro.analysis.idleness`.
+    ``spin_ups``/``spin_downs`` name the ledger's two entry counters
+    (entries into SPIN_UP and SPIN_DOWN).
     """
 
-    profile: DiskPowerProfile
-    state_time: Dict[DiskPowerState, float] = field(
-        default_factory=lambda: {state: 0.0 for state in DiskPowerState}
-    )
-    spin_ups: int = 0
-    spin_downs: int = 0
-    requests_serviced: int = 0
-    transitions: Optional[List[Tuple[float, DiskPowerState]]] = None
-    _current_state: DiskPowerState = DiskPowerState.STANDBY
-    _state_since: float = 0.0
-    _closed: bool = False
+    __slots__ = ()
 
-    def enable_transition_log(self) -> None:
-        """Start recording every state transition as ``(time, state)``."""
-        if self.transitions is None:
-            self.transitions = [(self._state_since, self._current_state)]
+    spin_ups = StateLedger.ups
+    spin_downs = StateLedger.downs
 
-    def begin(self, state: DiskPowerState, now: float) -> None:
-        """Initialise the ledger at simulation start."""
-        self._current_state = state
-        self._state_since = now
-        if self.transitions is not None:
-            self.transitions = [(now, state)]
-
-    def transition(self, new_state: DiskPowerState, now: float) -> None:
-        """Close the current state interval and open a new one."""
-        since = self._state_since
-        if self._closed:
-            raise SimulationError("stats already finalised")
-        if now < since:
-            raise SimulationError(f"time went backwards: {now} < {since}")
-        self.state_time[self._current_state] += now - since
-        if self.transitions is not None:
-            self.transitions.append((now, new_state))
-        if new_state is DiskPowerState.SPIN_UP:
-            self.spin_ups += 1
-        elif new_state is DiskPowerState.SPIN_DOWN:
-            self.spin_downs += 1
-        self._current_state = new_state
-        self._state_since = now
-
-    def note_request_serviced(self) -> None:
-        """Count one completed I/O on this disk."""
-        self.requests_serviced += 1
-
-    def mark_closed(self) -> None:
-        """Close a *synthetic* ledger whose times were credited directly.
-
-        The offline evaluator fills ``state_time`` analytically instead of
-        via :meth:`transition`; this seals the ledger without crediting
-        any additional interval.
-        """
-        self._closed = True
-
-    def finalize(self, now: float) -> None:
-        """Close the open interval at simulation end (idempotent)."""
-        if self._closed:
-            return
-        if now < self._state_since:
-            raise SimulationError(
-                f"time went backwards: {now} < {self._state_since}"
-            )
-        self.state_time[self._current_state] += now - self._state_since
-        self._state_since = now
-        self._closed = True
-
-    @property
-    def current_state(self) -> DiskPowerState:
-        return self._current_state
-
-    @property
-    def total_time(self) -> float:
-        """Seconds accounted across all power states."""
-        return sum(self.state_time.values())
+    def __init__(
+        self,
+        profile: DiskPowerProfile,
+        state_time: Optional[Dict[DiskPowerState, float]] = None,
+        spin_ups: int = 0,
+        spin_downs: int = 0,
+        requests_serviced: int = 0,
+    ):
+        """A fresh ledger, or — given ``state_time`` (seconds per state)
+        and the counters — a rebuilt one (the report deserialiser)."""
+        super().__init__(
+            profile,
+            DiskPowerState,
+            (DiskPowerState.SPIN_UP, DiskPowerState.SPIN_DOWN),
+            DiskPowerState.STANDBY,
+            state_time,
+        )
+        self.ups = spin_ups
+        self.downs = spin_downs
+        self.requests_serviced = requests_serviced
 
     @property
     def spin_operations(self) -> int:
         """Total spin transitions (the paper's Fig. 7 metric counts both)."""
-        return self.spin_ups + self.spin_downs
-
-    @property
-    def energy(self) -> float:
-        """Joules consumed: per-state power x time.
-
-        Transition energy is captured through the spin-up/down state powers
-        (``Eup = Pup * Tup``), so no separate lump charge is needed; for
-        profiles with zero transition *time* but non-zero energy the drive
-        adds the lump via :meth:`add_transition_energy`.
-        """
-        return (
-            sum(
-                self.profile.power(state) * seconds
-                for state, seconds in self.state_time.items()
-            )
-            + self._lump_energy
-        )
-
-    def energy_at(self, now: float) -> float:
-        """Joules up to ``now``, the open state interval included.
-
-        The :attr:`energy` property only integrates *closed* intervals;
-        a live reader (the serving layer's energy gauge) also wants the
-        time accrued in the current state. On a finalised ledger this is
-        exactly :attr:`energy`.
-        """
-        if self._closed or now <= self._state_since:
-            return self.energy
-        open_interval = self.profile.power(self._current_state) * (
-            now - self._state_since
-        )
-        return self.energy + open_interval
-
-    _lump_energy: float = 0.0
-
-    @property
-    def lump_transition_energy(self) -> float:
-        """Joules charged via :meth:`add_transition_energy` (serialisers
-        need it to rebuild an exact ledger)."""
-        return self._lump_energy
-
-    def add_transition_energy(self, joules: float) -> None:
-        """Charge transition energy not representable as power x time."""
-        if joules < 0:
-            raise SimulationError("transition energy must be >= 0")
-        self._lump_energy += joules
-
-    def state_fractions(self) -> Dict[DiskPowerState, float]:
-        """Fraction of total time per state (zeros if no time elapsed)."""
-        total = self.total_time
-        if total == 0:
-            return {state: 0.0 for state in DiskPowerState}
-        return {state: seconds / total for state, seconds in self.state_time.items()}
+        return self.ups + self.downs
 
     def standby_fraction(self) -> float:
         """Fraction of total time spent in STANDBY."""

@@ -266,7 +266,8 @@ def _headline_result(trace: str) -> _ResultFn:
     return build
 
 
-def _ablation_result_payload(result: AblationResult) -> Dict[str, Any]:
+def ablation_result_payload(result: AblationResult) -> Dict[str, Any]:
+    """An ablation result as its bench-document payload (JSON-able)."""
     return {
         "ablation_id": result.ablation_id,
         "title": result.title,
@@ -287,7 +288,7 @@ def _ablation_result_payload(result: AblationResult) -> Dict[str, Any]:
 def _ablation_result(ablation_id: str) -> _ResultFn:
     def build(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
         result = run_ablation(ablation_id, scale)
-        return _ablation_result_payload(result), result.events_processed
+        return ablation_result_payload(result), result.events_processed
 
     return build
 
@@ -311,20 +312,20 @@ def _fault_sweep_specs(scale: float, mwis_scale: float, seed: int) -> List[RunSp
 
 def _fault_sweep_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
     # Cell events are already counted by the sweep points; report 0 extra.
-    return _ablation_result_payload(run_fault_sweep(scale)), 0
+    return ablation_result_payload(run_fault_sweep(scale)), 0
 
 
 def _serve_sweep_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
     # Serve cells run live (no run cache); their engine events are the
     # bench's event count.
     result = run_serve_sweep(scale)
-    return _ablation_result_payload(result), result.events_processed
+    return ablation_result_payload(result), result.events_processed
 
 
 def _serve_scale_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
     # Sharded cells run live in worker processes; no run cache either.
     result = run_serve_scale(scale)
-    return _ablation_result_payload(result), result.events_processed
+    return ablation_result_payload(result), result.events_processed
 
 
 def _tape_tier_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
@@ -333,7 +334,7 @@ def _tape_tier_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
     from repro.experiments.tape_tier import run_tape_tier
 
     result = run_tape_tier(scale)
-    return _ablation_result_payload(result), result.events_processed
+    return ablation_result_payload(result), result.events_processed
 
 
 def _build_registry() -> Dict[str, BenchDefinition]:

@@ -237,14 +237,7 @@ def bench_storage_dispatch(
     scale: float = 0.05, seed: int = 1
 ) -> MicrobenchResult:
     """Small end-to-end replay: arrival → dispatch → service → complete."""
-    from repro.core import CostFunction, HeuristicScheduler
-    from repro.experiments.harness.runner import get_binding, make_config
-    from repro.sim.storage import StorageSystem
-
-    requests, catalog, disks = get_binding("cello", 3, 1.0, scale, seed)
-    config = make_config(disks, "paper-evaluation", seed)
-    scheduler = HeuristicScheduler(CostFunction(alpha=0.2, beta=100.0))
-    system = StorageSystem(catalog, scheduler, config)
+    _, system, requests = _build_choose_fixture(scale, seed)
     started = time.perf_counter()
     report = system.run(requests)
     wall_s = time.perf_counter() - started

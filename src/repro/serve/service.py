@@ -27,7 +27,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import CostFunction
 from repro.core.heuristic import HeuristicScheduler
@@ -118,7 +118,13 @@ class ServiceConfig:
             raise ConfigurationError("window_s must be positive")
         if self.max_batch is not None and self.max_batch <= 0:
             raise ConfigurationError("max_batch must be positive or None")
+        doomed: Set[DiskId] = set()
         for disk_id, at_s in self.disk_deaths:
+            if disk_id in doomed:
+                raise ConfigurationError(
+                    f"disk death names disk {disk_id} twice; a disk dies once"
+                )
+            doomed.add(disk_id)
             if not 0 <= disk_id < self.num_disks:
                 raise ConfigurationError(
                     f"disk death names disk {disk_id}, outside the fleet "
@@ -646,7 +652,7 @@ class SchedulingService:
         metrics.gauge("requests.submitted_to_disks").set(
             backend.requests_submitted
         )
-        observe_engine(metrics, backend._engine)
+        observe_engine(metrics, backend.engine)
         self._m_queue_depth.set(len(self._ingress))
         self._m_inflight.set(len(self._inflight))
         return metrics.snapshot()

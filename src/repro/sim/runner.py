@@ -49,7 +49,7 @@ def simulate(
     if isinstance(scheduler, OfflineScheduler):
         return run_offline(requests, catalog, scheduler, config).report
     if config.tier is not None:
-        # Imported lazily: the tiered system embeds StorageSystem, so
+        # Imported lazily: the tiered system extends StorageSystem, so
         # repro.tape.tier imports this package back.
         from repro.tape.tier import TieredStorageSystem
 

@@ -1,12 +1,14 @@
-"""The storage system: scheduler + disks + placement wired to the engine.
+"""The storage system: scheduler + disk fleet wired to the engine.
 
 :class:`StorageSystem` is the moral equivalent of the paper's OMNeT++
 model (Fig. 1): requests arrive at a scheduler which dispatches them to
 disks according to the data placement; a power manager (the policy inside
 each :class:`~repro.disk.drive.SimulatedDisk`) spins idle disks down.
 
-It also *is* the :class:`~repro.core.scheduler.SystemView` the schedulers
-observe — ``now``, per-disk state/queue/Tlast, and placement lookups.
+The disks, their cost columns and the
+:class:`~repro.core.scheduler.SystemView` the schedulers observe come
+from :class:`~repro.sim.fleet.DiskFleet`; this class adds the trace
+replay: admission, batching, caching and failover.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from __future__ import annotations
 import gc
 import math
 import operator
-import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
-from repro.disk.drive import SimulatedDisk
 from repro.errors import (
     PlacementError,
     ReplicaUnavailableError,
@@ -30,11 +29,11 @@ from repro.errors import (
 from repro.faults.health import DiskHealth
 from repro.faults.injector import FaultInjector
 from repro.placement.catalog import PlacementCatalog
-from repro.power.profile import DiskPowerProfile
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
+from repro.sim.fleet import DiskFleet
 from repro.report import MetricsCollector, SimulationReport
-from repro.types import DataId, DiskId, OpKind, Request, RequestId
+from repro.types import DiskId, OpKind, Request, RequestId
 
 #: Request's dataclass compare-fields, as a sort key (see run()).
 _REQUEST_ORDER = operator.attrgetter("time", "request_id")
@@ -46,7 +45,7 @@ RETRY_BASE_S = 0.5
 MAX_FAILOVER_ATTEMPTS = 8
 
 
-class StorageSystem:
+class StorageSystem(DiskFleet):
     """One simulated storage system instance (single-use: one run)."""
 
     def __init__(
@@ -54,52 +53,22 @@ class StorageSystem:
         catalog: PlacementCatalog,
         scheduler: Scheduler,
         config: SimulationConfig,
-        engine: Optional[SimulationEngine] = None,
     ):
-        """Wire scheduler + disks to an engine.
-
-        ``engine`` lets an embedding system (the tiered disk/tape
-        system) share one virtual clock with the disk fleet; when
-        ``None`` — every direct use — a private engine is created and
-        :meth:`run` drives it. An embedder passing its own engine must
-        drive that engine itself instead of calling :meth:`run`.
-        """
         if not isinstance(scheduler, (OnlineScheduler, BatchScheduler)):
             raise SchedulingError(
                 "StorageSystem drives online/batch schedulers; use "
                 "run_offline() for offline schedulers"
             )
-        self._catalog = catalog
-        # data_id -> locations tuple, resolved once: per-request placement
-        # lookups are one dict access instead of a catalog method call.
-        self._locations_by_data = catalog.mapping()
+        self._metrics = MetricsCollector()
+        super().__init__(
+            catalog, config, SimulationEngine(), self._metrics.on_complete
+        )
         self._scheduler = scheduler
         # Narrowed alias: _admit runs per arrival and should not pay an
         # ABC isinstance check each time.
         self._online_scheduler: Optional[OnlineScheduler] = (
             scheduler if isinstance(scheduler, OnlineScheduler) else None
         )
-        self._config = config
-        self._engine = engine if engine is not None else SimulationEngine()
-        self._metrics = MetricsCollector()
-        #: Columnar Eq. 5/6 state (``view.fleet``): every disk writes its
-        #: own slot, and the cost-based schedulers score through it.
-        self.fleet = FleetCostState(config.num_disks, config.profile)
-        self._disks: Dict[DiskId, SimulatedDisk] = {
-            disk_id: SimulatedDisk(
-                disk_id=disk_id,
-                engine=self._engine,
-                profile=config.profile,
-                policy=config.policy,
-                service_model=config.make_service_model(),
-                rng=random.Random(config.seed * 1_000_003 + disk_id),
-                on_complete=self._metrics.on_complete,
-                initial_state=config.initial_state,
-                record_transitions=config.record_transitions,
-                fleet=self.fleet,
-            )
-            for disk_id in range(config.num_disks)
-        }
         self._batch_buffer: List[Request] = []
         self._tick_scheduled = False
         self._offered = 0
@@ -116,82 +85,16 @@ class StorageSystem:
                 disks=self._disks,
                 on_disk_failed=self._on_disk_failed,
             )
-
-    # -- embedder interface (tiered system) ------------------------------
-
-    @property
-    def engine(self) -> SimulationEngine:
-        """The engine this system is wired to."""
-        return self._engine
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        """The completion collector (shared with an embedder's drives)."""
-        return self._metrics
-
-    def arrival_handler(self) -> Callable[[Request], None]:
-        """Per-request admission entry point for an embedding system.
-
-        Routes exactly like :meth:`run`'s own arrival stream (including
-        the fused fast paths), so an embedder feeding a subset of the
-        trace through this handler gets byte-identical disk behaviour.
-        """
-        return self._arrival_callback()
-
-    def finalize_disks(self) -> None:
-        """Close every disk's stats ledger at the engine's current time."""
-        for disk in self._disks.values():
-            disk.finalize()
-
-    # -- SystemView protocol -------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._engine.now
-
-    @property
-    def profile(self) -> DiskPowerProfile:
-        return self._config.profile
-
-    @property
-    def disk_ids(self) -> range:
-        return range(self._config.num_disks)
-
-    def disk(self, disk_id: DiskId) -> SimulatedDisk:
-        """Live view of one disk (SystemView protocol)."""
-        return self._disks[disk_id]
-
-    def locations(self, data_id: DataId) -> Tuple[DiskId, ...]:
-        """Placement lookup (SystemView protocol)."""
-        try:
-            return self._locations_by_data[data_id]
-        except KeyError:
-            raise PlacementError(f"unknown data id {data_id}")
-
-    def available_locations(self, data_id: DataId) -> Tuple[DiskId, ...]:
-        """Replicas currently able to service requests (SystemView).
-
-        Identical to :meth:`locations` on no-fault runs — the precomputed
-        placement tuple is returned as-is, nothing is rebuilt. With fault
-        injection active, down and failed disks are filtered out.
-        """
-        if self._faults is None:
-            try:
-                return self._locations_by_data[data_id]
-            except KeyError:
-                raise PlacementError(f"unknown data id {data_id}")
-        locations = self.locations(data_id)
-        disks = self._disks
-        return tuple(  # reprolint: disable=RPL007 -- fault path only
-            disk_id for disk_id in locations if disks[disk_id].is_available
-        )
+            self._faults_armed = True
 
     # -- driving the run -------------------------------------------------
 
     def run(self, requests: Sequence[Request]) -> SimulationReport:
         """Replay ``requests`` and return the final report."""
         if self._ran:
-            raise SimulationError("StorageSystem instances are single-use")
+            raise SimulationError(
+                f"{type(self).__name__} instances are single-use"
+            )
         self._ran = True
         # Same order as sorted(requests): Request's dataclass ordering
         # compares exactly its (time, request_id) compare-fields, and
@@ -199,8 +102,7 @@ class StorageSystem:
         # tuple-building __lt__ call per comparison.
         ordered = sorted(requests, key=_REQUEST_ORDER)
         self._offered = len(ordered)
-        last_arrival = ordered[-1].time if ordered else 0.0
-        horizon = self._config.derived_horizon(last_arrival)
+        horizon = self._prepare(ordered)
         if self._faults is not None:
             self._faults.install(horizon)
         # Arrivals stream straight through the engine's merge loop: they
@@ -228,8 +130,16 @@ class StorageSystem:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        for disk in self._disks.values():
-            disk.finalize()
+        self.finalize()
+        return self._report()
+
+    def _prepare(self, ordered: Sequence[Request]) -> float:
+        """Ready the run for the time-sorted trace; returns its horizon."""
+        last_arrival = ordered[-1].time if ordered else 0.0
+        return self._config.derived_horizon(last_arrival)
+
+    def _report(self) -> SimulationReport:
+        """The final report of a finished run."""
         availability = None
         if self._faults is not None:
             self._faults.close(self._engine.now)
@@ -242,8 +152,8 @@ class StorageSystem:
         return SimulationReport(
             scheduler_name=self._scheduler.name,
             duration=self._engine.now,
-            total_energy=sum(d.stats.energy for d in self._disks.values()),
-            disk_stats={d_id: d.stats for d_id, d in self._disks.items()},
+            total_energy=self.energy,
+            disk_stats=self.disk_stats,
             response_times=self._metrics.response_times,
             requests_offered=self._offered,
             requests_completed=self._metrics.completed,
@@ -260,75 +170,50 @@ class StorageSystem:
 
         The general path (:meth:`_on_arrival`) re-checks cache, faults
         and scheduler kind on every arrival even though all three are
-        fixed for the whole run. Configurations that skip those branches
-        get a fused closure — semantically identical, minus the
-        per-arrival re-dispatch:
-
-        * no cache + no faults + online scheduler: choose + submit with
-          the scheduler-output invariant checks kept;
-        * additionally Heuristic: the closure gathers placement and
-          scores through the fleet directly — the chosen disk is one of
-          the request's replicas by construction, so the read-placement
-          re-check is redundant.
+        fixed for the whole run. A Heuristic run with no cache and no
+        faults gets a fused closure instead — semantically identical,
+        minus the per-arrival re-dispatch: it gathers placement and
+        scores through the fleet directly, and the chosen disk is one of
+        the request's replicas by construction, so the dispatch checks
+        of :meth:`DiskFleet.submit` are redundant.
         """
+        scheduler = self._online_scheduler
         if (
             self.cache is not None
             or self._faults is not None
-            or self._online_scheduler is None
+            or not isinstance(scheduler, HeuristicScheduler)
         ):
             return self._on_arrival
-        scheduler = self._online_scheduler
         locations_by_data = self._locations_by_data
         disks = self._disks
         engine = self._engine
-        if isinstance(scheduler, HeuristicScheduler):
-            fleet_choose = self.fleet.choose
-            cost_function = scheduler.cost_function
-            alpha = cost_function.alpha
-            beta = cost_function.beta
-            load_weight = cost_function.load_weight
-            # Disk ids are dense (range(num_disks)), so a list of bound
-            # submit methods replaces the dict hash + attribute lookup
-            # on the hand-off.
-            submit_by_disk = [
-                disks[disk_id].submit for disk_id in range(len(disks))
-            ]
+        fleet_choose = self.fleet.choose
+        cost_function = scheduler.cost_function
+        alpha = cost_function.alpha
+        beta = cost_function.beta
+        load_weight = cost_function.load_weight
+        # Disk ids are dense (range(num_disks)), so a list of bound
+        # submit methods replaces the dict hash + attribute lookup on
+        # the hand-off.
+        submit_by_disk = [
+            disks[disk_id].submit for disk_id in range(len(disks))
+        ]
 
-            def heuristic_arrival(request: Request) -> None:
-                try:
-                    locations = locations_by_data[request.data_id]
-                except KeyError:
-                    raise PlacementError(f"unknown data id {request.data_id}")
-                if not locations:
-                    raise ReplicaUnavailableError(
-                        f"no live replica for data {request.data_id}"
-                    )
-                disk_id = fleet_choose(
-                    locations, engine._now, alpha, beta, load_weight
-                )
-                submit_by_disk[disk_id](request)
-
-            return heuristic_arrival
-        choose = scheduler.choose
-
-        def online_arrival(request: Request) -> None:
-            disk_id = choose(request, self)
-            if (
-                request.op is OpKind.READ
-                and disk_id not in locations_by_data.get(request.data_id, ())
-            ):
-                raise SchedulingError(
-                    f"scheduler sent request {request.request_id} to disk "
-                    f"{disk_id}, which does not hold data {request.data_id}"
-                )
+        def heuristic_arrival(request: Request) -> None:
             try:
-                disks[disk_id].submit(request)
+                locations = locations_by_data[request.data_id]
             except KeyError:
-                raise SchedulingError(
-                    f"scheduler chose unknown disk {disk_id}"
+                raise PlacementError(f"unknown data id {request.data_id}")
+            if not locations:
+                raise ReplicaUnavailableError(
+                    f"no live replica for data {request.data_id}"
                 )
+            disk_id = fleet_choose(
+                locations, engine._now, alpha, beta, load_weight
+            )
+            submit_by_disk[disk_id](request)
 
-        return online_arrival
+        return heuristic_arrival
 
     def _on_arrival(self, request: Request) -> None:
         if (
@@ -397,18 +282,7 @@ class StorageSystem:
             self._dispatch(request, disk_id)
 
     def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        if disk_id not in self._disks:
-            raise SchedulingError(f"scheduler chose unknown disk {disk_id}")
-        # Reads must land on a replica; off-loaded writes may go anywhere
-        # (the write off-loading liberty, Section 2.1).
-        if request.op is OpKind.READ and disk_id not in self._locations_by_data.get(
-            request.data_id, ()
-        ):
-            raise SchedulingError(
-                f"scheduler sent request {request.request_id} to disk {disk_id}, "
-                f"which does not hold data {request.data_id}"
-            )
-        self._disks[disk_id].submit(request)
+        self.submit(request, disk_id)
         if self._retry_attempts:
             self._retry_attempts.pop(request.request_id, None)
         if self.cache is not None and request.op is OpKind.READ:
@@ -453,7 +327,7 @@ class StorageSystem:
         Lost means: every replica is permanently dead, or the retry
         budget is exhausted while all replicas stay unavailable.
         """
-        locations = self._catalog.locations(request.data_id)
+        locations = self.locations(request.data_id)
         attempts = self._retry_attempts.get(request.request_id, 0)
         all_dead = all(
             self._disks[d].health is DiskHealth.FAILED for d in locations

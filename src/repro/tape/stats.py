@@ -1,111 +1,43 @@
 """Per-tape-drive statistics: state-time ledger, energy, seek distance.
 
-:class:`TapeStats` mirrors :class:`~repro.disk.stats.DiskStats` for the
-tape state machine: the drive notifies it of every state transition and
-it integrates time (and therefore energy) per state, plus the
-tape-specific counters — mounts, unmounts, and total metres of tape
-wound — that the ``tape_tier`` bench panels report.
+:class:`TapeStats` is the :class:`~repro.power.ledger.StateLedger` over
+the tape state machine, counting mounts and unmounts, plus the wind
+odometer — total metres of tape wound — that the ``tape_tier`` bench
+panels report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
-
 from repro.errors import SimulationError
+from repro.power.ledger import StateLedger
 from repro.tape.profile import TapePowerProfile
 from repro.tape.states import TapePowerState
 
 
-@dataclass(slots=True)
-class TapeStats:
+class TapeStats(StateLedger[TapePowerState]):
     """Time/energy ledger of one simulated tape drive.
 
-    Attributes:
-        profile: Power profile used to convert state time into energy.
-        state_time: Seconds accumulated per power state.
-        mounts: Completed cartridge mounts.
-        unmounts: Completed cartridge unmounts.
-        requests_serviced: Requests whose read completed on this drive.
-        seek_distance_m: Total metres of tape wound across all seeks.
+    ``mounts``/``unmounts`` name the ledger's two entry counters
+    (entries into MOUNTING and UNMOUNTING); ``seek_distance_m`` is the
+    total metres of tape wound across all seeks.
     """
 
-    profile: TapePowerProfile
-    state_time: Dict[TapePowerState, float] = field(
-        default_factory=lambda: {state: 0.0 for state in TapePowerState}
-    )
-    mounts: int = 0
-    unmounts: int = 0
-    requests_serviced: int = 0
-    seek_distance_m: float = 0.0
-    _current_state: TapePowerState = TapePowerState.UNMOUNTED
-    _state_since: float = 0.0
-    _closed: bool = False
+    __slots__ = ("seek_distance_m",)
 
-    def begin(self, state: TapePowerState, now: float) -> None:
-        """Initialise the ledger at simulation start."""
-        self._current_state = state
-        self._state_since = now
+    mounts = StateLedger.ups
+    unmounts = StateLedger.downs
 
-    def transition(self, new_state: TapePowerState, now: float) -> None:
-        """Close the current state interval and open a new one."""
-        since = self._state_since
-        if self._closed:
-            raise SimulationError("tape stats already finalised")
-        if now < since:
-            raise SimulationError(f"time went backwards: {now} < {since}")
-        self.state_time[self._current_state] += now - since
-        if new_state is TapePowerState.MOUNTING:
-            self.mounts += 1
-        elif new_state is TapePowerState.UNMOUNTING:
-            self.unmounts += 1
-        self._current_state = new_state
-        self._state_since = now
-
-    def note_request_serviced(self) -> None:
-        """Count one completed read on this drive."""
-        self.requests_serviced += 1
+    def __init__(self, profile: TapePowerProfile):
+        super().__init__(
+            profile,
+            TapePowerState,
+            (TapePowerState.MOUNTING, TapePowerState.UNMOUNTING),
+            TapePowerState.UNMOUNTED,
+        )
+        self.seek_distance_m = 0.0
 
     def note_seek(self, distance_m: float) -> None:
         """Credit one seek of ``distance_m`` metres to the wind odometer."""
         if distance_m < 0:
             raise SimulationError("seek distance must be >= 0")
         self.seek_distance_m += distance_m
-
-    def finalize(self, now: float) -> None:
-        """Close the open interval at simulation end (idempotent)."""
-        if self._closed:
-            return
-        if now < self._state_since:
-            raise SimulationError(
-                f"time went backwards: {now} < {self._state_since}"
-            )
-        self.state_time[self._current_state] += now - self._state_since
-        self._state_since = now
-        self._closed = True
-
-    @property
-    def current_state(self) -> TapePowerState:
-        return self._current_state
-
-    @property
-    def total_time(self) -> float:
-        """Seconds accounted across all power states."""
-        return sum(self.state_time.values())
-
-    @property
-    def energy(self) -> float:
-        """Joules consumed: per-state power x time."""
-        return sum(
-            self.profile.power(state) * seconds
-            for state, seconds in self.state_time.items()
-        )
-
-    def state_fractions(self) -> Dict[TapePowerState, float]:
-        """Fraction of total time per state (zeros if no time elapsed)."""
-        total = self.total_time
-        if total == 0:
-            return {state: 0.0 for state in TapePowerState}
-        return {
-            state: seconds / total for state, seconds in self.state_time.items()
-        }

@@ -1,8 +1,8 @@
 """Tiered storage: hot replicas on disk, cold replicas on tape.
 
-:class:`TieredStorageSystem` embeds the disk-only
-:class:`~repro.sim.storage.StorageSystem` unchanged and adds a cold tier
-of :class:`~repro.tape.drive.TapeDrive` instances on the same virtual
+:class:`TieredStorageSystem` is the disk-only
+:class:`~repro.sim.storage.StorageSystem` plus a cold tier of
+:class:`~repro.tape.drive.TapeDrive` instances on the same virtual
 clock. Per arrival it routes by data-id temperature:
 
 * **hot** ids (an LRU set of the most popular ids, capacity
@@ -31,19 +31,18 @@ exactly.
 
 from __future__ import annotations
 
-import gc
 from collections import OrderedDict
+from dataclasses import replace
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.scheduler import Scheduler
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.placement.catalog import PlacementCatalog
 from repro.report import SimulationReport, TapeTierReport
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.storage import _REQUEST_ORDER, StorageSystem
+from repro.sim.storage import StorageSystem
 from repro.tape.config import TierConfig
 from repro.tape.drive import TapeDrive
 from repro.tape.layout import TapeLayout
@@ -52,7 +51,7 @@ from repro.tape.states import TAPE_STATE_ORDER
 from repro.types import DataId, Request
 
 
-class TieredStorageSystem:
+class TieredStorageSystem(StorageSystem):
     """One tiered disk+tape storage system instance (single-use)."""
 
     def __init__(
@@ -71,16 +70,11 @@ class TieredStorageSystem:
             raise ConfigurationError(
                 "fault injection is not supported on tiered runs yet"
             )
-        self._config = config
+        super().__init__(catalog, scheduler, config)
         self._tier = tier
-        self._engine = SimulationEngine()
-        #: The embedded disk tier — also the scheduler's SystemView.
-        self.disk_tier = StorageSystem(
-            catalog, scheduler, config, engine=self._engine
-        )
-        self._scheduler = scheduler
-        self._metrics = self.disk_tier.metrics
-        self._disk_admit = self.disk_tier.arrival_handler()
+        # Hot ids take the disk-only admission path, fused fast path and
+        # all, so the disk tier behaves byte-identically to a disk-only run.
+        self._disk_admit = super()._arrival_callback()
         #: Live tape metrics (per-request seek distance and energy
         #: histograms) — the drives' window into repro.sim.metrics.
         self.registry = MetricsRegistry()
@@ -106,15 +100,14 @@ class TieredStorageSystem:
         self._promotions = 0
         self._demotions = 0
         self._tape_response_times: List[float] = []
-        self._offered = 0
-        self._ran = False
 
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
 
-    def _prepare_placement(self, ordered: Sequence[Request]) -> None:
-        """Rank ids by trace popularity; seed hot set and tape layouts."""
+    def _prepare(self, ordered: Sequence[Request]) -> float:
+        """Rank ids by trace popularity, seed the hot set and tape
+        layouts, and grant the cold tier its drain slack."""
         counts: Dict[DataId, int] = {}
         for request in ordered:
             counts[request.data_id] = counts.get(request.data_id, 0) + 1
@@ -140,12 +133,21 @@ class TieredStorageSystem:
             for data_id in cartridge_ids:
                 self._drive_of[data_id] = drive_index
                 self._position_of[data_id] = layout.position(data_id)
+        horizon = super()._prepare(ordered)
+        if self._config.horizon is None:
+            # Tape work drains slowly (a cold batch can imply a mount
+            # plus a near-full wind); grant the cold tier its slack.
+            horizon += self._tier.drain_horizon_slack
+        return horizon
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
 
-    def _on_arrival(self, request: Request) -> None:
+    def _arrival_callback(self) -> Callable[[Request], None]:
+        return self._route
+
+    def _route(self, request: Request) -> None:
         data_id = request.data_id
         hot = self._hot
         if data_id in hot:
@@ -182,49 +184,12 @@ class TieredStorageSystem:
     # driving the run
     # ------------------------------------------------------------------
 
-    def run(self, requests: Sequence[Request]) -> SimulationReport:
-        """Replay ``requests`` through both tiers; return the report."""
-        if self._ran:
-            raise SimulationError(
-                "TieredStorageSystem instances are single-use"
-            )
-        self._ran = True
-        ordered = sorted(requests, key=_REQUEST_ORDER)
-        self._offered = len(ordered)
-        self._prepare_placement(ordered)
-        last_arrival = ordered[-1].time if ordered else 0.0
-        horizon = self._config.derived_horizon(last_arrival)
-        if self._config.horizon is None:
-            # Tape work drains slowly (a cold batch can imply a mount
-            # plus a near-full wind); grant the cold tier its slack.
-            horizon += self._tier.drain_horizon_slack
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._engine.run(
-                until=horizon,
-                arrivals=(
-                    [request.time for request in ordered],
-                    ordered,
-                    self._on_arrival,
-                ),
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self.disk_tier.finalize_disks()
+    def finalize(self) -> None:
+        super().finalize()
         for drive in self._drives:
             drive.finalize()
-        return self._build_report()
 
-    def _build_report(self) -> SimulationReport:
-        disk_tier = self.disk_tier
-        disk_stats = {
-            disk_id: disk_tier.disk(disk_id).stats
-            for disk_id in disk_tier.disk_ids
-        }
-        disk_energy = sum(stats.energy for stats in disk_stats.values())
+    def _report(self) -> SimulationReport:
         tape_energy = sum(drive.stats.energy for drive in self._drives)
         state_time_s: Dict[str, float] = {}
         for state in sorted(TAPE_STATE_ORDER, key=lambda s: s.value):
@@ -250,21 +215,11 @@ class TieredStorageSystem:
             state_time_s=state_time_s,
             tape_response_times=tuple(self._tape_response_times),
         )
-        cache = disk_tier.cache
-        return SimulationReport(
-            scheduler_name=(
-                f"{self._scheduler.name}+tape-{self._tier.sequencer}"
-            ),
-            duration=self._engine.now,
-            total_energy=disk_energy + tape_energy,
-            disk_stats=disk_stats,
-            response_times=self._metrics.response_times,
-            requests_offered=self._offered,
-            requests_completed=self._metrics.completed,
-            cache_hits=cache.hits if cache else 0,
-            cache_misses=cache.misses if cache else 0,
-            events_processed=self._engine.events_processed,
-            availability=None,
+        disk_only = super()._report()
+        return replace(
+            disk_only,
+            scheduler_name=f"{disk_only.scheduler_name}+tape-{self._tier.sequencer}",
+            total_energy=disk_only.total_energy + tape_energy,
             tape=tape,
         )
 

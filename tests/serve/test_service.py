@@ -41,6 +41,22 @@ def test_config_validation() -> None:
         ServiceConfig(num_data=0)
 
 
+@pytest.mark.parametrize(
+    ("disk_deaths", "match"),
+    [
+        (((3, 0.5), (3, 1.0)), "twice"),
+        (((18, 0.5),), "outside the fleet"),
+        (((3, -1.0),), ">= 0"),
+    ],
+    ids=["repeated-disk", "out-of-range-disk", "negative-time"],
+)
+def test_disk_deaths_validation(
+    disk_deaths: "tuple[tuple[int, float], ...]", match: str
+) -> None:
+    with pytest.raises(ConfigurationError, match=match):
+        ServiceConfig(num_disks=18, disk_deaths=disk_deaths)
+
+
 def test_lifecycle_errors() -> None:
     async def main() -> None:
         service = SchedulingService(small_config("online"))

@@ -6,8 +6,8 @@ Three layers of the contract, in increasing strictness:
 2. the serial reference path and the multiprocess path produce
    byte-identical per-shard documents *and* merged document;
 3. the merged document's SHA-256 for the canonical smoke parameters is
-   pinned in ``tests/serve/data/shard_smoke.sha256`` — the same digest
-   CI's ``shard-smoke`` job checks against a fresh CLI run, extending
+   pinned in the registry (:mod:`repro.experiments.pins`) — the same
+   digest CI's ``shard-smoke`` job checks against a fresh CLI run, extending
    the byte-equality determinism tier in
    ``tests/experiments/test_determinism.py`` across the process
    boundary.
@@ -23,54 +23,28 @@ import asyncio
 from pathlib import Path
 from typing import List
 
+from repro.experiments import pins
 from repro.experiments.harness.schema import validate_bench_payload
 from repro.serve.admission import Outcome
 from repro.serve.clock import virtual_run
-from repro.serve.loadgen import LoadgenConfig
 from repro.serve.service import SchedulingService
 from repro.serve.shard import (
-    ShardedServiceConfig,
     assign_data,
     build_topology,
     plan_messages,
     run_sharded,
     sharded_document,
 )
-from repro.serve.shard.reporting import canonical_json, document_digest
+from repro.serve.shard.reporting import canonical_json
 
-DATA_DIR = Path(__file__).parent / "data"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: The canonical smoke parameters — keep in lockstep with the CI
-#: ``shard-smoke`` job and ``tests/serve/data/shard_smoke.sha256``.
-#: ``window_s`` pins the CLI's default so the CI job can run the real
-#: ``repro-storage serve --shards 2`` with no extra flags.
-SMOKE_CONFIG = ShardedServiceConfig(
-    policy="online",
-    num_shards=2,
-    num_disks=18,
-    replication_factor=3,
-    seed=5,
-    window_s=1.0,
-)
-SMOKE_LOAD = LoadgenConfig(
-    num_requests=800, rate_per_s=200.0, num_clients=8, seed=5
-)
-
-#: The replicated smoke: same fleet and load, three shards holding every
-#: data id on two of them. No faults are injected, so the digest pins
-#: that replication alone (catalog growth, failover-capable routing)
-#: changes no outcome bytes non-deterministically — keep in lockstep
-#: with the CI ``shard-smoke`` job and
-#: ``tests/serve/data/shard_smoke_r2.sha256``.
-SMOKE_R2_CONFIG = ShardedServiceConfig(
-    policy="online",
-    num_shards=3,
-    num_disks=18,
-    replication_factor=3,
-    shard_replication_factor=2,
-    seed=5,
-    window_s=1.0,
-)
+#: The canonical smoke parameters live in the pin registry, next to the
+#: pin files they produce; CI's ``shard-smoke`` job runs the same
+#: deployments through the real CLI.
+SMOKE_CONFIG = pins.SHARD_SMOKE_CONFIG
+SMOKE_R2_CONFIG = pins.SHARD_SMOKE_R2_CONFIG
+SMOKE_LOAD = pins.SHARD_SMOKE_LOAD
 
 
 def test_multiprocess_run_is_byte_reproducible() -> None:
@@ -102,14 +76,10 @@ def test_serial_and_multiprocess_paths_are_byte_identical() -> None:
 
 
 def test_merged_document_digest_matches_the_pinned_tier() -> None:
-    run = run_sharded(SMOKE_CONFIG, SMOKE_LOAD, multiprocess=False)
-    document = sharded_document(SMOKE_CONFIG, SMOKE_LOAD, run)
-    validate_bench_payload(document)
-    pinned = (DATA_DIR / "shard_smoke.sha256").read_text().strip()
-    assert document_digest(document) == pinned, (
-        "merged shard report changed bytes; if intentional, regenerate "
-        "tests/serve/data/shard_smoke.sha256 (see its sibling README)"
-    )
+    validate_bench_payload(pins.shard_document(SMOKE_CONFIG))
+    # A mismatch means the merged report changed bytes; if intentional,
+    # regenerate the pin (see tests/serve/data/README.md).
+    assert pins.main(["--check", "shard_smoke"], root=REPO_ROOT) == 0
 
 
 def test_replicated_paths_are_byte_identical() -> None:
@@ -129,18 +99,12 @@ def test_replicated_paths_are_byte_identical() -> None:
 
 
 def test_replicated_document_digest_matches_the_pinned_tier() -> None:
-    run = run_sharded(SMOKE_R2_CONFIG, SMOKE_LOAD, multiprocess=False)
-    document = sharded_document(SMOKE_R2_CONFIG, SMOKE_LOAD, run)
+    document = pins.shard_document(SMOKE_R2_CONFIG)
     validate_bench_payload(document)
     deployment = document["result"]["deployment"]
     assert deployment["shard_replication_factor"] == 2
     assert "recovery" not in document["result"]
-    pinned = (DATA_DIR / "shard_smoke_r2.sha256").read_text().strip()
-    assert document_digest(document) == pinned, (
-        "replicated merged report changed bytes; if intentional, "
-        "regenerate tests/serve/data/shard_smoke_r2.sha256 (see its "
-        "sibling README)"
-    )
+    assert pins.main(["--check", "shard_smoke_r2"], root=REPO_ROOT) == 0
 
 
 def test_shard_worker_equals_an_independent_unsharded_service() -> None:

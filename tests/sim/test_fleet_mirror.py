@@ -11,8 +11,11 @@ owners of a disk fleet are checked: the trace replay
 layer drives it.
 """
 
+import pytest
+
 from repro.core.cost import energy_cost
 from repro.core.heuristic import HeuristicScheduler
+from repro.experiments import common
 from repro.disk.service import ConstantServiceModel
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_UNIT
@@ -42,8 +45,8 @@ def _inputs(**kwargs):
 class ReplayOwner:
     """The trace replay: one StorageSystem run."""
 
-    def __init__(self, **kwargs):
-        catalog, config = _inputs(**kwargs)
+    def __init__(self, inputs=None, **kwargs):
+        catalog, config = inputs or _inputs(**kwargs)
         self.view = StorageSystem(catalog, HeuristicScheduler(), config)
         self.engine = self.view.engine
 
@@ -55,8 +58,8 @@ class ReplayOwner:
 class ServeOwner:
     """The serving backend: arrivals injected as the live clock advances."""
 
-    def __init__(self, **kwargs):
-        catalog, self._config = _inputs(**kwargs)
+    def __init__(self, inputs=None, **kwargs):
+        catalog, self._config = inputs or _inputs(**kwargs)
         self._completed = []
         self.view = SimBackend(
             catalog,
@@ -65,7 +68,7 @@ class ServeOwner:
                 request
             ),
         )
-        self.engine = self.view._engine
+        self.engine = self.view.engine
 
     def run(self, requests):
         """Inject ``requests`` at their arrival times and drain the
@@ -149,3 +152,31 @@ class TestIncrementalMaintenance:
 
 class TestIncrementalMaintenanceServe(TestIncrementalMaintenance):
     make_owner = ServeOwner
+
+
+@pytest.mark.parametrize("trace", ["cello", "financial"])
+def test_serve_and_replay_agree_on_a_trace(trace):
+    """Same trace, scheduler and seed: the serving backend and the
+    replay produce the same per-disk energy, spin operations,
+    completions and final time."""
+    requests, catalog, num_disks = common.get_binding(
+        trace, 3, 1.0, scale=0.05, seed=1
+    )
+    inputs = (catalog, common.make_config(num_disks, seed=1))
+    replay, serve = ReplayOwner(inputs), ServeOwner(inputs)
+    outcomes = []
+    for owner in (replay, serve):
+        completed = owner.run(list(requests))
+        view = owner.view
+        outcomes.append(
+            (
+                [view.disk(d).stats.energy for d in view.disk_ids],
+                [view.disk(d).stats.spin_operations for d in view.disk_ids],
+                completed,
+                view.now,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    energies, spins, completed, _ = outcomes[0]
+    assert completed == len(requests)
+    assert sum(spins) > 0 and sum(energies) > 0

@@ -1,10 +1,11 @@
-"""Bench-registry grouping and the tape smoke digest CLI.
+"""Bench-registry grouping and the tape_tier digest pin.
 
 ``repro-storage bench list`` groups bench ids by family so the tape
 benches are discoverable next to the figure/ablation/serve tiers; the
-smoke CLI pins the tape_tier sweep digest the same way the kernel and
-shard smokes do. Both contracts are cheap to regress and load-bearing
-for CI, so they get their own tests.
+pin registry (:mod:`repro.experiments.pins`) pins the tape_tier sweep
+digest the same way it pins fig6 and the shard smokes. Both contracts
+are cheap to regress and load-bearing for CI, so they get their own
+tests.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments.harness import bench as bench_mod
-from repro.experiments.tape_smoke import digest_tape_tier
-from repro.experiments.tape_smoke import main as smoke_main
+from repro.experiments import pins
 
-#: Tiny sweep: quick enough to run three times in one test session.
-SMOKE_ARGS = ["--scale", "0.02", "--seed", "11"]
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_bench_list_groups_ids_by_family(
@@ -59,25 +58,22 @@ def test_every_bench_family_is_registered() -> None:
 def test_smoke_digest_is_stable_and_pins_round_trip(
     tmp_path: Path, capsys: "pytest.CaptureFixture[str]"
 ) -> None:
-    pin = tmp_path / "tape_smoke.sha256"
-    assert smoke_main([*SMOKE_ARGS, "--write", str(pin)]) == 0
-    written = pin.read_text().strip()
-    assert written == digest_tape_tier(0.02, 11)
-    assert smoke_main([*SMOKE_ARGS, "--check", str(pin)]) == 0
+    assert pins.main(["--write", "tape_tier"], root=tmp_path) == 0
+    written = pins.pinned("tape_tier", root=tmp_path)
+    assert written == pins.PINS["tape_tier"].produce()
+    assert pins.main(["--check", "tape_tier"], root=tmp_path) == 0
     assert "pin ok" in capsys.readouterr().out
 
 
 def test_smoke_check_fails_on_a_stale_pin(
     tmp_path: Path, capsys: "pytest.CaptureFixture[str]"
 ) -> None:
-    pin = tmp_path / "tape_smoke.sha256"
+    pin = tmp_path / pins.PINS["tape_tier"].path
+    pin.parent.mkdir(parents=True)
     pin.write_text("0" * 64 + "\n")
-    assert smoke_main([*SMOKE_ARGS, "--check", str(pin)]) == 1
+    assert pins.main(["--check", "tape_tier"], root=tmp_path) == 1
     assert "digest mismatch" in capsys.readouterr().err
 
 
 def test_committed_pin_matches_the_default_smoke_cell() -> None:
-    pinned = (
-        Path(__file__).parent / "data" / "tape_smoke.sha256"
-    ).read_text().strip()
-    assert digest_tape_tier(0.05, 11) == pinned
+    assert pins.main(["--check", "tape_tier"], root=REPO_ROOT) == 0

@@ -5,7 +5,10 @@ set cover: elements = queued requests, sets = disks, weight = the marginal
 energy of using that disk (Eq. 5). The paper's experiments use the classic
 greedy algorithm — iteratively pick the most *cost-effective* set
 (weight divided by newly covered elements) — which is an ``H_n``-factor
-approximation. :func:`exact_weighted_set_cover` is a branch-and-bound
+approximation. :func:`greedy_weighted_set_cover_dense` is the one
+greedy: it runs over Python-int bitsets, one per set, which stays cheap
+on the batch scheduler's small per-tick instances (a few requests, a few
+dozen disks). :func:`exact_weighted_set_cover` is a branch-and-bound
 solver for small instances used to validate the greedy in tests.
 """
 
@@ -13,10 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -80,6 +82,28 @@ class SetCoverInstance:
         return covered >= self.universe
 
 
+class Bitsets(List[int]):
+    """Rows of a dense set cover instance as Python-int bitsets.
+
+    Row ``i`` is set ``i``; bit ``j`` is set when it covers element
+    ``j``. ``shape`` is ``(num_sets,)``, the row count a membership
+    matrix would report: the traced benchmark (``perfbench/spans.py``)
+    reads it to compute each tick's cover ratio.
+    """
+
+    @property
+    def shape(self) -> Tuple[int]:
+        return (len(self),)
+
+
+if sys.version_info >= (3, 10):
+    _popcount = int.bit_count
+else:
+
+    def _popcount(bits: int) -> int:
+        return bin(bits).count("1")
+
+
 def greedy_weighted_set_cover(instance: SetCoverInstance) -> List[SetId]:
     """Classic greedy: repeatedly pick the most cost-effective set.
 
@@ -87,52 +111,44 @@ def greedy_weighted_set_cover(instance: SetCoverInstance) -> List[SetId]:
     elements is ``w / c``; zero-weight sets are free and picked first.
     Ties break on larger coverage, then on the set id's repr for
     determinism. Returns the chosen set ids in pick order.
+
+    Encodes each set as a bitset over the universe and delegates to
+    :func:`greedy_weighted_set_cover_dense`, the one greedy.
     """
-    uncovered = set(instance.universe)
-    chosen: List[SetId] = []
-    remaining = {
-        set_id: set(members) for set_id, members in instance.sets.items() if members
-    }
-    while uncovered:
-        best_id = None
-        best_key: Tuple[float, int, str] = (math.inf, 0, "")
-        for set_id, members in remaining.items():
-            new = members & uncovered
-            if not new:
-                continue
-            ratio = instance.weights[set_id] / len(new)
-            key = (ratio, -len(new), repr(set_id))
-            if best_id is None or key < best_key:
-                best_id = set_id
-                best_key = key
-        if best_id is None:
-            raise ConfigurationError("instance is not coverable")
-        chosen.append(best_id)
-        uncovered -= remaining.pop(best_id)
-    return chosen
+    bit_of = {element: 1 << column for column, element in enumerate(instance.universe)}
+    set_ids = list(instance.sets)
+    # A set's elements are distinct, so the sum of their bits is their union.
+    rows = [sum(bit_of[element] for element in instance.sets[set_id]) for set_id in set_ids]
+    chosen_rows = greedy_weighted_set_cover_dense(
+        rows,
+        [instance.weights[set_id] for set_id in set_ids],
+        [repr(set_id) for set_id in set_ids],
+        len(bit_of),
+    )
+    return [set_ids[row] for row in chosen_rows]
 
 
 def greedy_weighted_set_cover_dense(
-    membership: "np.ndarray",
-    weights: "np.ndarray",
-    tie_rank: "np.ndarray",
+    rows: Sequence[int],
+    weights: Sequence[float],
+    tie_keys: Sequence[str],
+    num_elements: int,
 ) -> List[int]:
-    """Vectorised greedy set cover over a dense membership matrix.
+    """Greedy set cover over dense rows: sets and elements numbered from 0.
 
-    Decision-identical to :func:`greedy_weighted_set_cover` on the same
-    instance: each round picks the set minimising the scalar key
-    ``(weight / new, -new, repr(set_id))``, realised here as min ratio
-    (the same float64 division), then max newly-covered count, then min
-    ``tie_rank`` — the caller supplies each row's rank in the
-    repr-sorted order of its set id, reproducing the string tie-break
-    exactly. Because the key totally orders the sets, the scalar path's
-    dict-iteration order is irrelevant and both paths agree.
+    Each round picks the set minimising the key ``(weight / new, -new,
+    repr(set_id))``: min ratio (the float64 division of ``weight`` by
+    the count of newly covered elements), then max new count, then min
+    ``tie_keys[row]``, the ``repr`` of the row's set id. With distinct
+    tie keys the key totally orders the sets, so the row order does not
+    affect the picks; among equal keys the lower row wins.
 
     Args:
-        membership: ``(num_sets, num_elements)`` 0/1 int64 matrix.
-        weights: ``(num_sets,)`` float64 set weights (must be >= 0).
-        tie_rank: ``(num_sets,)`` int64 rank of ``repr(set_id)`` in
-            sorted order; must be a permutation of ``0..num_sets-1``.
+        rows: One bitset per set; bit ``j`` set when it covers element
+            ``j`` (see :class:`Bitsets`).
+        weights: Set weights (must be >= 0).
+        tie_keys: ``repr`` of each row's set id.
+        num_elements: Elements to cover, numbered ``0..num_elements-1``.
 
     Returns:
         Chosen row indices in pick order (covering every element).
@@ -140,47 +156,36 @@ def greedy_weighted_set_cover_dense(
     Raises:
         ConfigurationError: when some element is in no set.
     """
-    num_sets, num_elements = membership.shape
-    uncovered = np.ones(num_elements, dtype=np.int64)
-    remaining = int(num_elements)
+    uncovered = (1 << num_elements) - 1
     chosen: List[int] = []
-    while remaining > 0:
-        new_counts = membership @ uncovered
-        active = new_counts > 0
-        if not active.any():
+    while uncovered:
+        best = -1
+        best_ratio = 0.0
+        best_new = 0
+        for row, bits in enumerate(rows):
+            new = _popcount(bits & uncovered)
+            if not new:
+                continue
+            ratio = weights[row] / new
+            if (
+                best < 0
+                or ratio < best_ratio
+                or (
+                    ratio == best_ratio
+                    and (
+                        new > best_new
+                        or (new == best_new and tie_keys[row] < tie_keys[best])
+                    )
+                )
+            ):
+                best = row
+                best_ratio = ratio
+                best_new = new
+        if best < 0:
             raise ConfigurationError("instance is not coverable")
-        # Same float64 division as the scalar `weight / len(new)`; the
-        # clip only feeds masked-out lanes.
-        ratio = np.where(
-            active, weights / np.maximum(new_counts, 1), math.inf
-        )
-        tied = np.flatnonzero(ratio == ratio.min())
-        if len(tied) > 1:
-            tied_counts = new_counts[tied]
-            tied = tied[tied_counts == tied_counts.max()]
-        if len(tied) > 1:
-            best = int(tied[tie_rank[tied].argmin()])
-        else:
-            best = int(tied[0])
         chosen.append(best)
-        uncovered &= 1 - membership[best]
-        remaining = int(uncovered.sum())
+        uncovered &= ~rows[best]
     return chosen
-
-
-def repr_tie_ranks(set_ids: Sequence[SetId]) -> "np.ndarray":
-    """Each set's rank under ``repr``-string ordering (dense tie-break).
-
-    ``tie_rank[i]`` is the position of ``repr(set_ids[i])`` in the
-    sorted repr order — the permutation
-    :func:`greedy_weighted_set_cover_dense` needs to reproduce the
-    scalar greedy's ``repr(set_id)`` tie-break.
-    """
-    order = sorted(range(len(set_ids)), key=lambda i: repr(set_ids[i]))
-    ranks = np.empty(len(set_ids), dtype=np.int64)
-    for rank, row in enumerate(order):
-        ranks[row] = rank
-    return ranks
 
 
 def exact_weighted_set_cover(

@@ -14,15 +14,11 @@ Eq. 5 energy; both are supported (``use_cost_function`` flag).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.algorithms.set_cover import (
-    greedy_weighted_set_cover_dense,
-    repr_tie_ranks,
-)
+from repro.algorithms.set_cover import Bitsets, greedy_weighted_set_cover_dense
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
+from repro.core.fleet import FleetCostState
 from repro.core.scheduler import BatchScheduler, SystemView, register_scheduler
 from repro.errors import ReplicaUnavailableError, SchedulingError
 from repro.types import DiskId, Request, RequestId
@@ -50,6 +46,7 @@ class WSCBatchScheduler(BatchScheduler):
         super().__init__(interval)
         self.cost_function = cost_function or PAPER_COST_FUNCTION
         self.use_cost_function = use_cost_function
+        self._repr_of: Dict[DiskId, str] = {}
 
     def choose_batch(
         self, requests: Sequence[Request], view: SystemView
@@ -58,9 +55,11 @@ class WSCBatchScheduler(BatchScheduler):
             return {}
         # One placement lookup per request, reused by the routing loop
         # below (the same tuple — no simulation state changes inside a
-        # batch decision).
+        # batch decision). Each covering disk's row is a bitset whose
+        # bit j is set when it holds request j's data.
         located: List[Tuple[DiskId, ...]] = []
-        coverage: Dict[DiskId, List[RequestId]] = {}
+        coverage: Dict[DiskId, int] = {}
+        bit = 1
         for request in requests:
             available = view.available_locations(request.data_id)
             if not available:
@@ -69,9 +68,21 @@ class WSCBatchScheduler(BatchScheduler):
                 )
             located.append(available)
             for disk_id in available:
-                coverage.setdefault(disk_id, []).append(request.request_id)
-        weights = self._weights(list(coverage), view)
-        chosen_set = self._cover_dense(requests, coverage, weights)
+                coverage[disk_id] = coverage.get(disk_id, 0) | bit
+            bit <<= 1
+        disk_ids = list(coverage)
+        fleet = view.fleet
+        weight_list = self._weights(disk_ids, fleet, view.now)
+        # Every request contributed at least one disk, so every element
+        # is coverable.
+        chosen_rows = greedy_weighted_set_cover_dense(
+            Bitsets(coverage.values()),
+            weight_list,
+            self._tie_keys(disk_ids),
+            len(requests),
+        )
+        chosen_set = {disk_ids[row] for row in chosen_rows}
+        weights = dict(zip(disk_ids, weight_list))
         # Route each request to its cheapest chosen location; tie-break on
         # queue length so covered disks share load, then on disk id. The
         # unrolled comparison equals `min` with the old
@@ -79,16 +90,16 @@ class WSCBatchScheduler(BatchScheduler):
         # one per candidate.
         result: Dict[RequestId, DiskId] = {}
         extra_load: Dict[DiskId, int] = {disk_id: 0 for disk_id in chosen_set}
-        disk_of = view.disk
+        queue = fleet.queue
         for request, available in zip(requests, located):
             best: Optional[DiskId] = None
             best_weight = 0.0
-            best_load = 0
+            best_load = 0.0
             for disk_id in available:
                 if disk_id not in chosen_set:
                     continue
                 weight = weights[disk_id]
-                load = disk_of(disk_id).queue_length + extra_load[disk_id]
+                load = queue[disk_id] + extra_load[disk_id]
                 if (
                     best is None
                     or weight < best_weight
@@ -112,57 +123,31 @@ class WSCBatchScheduler(BatchScheduler):
         return result
 
     def _weights(
-        self, disk_ids: List[DiskId], view: SystemView
-    ) -> Dict[DiskId, float]:
+        self, disk_ids: List[DiskId], fleet: FleetCostState, now: float
+    ) -> List[float]:
         """One Eq. 6 (or Eq. 5) pass over the fleet columns of all
         covering disks."""
-        fleet = view.fleet
         if self.use_cost_function:
             cost_function = self.cost_function
-            values = fleet.weights(
+            return fleet.weights(
                 disk_ids,
-                view.now,
+                now,
                 cost_function.alpha,
                 cost_function.beta,
                 cost_function.load_weight,
             )
-        else:
-            values = fleet.energies(disk_ids, view.now)
-        return dict(zip(disk_ids, values))
+        return fleet.energies(disk_ids, now)
 
-    @staticmethod
-    def _cover_dense(
-        requests: Sequence[Request],
-        coverage: Dict[DiskId, List[RequestId]],
-        weights: Dict[DiskId, float],
-    ) -> Set[DiskId]:
-        """Greedy set cover through the dense vectorised solver.
-
-        Builds the 0/1 membership matrix directly from ``coverage``
-        (every element is coverable by construction — each request
-        contributed at least one disk) instead of the frozenset-churning
-        :meth:`SetCoverInstance.build`, and delegates to
-        :func:`greedy_weighted_set_cover_dense`, which reproduces the
-        scalar greedy's decisions exactly.
-        """
-        disk_ids = list(coverage)
-        column_of = {
-            request.request_id: column
-            for column, request in enumerate(requests)
-        }
-        membership = np.zeros(
-            (len(disk_ids), len(requests)), dtype=np.int64
-        )
-        for row, disk_id in enumerate(disk_ids):
-            for request_id in coverage[disk_id]:
-                membership[row, column_of[request_id]] = 1
-        weight_array = np.array(
-            [weights[disk_id] for disk_id in disk_ids], dtype=np.float64
-        )
-        chosen_rows = greedy_weighted_set_cover_dense(
-            membership, weight_array, repr_tie_ranks(disk_ids)
-        )
-        return {disk_ids[row] for row in chosen_rows}
+    def _tie_keys(self, disk_ids: List[DiskId]) -> List[str]:
+        """The greedy's tie-break key, ``repr(disk_id)``, per disk id;
+        each disk's repr is computed once, the first time it covers a
+        request."""
+        repr_of = self._repr_of
+        try:
+            return [repr_of[disk_id] for disk_id in disk_ids]
+        except KeyError:
+            repr_of.update((disk_id, repr(disk_id)) for disk_id in disk_ids)
+            return [repr_of[disk_id] for disk_id in disk_ids]
 
     @property
     def name(self) -> str:

@@ -14,8 +14,10 @@ bisecting a full experiment:
   cost → dispatch → service → completion).
 * ``fleet_choose_{10,180,1000}`` — :meth:`FleetCostState.choose`,
   the Eq. 5/Eq. 6 arg-min, over whole-fleet candidate sets of each size.
-* ``wsc_weight_pass_180`` — the WSC batch scheduler's per-tick Eq. 6
-  weight pass over every covering disk.
+* ``wsc_choose_batch_180`` — one whole WSC batch tick
+  (:meth:`WSCBatchScheduler.choose_batch`): Eq. 6 weights of the
+  covering disks, the greedy set cover and the routing, for a 6-request
+  batch over a 180-disk fleet.
 * ``perf_core`` — the headline number: events/sec of the fig6 workload
   cell (cello, rf=3, heuristic) via the harness's
   :func:`~repro.experiments.harness.runner.execute_spec`, measured with
@@ -177,22 +179,59 @@ def bench_fleet_choose(
     return MicrobenchResult(f"fleet_choose_{num_disks}", iterations, wall_s)
 
 
-def bench_wsc_weight_pass(
+class _TickView:
+    """What the WSC tick reads of a system view: the clock, the fleet
+    columns and each item's replica locations."""
+
+    def __init__(
+        self, fleet: Any, locations: Dict[int, Tuple[int, ...]], now: float
+    ) -> None:
+        self.fleet = fleet
+        self.now = now
+        self._locations = locations
+
+    def available_locations(self, data_id: int) -> Tuple[int, ...]:
+        return self._locations[data_id]
+
+
+def bench_wsc_choose_batch(
     num_disks: int = 180,
     *,
     iterations: int = 2_000,
     seed: int = 1,
 ) -> MicrobenchResult:
-    """The WSC per-tick weight pass: Eq. 6 over every covering disk."""
-    fleet = _build_fleet_fixture(num_disks, seed=seed)
-    weights = fleet.weights
-    disk_ids = list(range(num_disks))
-    now = 3600.0
+    """One whole WSC tick: Eq. 6 weights, greedy cover and routing.
+
+    Each tick schedules 6 requests whose data sits on 3 random disks of
+    ``num_disks`` (about 17 candidate disks), the batch-wsc workload's
+    mean tick, against the mixed-state fleet fixture.
+    """
+    import random
+
+    from repro.core.wsc import WSCBatchScheduler
+    from repro.types import Request
+
+    rng = random.Random(seed)
+    disk_ids = range(num_disks)
+    num_items = 600
+    view: Any = _TickView(
+        _build_fleet_fixture(num_disks, seed=seed),
+        {item: tuple(rng.sample(disk_ids, 3)) for item in range(num_items)},
+        3600.0,
+    )
+    batches = [
+        [
+            Request(time=3600.0, request_id=tick * 6 + k, data_id=rng.randrange(num_items))
+            for k in range(6)
+        ]
+        for tick in range(64)
+    ]
+    choose_batch = WSCBatchScheduler().choose_batch
     started = time.perf_counter()
-    for _ in range(iterations):
-        weights(disk_ids, now, 0.2, 100.0, 0.8)
+    for tick in range(iterations):
+        choose_batch(batches[tick % 64], view)
     wall_s = time.perf_counter() - started
-    return MicrobenchResult(f"wsc_weight_pass_{num_disks}", iterations, wall_s)
+    return MicrobenchResult(f"wsc_choose_batch_{num_disks}", iterations, wall_s)
 
 
 def _build_choose_fixture(
@@ -377,7 +416,7 @@ def run_suite(
             )
         )
     micro.append(
-        bench_wsc_weight_pass(iterations=fleet_iterations, seed=seed)
+        bench_wsc_choose_batch(iterations=fleet_iterations, seed=seed)
     )
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):

@@ -10,6 +10,7 @@ from repro.algorithms.set_cover import (
     SetCoverInstance,
     exact_weighted_set_cover,
     greedy_weighted_set_cover,
+    greedy_weighted_set_cover_dense,
     harmonic_number,
 )
 from repro.errors import ConfigurationError
@@ -98,6 +99,125 @@ class TestGreedy:
             greedy = instance.cover_weight(greedy_weighted_set_cover(instance))
             optimal = instance.cover_weight(exact_weighted_set_cover(instance))
             assert greedy <= harmonic_number(n_elements) * optimal + 1e-9
+
+
+def reference_greedy(universe, sets, weights):
+    """The greedy rule on frozensets: each round the min of
+    ``(weight / len(new), -len(new), repr(set_id))``."""
+    uncovered = set(universe)
+    remaining = dict(sets)
+    chosen = []
+    while uncovered:
+        best_id = None
+        best_key = None
+        for set_id, members in remaining.items():
+            new = members & uncovered
+            if not new:
+                continue
+            key = (weights[set_id] / len(new), -len(new), repr(set_id))
+            if best_key is None or key < best_key:
+                best_id = set_id
+                best_key = key
+        if best_key is None:
+            raise ConfigurationError("instance is not coverable")
+        chosen.append(best_id)
+        uncovered -= remaining.pop(best_id)
+    return chosen
+
+
+def bitset(members):
+    bits = 0
+    for element in members:
+        bits |= 1 << element
+    return bits
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Instances over elements ``0..n-1`` (often more than 64), with
+    integer set ids on both sides of 10, few distinct weights and
+    repeated set shapes, so ratio and coverage ties are common; about
+    one in four has an element no set covers."""
+    num_elements = draw(st.integers(min_value=1, max_value=150))
+    elements = st.integers(min_value=0, max_value=num_elements - 1)
+    intervals = st.builds(
+        lambda a, b: frozenset(range(min(a, b), max(a, b) + 1)), elements, elements
+    )
+    members = intervals | st.frozensets(elements, min_size=1)
+    shapes = draw(st.lists(members, min_size=1, max_size=4))
+    set_ids = draw(
+        st.lists(st.integers(min_value=0, max_value=120), min_size=1, max_size=20, unique=True)
+    )
+    weight_pool = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(min_value=0.0, max_value=10.0),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    sets = {
+        set_id: draw(st.sampled_from(shapes) | members)
+        for set_id in set_ids
+    }
+    weights = {set_id: draw(st.sampled_from(weight_pool)) for set_id in set_ids}
+    # Number the covered elements 0..k-1; sometimes add an element k
+    # that no set covers.
+    label = {e: i for i, e in enumerate(sorted(frozenset().union(*sets.values())))}
+    sets = {set_id: frozenset(label[e] for e in members) for set_id, members in sets.items()}
+    return len(label) + draw(st.sampled_from([0, 0, 0, 1])), sets, weights
+
+
+class TestBitsetParity:
+    """The bitset greedy picks exactly what the frozenset rule picks."""
+
+    @given(instance=tie_heavy_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_pick_order_matches_reference(self, instance):
+        num_elements, sets, weights = instance
+        set_ids = list(sets)
+        args = (
+            [bitset(sets[set_id]) for set_id in set_ids],
+            [weights[set_id] for set_id in set_ids],
+            [repr(set_id) for set_id in set_ids],
+            num_elements,
+        )
+        universe = range(num_elements)
+        try:
+            expected = reference_greedy(universe, sets, weights)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError, match="not coverable"):
+                greedy_weighted_set_cover_dense(*args)
+            return
+        chosen = greedy_weighted_set_cover_dense(*args)
+        assert [set_ids[row] for row in chosen] == expected
+        assert greedy_weighted_set_cover(make(universe, sets, weights)) == expected
+
+    def test_equal_weights_break_ties_by_repr_not_value(self):
+        # "10" < "9": the repr rank, not numeric order, decides.
+        sets = {9: frozenset({0, 1}), 10: frozenset({0, 1}), 11: frozenset({2})}
+        weights = {9: 1.0, 10: 1.0, 11: 1.0}
+        instance = make([0, 1, 2], sets, weights)
+        assert greedy_weighted_set_cover(instance) == [10, 11]
+        assert reference_greedy([0, 1, 2], sets, weights) == [10, 11]
+
+    def test_rows_wider_than_a_machine_word(self):
+        universe = list(range(130))
+        sets = {
+            "low": universe[:70],
+            "high": universe[60:],
+            "all": universe,
+            "tail": universe[128:],
+        }
+        weights = {"low": 1.0, "high": 1.0, "all": 2.5, "tail": 0.0}
+        instance = make(universe, sets, weights)
+        frozen = {set_id: frozenset(members) for set_id, members in sets.items()}
+        expected = reference_greedy(universe, frozen, weights)
+        assert greedy_weighted_set_cover(instance) == expected == ["tail", "low", "high"]
+
+    def test_uncoverable_element_raises(self):
+        rows = [bitset({0, 1}), bitset({2})]
+        with pytest.raises(ConfigurationError, match="not coverable"):
+            greedy_weighted_set_cover_dense(rows, [1.0, 1.0], ["0", "1"], 4)
 
 
 class TestExact:

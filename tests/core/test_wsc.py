@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import CostFunction, energy_cost
+from repro.core.cost import CostFunction
 from repro.core.fleet import FleetCostState
 from repro.core.wsc import PAPER_BATCH_INTERVAL, WSCBatchScheduler
 from repro.errors import ConfigurationError
@@ -154,6 +154,54 @@ class TestBatchBehaviour:
 
     def test_name_mentions_interval(self):
         assert "0.1" in WSCBatchScheduler().name
+
+
+class FleetOnlyView(FakeView):
+    """A view whose disks can only be read through the fleet columns."""
+
+    def disk(self, disk_id):
+        raise AssertionError("choose_batch must read view.fleet, not view.disk")
+
+
+class TestTieBreaks:
+    """Disks 9 and 10: repr order ("10" < "9") differs from numeric order."""
+
+    def requests(self, count):
+        return [Request(time=0.0, request_id=i, data_id=i) for i in range(count)]
+
+    def test_cover_picks_the_lower_repr_rank(self):
+        # Both disks hold every item at equal weight and queue, so either
+        # alone covers the batch; the greedy takes disk 10.
+        catalog = PlacementCatalog({i: [9, 10] for i in range(4)})
+        disks = {d: FakeDisk(DiskPowerState.STANDBY) for d in (9, 10)}
+        view = FleetOnlyView(disks, catalog)
+        decisions = WSCBatchScheduler().choose_batch(self.requests(4), view)
+        assert set(decisions.values()) == {10}
+
+    def test_tied_chosen_disks_share_the_batch_by_fleet_queue(self):
+        # Item 0 only on disk 9, item 1 only on disk 10, the rest on both:
+        # both disks are chosen, tied on weight and queue. Shared requests
+        # alternate as extra load builds up, the lower disk id first.
+        catalog = PlacementCatalog({0: [9], 1: [10], 2: [9, 10], 3: [9, 10], 4: [9, 10]})
+        disks = {d: FakeDisk(DiskPowerState.STANDBY, queue_length=2) for d in (9, 10)}
+        view = FleetOnlyView(disks, catalog)
+        decisions = WSCBatchScheduler().choose_batch(self.requests(5), view)
+        assert decisions == {0: 9, 1: 10, 2: 9, 3: 10, 4: 9}
+
+    def test_routing_reads_the_fleet_queue(self):
+        # Eq. 5 weights ignore the queue, so the disks tie on weight and
+        # the longer fleet queue on disk 9 sends shared requests to 10
+        # until the loads meet.
+        catalog = PlacementCatalog({0: [9], 1: [10], 2: [9, 10], 3: [9, 10], 4: [9, 10]})
+        disks = {
+            9: FakeDisk(DiskPowerState.STANDBY, queue_length=3),
+            10: FakeDisk(DiskPowerState.STANDBY, queue_length=0),
+        }
+        view = FleetOnlyView(disks, catalog)
+        decisions = WSCBatchScheduler(use_cost_function=False).choose_batch(
+            self.requests(5), view
+        )
+        assert decisions == {0: 9, 1: 10, 2: 10, 3: 10, 4: 10}
 
 
 class TestPlacementLookupCount:

@@ -39,7 +39,7 @@ def test_suite_records_every_microbench(quick_payload):
     }
     for size in (10, 180, 1000):
         expected.add(f"fleet_choose_{size}")
-    expected.add("wsc_weight_pass_180")
+    expected.add("wsc_choose_batch_180")
     for policy in ("nearest", "ltsp"):
         for queue_depth in (10, 100, 1000):
             expected.add(f"tape_plan_{policy}_{queue_depth}")

@@ -1,17 +1,21 @@
-"""Shared experiment plumbing: cached workloads, bindings and runs.
+"""Shared experiment plumbing: the campaign's cells, one memo, one fetch.
 
-The benchmark files (one per paper figure) all pull from this module, so
-a pytest session computes each (trace, placement, scheduler) combination
-exactly once — Fig. 6, 7, 8, 9, 12 and 13 share the same underlying runs,
-just as the paper's figures all describe one experiment campaign.
+The figure modules all read their runs through this module, so a process
+computes each (trace, placement, scheduler) combination exactly once —
+Fig. 6, 7, 8, 9, 12 and 13 share the same underlying runs, just as the
+paper's figures all describe one experiment campaign.
 
-Since the harness rewrite this module is a thin façade over
-:mod:`repro.experiments.harness`: every run is identified by a
-:class:`~repro.experiments.harness.spec.RunSpec`, fetched from (in
-order) an in-memory memo, the persistent on-disk
-:class:`~repro.experiments.harness.cache.RunCache`, or a fresh compute —
-so repeated figure benches and pytest sessions reuse runs across
-processes and invocations, not just within one interpreter.
+Every run is a :class:`~repro.experiments.harness.spec.RunSpec`. Each
+figure family lists the specs it reads once, next to the code that draws
+it, and passes that cell list to :func:`fetch`, which sends the specs
+not yet in the in-memory memo through one
+:class:`~repro.experiments.harness.runner.SweepRunner` sweep: the
+persistent on-disk cache in front, fresh computes behind. So repeated
+figure benches and pytest sessions reuse runs across processes and
+invocations. :func:`run_cell` and :func:`get_baseline` read the memo,
+fetching one cell the same way on a miss. :func:`recording` lends the
+fetches a bench's runner (and its ``--jobs`` pool) and collects the
+points of every sweep they ran.
 
 Scale control (environment variables, read at import; override at
 runtime with :func:`configure` or by assigning the module globals):
@@ -30,17 +34,20 @@ runtime with :func:`configure` or by assigning the module globals):
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler import Scheduler
 from repro.experiments.harness import cache as harness_cache
 from repro.experiments.harness import runner as harness_runner
 from repro.experiments.harness.cache import RunCache
+from repro.experiments.harness.runner import SweepOutcome, SweepRunner
 from repro.experiments.harness.serialize import report_from_payload
 from repro.experiments.harness.spec import (
     DEFAULT_PROFILE,
     RunSpec,
+    baseline_of,
     baseline_spec,
     cell_spec,
 )
@@ -67,10 +74,16 @@ SCHEDULER_LABELS = {
     "always-on": "Always-on",
 }
 
-_run_cache: Dict[RunSpec, "RunResult"] = {}
-_payload_cache: Dict[RunSpec, Dict[str, Any]] = {}
-_baseline_cache: Dict[RunSpec, SimulationReport] = {}
+#: A bench's cell list: (scale, mwis_scale, seed) -> every spec its
+#: figure reads, always-on baselines included.
+CellList = Callable[[float, float, int], List[RunSpec]]
+
+#: The one spec-keyed memo; a baseline maps to its run normalised to itself.
+_results: Dict[RunSpec, "RunResult"] = {}
 _persistent_cache: Optional[RunCache] = None
+#: The open :func:`recording`'s runner and merged sweep provenance.
+_runner: Optional[SweepRunner] = None
+_log: Optional[SweepOutcome] = None
 
 
 def configure(
@@ -183,36 +196,86 @@ def make_scheduler_for_key(
     return harness_runner.make_scheduler(spec)
 
 
-def _fetch_payload(spec: RunSpec) -> Dict[str, Any]:
-    """Payload for a spec: in-memory memo, disk cache, or fresh compute."""
-    cached = _payload_cache.get(spec)
-    if cached is not None:
-        return cached
-    payload = persistent_cache().load_payload(spec)
-    if payload is None:
-        payload = harness_runner.execute_spec(spec)
-        persistent_cache().store_payload(spec, payload)
-    _payload_cache[spec] = payload
-    return payload
+def cell(
+    trace: str,
+    replication_factor: int,
+    scheduler_key: str,
+    scale: float,
+    mwis_scale: float,
+    seed: int,
+    **axes: float,
+) -> RunSpec:
+    """One cell spec: MWIS runs at ``mwis_scale``, the rest at ``scale``.
+
+    MWIS cells get their own always-on baseline at their own scale, so
+    their *normalised* energies remain comparable with the simulated
+    cells.
+    """
+    run_scale = mwis_scale if scheduler_key == "mwis" else scale
+    return cell_spec(
+        trace, replication_factor, scheduler_key, scale=run_scale, seed=seed, **axes
+    )
 
 
-def prime_payloads(payloads: Mapping[RunSpec, Dict[str, Any]]) -> None:
-    """Seed the in-memory payload memo (the sweep runner's hand-off)."""
-    _payload_cache.update(payloads)
+def with_baselines(specs: Sequence[RunSpec]) -> List[RunSpec]:
+    """The distinct specs, then the always-on baselines they normalise
+    against, each in first-seen order."""
+    return list(dict.fromkeys([*specs, *map(baseline_of, specs)]))
+
+
+def knobs(
+    scale: Optional[float] = None, seed: Optional[int] = None
+) -> Tuple[float, float, int]:
+    """A cell list's (scale, mwis_scale, seed): the campaign's, unless an
+    explicit ``scale`` pins every scheduler (MWIS included) to it."""
+    if seed is None:
+        seed = BASE_SEED
+    if scale is None:
+        return SCALE, MWIS_SCALE, seed
+    return scale, scale, seed
+
+
+def fetch(specs: Sequence[RunSpec]) -> None:
+    """Memoise specs and their baselines: one sweep over the misses."""
+    missing = [spec for spec in with_baselines(specs) if spec not in _results]
+    if not missing:
+        return
+    runner = _runner if _runner is not None else SweepRunner(persistent_cache())
+    outcome = runner.run(missing)
+    if _log is not None:
+        _log.points.extend(outcome.points)
+        _log.cache_hits += outcome.cache_hits
+        _log.cache_misses += outcome.cache_misses
+        _log.cache_corrupt += outcome.cache_corrupt
+    reports = {s: report_from_payload(p["report"]) for s, p in outcome.payloads.items()}
+    for spec, report in reports.items():
+        # A baseline normalises against itself; a cell's may be memoised.
+        base = baseline_of(spec)
+        baseline = reports[base] if base in reports else _results[base].report
+        _results[spec] = RunResult(spec.scheduler_key, report, baseline.total_energy)
+
+
+@contextmanager
+def recording(runner: SweepRunner) -> Iterator[SweepOutcome]:
+    """Fetch through ``runner`` inside the block; yield one outcome
+    merging the points and cache counts of every sweep it ran."""
+    global _runner, _log
+    saved = _runner, _log
+    _runner, _log = runner, SweepOutcome()
+    try:
+        yield _log
+    finally:
+        _runner, _log = saved
 
 
 def get_baseline(
     trace: str, scale: Optional[float] = None, seed: Optional[int] = None
 ) -> SimulationReport:
     """Always-on energy for a trace (placement-independent up to ~0.1%)."""
-    spec = baseline_spec(
-        trace,
-        scale=SCALE if scale is None else scale,
-        seed=BASE_SEED if seed is None else seed,
-    )
-    if spec not in _baseline_cache:
-        _baseline_cache[spec] = report_from_payload(_fetch_payload(spec)["report"])
-    return _baseline_cache[spec]
+    scale, _mwis_scale, seed = knobs(scale, seed)
+    spec = baseline_spec(trace, scale=scale, seed=seed)
+    fetch([spec])
+    return _results[spec].report
 
 
 def run_cell(
@@ -228,61 +291,47 @@ def run_cell(
 ) -> RunResult:
     """Run (or fetch from cache) one cell of the evaluation matrix.
 
-    MWIS cells run at ``MWIS_SCALE`` with their own always-on baseline,
-    so their *normalised* energies remain comparable with the simulated
-    cells.  ``fault_rate`` (per-disk permanent failures per simulated
-    second) > 0 turns on fault injection for the cell; its baseline
-    stays fault-free so normalised energy remains a fraction of the
-    healthy always-on fleet.
+    Without an explicit ``scale``, MWIS cells run at ``MWIS_SCALE`` (see
+    :func:`cell`).  ``fault_rate`` (per-disk permanent failures per
+    simulated second) > 0 turns on fault injection for the cell; its
+    baseline stays fault-free so normalised energy remains a fraction of
+    the healthy always-on fleet.
     """
-    if scale is None:
-        scale = MWIS_SCALE if scheduler_key == "mwis" else SCALE
-    if seed is None:
-        seed = BASE_SEED
-    spec = cell_spec(
+    spec = cell(
         trace,
         replication_factor,
         scheduler_key,
+        *knobs(scale, seed),
         zipf_exponent=zipf_exponent,
         alpha=alpha,
         beta=beta,
-        scale=scale,
-        seed=seed,
         fault_rate=fault_rate,
     )
-    memo = _run_cache.get(spec)
-    if memo is not None:
-        return memo
-    report = report_from_payload(_fetch_payload(spec)["report"])
-    baseline = get_baseline(trace, scale=scale, seed=seed)
-    result = RunResult(
-        scheduler_key=scheduler_key,
-        report=report,
-        baseline_energy=baseline.total_energy,
-    )
-    _run_cache[spec] = result
-    return result
+    fetch([spec])
+    return _results[spec]
 
 
 def clear_caches() -> None:
     """Testing hook: drop all in-memory memos (not the on-disk cache)."""
-    _run_cache.clear()
-    _payload_cache.clear()
-    _baseline_cache.clear()
+    _results.clear()
     harness_runner.clear_memos()
 
 
 # Re-exported for callers that poke the cache machinery directly.
 __all__ = [
     "BASE_SEED",
+    "CellList",
     "MWIS_SCALE",
     "PAPER_NUM_DISKS",
     "REPLICATION_FACTORS",
     "RunResult",
     "SCALE",
     "SCHEDULER_LABELS",
+    "cell",
     "clear_caches",
     "configure",
+    "fetch",
+    "knobs",
     "get_baseline",
     "get_binding",
     "get_workload",
@@ -291,7 +340,8 @@ __all__ = [
     "make_scheduler_for_key",
     "num_disks_for",
     "persistent_cache",
-    "prime_payloads",
+    "recording",
     "run_cell",
     "set_persistent_cache",
+    "with_baselines",
 ]

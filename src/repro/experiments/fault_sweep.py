@@ -11,7 +11,8 @@ numbers are byte-identical to the ordinary evaluation cells.
 Because every cell at one seed shares the per-disk failure uniforms
 (inverse-CDF transformed by the rate), a higher rate strictly advances
 every disk death — availability is monotone non-increasing along the
-rate axis, which is asserted by the bench tier.
+rate axis, which is asserted by the bench tier.  :func:`fault_sweep_cells`
+lists the sweep's cells.
 
 Expected curve shapes:
 
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import common
 from repro.experiments.ablations import AblationResult, Panel
+from repro.experiments.harness.spec import RunSpec
 
 #: Per-disk permanent failures per simulated second.  The derived horizon
 #: of the default benches is a few thousand seconds, so this grid spans
@@ -51,6 +53,25 @@ SWEEP_REPLICATION = 3
 SWEEP_TRACE = "cello"
 
 
+def fault_sweep_cells(
+    scale: float,
+    mwis_scale: float,
+    seed: int,
+    rates: Sequence[float] = FAULT_RATES_PER_S,
+) -> List[RunSpec]:
+    """Every (scheduler, rate) cell of the sweep, with the baseline."""
+    return common.with_baselines(
+        [
+            common.cell(
+                SWEEP_TRACE, SWEEP_REPLICATION, key, scale, mwis_scale, seed,
+                fault_rate=rate,
+            )
+            for key in SWEEP_SCHEDULERS
+            for rate in rates
+        ]
+    )
+
+
 def run_fault_sweep(
     scale: Optional[float] = None,
     rates: Sequence[float] = FAULT_RATES_PER_S,
@@ -64,6 +85,7 @@ def run_fault_sweep(
             must include 0.0 first for the no-fault reference column.
         seed: Base RNG seed (defaults to the campaign seed).
     """
+    common.fetch(fault_sweep_cells(*common.knobs(scale, seed), rates=rates))
     availability: Dict[str, List[float]] = {}
     energy: Dict[str, List[float]] = {}
     response: Dict[str, List[float]] = {}

@@ -1,9 +1,11 @@
 """One entry point per figure of the paper's evaluation.
 
-Each ``figN`` function runs (cached) simulations and returns a
-:class:`FigureResult` whose ``render()`` prints the same series the paper
-plots. The benchmarks in ``benchmarks/`` wrap these functions; they are
-equally usable from a REPL or the CLI (``python -m repro figure fig6``).
+Each ``figN`` function fetches its family's cell list (a ``*_cells``
+function: every run it reads), reads those (cached) simulations and
+returns a :class:`FigureResult` whose ``render()`` prints the same
+series the paper plots. The benchmarks in ``benchmarks/`` wrap these
+functions; they are equally usable from a REPL or the CLI
+(``python -m repro figure fig6``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.tables import format_breakdown, format_series_table
 from repro.errors import ConfigurationError
 from repro.experiments import common
-from repro.experiments.common import REPLICATION_FACTORS, SCHEDULER_LABELS, run_cell
+from repro.experiments.common import (
+    REPLICATION_FACTORS,
+    SCHEDULER_LABELS,
+    cell,
+    run_cell,
+    with_baselines,
+)
+from repro.experiments.harness.spec import RunSpec
 from repro.power.profile import PAPER_EVAL
 from repro.power.states import STATE_ORDER, DiskPowerState
 
@@ -45,14 +54,60 @@ class FigureResult:
         return body
 
 
+#: Scheduler panels per figure family, in legend order. MWIS has no
+#: response times (offline model) and Fig. 10 sweeps only the
+#: placement-driven schedulers.
+ENERGY_KEYS = ("random", "static", "heuristic", "wsc", "mwis")
+RESPONSE_KEYS = ("random", "static", "heuristic", "wsc")
+BREAKDOWN_KEYS = ("random", "static", "wsc", "mwis")
+LOCALITY_KEYS = ("random", "static", "heuristic")
+
+
+def _grid(
+    trace: str,
+    keys: Sequence[str],
+    rfs: Sequence[int],
+    scale: float,
+    mwis_scale: float,
+    seed: int,
+) -> List[RunSpec]:
+    """Every scheduler in ``keys`` at every rf in ``rfs``, with baselines."""
+    return with_baselines(
+        [cell(trace, rf, key, scale, mwis_scale, seed) for key in keys for rf in rfs]
+    )
+
+
+def energy_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 6/14 cells: every scheduler at every replication factor."""
+    return _grid(trace, ENERGY_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
+
+
+def spin_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 7/15 cells: Fig. 6's plus Static at the MWIS scale."""
+    specs = _grid(trace, ENERGY_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
+    specs += _grid(trace, ("static",), REPLICATION_FACTORS, mwis_scale, mwis_scale, seed)
+    return with_baselines(specs)
+
+
+def response_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 8/13/16 cells: the online schedulers at every rf."""
+    return _grid(trace, RESPONSE_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
+
+
+def breakdown_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 9/17 cells: the breakdown panels at rf=3."""
+    return _grid(trace, BREAKDOWN_KEYS, (3,), scale, mwis_scale, seed)
+
+
 def fig5() -> str:
     """Fig. 5 — the 2CPM power configuration used by every experiment."""
     return PAPER_EVAL.describe()
 
 
 def _energy_vs_replication(trace: str, figure_id: str) -> FigureResult:
+    common.fetch(energy_cells(trace, *common.knobs()))
     series: Dict[str, List[float]] = {}
-    for key in ("random", "static", "heuristic", "wsc", "mwis"):
+    for key in ENERGY_KEYS:
         label = SCHEDULER_LABELS[key]
         series[label] = [
             run_cell(trace, rf, key).normalized_energy for rf in REPLICATION_FACTORS
@@ -78,12 +133,13 @@ def fig6() -> FigureResult:
 
 
 def _spin_vs_replication(trace: str, figure_id: str) -> FigureResult:
+    common.fetch(spin_cells(trace, *common.knobs()))
     static_ops = {
         rf: run_cell(trace, rf, "static").spin_operations
         for rf in REPLICATION_FACTORS
     }
     series: Dict[str, List[float]] = {}
-    for key in ("random", "static", "heuristic", "wsc", "mwis"):
+    for key in ENERGY_KEYS:
         label = SCHEDULER_LABELS[key]
         values = []
         for rf in REPLICATION_FACTORS:
@@ -117,8 +173,9 @@ def fig7() -> FigureResult:
 
 
 def _response_vs_replication(trace: str, figure_id: str) -> FigureResult:
+    common.fetch(response_cells(trace, *common.knobs()))
     series: Dict[str, List[float]] = {}
-    for key in ("random", "static", "heuristic", "wsc"):
+    for key in RESPONSE_KEYS:
         label = SCHEDULER_LABELS[key]
         series[label] = [
             run_cell(trace, rf, key).mean_response_time
@@ -145,8 +202,9 @@ def fig8() -> FigureResult:
 
 
 def _breakdown(trace: str, figure_id: str) -> "BreakdownResult":
+    common.fetch(breakdown_cells(trace, *common.knobs()))
     panels = {}
-    for key in ("random", "static", "wsc", "mwis"):
+    for key in BREAKDOWN_KEYS:
         result = run_cell(trace, 3, key)
         panels[SCHEDULER_LABELS[key]] = result.report.per_disk_fractions()
     return BreakdownResult(
@@ -189,6 +247,24 @@ Z_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 RF_GRID = (1, 3, 5)
 
 
+def fig10_cells(
+    scale: float,
+    mwis_scale: float,
+    seed: int,
+    z_grid: Sequence[float] = Z_GRID,
+    rf_grid: Sequence[int] = RF_GRID,
+) -> List[RunSpec]:
+    """Fig. 10 cells: the locality schedulers over the (rf, z) grid."""
+    return with_baselines(
+        [
+            cell("cello", rf, key, scale, mwis_scale, seed, zipf_exponent=z)
+            for key in LOCALITY_KEYS
+            for rf in rf_grid
+            for z in z_grid
+        ]
+    )
+
+
 def fig10(
     z_grid: Sequence[float] = Z_GRID, rf_grid: Sequence[int] = RF_GRID
 ) -> Dict[str, FigureResult]:
@@ -199,8 +275,9 @@ def fig10(
     paper sweeps z in steps of 0.1; the default grid here uses 0.2 steps
     (halves the run count without changing the surface shape).
     """
+    common.fetch(fig10_cells(*common.knobs(), z_grid=z_grid, rf_grid=rf_grid))
     panels: Dict[str, FigureResult] = {}
-    for key in ("random", "static", "heuristic"):
+    for key in LOCALITY_KEYS:
         series: Dict[str, List[float]] = {}
         for rf in rf_grid:
             series[f"rf={rf}"] = [
@@ -226,6 +303,23 @@ ALPHA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 BETA_GRID = (1.0, 10.0, 100.0, 500.0, 1000.0)
 
 
+def fig11_cells(
+    scale: float,
+    mwis_scale: float,
+    seed: int,
+    alpha_grid: Sequence[float] = ALPHA_GRID,
+    beta_grid: Sequence[float] = BETA_GRID,
+) -> List[RunSpec]:
+    """Fig. 11 cells: the Heuristic over the (alpha, beta) grid at rf=3."""
+    return with_baselines(
+        [
+            cell("cello", 3, "heuristic", scale, mwis_scale, seed, alpha=alpha, beta=beta)
+            for beta in beta_grid
+            for alpha in alpha_grid
+        ]
+    )
+
+
 def fig11(
     alpha_grid: Sequence[float] = ALPHA_GRID,
     beta_grid: Sequence[float] = BETA_GRID,
@@ -236,6 +330,7 @@ def fig11(
     over the alpha grid, normalised to that beta's alpha=0 run, exactly as
     in the paper's Appendix A.2 plot.
     """
+    common.fetch(fig11_cells(*common.knobs(), alpha_grid=alpha_grid, beta_grid=beta_grid))
     energy_series: Dict[str, List[float]] = {}
     response_series: Dict[str, List[float]] = {}
     for beta in beta_grid:
@@ -282,6 +377,11 @@ RESPONSE_THRESHOLDS = (
 )
 
 
+def fig12_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 12 cells: the online schedulers at rf=3, with their baseline."""
+    return _grid(trace, RESPONSE_KEYS, (3,), scale, mwis_scale, seed)
+
+
 def fig12(trace: str = "cello") -> FigureResult:
     """Fig. 12 — inverse CDF of response time at rf=3.
 
@@ -289,12 +389,12 @@ def fig12(trace: str = "cello") -> FigureResult:
     no-spin-up-delay baseline (the paper also plots MWIS there, which by
     construction matches it).
     """
+    common.fetch(fig12_cells(trace, *common.knobs()))
     series: Dict[str, List[float]] = {}
     thresholds = list(RESPONSE_THRESHOLDS)
-    requests, catalog, disks = common.get_binding(trace, 3)
     baseline = common.get_baseline(trace)
     series["Always-on"] = [p for _x, p in _icdf(baseline.response_times, thresholds)]
-    for key in ("random", "static", "heuristic", "wsc"):
+    for key in RESPONSE_KEYS:
         result = run_cell(trace, 3, key)
         series[SCHEDULER_LABELS[key]] = [
             p for _x, p in _icdf(result.report.response_times, thresholds)
@@ -323,11 +423,12 @@ def _icdf(
 
 def fig13(trace: str = "cello") -> FigureResult:
     """Fig. 13 — 90th-percentile response time (ms) vs replication."""
+    common.fetch(response_cells(trace, *common.knobs()))
     series: Dict[str, List[float]] = {}
     baseline = common.get_baseline(trace)
     base_p90 = _p90_ms(baseline.response_times)
     series["Always-on"] = [base_p90 for _ in REPLICATION_FACTORS]
-    for key in ("random", "static", "heuristic", "wsc"):
+    for key in RESPONSE_KEYS:
         series[SCHEDULER_LABELS[key]] = [
             _p90_ms(run_cell(trace, rf, key).report.response_times)
             for rf in REPLICATION_FACTORS

@@ -6,19 +6,28 @@ shorter request response time as compared to other approaches". This
 module computes those three headline numbers from the same cached
 campaign the figures use, so ``repro-storage headline`` (or the
 ``bench_headline_claims`` benchmark) prints the abstract's scorecard.
+:func:`headline_cells` lists the cells it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import (
     REPLICATION_FACTORS,
     SCHEDULER_LABELS,
+    cell,
+    fetch,
+    knobs,
     run_cell,
+    with_baselines,
 )
+from repro.experiments.harness.spec import RunSpec
+
+#: The energy-aware schedulers competing for the best energy cut.
+ENERGY_AWARE_KEYS = ("heuristic", "wsc", "mwis")
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,26 @@ class HeadlineClaims:
         )
 
 
+def headline_cells(
+    trace: str, scale: float, mwis_scale: float, seed: int
+) -> List[RunSpec]:
+    """Every cell the claims read: the energy-aware schedulers at every
+    rf, and Static at rf=3."""
+    specs = [
+        cell(trace, rf, key, scale, mwis_scale, seed)
+        for key in ENERGY_AWARE_KEYS
+        for rf in REPLICATION_FACTORS
+    ]
+    specs.append(cell(trace, 3, "static", scale, mwis_scale, seed))
+    return with_baselines(specs)
+
+
 def headline_claims(trace: str = "cello") -> HeadlineClaims:
     """Measure the abstract's claims on one trace (cached campaign)."""
+    fetch(headline_cells(trace, *knobs()))
     best_reduction = 0.0
     best_cell: Tuple[str, int] = ("heuristic", 1)
-    for key in ("heuristic", "wsc", "mwis"):
+    for key in ENERGY_AWARE_KEYS:
         for rf in REPLICATION_FACTORS:
             result = run_cell(trace, rf, key)
             reduction = 1.0 - result.normalized_energy

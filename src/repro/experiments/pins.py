@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.experiments.figures import energy_cells
 from repro.experiments.harness import canonical_json, execute_spec
-from repro.experiments.harness.bench import BENCHES, ablation_result_payload
+from repro.experiments.harness.bench import ablation_result_payload
 from repro.experiments.harness.serialize import sha256_hex
 from repro.experiments.tape_tier import run_tape_tier
 from repro.serve.loadgen import LoadgenConfig
@@ -59,8 +60,8 @@ SHARD_SMOKE_LOAD = LoadgenConfig(
 
 def fig6_digest() -> str:
     """Combined digest of the fig6 smoke sweep, specs in label order
-    (independent of registry iteration order)."""
-    specs = BENCHES["fig6"].specs(FIG6_SCALE, FIG6_SCALE, FIG6_SEED)
+    (independent of the cell list's order)."""
+    specs = energy_cells("cello", FIG6_SCALE, FIG6_SCALE, FIG6_SEED)
     lines = []
     for spec in sorted(specs, key=lambda s: s.label()):
         report = execute_spec(spec)["report"]

@@ -1,6 +1,7 @@
 """Profile a registered bench: ``repro-storage profile <bench-id>``.
 
-Runs every spec of a bench from :data:`~repro.experiments.harness.bench.BENCHES`
+Runs every spec of a bench's cell list (defined next to the figure that
+reads it and registered in :data:`~repro.experiments.harness.bench.BENCHES`)
 under one accumulating cProfile (cache bypassed — profiling a cache hit
 would measure JSON decoding) and renders the merged top-N table plus the
 coarse per-phase wall-clock breakdown recorded by the runner's
@@ -39,7 +40,7 @@ def profile_bench(
         raise ConfigurationError(
             f"unknown bench {bench_id!r}; known: {sorted(BENCHES)}"
         )
-    specs = bench.specs(scale, scale, seed)
+    specs = bench.specs(scale, scale, seed) if bench.specs else []
     if not specs:
         raise ConfigurationError(
             f"bench {bench_id!r} has no runnable specs to profile "

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.perf.profiler import peak_rss_bytes
+
 #: Best-of events/sec of the fig6 workload cell (cello rf=3 heuristic,
 #: scale 0.5, seed 1, warm binding) measured on the reference container
 #: immediately *before* the hot-path optimisation PR. The ``speedup``
@@ -365,18 +367,6 @@ def measure_perf_core(
     return best, points
 
 
-def _peak_rss_bytes() -> Optional[int]:
-    """Peak resident set size of this process, or ``None`` off-POSIX."""
-    try:
-        import resource
-    except ImportError:
-        return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return int(rss)
-    return int(rss) * 1024  # Linux reports kilobytes
-
-
 def run_suite(
     *,
     scale: float = 0.5,
@@ -443,7 +433,7 @@ def run_suite(
         "wall_clock_s": wall_clock_s,
         "events_processed": events,
         "events_per_sec": core.rate_per_s,
-        "peak_rss_bytes": _peak_rss_bytes(),
+        "peak_rss_bytes": peak_rss_bytes(),
         "cache": {
             # Microbenchmarks must measure real work, never cache replay.
             "enabled": False,

@@ -16,6 +16,9 @@ Two kinds of measurement:
 * **cProfile** — :meth:`Profiler.profile_call` runs a callable under a
   single accumulating ``cProfile.Profile`` so several runs merge into
   one statistics table (:meth:`Profiler.top_table`).
+
+:func:`peak_rss_bytes` is the one process-wide peak-RSS reading every
+bench, serve and microbench document records.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
+import sys
 import time
 import tracemalloc
 from contextlib import AbstractContextManager, nullcontext
@@ -214,3 +218,15 @@ def hook_phase(name: str) -> ContextManager[None]:
     if profiler is None:
         return _NULL_CONTEXT
     return profiler.phase(name)
+
+
+def peak_rss_bytes() -> Optional[int]:
+    """Peak resident set size of this process, or ``None`` off-POSIX."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return int(rss)
+    return int(rss) * 1024  # Linux reports kilobytes

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.experiments.harness.schema import BENCH_SCHEMA
+from repro.perf.profiler import peak_rss_bytes
 from repro.serve.loadgen import LoadgenConfig, LoadResult
 from repro.serve.service import SchedulingService
 
@@ -50,7 +51,7 @@ def serve_document(
         "wall_clock_s": elapsed_s,
         "events_processed": events,
         "events_per_sec": events / elapsed_s if elapsed_s > 0 else 0.0,
-        "peak_rss_bytes": None if virtual_clock else _peak_rss_bytes(),
+        "peak_rss_bytes": None if virtual_clock else peak_rss_bytes(),
         "cache": {
             "enabled": False,
             "hits": 0,
@@ -89,18 +90,6 @@ def serve_document(
             "metrics": snapshot,
         },
     }
-
-
-def _peak_rss_bytes() -> Optional[int]:
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS reports bytes.
-    import sys
-
-    return usage if sys.platform == "darwin" else usage * 1024
 
 
 def write_serve_document(

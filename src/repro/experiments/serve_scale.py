@@ -57,8 +57,7 @@ SCALE_RATE_PER_S = 300.0
 #: with machine conditions. Each round runs the *whole* shard-count
 #: column back to back, so the speedup ratio is paired — host-speed
 #: drift between cells minutes apart cancels out of the ratio — and
-#: each cell/ratio reports its best round, the same best-of-N
-#: discipline as ``repro.perf``.
+#: each cell/ratio reports its best round.
 SCALE_REPEATS = 3
 
 

@@ -1,18 +1,18 @@
 """Performance observability for the simulation core.
 
-Three layers, all opt-in so the hot path pays nothing by default:
+Four parts, all opt-in so the hot path pays nothing by default:
 
 * :mod:`repro.perf.profiler` — a :class:`~repro.perf.profiler.Profiler`
-  combining cProfile accumulation with cheap per-phase wall-clock (and
-  optionally allocation) counters. When no profiler is active, the
-  instrumentation hook returns one shared ``nullcontext`` — a single
-  ``is None`` test per phase, no allocation.
-* :mod:`repro.perf.microbench` — isolated microbenchmarks of the engine
-  event loop, timer churn, scheduler ``choose()`` and storage dispatch,
-  plus the ``perf_core`` end-to-end events/sec measurement that feeds
-  ``BENCH_perf_core.json`` and the CI regression gate.
+  combining cProfile accumulation with cheap per-phase wall-clock
+  counters. When no profiler is active, the instrumentation hook
+  returns one shared ``nullcontext`` — a single ``is None`` test per
+  phase, no allocation.
 * :mod:`repro.perf.benchprof` — runs any registered bench under cProfile
   and prints the top-N cumulative table (``repro-storage profile fig6``).
+* :mod:`repro.perf.gate` — the paired same-host perf gate over the repo
+  benchmark (``python -m repro.perf --base <checkout>``).
+* :mod:`repro.perf.microbench` — the ``tape_plan_*`` microbenches of
+  the one layer no benchmark workload runs, the tape sequencer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.perf.profiler import (
     PhaseStats,
     Profiler,
     activate,
-    active_profiler,
     deactivate,
     hook_phase,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "PhaseStats",
     "Profiler",
     "activate",
-    "active_profiler",
     "deactivate",
     "hook_phase",
 ]

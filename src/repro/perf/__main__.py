@@ -1,10 +1,10 @@
-"""``python -m repro.perf`` — run the microbenchmark suite."""
+"""``python -m repro.perf --base <checkout>`` — the paired perf gate."""
 
 from __future__ import annotations
 
 import sys
 
-from repro.perf.microbench import main
+from repro.perf.gate import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,15 +10,14 @@ that explicitly :func:`activate` a :class:`Profiler`.
 Two kinds of measurement:
 
 * **Phases** — named coarse regions (``binding``, ``simulate``, one per
-  :meth:`Profiler.phase` context). Each accumulates call count, wall
-  time and (optionally, via tracemalloc) net allocated bytes into a
-  :class:`PhaseStats`.
+  :meth:`Profiler.phase` context). Each accumulates call count and wall
+  time into a :class:`PhaseStats`.
 * **cProfile** — :meth:`Profiler.profile_call` runs a callable under a
   single accumulating ``cProfile.Profile`` so several runs merge into
   one statistics table (:meth:`Profiler.top_table`).
 
 :func:`peak_rss_bytes` is the one process-wide peak-RSS reading every
-bench, serve and microbench document records.
+bench and serve document records.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import io
 import pstats
 import sys
 import time
-import tracemalloc
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, Dict, Optional, Tuple, TypeVar
@@ -50,32 +48,24 @@ class PhaseStats:
         name: Phase label (e.g. ``"simulate"``).
         calls: Times the phase context was entered.
         wall_s: Total wall-clock seconds spent inside the phase.
-        alloc_bytes: Net bytes allocated inside the phase (0 unless the
-            owning profiler tracks allocations via tracemalloc).
     """
 
     name: str
     calls: int = 0
     wall_s: float = 0.0
-    alloc_bytes: int = 0
 
 
 class _Phase:
     """Context manager measuring one entry of one phase."""
 
-    __slots__ = ("_profiler", "_name", "_started_s", "_alloc_before")
+    __slots__ = ("_profiler", "_name", "_started_s")
 
     def __init__(self, profiler: "Profiler", name: str) -> None:
         self._profiler = profiler
         self._name = name
         self._started_s = 0.0
-        self._alloc_before = 0
 
     def __enter__(self) -> None:
-        if self._profiler.track_allocations:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            self._alloc_before = tracemalloc.get_traced_memory()[0]
         self._started_s = time.perf_counter()
 
     def __exit__(self, *exc_info: object) -> None:
@@ -83,41 +73,23 @@ class _Phase:
         stats = self._profiler._stats_for(self._name)
         stats.calls += 1
         stats.wall_s += wall_s
-        if self._profiler.track_allocations:
-            grown = tracemalloc.get_traced_memory()[0] - self._alloc_before
-            if grown > 0:
-                stats.alloc_bytes += grown
 
 
 class Profiler:
     """Opt-in cost measurement: phase counters + merged cProfile.
 
-    Attributes:
-        enabled: When False every method is a no-op passthrough —
-            :meth:`phase` returns the shared null context and
-            :meth:`profile_call` calls the function directly. A disabled
-            profiler behaves exactly like no profiler at all.
-        track_allocations: Measure net allocated bytes per phase via
-            tracemalloc. Markedly slows execution; off by default.
+    Measuring is opt-in by :func:`activate`-ing one; with none active,
+    :func:`hook_phase` costs nothing.
     """
 
-    def __init__(
-        self, *, enabled: bool = True, track_allocations: bool = False
-    ) -> None:
-        self.enabled = enabled
-        self.track_allocations = track_allocations
+    def __init__(self) -> None:
         self._phases: Dict[str, PhaseStats] = {}
         self._cprofile: Optional[cProfile.Profile] = None
 
     # -- phases ---------------------------------------------------------
 
     def phase(self, name: str) -> ContextManager[None]:
-        """Context manager accumulating into the phase ``name``.
-
-        Returns the shared allocation-free null context when disabled.
-        """
-        if not self.enabled:
-            return _NULL_CONTEXT
+        """Context manager accumulating into the phase ``name``."""
         return _Phase(self, name)
 
     def _stats_for(self, name: str) -> PhaseStats:
@@ -139,12 +111,10 @@ class Profiler:
         rows = self.phases
         if not rows:
             return "no phases recorded"
-        lines = [f"{'phase':<20s} {'calls':>8s} {'wall (s)':>10s} {'alloc':>12s}"]
+        lines = [f"{'phase':<20s} {'calls':>8s} {'wall (s)':>10s}"]
         for stats in rows:
-            alloc = f"{stats.alloc_bytes}B" if self.track_allocations else "-"
             lines.append(
-                f"{stats.name:<20s} {stats.calls:>8d} "
-                f"{stats.wall_s:>10.4f} {alloc:>12s}"
+                f"{stats.name:<20s} {stats.calls:>8d} {stats.wall_s:>10.4f}"
             )
         return "\n".join(lines)
 
@@ -153,11 +123,8 @@ class Profiler:
     def profile_call(self, fn: Callable[..., T], *args: Any, **kwargs: Any) -> T:
         """Run ``fn(*args, **kwargs)`` under the accumulating cProfile.
 
-        Successive calls merge into one statistics table. When the
-        profiler is disabled the function runs undisturbed.
+        Successive calls merge into one statistics table.
         """
-        if not self.enabled:
-            return fn(*args, **kwargs)
         if self._cprofile is None:
             self._cprofile = cProfile.Profile()
         self._cprofile.enable()
@@ -201,11 +168,6 @@ def deactivate(previous: Optional[Profiler] = None) -> None:
     """Remove the active profiler (or restore ``previous``)."""
     global _ACTIVE
     _ACTIVE = previous
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The currently installed profiler, if any."""
-    return _ACTIVE
 
 
 def hook_phase(name: str) -> ContextManager[None]:

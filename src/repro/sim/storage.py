@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
@@ -76,7 +76,8 @@ class StorageSystem(DiskFleet):
         self.cache = config.cache_factory() if config.cache_factory else None
         self._redispatched = 0
         self._failover_retries = 0
-        self._retry_attempts: Dict[RequestId, int] = {}
+        # Deferred requests not yet dispatched: id -> (attempts, request).
+        self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
         self._faults: Optional[FaultInjector] = None
         if config.fault_plan is not None and config.fault_plan.active:
             self._faults = FaultInjector(
@@ -130,6 +131,11 @@ class StorageSystem(DiskFleet):
         finally:
             if gc_was_enabled:
                 gc.enable()
+        # A deferred request not dispatched by the horizon (still backing
+        # off, or re-admitted to a batch that never ticked) can no longer
+        # be served: it is lost, not silently unresolved.
+        for _, request in self._retry_attempts.values():
+            self._metrics.on_lost(request, self._engine.now)
         self.finalize()
         return self._report()
 
@@ -328,7 +334,8 @@ class StorageSystem(DiskFleet):
         budget is exhausted while all replicas stay unavailable.
         """
         locations = self.locations(request.data_id)
-        attempts = self._retry_attempts.get(request.request_id, 0)
+        backoff = self._retry_attempts.get(request.request_id)
+        attempts = backoff[0] if backoff is not None else 0
         all_dead = all(
             self._disks[d].health is DiskHealth.FAILED for d in locations
         )
@@ -336,7 +343,7 @@ class StorageSystem(DiskFleet):
             self._retry_attempts.pop(request.request_id, None)
             self._metrics.on_lost(request, self._engine.now)
             return
-        self._retry_attempts[request.request_id] = attempts + 1
+        self._retry_attempts[request.request_id] = (attempts + 1, request)
         self._failover_retries += 1
         delay = RETRY_BASE_S * (2.0**attempts)
         self._engine.schedule_after(delay, _Readmit(self, request))

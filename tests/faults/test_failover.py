@@ -131,6 +131,38 @@ class TestTransientBackoff:
         assert avail.downtime_s[0] == pytest.approx(2.0)
         assert report.response_times[0] == pytest.approx(1.5 + 1.0)
 
+    @pytest.mark.parametrize(
+        "scheduler",
+        [StaticScheduler(), WSCBatchScheduler(interval=0.5)],
+        ids=["online", "batch"],
+    )
+    def test_backoff_past_the_horizon_ends_in_a_typed_loss(
+        self, scheduler: Scheduler
+    ) -> None:
+        catalog = PlacementCatalog({0: [0], 1: [1]})
+        plan = scripted(ScriptedFault(disk_id=0, at_s=0.5, repair_after_s=100.0))
+        config = SimulationConfig(
+            num_disks=2,
+            profile=PAPER_UNIT,
+            service_model=ConstantServiceModel(1.0),
+            drain_slack=0.0,
+            fault_plan=plan,
+        )
+        system = StorageSystem(catalog, scheduler, config)
+        report = system.run(
+            make_requests([1.0]) + [Request(time=1.0, request_id=9, data_id=1)]
+        )
+        # Horizon = 1 + 5 s breakeven; data 0's only replica is down until
+        # t=100.5, and its backoff re-admission at t=8.5 lies past the
+        # horizon, so the request must end lost rather than unresolved.
+        avail = availability_of(report)
+        assert report.requests_completed == 1
+        assert avail.requests_lost == 1
+        assert (
+            report.requests_completed + avail.requests_lost
+            == report.requests_offered
+        )
+
     def test_availability_accounts_open_ended_downtime(self) -> None:
         catalog = PlacementCatalog({0: [0, 1]})
         plan = scripted(ScriptedFault(disk_id=0, at_s=1.0))

@@ -5,7 +5,6 @@ import pytest
 from repro.perf.profiler import (
     Profiler,
     activate,
-    active_profiler,
     deactivate,
     hook_phase,
 )
@@ -19,21 +18,13 @@ def _no_leaked_profiler():
     deactivate()
 
 
-def test_disabled_profiler_phase_is_the_shared_nullcontext():
-    """The zero-cost-off guarantee: a disabled profiler allocates no
-    context object — every phase() returns one shared singleton."""
-    profiler = Profiler(enabled=False)
-    first = profiler.phase("simulate")
-    second = profiler.phase("binding")
-    assert first is second  # identical object: no per-call allocation
+def test_hook_phase_without_active_profiler_is_the_shared_nullcontext():
+    """The zero-cost-off guarantee: with no active profiler every
+    hook_phase() returns one shared singleton — no per-call allocation."""
+    first = hook_phase("simulate")
+    assert first is hook_phase("binding")
     with first:
         pass
-    assert profiler.phases == ()
-
-
-def test_hook_phase_without_active_profiler_is_the_shared_nullcontext():
-    assert active_profiler() is None
-    assert hook_phase("simulate") is hook_phase("binding")
 
 
 def test_hook_phase_routes_to_the_active_profiler():
@@ -54,9 +45,8 @@ def test_activate_returns_previous_for_restore():
     inner = Profiler()
     assert activate(outer) is None
     assert activate(inner) is outer
-    assert active_profiler() is inner
     deactivate(outer)
-    assert active_profiler() is outer
+    assert activate(inner) is outer
 
 
 def test_profile_call_returns_value_and_records_stats():
@@ -71,12 +61,6 @@ def test_profile_call_returns_value_and_records_stats():
     assert "cumulative" in table
 
 
-def test_profile_call_disabled_is_passthrough():
-    profiler = Profiler(enabled=False)
-    assert profiler.profile_call(lambda: 42) == 42
-    assert profiler.top_table() == "no profiled calls recorded"
-
-
 def test_top_table_rejects_unknown_sort():
     with pytest.raises(ValueError, match="unknown sort"):
         Profiler().top_table(sort="by-vibes")
@@ -89,16 +73,6 @@ def test_phase_table_renders_recorded_phases():
     table = profiler.phase_table()
     assert "binding" in table
     assert "calls" in table
-
-
-def test_track_allocations_records_bytes():
-    profiler = Profiler(track_allocations=True)
-    sink = []
-    with profiler.phase("alloc"):
-        sink.append(bytearray(256 * 1024))
-    (stats,) = profiler.phases
-    assert stats.alloc_bytes >= 256 * 1024
-    del sink
 
 
 def test_runner_is_instrumented_with_phases():

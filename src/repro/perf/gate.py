@@ -53,12 +53,12 @@ def _benchmark() -> Dict[str, Any]:
     return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def metric_bound(metric: str = GATE_METRIC) -> float:
-    """``metric``'s end-to-end ``bound`` in this tree's ``BENCHMARK.json``."""
+def metric_bound() -> float:
+    """:data:`GATE_METRIC`'s end-to-end ``bound`` in ``BENCHMARK.json``."""
     for meta in _benchmark()["end_to_end"]:
-        if meta["name"] == metric:
+        if meta["name"] == GATE_METRIC:
             return float(meta["bound"])
-    raise ConfigurationError(f"BENCHMARK.json declares no metric {metric!r}")
+    raise ConfigurationError(f"BENCHMARK.json declares no metric {GATE_METRIC!r}")
 
 
 @dataclass(frozen=True)

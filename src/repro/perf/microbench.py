@@ -40,7 +40,7 @@ class MicrobenchResult:
 
 
 def bench_tape_plan(
-    policy: str, queue_depth: int, iterations: int = 200, seed: int = 1
+    policy: str, queue_depth: int, iterations: int
 ) -> MicrobenchResult:
     """LTSP sequencing throughput: plan() over a fixed pending batch.
 
@@ -56,7 +56,7 @@ def bench_tape_plan(
     from repro.tape.profile import LTO_GEN8
     from repro.tape.sequencer import make_sequencer
 
-    rng = random.Random(seed)
+    rng = random.Random(1)
     positions = [
         rng.uniform(0.0, LTO_GEN8.tape_length) for _ in range(queue_depth)
     ]
@@ -72,10 +72,10 @@ def bench_tape_plan(
     )
 
 
-def run_suite(iterations: int = 200, seed: int = 1) -> List[MicrobenchResult]:
+def run_suite(iterations: int = 200) -> List[MicrobenchResult]:
     """Every ``tape_plan_*`` microbench, ``iterations`` plans each."""
     return [
-        bench_tape_plan(policy, queue_depth, iterations=iterations, seed=seed)
+        bench_tape_plan(policy, queue_depth, iterations)
         for policy in ("nearest", "ltsp")
         for queue_depth in (10, 100, 1000)
     ]

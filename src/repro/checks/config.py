@@ -119,8 +119,6 @@ DEFAULT_HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "locations",
         "available_locations",
         "submit",
-        "step",
-        "post",
         "schedule_at",
         "schedule_after",
         "transition",
@@ -128,7 +126,6 @@ DEFAULT_HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "_dispatch",
         "_on_arrival",
         "_fix_head",
-        "_note_cancel",
         "_service_loop",
     }
 )

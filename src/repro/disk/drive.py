@@ -25,7 +25,6 @@ Semantics match Section 2 of the paper:
 from __future__ import annotations
 
 import random
-from heapq import heappush
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
@@ -41,7 +40,7 @@ from repro.types import DiskId, Request
 
 if TYPE_CHECKING:  # used only in annotations; avoids a package import cycle
     from repro.faults.plan import SpinUpFaults
-    from repro.sim.engine import EventCallback, ReusableTimer, SimulationEngine
+    from repro.sim.engine import SimulationEngine
 
 CompletionCallback = Callable[[Request, DiskId, float], None]
 FaultDeathCallback = Callable[[DiskId, List[Request]], None]
@@ -72,14 +71,14 @@ class SimulatedDisk:
         "_in_service",
         "_idle_timer",
         "_service_timer",
+        "_spin_up_timer",
+        "_spin_down_timer",
         "_idle_timeout_s",
         "last_request_time",
         "_fleet",
         "_f_tlast",
         "_f_queue",
         "_health",
-        "_fault_capable",
-        "_fault_epoch",
         "_spin_up_faults",
         "_spin_up_rng",
         "_spin_up_streak",
@@ -121,13 +120,14 @@ class SimulatedDisk:
         self.stats.begin(initial_state, engine.now)
         self._queue: Deque[Request] = deque()
         self._in_service: Optional[Request] = None
-        # The idleness timer is a single reusable engine timer: the 2CPM
-        # cancel-on-arrival / re-arm-on-drain churn then costs O(1) field
-        # writes instead of one dead heap entry + allocation per arrival.
-        self._idle_timer: Optional[ReusableTimer] = None
-        # Service completions on no-fault runs reuse one timer as well —
-        # a disk services one request at a time, so it is always free.
-        self._service_timer: Optional[ReusableTimer] = None
+        # One reusable engine timer per pending-event kind. A disk has at
+        # most one of them armed at a time, and fail() cancels them all.
+        # The 2CPM idle timer's cancel-on-arrival / re-arm-on-drain churn
+        # then costs O(1) field writes instead of heap traffic.
+        self._idle_timer = engine.timer(self._on_idle_timeout)
+        self._service_timer = engine.timer(self._on_service_complete)
+        self._spin_up_timer = engine.timer(self._on_spin_up_complete)
+        self._spin_down_timer = engine.timer(self._on_spin_down_complete)
         # The policy's timeout depends only on (policy, profile), both
         # fixed at construction — resolve it once instead of per drain.
         self._idle_timeout_s = self._policy.idle_timeout(profile)
@@ -146,10 +146,9 @@ class SimulatedDisk:
         self._f_tlast = fleet.tlast
         self._f_queue = fleet.queue
         fleet.encode(disk_id, initial_state, None)
-        # Fault-injection hooks; inert until enable_fault_injection().
+        # Health changes only through fail()/repair(); the spin-up fault
+        # hooks stay inert until enable_fault_injection().
         self._health = DiskHealth.HEALTHY
-        self._fault_capable = False
-        self._fault_epoch = 0
         self._spin_up_faults: Optional[SpinUpFaults] = None
         self._spin_up_rng: Optional[random.Random] = None
         self._spin_up_streak = 0
@@ -194,8 +193,7 @@ class SimulatedDisk:
                 f"disk {self.disk_id} is {self._health.value}; cannot accept "
                 f"request {request.request_id}"
             )
-        engine = self._engine
-        now = engine._now
+        now = self._engine._now
         self.last_request_time = now
         i = self.disk_id
         self._f_tlast[i] = now
@@ -209,18 +207,14 @@ class SimulatedDisk:
             # SPIN_UP: serviced when the spin-up completes.
             # SPIN_DOWN: serviced after spin-down completes + full spin-up.
             return
-        # Fused IDLE -> ACTIVE arrival (the hot path): inlines
-        # _cancel_idle_timer, the service draw, _transition(ACTIVE) and
-        # the first _service_loop iteration. Byte-identical bookkeeping:
-        # the queue was empty, so the general path's append/popleft pair
-        # cancels and the request goes straight into service; the service
-        # draw moves ahead of the ledger update, which consumes the
-        # per-disk RNG in the identical order (nothing draws in between).
-        timer = self._idle_timer
-        if timer is not None and timer._deadline is not None:
-            timer._deadline = None
-            if timer._entry_time is not None:
-                engine._note_cancel()
+        # Fused IDLE -> ACTIVE arrival (the hot path): inlines the service
+        # draw, _transition(ACTIVE) and the first _service_loop iteration.
+        # Byte-identical bookkeeping: the queue was empty, so the general
+        # path's append/popleft pair cancels and the request goes straight
+        # into service; the service draw moves ahead of the ledger update,
+        # which consumes the per-disk RNG in the identical order (nothing
+        # draws in between).
+        self._idle_timer.cancel()
         duration = self._draw_service(request, self._rng)
         if duration < 0:
             raise SimulationError("service model returned negative duration")
@@ -234,31 +228,7 @@ class SimulatedDisk:
         self._fleet.encode(i, _ACTIVE, now)
         self._in_service = request
         if duration > 0:
-            if self._fault_capable:
-                self._schedule_after(duration, self._on_service_complete)
-                return
-            service_timer = self._service_timer
-            if service_timer is None:
-                service_timer = self._service_timer = engine.timer(
-                    self._on_service_complete
-                )
-            time = now + duration
-            if service_timer._entry_time is None:
-                # Inline ReusableTimer.schedule_at, fresh-arm branch: the
-                # service timer's entry is always consumed before re-arm.
-                service_timer._deadline = time
-                service_timer._entry_time = time
-                heappush(
-                    engine._queue,
-                    (
-                        time,
-                        next(engine._sequence),
-                        service_timer,
-                        service_timer._generation,
-                    ),
-                )
-            else:
-                service_timer.schedule_at(time)
+            self._service_timer.schedule_at(now + duration)
             return
         # Zero-duration service (analysis configs): complete inline and
         # return to IDLE exactly as the general _service_loop tail does.
@@ -284,18 +254,17 @@ class SimulatedDisk:
         on_spin_up_failure: Optional[Callable[[DiskId], None]] = None,
         on_fault_death: Optional[FaultDeathCallback] = None,
     ) -> None:
-        """Arm this disk for fault injection.
+        """Install the probabilistic spin-up failure model and its hooks.
 
-        Turns on the epoch guard that invalidates in-flight timer events
-        across a crash-stop, and (optionally) the probabilistic spin-up
-        failure model.  Never called on no-fault runs, so their hot path
-        stays exactly as before.
+        ``on_spin_up_failure`` hears every failed spin-up attempt and
+        ``on_fault_death`` receives the requests drained when a disk runs
+        out of spin-up retries. :meth:`fail` and :meth:`repair` work
+        without this call; only spin-up faults need it.
         """
         if spin_up is not None and spin_up_rng is None:
             raise SimulationError(
                 f"disk {self.disk_id}: spin-up faults need a dedicated RNG"
             )
-        self._fault_capable = True
         self._spin_up_faults = spin_up
         self._spin_up_rng = spin_up_rng
         self._on_spin_up_failure = on_spin_up_failure
@@ -307,15 +276,17 @@ class SimulatedDisk:
         The in-service request (if any) and the whole queue are handed
         back for the storage layer to fail over.  The power state
         collapses straight to STANDBY — a crash-stop is not an orderly
-        spin-down, so no spin operation is added to the ledger — and the
-        fault epoch advances, invalidating every already-scheduled
-        service/spin event of this disk.
+        spin-down, so no spin operation is added to the ledger — and every
+        pending timer of this disk (idle, service, spin-up, spin-down) is
+        cancelled, so none of them fires into the post-crash state machine.
         """
         if self._health is DiskHealth.FAILED:
             raise SimulationError(f"disk {self.disk_id} failed twice")
         self._health = DiskHealth.FAILED if permanent else DiskHealth.DOWN
-        self._fault_epoch += 1
-        self._cancel_idle_timer()
+        self._idle_timer.cancel()
+        self._service_timer.cancel()
+        self._spin_up_timer.cancel()
+        self._spin_down_timer.cancel()
         drained: List[Request] = []
         if self._in_service is not None:
             drained.append(self._in_service)
@@ -335,27 +306,6 @@ class SimulatedDisk:
             )
         self._health = DiskHealth.HEALTHY
         self._spin_up_streak = 0
-        self._fault_epoch += 1
-
-    def _schedule_after(self, delay: float, callback: "EventCallback") -> None:
-        """Engine scheduling with a fault-epoch guard.
-
-        On fault-capable disks the callback is dropped if the disk
-        crash-stopped (or was repaired) between scheduling and firing —
-        a service completion from before a failure must not corrupt the
-        post-repair state machine.  No-fault runs take the direct path
-        and allocate nothing.
-        """
-        if not self._fault_capable:
-            self._engine.schedule_after(delay, callback)
-            return
-        epoch = self._fault_epoch
-
-        def guarded() -> None:
-            if self._fault_epoch == epoch:
-                callback()
-
-        self._engine.schedule_after(delay, guarded)
 
     # ------------------------------------------------------------------
     # state machine internals
@@ -369,9 +319,7 @@ class SimulatedDisk:
     def _start_spin_up(self) -> None:
         self._transition(DiskPowerState.SPIN_UP)
         if self.profile.spin_up_time > 0:
-            self._schedule_after(
-                self.profile.spin_up_time, self._on_spin_up_complete
-            )
+            self._spin_up_timer.schedule_after(self.profile.spin_up_time)
         else:
             self._on_spin_up_complete()
 
@@ -426,29 +374,7 @@ class SimulatedDisk:
             if duration < 0:
                 raise SimulationError("service model returned negative duration")
             if duration > 0:
-                if self._fault_capable:
-                    # Fault runs need the epoch guard (a completion from
-                    # before a crash-stop must not fire after it).
-                    self._schedule_after(duration, self._on_service_complete)
-                    return
-                engine = self._engine
-                timer = self._service_timer
-                if timer is None:
-                    timer = self._service_timer = engine.timer(
-                        self._on_service_complete
-                    )
-                time = engine._now + duration
-                if timer._entry_time is None:
-                    # Inline ReusableTimer.schedule_at, fresh-arm branch
-                    # (the entry is always consumed before a re-arm).
-                    timer._deadline = time
-                    timer._entry_time = time
-                    heappush(
-                        engine._queue,
-                        (time, next(engine._sequence), timer, timer._generation),
-                    )
-                else:
-                    timer.schedule_at(time)
+                self._service_timer.schedule_after(duration)
                 return
             self._complete_current()
             if not self._queue:
@@ -482,29 +408,7 @@ class SimulatedDisk:
         self._fleet.encode(self.disk_id, _IDLE, self.last_request_time)
         timeout = self._idle_timeout_s
         if timeout is not None:
-            engine = self._engine
-            timer = self._idle_timer
-            if timer is None:
-                timer = self._idle_timer = engine.timer(self._on_idle_timeout)
-            time = now + timeout
-            entry_time = timer._entry_time
-            if entry_time is not None and entry_time <= time:
-                # Inline ReusableTimer.schedule_at, in-place re-arm: the
-                # cancelled entry fires no later than the new deadline
-                # and migrates itself forward when popped.
-                if timer._deadline is None:
-                    engine._cancelled_pending -= 1
-                timer._deadline = time
-            elif entry_time is None:
-                # Fresh arm (first drain, or the entry was consumed).
-                timer._deadline = time
-                timer._entry_time = time
-                heappush(
-                    engine._queue,
-                    (time, next(engine._sequence), timer, timer._generation),
-                )
-            else:
-                timer.schedule_at(time)
+            self._idle_timer.schedule_at(now + timeout)
 
     def _complete_current(self) -> None:
         request = self._in_service
@@ -518,21 +422,17 @@ class SimulatedDisk:
 
     def _arm_idle_timer(self) -> None:
         timeout = self._idle_timeout_s
-        if timeout is None:
-            return
-        timer = self._idle_timer
-        if timer is None:
-            timer = self._idle_timer = self._engine.timer(self._on_idle_timeout)
-        timer.schedule_after(timeout)
-
-    def _cancel_idle_timer(self) -> None:
-        # The timer object is kept for reuse; cancel() just disarms it.
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
+        if timeout is not None:
+            self._idle_timer.schedule_after(timeout)
 
     def _on_idle_timeout(self) -> None:
+        # Armed only on entering IDLE; both ways out of IDLE (an arrival,
+        # a crash-stop) cancel it, so it can only fire in IDLE.
         if self._state is not DiskPowerState.IDLE:
-            return  # a request slipped in and the cancel raced; ignore
+            raise SimulationError(
+                f"idle timeout in state {self._state.value} on disk "
+                f"{self.disk_id}"
+            )
         if self._queue:
             raise SimulationError("idle timeout fired with non-empty queue")
         self._start_spin_down()
@@ -540,9 +440,7 @@ class SimulatedDisk:
     def _start_spin_down(self) -> None:
         self._transition(DiskPowerState.SPIN_DOWN)
         if self.profile.spin_down_time > 0:
-            self._schedule_after(
-                self.profile.spin_down_time, self._on_spin_down_complete
-            )
+            self._spin_down_timer.schedule_after(self.profile.spin_down_time)
         else:
             self._on_spin_down_complete()
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.experiments.fault_sweep import fault_sweep_cells
 from repro.experiments.figures import energy_cells
-from repro.experiments.harness import canonical_json, execute_spec
+from repro.experiments.harness import RunSpec, canonical_json, execute_spec
 from repro.experiments.harness.bench import ablation_result_payload
 from repro.experiments.harness.serialize import sha256_hex
 from repro.experiments.tape_tier import run_tape_tier
@@ -31,6 +32,10 @@ from repro.serve.shard.reporting import document_digest
 #: fig6 smoke cell: the cell sizes bench-smoke runs.
 FIG6_SCALE = 0.05
 FIG6_SEED = 1
+
+#: fault_sweep smoke cells: fault-injected replays at the fig6 size.
+FAULT_SWEEP_SCALE = 0.05
+FAULT_SWEEP_SEED = 1
 
 #: tape_tier smoke cell: 300 requests per cell over 2000 ids.
 TAPE_SCALE = 0.05
@@ -58,15 +63,27 @@ SHARD_SMOKE_LOAD = LoadgenConfig(
 )
 
 
-def fig6_digest() -> str:
-    """Combined digest of the fig6 smoke sweep, specs in label order
-    (independent of the cell list's order)."""
-    specs = energy_cells("cello", FIG6_SCALE, FIG6_SCALE, FIG6_SEED)
+def cells_digest(specs: Sequence[RunSpec]) -> str:
+    """Combined digest of a cell list's reports, specs in label order
+    (independent of the list's order)."""
     lines = []
     for spec in sorted(specs, key=lambda s: s.label()):
         report = execute_spec(spec)["report"]
         lines.append(f"{spec.label()} {sha256_hex(canonical_json(report))}")
     return sha256_hex("\n".join(lines))
+
+
+def fig6_digest() -> str:
+    """Combined digest of the fig6 smoke sweep."""
+    return cells_digest(energy_cells("cello", FIG6_SCALE, FIG6_SCALE, FIG6_SEED))
+
+
+def fault_sweep_digest() -> str:
+    """Combined digest of the fault_sweep smoke cells (every scheduler at
+    every failure rate, plus the baseline)."""
+    return cells_digest(
+        fault_sweep_cells(FAULT_SWEEP_SCALE, FAULT_SWEEP_SCALE, FAULT_SWEEP_SEED)
+    )
 
 
 def tape_tier_digest() -> str:
@@ -95,6 +112,9 @@ class Pin:
 PINS: Dict[str, Pin] = {
     "fig6": Pin(
         Path("tests/experiments/data/fig6_kernel_smoke.sha256"), fig6_digest
+    ),
+    "fault_sweep": Pin(
+        Path("tests/faults/data/fault_sweep_smoke.sha256"), fault_sweep_digest
     ),
     "tape_tier": Pin(
         Path("tests/tape/data/tape_smoke.sha256"), tape_tier_digest

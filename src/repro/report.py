@@ -239,8 +239,10 @@ class SimulationReport:
         requests_offered: Requests fed into the system.
         requests_completed: Requests whose I/O finished before the end.
         cache_hits / cache_misses: Block-cache counters (0 = no cache).
-        events_processed: Simulator events fired during the run (cancelled
-            timers excluded; 0 for analytically-evaluated offline runs).
+        events_processed: Simulator events fired during the run. A
+            cancelled timer never fires, and a disk's crash-stop cancels
+            its pending timers, so fault runs count no stale events
+            either. 0 for analytically-evaluated offline runs.
         availability: Fault/availability outcome; ``None`` unless the run
             had an active fault plan.
         tape: Cold-tier outcome; ``None`` unless the run was tiered.

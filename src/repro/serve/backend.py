@@ -76,19 +76,13 @@ class SimBackend(DiskFleet):
         """
         if disk_id not in self._disks:
             raise SchedulingError(f"cannot kill unknown disk {disk_id}")
-        # Arm the epoch guard on the doomed disk: a crash mid-spin-up or
-        # mid-service leaves already-scheduled timer events behind, and
-        # without the guard the stale event would fire into the
-        # post-crash state machine. Disks without a scripted death keep
-        # the unguarded hot path.
-        self._disks[disk_id].enable_fault_injection()
         self._faults_armed = True
 
         def _die() -> None:
             drained = self._disks[disk_id].fail(permanent=True)
             on_death(disk_id, drained, self._engine.now)
 
-        self._engine.post(at_s, _die)
+        self._engine.schedule(at_s, _die)
 
     # -- clock injection -----------------------------------------------
 

@@ -2,22 +2,20 @@
 
 The engine is a binary-heap event queue with a monotonic clock. Events are
 plain callables; insertion order breaks timestamp ties so runs are fully
-deterministic. Two cancellation mechanisms exist:
+deterministic.
 
-* :class:`EventHandle` — the classic lazy cancel: the heap entry stays and
-  is skipped on pop. The engine counts dead entries and compacts the heap
-  in place when the dead fraction crosses a threshold, so pathological
-  schedule/cancel churn cannot grow the heap without bound.
-* :class:`ReusableTimer` — a slotted, reusable timer for the
-  cancel/re-arm pattern of the 2CPM idleness timer. It keeps at most one
-  heap entry alive: cancelling and re-arming to a later deadline are plain
-  field writes (no heap traffic), and the single entry lazily migrates to
-  the current deadline when it surfaces at the head of the heap.
+:meth:`SimulationEngine.schedule` posts a fire-and-forget event. The one
+cancellable event is a :class:`ReusableTimer`, built for the cancel/re-arm
+pattern of the 2CPM idleness timer: it keeps at most one heap entry alive,
+cancelling and re-arming to a later deadline are plain field writes (no
+heap traffic), and the single entry lazily migrates to the current
+deadline when it surfaces at the head of the heap. A cancelled timer's
+entry stays in the heap, dormant, until it surfaces or the timer is
+re-armed.
 
-Both paths preserve event ordering exactly: live events always fire in
-``(time, insertion sequence)`` order, and ``events_processed`` counts only
-fired callbacks, so results are byte-identical whether compaction or timer
-reuse kick in or not.
+Live events always fire in ``(time, insertion sequence)`` order, and
+``events_processed`` counts only fired callbacks: a dormant entry is
+skipped, never fired.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import inf
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -36,17 +34,12 @@ EventCallback = Callable[[], None]
 #: ``callback(payload)`` fired once per entry at its timestamp.
 ArrivalStream = Tuple[Sequence[float], Sequence[Any], Callable[[Any], None]]
 
-#: One heap entry: ``(time, sequence, handle, payload)``. For plain and
-#: posted events the payload is the callback; for timer entries it is the
-#: generation the entry was pushed under. Posted (fire-and-forget) events
-#: carry ``None`` in the handle slot. The unique sequence number
-#: guarantees tuple comparison never reaches the payload slot.
-_QueueEntry = Tuple[float, int, Union["EventHandle", "ReusableTimer", None], Any]
-
-#: Default dead-entry fraction that triggers an in-place heap compaction.
-DEFAULT_COMPACTION_THRESHOLD = 0.5
-#: Heaps smaller than this are never compacted (not worth the sweep).
-DEFAULT_COMPACTION_MIN_SIZE = 64
+#: One heap entry: ``(time, sequence, timer, payload)``. For scheduled
+#: events the timer slot is ``None`` and the payload is the callback; for
+#: timer entries the payload is the generation the entry was pushed
+#: under. The unique sequence number guarantees tuple comparison never
+#: reaches the payload slot.
+_QueueEntry = Tuple[float, int, Optional["ReusableTimer"], Any]
 
 
 def _no_arrival_stream(payload: Any) -> None:
@@ -54,39 +47,11 @@ def _no_arrival_stream(payload: Any) -> None:
     raise SimulationError("arrival fired without an arrival stream")
 
 
-class EventHandle:
-    """Handle returned by :meth:`SimulationEngine.schedule`; cancellable.
-
-    ``time`` is the event's firing instant in simulated seconds.
-    """
-
-    __slots__ = ("time", "_cancelled", "_engine")
-
-    def __init__(self, time: float, engine: Optional["SimulationEngine"] = None):
-        self.time = time
-        self._cancelled = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (safe after it fired)."""
-        if not self._cancelled:
-            self._cancelled = True
-            engine = self._engine
-            if engine is not None:
-                self._engine = None
-                engine._note_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-
 class ReusableTimer:
-    """A slotted engine timer designed for heavy cancel/re-arm churn.
+    """A slotted, cancellable engine timer built for cancel/re-arm churn.
 
-    Unlike :meth:`SimulationEngine.schedule` + :meth:`EventHandle.cancel`
-    (one dead heap entry per cancel, one allocation per arm), a
-    ``ReusableTimer`` owns at most one heap entry for its whole life:
+    A ``ReusableTimer`` owns at most one live heap entry for its whole
+    life:
 
     * :meth:`cancel` marks the timer dormant but leaves the entry in the
       heap — O(1), no allocation;
@@ -98,11 +63,10 @@ class ReusableTimer:
       generation bump and pushes a fresh one, so arbitrary schedules stay
       correct.
 
-    Firing order is identical to an equivalently-scheduled plain event:
-    ties at the same timestamp break by insertion sequence, and a migrated
+    Ties at the same timestamp break by insertion sequence. A migrated
     entry receives its sequence number when it migrates — strictly before
-    its deadline — so it orders after anything scheduled at that deadline
-    earlier in simulated time, exactly like a freshly-pushed event would.
+    its deadline — so it orders after anything pushed for that deadline
+    before the migration, and before anything pushed after it.
     """
 
     __slots__ = ("_engine", "_callback", "_deadline", "_entry_time", "_generation")
@@ -147,7 +111,7 @@ class ReusableTimer:
             return
         if entry_time is not None:
             # Earlier than the in-heap entry: abandon it to a stale
-            # generation (cleaned up on pop or compaction).
+            # generation (dropped when it surfaces).
             self._generation += 1
             if self._deadline is not None:
                 engine._cancelled_pending += 1
@@ -170,16 +134,11 @@ class ReusableTimer:
             return
         self._deadline = None
         if self._entry_time is not None:
-            self._engine._note_cancel()
+            self._engine._cancelled_pending += 1
 
 
 class SimulationEngine:
-    """Event loop with a monotonic simulated clock.
-
-    ``start_time`` is the clock's initial value in simulated seconds.
-    ``compaction_threshold`` is the fraction of dead (cancelled) heap
-    entries that triggers an in-place compaction sweep (``None`` disables
-    compaction); ``compaction_min_size`` is the smallest heap ever swept.
+    """Event loop with a monotonic simulated clock starting at 0 s.
 
     Typical use::
 
@@ -195,30 +154,16 @@ class SimulationEngine:
         "_events_processed",
         "_running",
         "_cancelled_pending",
-        "_compaction_threshold",
-        "_compaction_min_size",
-        "_compactions",
     )
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        compaction_threshold: Optional[float] = DEFAULT_COMPACTION_THRESHOLD,
-        compaction_min_size: int = DEFAULT_COMPACTION_MIN_SIZE,
-    ):
-        if compaction_threshold is not None and not 0.0 < compaction_threshold <= 1.0:
-            raise SimulationError(
-                f"compaction_threshold must be in (0, 1], got {compaction_threshold}"
-            )
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[_QueueEntry] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._running = False
+        #: Dead heap entries: dormant or abandoned timer entries.
         self._cancelled_pending = 0
-        self._compaction_threshold = compaction_threshold
-        self._compaction_min_size = compaction_min_size
-        self._compactions = 0
 
     @property
     def now(self) -> float:
@@ -231,7 +176,7 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued.
+        """Live events still queued.
 
         A dormant :class:`ReusableTimer` entry counts as dead; an armed
         timer counts as exactly one live event regardless of where its
@@ -241,40 +186,14 @@ class SimulationEngine:
 
     @property
     def queue_depth(self) -> int:
-        """Raw heap size, dead entries included (compaction heuristic)."""
+        """Raw heap size, dead timer entries included."""
         return len(self._queue)
 
-    @property
-    def compactions(self) -> int:
-        """Heap compaction sweeps performed so far."""
-        return self._compactions
+    def schedule(self, time: float, callback: EventCallback) -> None:
+        """Fire ``callback`` at absolute simulated ``time`` (seconds).
 
-    def schedule(self, time: float, callback: EventCallback) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated ``time`` (seconds).
-
-        Raises:
-            SimulationError: when scheduling into the past.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
-            )
-        handle = EventHandle(time, self)
-        heapq.heappush(self._queue, (time, next(self._sequence), handle, callback))
-        return handle
-
-    def schedule_after(self, delay: float, callback: EventCallback) -> EventHandle:
-        """Schedule ``callback`` after a relative ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._now + delay, callback)
-
-    def post(self, time: float, callback: EventCallback) -> None:
-        """Schedule an *uncancellable* event at absolute ``time`` seconds.
-
-        Fire-and-forget: no :class:`EventHandle` is allocated, which makes
-        this the cheapest way to preload bulk events (e.g. trace arrivals)
-        that nothing will ever cancel.
+        Fire-and-forget: the event cannot be cancelled. Use a
+        :meth:`timer` for an event that may need cancelling.
 
         Raises:
             SimulationError: when scheduling into the past.
@@ -284,6 +203,12 @@ class SimulationEngine:
                 f"cannot schedule event at {time} before now={self._now}"
             )
         heapq.heappush(self._queue, (time, next(self._sequence), None, callback))
+
+    def schedule_after(self, delay: float, callback: EventCallback) -> None:
+        """Fire ``callback`` after a relative ``delay`` seconds."""
+        if delay < 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
+        self.schedule(self._now + delay, callback)
 
     def timer(self, callback: EventCallback) -> ReusableTimer:
         """A dormant :class:`ReusableTimer` firing ``callback``."""
@@ -297,19 +222,9 @@ class SimulationEngine:
             return None
         return head[0]
 
-    def step(self) -> bool:
-        """Process one event. Returns False when the queue is drained."""
-        head = self._fix_head()
-        if head is None:
-            return False
-        heapq.heappop(self._queue)
-        self._dispatch(head)
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
-        max_events: Optional[int] = None,
         arrivals: Optional[ArrivalStream] = None,
     ) -> None:
         """Drain the event queue (and an optional bulk-arrival stream).
@@ -317,15 +232,11 @@ class SimulationEngine:
         Args:
             until: Stop once the next event would be strictly after this
                 time; the clock is advanced to ``until``.
-            max_events: Safety valve against runaway feedback loops. The
-                budget is checked *before* each event: exactly
-                ``max_events`` events run, then the engine raises without
-                processing the ``max_events + 1``-th.
             arrivals: A ``(times, payloads, callback)`` stream of
                 pre-sorted, uncancellable events merged with the heap.
-                Equivalent to :meth:`post`-ing every entry before the run
-                — at equal timestamps the stream fires first, exactly as
-                preloaded events (with their earlier sequence numbers)
+                Equivalent to :meth:`schedule`-ing every entry before the
+                run — at equal timestamps the stream fires first, exactly
+                as preloaded events (with their earlier sequence numbers)
                 would — but the entries never touch the heap, so bulk
                 trace arrivals stop paying ``O(log n)`` push/pop each and
                 stop inflating every other event's heap operations. The
@@ -336,9 +247,8 @@ class SimulationEngine:
         if self._running:
             raise SimulationError("engine.run() is not re-entrant")
         self._running = True
-        # The loop body inlines step() and the common live-event case of
-        # _fix_head()/_dispatch(): the head is normalised once per
-        # iteration (peek_time + step would sweep dead entries twice) and
+        # The loop body inlines the common live-event case of
+        # _fix_head(): the head is normalised once per iteration and
         # popped straight into its callback with no helper calls.
         queue = self._queue
         heappop = heapq.heappop
@@ -359,12 +269,10 @@ class SimulationEngine:
                     f"cannot stream event at {arrival_times[0]} before "
                     f"now={self._now}"
                 )
-        # Per-event bound checks reduce to bare float compares: +inf
-        # stands in for "no horizon" / "no budget".
+        # The per-event horizon check reduces to a bare float compare:
+        # +inf stands in for "no horizon".
         horizon = inf if until is None else until
-        event_budget = inf if max_events is None else max_events
         try:
-            processed = 0
             while True:
                 while arrival_index < arrival_count:
                     # A dead heap head only *underestimates* the next
@@ -378,11 +286,6 @@ class SimulationEngine:
                     if time > horizon:
                         arrival_index = arrival_count  # past the horizon
                         break
-                    if processed >= event_budget:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "runaway event loop?"
-                        )
                     payload = arrival_payloads[arrival_index]
                     arrival_index += 1
                     self._now = time
@@ -397,26 +300,20 @@ class SimulationEngine:
                             f"at t={time:.6g}s "
                             f"(event #{self._events_processed}): {exc}"
                         ) from exc
-                    processed += 1
                 if not queue:
                     break
                 head = queue[0]
-                handle = head[2]
-                if (
-                    handle is not None
-                    and (type(handle) is not EventHandle or handle._cancelled)
-                    and not (
-                        # Live ReusableTimer firing at its in-heap entry
-                        # time (the overwhelmingly common timer case) —
-                        # dispatch straight from the fast path below.
-                        type(handle) is ReusableTimer
-                        # Identity check against the heap-stored copy of
-                        # the same float, not a tolerance comparison.
-                        and handle._deadline == head[0]  # reprolint: disable=RPL001
-                        and head[3] == handle._generation
-                    )
+                timer = head[2]
+                if timer is not None and not (
+                    # Live timer firing at its in-heap entry time (the
+                    # overwhelmingly common timer case) — dispatch
+                    # straight from the fast path below. Identity check
+                    # against the heap-stored copy of the same float, not
+                    # a tolerance comparison.
+                    timer._deadline == head[0]  # reprolint: disable=RPL001
+                    and head[3] == timer._generation
                 ):
-                    head = self._fix_head()  # slow path: dead entry / timer
+                    head = self._fix_head()  # slow path: dead / migrating
                     if arrival_index < arrival_count and (
                         head is None
                         or arrival_times[arrival_index] <= head[0]
@@ -428,22 +325,16 @@ class SimulationEngine:
                         continue
                     if head is None:
                         break
-                    handle = head[2]
+                    timer = head[2]
                 time = head[0]
                 if time > horizon:
                     break
-                if processed >= event_budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway event loop?"
-                    )
                 heappop(queue)
-                if type(handle) is ReusableTimer:
-                    handle._deadline = None
-                    handle._entry_time = None
-                    callback = handle._callback
+                if timer is not None:
+                    timer._deadline = None
+                    timer._entry_time = None
+                    callback = timer._callback
                 else:
-                    if handle is not None:
-                        handle._engine = None  # a late cancel() is a no-op
                     callback = head[3]
                 self._now = time
                 self._events_processed += 1
@@ -456,7 +347,6 @@ class SimulationEngine:
                         f"event callback {callback!r} failed at t={time:.6g}s "
                         f"(event #{self._events_processed}): {exc}"
                     ) from exc
-                processed += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -464,99 +354,33 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------
 
-    def _dispatch(self, head: _QueueEntry) -> None:
-        """Fire one already-popped live entry."""
-        time = head[0]
-        handle = head[2]
-        if type(handle) is ReusableTimer:
-            handle._deadline = None
-            handle._entry_time = None
-            callback = handle._callback
-        else:
-            if handle is not None:
-                handle._engine = None  # a late cancel() is now a no-op
-            callback = head[3]
-        self._now = time
-        self._events_processed += 1
-        try:
-            callback()
-        except SimulationError:
-            raise  # already carries simulation context; do not double-wrap
-        except Exception as exc:
-            raise SimulationError(
-                f"event callback {callback!r} failed at t={time:.6g}s "
-                f"(event #{self._events_processed}): {exc}"
-            ) from exc
-
     def _fix_head(self) -> Optional[_QueueEntry]:
-        """Normalise the heap head: drop dead entries, migrate stale
-        timer entries to their current deadline, and return the live head
+        """Normalise the heap head: drop dead timer entries, migrate
+        re-armed ones to their current deadline, and return the live head
         (or ``None`` when drained)."""
         queue = self._queue
         heappop = heapq.heappop
         heappush = heapq.heappush
         while queue:
             head = queue[0]
-            handle = head[2]
-            if handle is None:  # posted events are always live
+            timer = head[2]
+            if timer is None:  # scheduled events are always live
                 return head
-            if type(handle) is ReusableTimer:
-                if head[3] != handle._generation:
-                    heappop(queue)
-                    self._cancelled_pending -= 1
-                    continue
-                deadline = handle._deadline
-                if deadline is None:
-                    heappop(queue)
-                    self._cancelled_pending -= 1
-                    handle._entry_time = None
-                    continue
-                if deadline > head[0]:
-                    # Re-armed later while in flight: migrate the entry.
-                    heappop(queue)
-                    heappush(
-                        queue,
-                        (deadline, next(self._sequence), handle, head[3]),
-                    )
-                    handle._entry_time = deadline
-                    continue
-            elif handle._cancelled:
+            if head[3] != timer._generation:
                 heappop(queue)
                 self._cancelled_pending -= 1
                 continue
+            deadline = timer._deadline
+            if deadline is None:
+                heappop(queue)
+                self._cancelled_pending -= 1
+                timer._entry_time = None
+                continue
+            if deadline > head[0]:
+                # Re-armed later while in flight: migrate the entry.
+                heappop(queue)
+                heappush(queue, (deadline, next(self._sequence), timer, head[3]))
+                timer._entry_time = deadline
+                continue
             return head
         return None
-
-    def _note_cancel(self) -> None:
-        """Account one newly-dead heap entry; compact when they pile up."""
-        self._cancelled_pending += 1
-        threshold = self._compaction_threshold
-        if (
-            threshold is not None
-            and len(self._queue) >= self._compaction_min_size
-            and self._cancelled_pending >= threshold * len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every dead entry and re-heapify, in place.
-
-        Removal cannot reorder live events: pop order is the total order
-        ``(time, sequence)``, which is independent of heap layout. The
-        sweep mutates ``self._queue`` in place because ``run()`` holds a
-        local alias to the list.
-        """
-        live: List[_QueueEntry] = []
-        for entry in self._queue:
-            handle = entry[2]
-            if type(handle) is ReusableTimer:
-                if entry[3] == handle._generation and handle._deadline is not None:
-                    live.append(entry)
-                elif entry[3] == handle._generation:
-                    handle._entry_time = None
-            elif handle is None or not handle._cancelled:
-                live.append(entry)
-        self._queue[:] = live
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self._compactions += 1

@@ -354,7 +354,6 @@ def observe_engine(registry: MetricsRegistry, engine: "SimulationEngine") -> Non
     registry.gauge("engine.events_processed").set(engine.events_processed)
     registry.gauge("engine.pending_events").set(engine.pending_events)
     registry.gauge("engine.queue_depth").set(engine.queue_depth)
-    registry.gauge("engine.compactions").set(engine.compactions)
 
 
 __all__ = [

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import ReusableTimer, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import Histogram, MetricsRegistry
 from repro.tape.profile import TapePowerProfile
 from repro.tape.sequencer import TapeSequencer
@@ -103,7 +103,7 @@ class TapeDrive:
         self._plan: Deque[Tuple[Request, float]] = deque()
         self._current: Optional[Tuple[Request, float]] = None
         self._current_seek_s = 0.0
-        self._unmount_timer: Optional[ReusableTimer] = None
+        self._unmount_timer = engine.timer(self._on_unmount_timeout)
         self._seek_histogram: Optional[Histogram] = None
         self._energy_histogram: Optional[Histogram] = None
         if registry is not None:
@@ -146,8 +146,7 @@ class TapeDrive:
         elif state is _LOADED:
             # Idle with a cartridge threaded: cancel the breakeven
             # unmount timer and plan a fresh batch immediately.
-            if self._unmount_timer is not None:
-                self._unmount_timer.cancel()
+            self._unmount_timer.cancel()
             self._advance()
         # MOUNTING / SEEKING / READING / UNMOUNTING: picked up when the
         # in-flight transition or service completes.
@@ -193,7 +192,9 @@ class TapeDrive:
             if not self._plan:
                 if not self._pending:
                     self._transition(_LOADED)
-                    self._arm_unmount_timer()
+                    self._unmount_timer.schedule_after(
+                        self.profile.mount_breakeven_time
+                    )
                     return
                 self._build_plan()
                 continue
@@ -270,17 +271,14 @@ class TapeDrive:
         if self._on_complete is not None:
             self._on_complete(request, self.completion_id, self._engine.now)
 
-    def _arm_unmount_timer(self) -> None:
-        timer = self._unmount_timer
-        if timer is None:
-            timer = self._unmount_timer = self._engine.timer(
-                self._on_unmount_timeout
-            )
-        timer.schedule_after(self.profile.mount_breakeven_time)
-
     def _on_unmount_timeout(self) -> None:
+        # Armed only on going LOADED with nothing queued; the one way out
+        # of that (an arrival) cancels it, so it can only fire in LOADED.
         if self._state is not _LOADED:
-            return  # a request slipped in and the cancel raced; ignore
+            raise SimulationError(
+                f"unmount timeout in state {self._state.value} on tape "
+                f"drive {self.drive_id}"
+            )
         if self._pending or self._plan:
             raise SimulationError(
                 "unmount timeout fired with queued tape requests"

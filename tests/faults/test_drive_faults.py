@@ -134,6 +134,9 @@ class TestRepair:
 
 
 class TestEpochGuard:
+    """A crash-stop cancels the disk's pending timers: nothing scheduled
+    before the failure fires into the post-crash state machine."""
+
     def test_stale_service_completion_dropped_across_fail(self) -> None:
         engine = SimulationEngine()
         disk, completions = make_disk(
@@ -164,6 +167,24 @@ class TestEpochGuard:
         engine.run(until=10.0 + TUP + 6.0)
         assert [r.request_id for r, _ in completions] == [1]
         assert completions[0][1] == pytest.approx(10.0 + TUP + 5.0)
+
+    @pytest.mark.parametrize("initial_state", ["idle", "standby"])
+    def test_fail_without_fault_injection_cancels_pending_events(
+        self, initial_state: str
+    ) -> None:
+        """``fail()`` needs no ``enable_fault_injection()``: the armed
+        service completion (IDLE disk) or spin-up completion (STANDBY
+        disk, failed mid-spin-up) must not fire after the crash."""
+        engine = SimulationEngine()
+        disk, completions = make_disk(
+            engine, service=1.0, initial_state=DiskPowerState(initial_state)
+        )
+        engine.schedule(0.0, lambda: disk.submit(req(0.0)))
+        engine.schedule(0.5, lambda: disk.fail(permanent=False))
+        engine.run(until=max(2.0, 2 * TUP))
+        assert completions == []
+        assert disk.state is DiskPowerState.STANDBY
+        assert engine.pending_events == 0
 
 
 class TestSpinUpFailures:

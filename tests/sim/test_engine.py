@@ -56,12 +56,19 @@ def test_negative_delay_rejected():
         engine.schedule_after(-0.1, lambda: None)
 
 
+def test_schedule_is_fire_and_forget():
+    engine = SimulationEngine()
+    assert engine.schedule(1.0, lambda: None) is None
+    assert engine.schedule_after(1.0, lambda: None) is None
+
+
 def test_cancelled_events_do_not_fire():
     engine = SimulationEngine()
     fired = []
-    handle = engine.schedule(1.0, lambda: fired.append("cancelled"))
+    timer = engine.timer(lambda: fired.append("cancelled"))
+    timer.schedule_at(1.0)
     engine.schedule(2.0, lambda: fired.append("kept"))
-    handle.cancel()
+    timer.cancel()
     engine.run()
     assert fired == ["kept"]
 
@@ -69,8 +76,9 @@ def test_cancelled_events_do_not_fire():
 def test_cancel_from_within_earlier_event():
     engine = SimulationEngine()
     fired = []
-    late = engine.schedule(5.0, lambda: fired.append("late"))
-    engine.schedule(1.0, lambda: late.cancel())
+    late = engine.timer(lambda: fired.append("late"))
+    late.schedule_at(5.0)
+    engine.schedule(1.0, late.cancel)
     engine.run()
     assert fired == []
 
@@ -106,31 +114,24 @@ def test_events_scheduled_during_run_are_processed():
     assert fired == ["first", "second"]
 
 
-def test_max_events_guard():
-    engine = SimulationEngine()
-
-    def forever():
-        engine.schedule_after(1.0, forever)
-
-    engine.schedule(0.0, forever)
-    with pytest.raises(SimulationError, match="max_events"):
-        engine.run(max_events=100)
-
-
-def test_step_returns_false_when_drained():
-    engine = SimulationEngine()
-    assert engine.step() is False
-    engine.schedule(1.0, lambda: None)
-    assert engine.step() is True
-    assert engine.step() is False
-
-
 def test_peek_time_skips_cancelled():
     engine = SimulationEngine()
-    handle = engine.schedule(1.0, lambda: None)
+    timer = engine.timer(lambda: None)
+    timer.schedule_at(1.0)
     engine.schedule(2.0, lambda: None)
-    handle.cancel()
+    timer.cancel()
     assert engine.peek_time() == 2.0
+
+
+def test_peek_time_reports_a_migrated_deadline():
+    engine = SimulationEngine()
+    timer = engine.timer(lambda: None)
+    timer.schedule_at(1.0)
+    timer.schedule_at(3.0)  # later: the 1.0 entry migrates on surfacing
+    engine.schedule(2.0, lambda: None)
+    assert engine.peek_time() == 2.0
+    engine.run(until=2.0)
+    assert engine.peek_time() == 3.0
 
 
 def test_events_processed_counter():
@@ -144,7 +145,8 @@ def test_events_processed_counter():
 def test_events_processed_excludes_cancelled():
     engine = SimulationEngine()
     engine.schedule(1.0, lambda: None)
-    cancelled = engine.schedule(2.0, lambda: None)
+    cancelled = engine.timer(lambda: None)
+    cancelled.schedule_at(2.0)
     engine.schedule(3.0, lambda: None)
     cancelled.cancel()
     engine.run()
@@ -154,8 +156,9 @@ def test_events_processed_excludes_cancelled():
 def test_events_processed_excludes_timer_cancelled_mid_run():
     """A timer cancelled by an earlier event never counts as processed."""
     engine = SimulationEngine()
-    late = engine.schedule(5.0, lambda: None)
-    engine.schedule(1.0, lambda: late.cancel())
+    late = engine.timer(lambda: None)
+    late.schedule_at(5.0)
+    engine.schedule(1.0, late.cancel)
     engine.run()
     assert engine.events_processed == 1
 
@@ -180,8 +183,10 @@ def test_run_not_reentrant():
 
 def test_pending_events_counts_only_live_events():
     engine = SimulationEngine()
-    keep = engine.schedule(1.0, lambda: None)
-    dead = engine.schedule(2.0, lambda: None)
+    keep = engine.timer(lambda: None)
+    keep.schedule_at(1.0)
+    dead = engine.timer(lambda: None)
+    dead.schedule_at(2.0)
     dead.cancel()
     assert engine.pending_events == 1
     assert engine.queue_depth == 2
@@ -204,81 +209,76 @@ def test_pending_events_counts_armed_timer_once():
 
 def test_double_cancel_counts_once():
     engine = SimulationEngine()
-    handle = engine.schedule(1.0, lambda: None)
+    timer = engine.timer(lambda: None)
+    timer.schedule_at(1.0)
     engine.schedule(2.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    timer.cancel()
+    timer.cancel()
     assert engine.pending_events == 1
 
 
-# -- max_events budget ------------------------------------------------------
-
-
-def test_max_events_allows_exactly_the_budget():
+def test_abandoned_entry_counts_as_dead():
     engine = SimulationEngine()
-    fired = []
-    for t in range(3):
-        engine.schedule(float(t), lambda t=t: fired.append(t))
-    engine.run(max_events=3)  # drains exactly at the budget: no error
-    assert fired == [0, 1, 2]
-
-
-def test_max_events_raises_before_the_budget_plus_one():
-    engine = SimulationEngine()
-    fired = []
-    for t in range(4):
-        engine.schedule(float(t), lambda t=t: fired.append(t))
-    with pytest.raises(SimulationError, match="max_events"):
-        engine.run(max_events=3)
-    # The 4th event was never processed; the clock stopped at the 3rd.
-    assert fired == [0, 1, 2]
-    assert engine.events_processed == 3
-    assert engine.now == 2.0
-
-
-def test_max_events_ignores_cancelled_entries():
-    engine = SimulationEngine()
-    handles = [engine.schedule(float(t), lambda: None) for t in range(5)]
-    for handle in handles[:4]:
-        handle.cancel()
-    engine.run(max_events=1)  # one live event left: exactly on budget
+    timer = engine.timer(lambda: None)
+    timer.schedule_at(9.0)
+    timer.schedule_at(1.0)  # earlier: the 9.0 entry is abandoned
+    assert engine.pending_events == 1
+    assert engine.queue_depth == 2
+    engine.run()
+    assert engine.pending_events == 0
+    assert engine.queue_depth == 0
     assert engine.events_processed == 1
 
 
-# -- post() -----------------------------------------------------------------
-
-
-def test_post_fires_in_order_with_scheduled_events():
+def test_abandoned_entry_never_carries_a_later_arm():
+    """An abandoned entry is dropped when it surfaces, even once the
+    timer is armed past it again: the live entry alone carries the
+    deadline, so ties order by when that entry was pushed."""
     engine = SimulationEngine()
     fired = []
-    engine.schedule(2.0, lambda: fired.append("handle"))
-    engine.post(1.0, lambda: fired.append("posted-early"))
-    engine.post(2.0, lambda: fired.append("posted-tie"))
+    timer = engine.timer(lambda: fired.append(("timer", engine.now)))
+    timer.schedule_at(5.0)
+    timer.schedule_at(1.0)  # abandons the 5.0 entry
+    engine.schedule(3.0, lambda: None)  # keeps the 5.0 entry off the head
+    engine.run(until=2.0)
+    timer.schedule_at(8.0)  # fresh entry; the abandoned one is still queued
+    timer.schedule_at(10.0)  # in place: the 8.0 entry migrates at t=8
+    engine.schedule(
+        6.0,
+        lambda: engine.schedule(10.0, lambda: fired.append(("event", 10.0))),
+    )
     engine.run()
-    # Ties at t=2.0 break by insertion order: schedule() came first.
-    assert fired == ["posted-early", "handle", "posted-tie"]
+    # The event at 10.0 was pushed at t=6, before the timer's entry
+    # migrated at t=8, so it fires first.
+    assert fired == [("timer", 1.0), ("event", 10.0), ("timer", 10.0)]
+    assert engine.pending_events == 0
 
 
-def test_post_rejects_past_times():
+# -- arrival stream ---------------------------------------------------------
+
+
+def test_arrival_fires_before_a_later_live_timer_behind_a_dead_head():
+    """A dormant head only underestimates the next live time; once it is
+    dropped, an arrival due before the live timer still fires first."""
     engine = SimulationEngine()
-    engine.schedule(5.0, lambda: None)
-    engine.run()
-    with pytest.raises(SimulationError):
-        engine.post(1.0, lambda: None)
-
-
-def test_posted_events_survive_compaction():
-    engine = SimulationEngine(compaction_min_size=4, compaction_threshold=0.25)
     fired = []
-    for t in range(8):
-        engine.post(float(t), lambda t=t: fired.append(t))
-    doomed = [engine.schedule(10.0 + t, lambda: None) for t in range(8)]
-    for handle in doomed:
-        handle.cancel()
-    assert engine.compactions >= 1
-    assert engine.pending_events == 8
-    engine.run()
-    assert fired == list(range(8))
+    dormant = engine.timer(lambda: fired.append("dormant"))
+    dormant.schedule_at(1.0)
+    dormant.cancel()
+    timer = engine.timer(lambda: fired.append("timer"))
+    timer.schedule_at(3.0)
+    engine.run(arrivals=([2.0, 3.0], ["a", "b"], fired.append))
+    # At t=3.0 the stream fires first, as preloaded events would.
+    assert fired == ["a", "b", "timer"]
+    assert engine.events_processed == 3
+
+
+def test_arrival_stream_stops_at_the_horizon():
+    engine = SimulationEngine()
+    fired = []
+    engine.run(until=1.5, arrivals=([1.0, 2.0], ["a", "b"], fired.append))
+    assert fired == ["a"]
+    assert engine.now == 1.5
 
 
 # -- ReusableTimer ----------------------------------------------------------
@@ -377,32 +377,3 @@ def test_timer_ties_respect_insertion_order():
     engine.schedule(2.0, lambda: fired.append("event"))
     engine.run()
     assert fired == ["timer", "event"]
-
-
-# -- compaction -------------------------------------------------------------
-
-
-def test_compaction_threshold_validation():
-    with pytest.raises(SimulationError):
-        SimulationEngine(compaction_threshold=0.0)
-    with pytest.raises(SimulationError):
-        SimulationEngine(compaction_threshold=1.5)
-    SimulationEngine(compaction_threshold=None)  # disabled is allowed
-
-
-def test_compaction_bounds_heap_under_cancel_churn():
-    engine = SimulationEngine(compaction_min_size=16)
-    for _ in range(2000):
-        engine.schedule(100.0, lambda: None).cancel()
-        assert engine.queue_depth <= 64
-    assert engine.compactions > 0
-    assert engine.pending_events == 0
-
-
-def test_compaction_disabled_lets_dead_entries_pile_up():
-    engine = SimulationEngine(compaction_threshold=None)
-    for _ in range(100):
-        engine.schedule(100.0, lambda: None).cancel()
-    assert engine.queue_depth == 100
-    assert engine.compactions == 0
-    assert engine.pending_events == 0

@@ -17,32 +17,37 @@ def schedules(draw):
             max_size=count,
         )
     )
-    cancel = draw(st.sets(st.integers(min_value=0, max_value=count), max_size=5))
+    cancel = draw(st.sets(st.integers(min_value=0, max_value=count), max_size=10))
     return times, cancel
 
 
 @given(data=schedules())
 @settings(max_examples=100, deadline=None)
 def test_fires_exactly_uncancelled_events_in_stable_time_order(data):
+    """Even tags are timers, odd tags plain events; only timers cancel."""
     times, cancel = data
     engine = SimulationEngine()
     fired = []
-    handles = []
+    timers = {}
     for tag, time in enumerate(times):
-        handles.append(
+        if tag % 2 == 0:
+            timers[tag] = engine.timer(lambda t=tag: fired.append(t))
+            timers[tag].schedule_at(time)
+        else:
             engine.schedule(time, lambda t=tag: fired.append(t))
-        )
-    for tag in cancel:
-        if tag < len(handles):
-            handles[tag].cancel()
+    cancelled = {tag for tag in cancel if tag in timers}
+    for tag in cancelled:
+        timers[tag].cancel()
+    assert engine.pending_events == len(times) - len(cancelled)
     engine.run()
 
     expected = [
         tag
         for tag, _time in sorted(enumerate(times), key=lambda kv: (kv[1], kv[0]))
-        if tag not in cancel
+        if tag not in cancelled
     ]
     assert fired == expected
+    assert engine.events_processed == len(expected)
 
 
 @given(data=schedules())

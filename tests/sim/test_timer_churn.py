@@ -1,14 +1,12 @@
-"""Timer-churn properties: bounded heap + compaction-invariant results.
+"""Timer-churn properties of :class:`~repro.sim.engine.ReusableTimer`.
 
-The 2CPM idle timer cancels and re-arms once per disk visit, which is
-the workload the :class:`~repro.sim.engine.ReusableTimer` and the heap
-compaction sweep exist for. These tests drive that pattern hard and
-assert the two engine-level guarantees the optimisation relies on:
+The 2CPM idle timer cancels and re-arms once per disk visit. These tests
+drive that pattern hard and check the two guarantees the disk relies on:
 
-* the heap stays bounded under arbitrary schedule/cancel churn when
-  compaction is on (dead entries cannot accumulate without limit);
-* the observable behaviour — firing order, firing times, events
-  processed — is byte-identical with compaction on, off, or aggressive.
+* timers behave exactly like a plain dict of deadlines — each armed
+  timer fires once at its latest deadline, a cancelled one never fires;
+* the heap holds at most one entry per timer when every re-arm moves the
+  deadline later (the 2CPM pattern), so cancel churn cannot grow it.
 """
 
 from hypothesis import given, settings
@@ -18,89 +16,82 @@ from repro.sim.engine import SimulationEngine
 
 #: Ops a churn script may apply to one timer.
 OP_ARM, OP_CANCEL, OP_ADVANCE = 0, 1, 2
+NUM_TIMERS = 8
 
 
 @st.composite
 def churn_scripts(draw):
-    """A sequence of (timer index, op, delay-seconds) churn steps."""
-    steps = draw(st.integers(min_value=1, max_value=120))
-    return draw(
+    """A fixed re-arm timeout (or ``None`` for free delays) and a list of
+    (timer index, op, delay-seconds) churn steps."""
+    timeout = draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=10.0)))
+    script = draw(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=7),
+                st.integers(min_value=0, max_value=NUM_TIMERS - 1),
                 st.integers(min_value=OP_ARM, max_value=OP_ADVANCE),
                 st.floats(min_value=0.0, max_value=10.0),
             ),
-            min_size=steps,
-            max_size=steps,
+            min_size=1,
+            max_size=120,
         )
     )
+    return timeout, script
 
 
-def _run_script(script, *, compaction_threshold, num_timers=8):
-    """Replay one churn script; returns (firing trace, max heap depth,
-    engine)."""
-    engine = SimulationEngine(
-        compaction_threshold=compaction_threshold, compaction_min_size=32
-    )
+@given(data=churn_scripts())
+@settings(max_examples=200, deadline=None)
+def test_timers_match_a_dict_of_deadlines(data):
+    timeout, script = data
+    engine = SimulationEngine()
     fired = []
     timers = [
         engine.timer(lambda i=i: fired.append((engine.now, i)))
-        for i in range(num_timers)
+        for i in range(NUM_TIMERS)
     ]
-    max_depth = 0
+    model = {}  # timer index -> deadline
+    expected = []
+    latest = {}  # timer index -> latest deadline ever armed
+    only_later = True
     for index, op, delay in script:
-        timer = timers[index]
         if op == OP_ARM:
-            timer.schedule_after(delay)
+            deadline = engine.now + (delay if timeout is None else timeout)
+            timers[index].schedule_at(deadline)
+            model[index] = deadline
+            if deadline < latest.get(index, deadline):
+                only_later = False
+            latest[index] = max(latest.get(index, deadline), deadline)
         elif op == OP_CANCEL:
-            timer.cancel()
+            timers[index].cancel()
+            model.pop(index, None)
         else:
-            engine.run(until=engine.now + delay)
-        if engine.queue_depth > max_depth:
-            max_depth = engine.queue_depth
+            until = engine.now + delay
+            due = [(t, i) for i, t in model.items() if t <= until]
+            expected.extend(due)
+            for _, i in due:
+                del model[i]
+            engine.run(until=until)
+        assert engine.pending_events == len(model)
+        for i, timer in enumerate(timers):
+            assert timer.deadline == model.get(i)
+        if only_later:
+            assert engine.queue_depth <= NUM_TIMERS
+    expected.extend((t, i) for i, t in model.items())
     engine.run()
-    return fired, max_depth, engine
-
-
-@given(script=churn_scripts())
-@settings(max_examples=100, deadline=None)
-def test_compaction_never_changes_behaviour(script):
-    """Firing trace and event count are identical with compaction on,
-    off, and hair-trigger aggressive."""
-    fired_off, _, engine_off = _run_script(script, compaction_threshold=None)
-    fired_on, _, engine_on = _run_script(script, compaction_threshold=0.5)
-    fired_hot, _, engine_hot = _run_script(script, compaction_threshold=0.01)
-    assert fired_on == fired_off == fired_hot
-    assert (
-        engine_on.events_processed
-        == engine_off.events_processed
-        == engine_hot.events_processed
-    )
-    assert engine_on.pending_events == 0
-    assert engine_off.pending_events == 0
-
-
-@given(script=churn_scripts())
-@settings(max_examples=100, deadline=None)
-def test_heap_stays_bounded_with_compaction(script):
-    """With compaction on, heap depth never exceeds the structural bound
-    ``max(compaction_min_size, 2 * live entries) + 1``: 8 timers own at
-    most 8 live entries, so depth must stay within the sweep trigger."""
-    _, max_depth, engine = _run_script(script, compaction_threshold=0.5)
-    assert max_depth <= 33  # max(min_size=32, 2 * 8 live) + 1 in-flight
+    # Equal deadlines may fire in either timer order; times never go back.
+    assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+    assert sorted(fired) == sorted(expected)
+    assert engine.events_processed == len(expected)
     assert engine.pending_events == 0
+    assert engine.queue_depth == 0
 
 
 def test_ten_thousand_timer_churn_is_bounded_and_deterministic():
-    """The ISSUE's acceptance workload: 10k 2CPM-style timers, repeated
-    arm-far / cancel-half / re-arm-earlier rounds. Earlier re-arms
-    abandon heap entries, so without compaction the heap grows every
-    round; with the default engine it must stay within the structural
-    2x bound, with identical firings either way."""
+    """10k 2CPM-style timers over repeated arm / cancel-half /
+    re-arm-later rounds: one heap entry per timer at most, every armed
+    timer fires once, and two runs fire identically."""
 
-    def churn(compaction_threshold):
-        engine = SimulationEngine(compaction_threshold=compaction_threshold)
+    def churn():
+        engine = SimulationEngine()
         fired = []
         timers = [
             engine.timer(lambda i=i: fired.append((engine.now, i)))
@@ -110,26 +101,22 @@ def test_ten_thousand_timer_churn_is_bounded_and_deterministic():
         for _ in range(4):
             base_s = engine.now
             for offset, timer in enumerate(timers):
-                timer.schedule_at(base_s + 50.0 + offset * 1e-4)
+                timer.schedule_at(base_s + 1.0 + offset * 1e-4)
             for timer in timers[::2]:
                 timer.cancel()
+            max_depth = max(max_depth, engine.queue_depth)
             for offset, timer in enumerate(timers):
                 if offset % 2 == 0:
-                    # Earlier than the in-heap entry: forces a fresh push.
-                    timer.schedule_at(base_s + 1.0 + offset * 1e-4)
-            if engine.queue_depth > max_depth:
-                max_depth = engine.queue_depth
-            engine.run(until=base_s + 2.0)
+                    # Later than the dormant entry: reuses it in place.
+                    timer.schedule_at(base_s + 1.5 + offset * 1e-4)
+            max_depth = max(max_depth, engine.queue_depth)
+            engine.run(until=base_s + 3.0)
         engine.run()
         assert engine.pending_events == 0
-        return fired, max_depth, engine.compactions
+        return fired, max_depth
 
-    fired_on, depth_on, compactions_on = churn(0.5)
-    fired_off, depth_off, _ = churn(None)
-    assert fired_on == fired_off
-    assert compactions_on > 0
-    # Live entries never exceed 10k (one per armed timer), so the 0.5
-    # threshold caps the heap at ~2x that; without compaction the four
-    # rounds of abandoned entries pile higher.
-    assert depth_on <= 2 * 10_000 + 1
-    assert depth_off > depth_on
+    fired, depth = churn()
+    assert depth <= 10_000
+    assert len(fired) == 4 * 10_000
+    assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+    assert churn() == (fired, depth)

@@ -188,7 +188,11 @@ DEFAULT_SERIALISATION_FUNCTIONS: FrozenSet[str] = frozenset(
         "as_json",
         "to_json",
         "document",
+        "bench_document",
+        "run_bench",
         "serve_document",
+        "shard_document",
+        "sharded_document",
         "render",
         "summary",
     }

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.checks.cli import add_lint_arguments, run_lint_args
@@ -38,6 +38,9 @@ from repro.experiments import common, run_figure
 from repro.experiments.figures import FIGURES
 from repro.experiments.headline import headline_claims
 from repro.power.profile import PAPER_EVAL, PROFILES, get_profile
+
+if TYPE_CHECKING:  # pragma: no cover - the serving stack is imported lazily
+    from repro.serve import LoadgenConfig, ServiceConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,20 +447,43 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_configs(
+    args: argparse.Namespace, policy: str
+) -> Tuple["ServiceConfig", "LoadgenConfig"]:
+    """The serving session and the load the ``serve`` flags describe —
+    one session per shard when ``--shards > 1``."""
+    from repro.serve import LoadgenConfig, ServiceConfig
+
+    service = ServiceConfig(
+        policy=policy,
+        num_disks=args.disks,
+        replication_factor=args.replication,
+        seed=args.seed,
+        queue_limit=args.queue_limit,
+        client_rate_per_s=args.client_rate,
+        window_s=args.window,
+        max_batch=args.max_batch,
+    )
+    load = LoadgenConfig(
+        num_requests=args.requests,
+        rate_per_s=args.rate,
+        num_clients=args.clients,
+        arrival=args.arrival,
+        loop=args.loop,
+        seed=args.seed,
+    )
+    return service, load
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     """Run one serving session per requested policy, write the reports."""
     # Imported lazily: the serving stack is only needed here.
     import asyncio
+    import time
 
-    from repro.serve import (
-        LoadgenConfig,
-        SchedulingService,
-        ServiceConfig,
-        run_load,
-        serve_document,
-        virtual_run,
-        write_serve_document,
-    )
+    from repro.experiments.harness.schema import write_document
+    from repro.perf.profiler import peak_rss_bytes
+    from repro.serve import serve_session, virtual_run
 
     policies = (
         ("online", "micro-batch") if args.policy == "both" else (args.policy,)
@@ -481,51 +507,28 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
         return 2
     for policy in policies:
-        service = SchedulingService(
-            ServiceConfig(
-                policy=policy,
-                num_disks=args.disks,
-                replication_factor=args.replication,
-                seed=args.seed,
-                queue_limit=args.queue_limit,
-                client_rate_per_s=args.client_rate,
-                window_s=args.window,
-                max_batch=args.max_batch,
-            )
+        config, load = _serve_configs(args, policy)
+        session = serve_session(
+            config, load, args.drain_grace, virtual_clock=not args.wall
         )
-        load = LoadgenConfig(
-            num_requests=args.requests,
-            rate_per_s=args.rate,
-            num_clients=args.clients,
-            arrival=args.arrival,
-            loop=args.loop,
-            seed=args.seed,
-        )
-
-        async def session() -> None:
-            result = await run_load(service, load, drain_grace_s=args.drain_grace)
-            document = serve_document(
-                service, load, result, virtual_clock=not args.wall
-            )
-            name = policy.replace("-", "_")
-            path = write_serve_document(
-                document, output_dir / f"SERVE_{name}.json"
-            )
-            metrics = document["result"]["metrics"]
-            response = metrics["histograms"]["response_s"]
-            print(f"wrote {path}")
-            print(
-                f"  {policy}: {result.completed}/{result.offered} completed, "
-                f"{result.rejected} rejected, "
-                f"{metrics['gauges']['energy.joules']:.0f} J, "
-                f"p95 {response['p95']:.3f}s, "
-                f"{document['wall_clock_s']:.1f} virtual s"
-            )
-
         if args.wall:
-            asyncio.run(session())
+            result, document = asyncio.run(session)
+            document["created_unix"] = time.time()
+            document["peak_rss_bytes"] = peak_rss_bytes()
         else:
-            virtual_run(session())
+            result, document = virtual_run(session)
+        name = policy.replace("-", "_")
+        path = write_document(document, output_dir / f"SERVE_{name}.json")
+        metrics = document["result"]["metrics"]
+        response = metrics["histograms"]["response_s"]
+        print(f"wrote {path}")
+        print(
+            f"  {policy}: {result.completed}/{result.offered} completed, "
+            f"{result.rejected} rejected, "
+            f"{metrics['gauges']['energy.joules']:.0f} J, "
+            f"p95 {response['p95']:.3f}s, "
+            f"{document['wall_clock_s']:.1f} virtual s"
+        )
     return 0
 
 
@@ -540,8 +543,7 @@ def _run_serve_sharded(
     path, so CI's byte-compare determinism checks work unchanged.
     """
     from repro.errors import ConfigurationError
-    from repro.serve.loadgen import LoadgenConfig
-    from repro.serve.reporting import write_serve_document
+    from repro.experiments.harness.schema import write_document
     from repro.serve.shard import (
         ShardHang,
         ShardKill,
@@ -590,25 +592,12 @@ def _run_serve_sharded(
         return 2
     status = 0
     for policy in policies:
+        service, load = _serve_configs(args, policy)
         config = ShardedServiceConfig(
-            policy=policy,
+            service=service,
             num_shards=args.shards,
-            num_disks=args.disks,
-            replication_factor=args.replication,
             shard_replication_factor=args.replication_factor,
-            seed=args.seed,
-            queue_limit=args.queue_limit,
-            client_rate_per_s=args.client_rate,
-            window_s=args.window,
-            max_batch=args.max_batch,
             drain_grace_s=args.drain_grace,
-        )
-        load = LoadgenConfig(
-            num_requests=args.requests,
-            rate_per_s=args.rate,
-            num_clients=args.clients,
-            arrival=args.arrival,
-            seed=args.seed,
         )
         run = run_sharded(
             config,
@@ -620,7 +609,7 @@ def _run_serve_sharded(
         )
         document = sharded_document(config, load, run)
         name = policy.replace("-", "_")
-        path = write_serve_document(document, output_dir / f"SERVE_{name}.json")
+        path = write_document(document, output_dir / f"SERVE_{name}.json")
         outcome = document["result"]["outcome"]
         print(f"wrote {path}")
         print(

@@ -17,7 +17,6 @@ user-facing entry points.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -43,7 +42,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.harness.cache import RunCache
 from repro.experiments.harness.runner import SweepOutcome, SweepRunner
-from repro.experiments.harness.schema import BENCH_SCHEMA, validate_bench_payload
+from repro.experiments.harness.schema import bench_document, validate_bench_payload, write_document
 from repro.experiments.headline import headline_cells, headline_claims
 from repro.experiments.serve_scale import run_serve_scale
 from repro.experiments.serve_sweep import run_serve_sweep
@@ -310,28 +309,26 @@ def run_bench(
     wall_clock_s = time.perf_counter() - started
 
     events = outcome.events_processed + extra_events
-    payload: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "bench": bench_id,
-        "created_unix": time.time(),
-        "scale": common.SCALE,
-        "mwis_scale": common.MWIS_SCALE,
-        "seed": common.BASE_SEED,
-        "jobs": jobs,
-        "wall_clock_s": wall_clock_s,
-        "events_processed": events,
-        "events_per_sec": events / wall_clock_s if wall_clock_s > 0 else 0.0,
-        "peak_rss_bytes": peak_rss_bytes(),
-        "cache": {
+    payload = bench_document(
+        bench_id,
+        scale=common.SCALE,
+        mwis_scale=common.MWIS_SCALE,
+        seed=common.BASE_SEED,
+        jobs=jobs,
+        wall_clock_s=wall_clock_s,
+        events_processed=events,
+        created_unix=time.time(),
+        peak_rss_bytes=peak_rss_bytes(),
+        cache={
             "enabled": cache.enabled,
             "hits": outcome.cache_hits,
             "misses": outcome.cache_misses,
             "corrupt": outcome.cache_corrupt,
             "hit_rate": outcome.hit_rate,
         },
-        "points": _point_payload(outcome),
-        "result": result,
-    }
+        points=_point_payload(outcome),
+        result=result,
+    )
     violations = validate_bench_payload(payload)
     if violations:
         raise ConfigurationError(
@@ -340,10 +337,7 @@ def run_bench(
         )
     directory = Path(output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{bench_id}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path = write_document(payload, directory / f"BENCH_{bench_id}.json")
     return payload, path
 
 

@@ -1,20 +1,79 @@
-"""The versioned ``BENCH_<name>.json`` schema and its validator.
+"""The versioned ``BENCH_<name>.json`` schema: builder, writer, validator.
 
-Every ``repro-storage bench`` invocation emits one machine-readable
-document recording what was run and what it cost — the repo's perf
-trajectory.  The validator is deliberately dependency-free (no
-jsonschema) and returns a list of human-readable violations so CI can
-fail loudly on a malformed document.
+Every ``repro-storage bench`` invocation and every serve session emits
+one machine-readable document recording what was run and what it cost —
+the repo's perf trajectory — assembled by :func:`bench_document` and
+written by :func:`write_document`. The validator is deliberately
+dependency-free (no jsonschema) and returns a list of human-readable
+violations so CI can fail loudly on a malformed document.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Any, List, Mapping, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: Current document schema identifier.
 BENCH_SCHEMA = "repro-bench/1"
+
+#: The ``cache`` block of a run that used no run cache.
+_NO_CACHE = {"enabled": False, "hits": 0, "misses": 0, "corrupt": 0, "hit_rate": 0.0}
+
+
+def bench_document(
+    bench: str,
+    *,
+    scale: float,
+    seed: int,
+    wall_clock_s: float,
+    events_processed: int,
+    result: Dict[str, Any],
+    mwis_scale: float = 1.0,
+    jobs: int = 1,
+    created_unix: float = 0.0,
+    peak_rss_bytes: Optional[int] = None,
+    cache: Optional[Dict[str, Any]] = None,
+    points: Sequence[Dict[str, Any]] = (),
+) -> Dict[str, Any]:
+    """Assemble one ``repro-bench/1`` document. The defaults are the
+    wall-free stand-ins of a virtual-clock serve report."""
+    return {
+        "schema": BENCH_SCHEMA,
+        "bench": bench,
+        "created_unix": created_unix,
+        "scale": scale,
+        "mwis_scale": mwis_scale,
+        "seed": seed,
+        "jobs": jobs,
+        "wall_clock_s": wall_clock_s,
+        "events_processed": events_processed,
+        "events_per_sec": events_processed / wall_clock_s if wall_clock_s > 0 else 0.0,
+        "peak_rss_bytes": peak_rss_bytes,
+        "cache": dict(_NO_CACHE) if cache is None else cache,
+        "points": list(points),
+        "result": result,
+    }
+
+
+def document_json(document: Mapping[str, Any]) -> str:
+    """The byte-stable file form: sorted keys, two-space indent, final
+    newline (the compact cache-key form is ``serialize.canonical_json``)."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def document_digest(document: Mapping[str, Any]) -> str:
+    """SHA-256 of :func:`document_json` — what the report pins record."""
+    return hashlib.sha256(document_json(document).encode("utf-8")).hexdigest()
+
+
+def write_document(document: Mapping[str, Any], path: Union[str, Path]) -> Path:
+    """Write ``document`` to ``path`` in its :func:`document_json` form."""
+    target = Path(path)
+    target.write_text(document_json(document), encoding="utf-8")
+    return target
+
 
 _NUMBER: Tuple[type, ...] = (int, float)
 _Kinds = Union[type, Tuple[type, ...]]

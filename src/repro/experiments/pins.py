@@ -23,11 +23,11 @@ from repro.experiments.fault_sweep import fault_sweep_cells
 from repro.experiments.figures import energy_cells
 from repro.experiments.harness import RunSpec, canonical_json, execute_spec
 from repro.experiments.harness.bench import ablation_result_payload
+from repro.experiments.harness.schema import document_digest
 from repro.experiments.harness.serialize import sha256_hex
 from repro.experiments.tape_tier import run_tape_tier
-from repro.serve.loadgen import LoadgenConfig
+from repro.serve import LoadgenConfig, ServiceConfig, serve_session, virtual_run
 from repro.serve.shard import ShardedServiceConfig, run_sharded, sharded_document
-from repro.serve.shard.reporting import document_digest
 
 #: fig6 smoke cell: the cell sizes bench-smoke runs.
 FIG6_SCALE = 0.05
@@ -41,16 +41,21 @@ FAULT_SWEEP_SEED = 1
 TAPE_SCALE = 0.05
 TAPE_SEED = 11
 
+#: CI's serve smoke (``repro-storage serve --policy both --requests 1000
+#: --rate 100 --seed 3``), one pin per policy, with the CLI defaults it
+#: relies on (18 disks, 1 s window, 8 clients, 2 s drain grace) spelled out.
+SERVE_SMOKE_CONFIG = ServiceConfig(num_disks=18, replication_factor=3, seed=3, window_s=1.0)
+SERVE_SMOKE_LOAD = LoadgenConfig(num_requests=1_000, rate_per_s=100.0, num_clients=8, seed=3)
+SERVE_SMOKE_DRAIN_GRACE_S = 2.0
+
 #: The sharded smoke deployment. ``window_s`` pins the CLI's default so
 #: CI can run the real ``repro-storage serve --shards 2`` with no extra
 #: flags and check its output against the same pin file.
 SHARD_SMOKE_CONFIG = ShardedServiceConfig(
-    policy="online",
+    service=ServiceConfig(
+        policy="online", num_disks=18, replication_factor=3, seed=5, window_s=1.0
+    ),
     num_shards=2,
-    num_disks=18,
-    replication_factor=3,
-    seed=5,
-    window_s=1.0,
 )
 #: The replicated smoke: same fleet and load, three shards holding every
 #: data id on two of them. No faults are injected, so the pin shows that
@@ -99,6 +104,16 @@ def shard_document(config: ShardedServiceConfig) -> Dict[str, Any]:
     return sharded_document(config, SHARD_SMOKE_LOAD, run)
 
 
+def serve_smoke_document(policy: str) -> Dict[str, Any]:
+    """Report of one serve-smoke session under the virtual clock."""
+    session = serve_session(
+        replace(SERVE_SMOKE_CONFIG, policy=policy),
+        SERVE_SMOKE_LOAD,
+        SERVE_SMOKE_DRAIN_GRACE_S,
+    )
+    return virtual_run(session)[1]
+
+
 @dataclass(frozen=True)
 class Pin:
     """One committed digest and the producer that recomputes it."""
@@ -118,6 +133,14 @@ PINS: Dict[str, Pin] = {
     ),
     "tape_tier": Pin(
         Path("tests/tape/data/tape_smoke.sha256"), tape_tier_digest
+    ),
+    "serve_online": Pin(
+        Path("tests/serve/data/serve_online.sha256"),
+        lambda: document_digest(serve_smoke_document("online")),
+    ),
+    "serve_micro_batch": Pin(
+        Path("tests/serve/data/serve_micro_batch.sha256"),
+        lambda: document_digest(serve_smoke_document("micro-batch")),
     ),
     "shard_smoke": Pin(
         Path("tests/serve/data/shard_smoke.sha256"),

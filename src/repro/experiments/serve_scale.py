@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.ablations import AblationResult, Panel
 from repro.serve.loadgen import LoadgenConfig, tally_outcomes
-from repro.serve.service import POLICIES
+from repro.serve.service import POLICIES, ServiceConfig
 from repro.serve.shard import ShardKill, ShardedServiceConfig, run_sharded
 
 #: Deployment widths of the sweep columns.
@@ -97,6 +97,9 @@ def run_serve_scale(
     )
     events = 0
     for policy in POLICIES:
+        service = ServiceConfig(
+            policy=policy, num_disks=SCALE_DISKS, num_data=SCALE_DATA, seed=seed
+        )
         load = LoadgenConfig(
             num_requests=num_requests,
             rate_per_s=SCALE_RATE_PER_S,
@@ -114,11 +117,7 @@ def run_serve_scale(
             fractions = []
             for num_shards in shard_counts:
                 config = ShardedServiceConfig(
-                    policy=policy,
-                    num_shards=num_shards,
-                    num_disks=SCALE_DISKS,
-                    num_data=SCALE_DATA,
-                    seed=seed,
+                    service=service, num_shards=num_shards
                 )
                 run = run_sharded(config, load, multiprocess=multiprocess)
                 events += run.events_processed
@@ -149,12 +148,9 @@ def run_serve_scale(
         degraded_avail_column: List[float] = []
         for num_shards in degraded_counts:
             config = ShardedServiceConfig(
-                policy=policy,
+                service=service,
                 num_shards=num_shards,
-                num_disks=SCALE_DISKS,
-                num_data=SCALE_DATA,
                 shard_replication_factor=2,
-                seed=seed,
             )
             # Fell the last shard halfway through the schedule; its
             # whole keyspace must ride the replicas from then on.

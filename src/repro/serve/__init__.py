@@ -23,7 +23,7 @@ from repro.serve.loadgen import (
     run_load,
     run_open_loop,
 )
-from repro.serve.reporting import serve_document, write_serve_document
+from repro.serve.reporting import serve_document, serve_session
 from repro.serve.service import (
     POLICIES,
     POLICY_MICRO_BATCH,
@@ -53,6 +53,6 @@ __all__ = [
     "run_load",
     "run_open_loop",
     "serve_document",
+    "serve_session",
     "virtual_run",
-    "write_serve_document",
 ]

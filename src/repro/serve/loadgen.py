@@ -22,13 +22,14 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.placement.zipf import ZipfSampler
 from repro.serve.admission import LEGACY_REASONS, Completed, Outcome, Rejected
 from repro.serve.service import SchedulingService
 from repro.traces.synthetic import ArrivalProcess, MMPPArrivals, PoissonArrivals
+from repro.types import DataId
 
 #: Arrival shapes the CLI exposes.
 ARRIVAL_POISSON = "poisson"
@@ -133,11 +134,7 @@ class LoadResult:
 
 
 def tally_outcomes(outcomes: Sequence[Outcome]) -> LoadResult:
-    """Public tally over any outcome sequence (the sharded router's merge)."""
-    return _tally(list(outcomes))
-
-
-def _tally(outcomes: List[Outcome]) -> LoadResult:
+    """Tally any outcome sequence (a session's, or the router's merge)."""
     completed = sum(1 for o in outcomes if isinstance(o, Completed))
     # Legacy reasons are always present (reports have pinned digests
     # that include their zeros); reasons added for cross-shard failover
@@ -180,25 +177,33 @@ def open_loop_schedule(
     ]
 
 
-async def run_open_loop(
-    service: SchedulingService, config: LoadgenConfig
-) -> LoadResult:
-    """Fire requests at precomputed instants, independent of responses.
-
-    Arrival times come from the configured process; data ids from a Zipf
-    sampler over the service's data population; client ids round-robin.
-    Each submission runs as its own task so slow responses never delay
-    later arrivals (the defining property of an open loop).
-    """
-    schedule = open_loop_schedule(config, service.config.num_data)
+async def submit_schedule(
+    service: SchedulingService, schedule: Iterable[Tuple[float, str, DataId]]
+) -> List[Outcome]:
+    """Fire each ``(arrival_s, client_id, data_id)`` at its instant and
+    return the outcomes in schedule order. Each submission runs as its
+    own task so slow responses never delay later arrivals (the defining
+    property of an open loop); ``schedule`` may be lazy."""
     clock = service.clock
     loop = asyncio.get_running_loop()
     tasks: "List[asyncio.Task[Outcome]]" = []
     for arrival_s, client_id, data_id in schedule:
         await clock.sleep_until(arrival_s)
         tasks.append(loop.create_task(service.submit(client_id, data_id)))
-    outcomes = list(await asyncio.gather(*tasks))
-    return _tally(outcomes)
+    return list(await asyncio.gather(*tasks))
+
+
+async def run_open_loop(
+    service: SchedulingService, config: LoadgenConfig
+) -> LoadResult:
+    """Fire requests at precomputed instants, independent of responses.
+
+    Arrival times come from the configured process; data ids from a Zipf
+    sampler over the service's data population; client ids round-robin
+    (:func:`open_loop_schedule`).
+    """
+    schedule = open_loop_schedule(config, service.config.num_data)
+    return tally_outcomes(await submit_schedule(service, schedule))
 
 
 async def run_closed_loop(
@@ -236,7 +241,7 @@ async def run_closed_loop(
     outcomes = [
         outcome for client in per_client_outcomes for outcome in client
     ]
-    return _tally(outcomes)
+    return tally_outcomes(outcomes)
 
 
 async def run_load(
@@ -270,5 +275,6 @@ __all__ = [
     "run_closed_loop",
     "run_load",
     "run_open_loop",
+    "submit_schedule",
     "tally_outcomes",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.serve.admission import Outcome
-from repro.types import DEFAULT_REQUEST_BYTES, DataId
+from repro.types import DataId
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,12 @@ class ShardRequest:
             over a queue or from an in-process generator.
         client_id: Submitting client identity.
         data_id: Requested data item (owned by this shard).
-        size_bytes: Request payload size.
     """
 
     index: int
     arrival_s: float
     client_id: str
     data_id: DataId
-    size_bytes: int = DEFAULT_REQUEST_BYTES
 
 
 @dataclass(frozen=True)

@@ -11,29 +11,18 @@ multiprocess execution paths. ``wall_clock_s`` records elapsed
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.experiments.harness.schema import BENCH_SCHEMA
+from repro.experiments.harness.schema import bench_document, document_digest
 from repro.serve.admission import Completed, Rejected, RejectReason
 from repro.serve.loadgen import LoadgenConfig, LoadResult, tally_outcomes
+from repro.serve.reporting import load_block, outcome_block, service_block, session_document
 from repro.serve.service import SchedulingService
 from repro.serve.shard.topology import ShardSpec, ShardedServiceConfig
 from repro.sim.metrics import MetricsRegistry, merge_dumps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (router imports us)
     from repro.serve.shard.router import ShardedRunResult
-
-
-def canonical_json(document: Dict[str, Any]) -> str:
-    """The byte-stable serialisation every digest in this PR pins."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def document_digest(document: Dict[str, Any]) -> str:
-    """SHA-256 of the canonical serialisation."""
-    return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
 
 
 def shard_document(
@@ -46,59 +35,19 @@ def shard_document(
     unsharded run over the same sub-fleet — hence no wall readings and
     ``created_unix = 0.0``.
     """
-    config = spec.service
-    backend = service.backend
-    elapsed_s = service.clock.now
-    snapshot = service.metrics_snapshot()
-    events = backend.events_processed
-    return {
-        "schema": BENCH_SCHEMA,
-        "bench": f"serve-shard:{config.policy}:s{spec.shard_id:02d}",
-        "created_unix": 0.0,
-        "scale": float(max(result.offered, 1)),
-        "mwis_scale": 1.0,
-        "seed": config.seed,
-        "jobs": 1,
-        "wall_clock_s": elapsed_s,
-        "events_processed": events,
-        "events_per_sec": events / elapsed_s if elapsed_s > 0 else 0.0,
-        "peak_rss_bytes": None,
-        "cache": {
-            "enabled": False,
-            "hits": 0,
-            "misses": 0,
-            "corrupt": 0,
-            "hit_rate": 0.0,
+    return session_document(
+        f"serve-shard:{spec.service.policy}:s{spec.shard_id:02d}",
+        service,
+        float(max(result.offered, 1)),
+        shard={
+            "shard_id": spec.shard_id,
+            "num_shards_hint": None,
+            "data_ids_owned": len(spec.data_ids),
+            "global_disk_ids": list(spec.global_disk_ids),
         },
-        "points": [],
-        "result": {
-            "shard": {
-                "shard_id": spec.shard_id,
-                "num_shards_hint": None,
-                "data_ids_owned": len(spec.data_ids),
-                "global_disk_ids": list(spec.global_disk_ids),
-            },
-            "service": {
-                "policy": config.policy,
-                "num_disks": config.num_disks,
-                "replication_factor": config.replication_factor,
-                "num_data": config.num_data,
-                "queue_limit": config.queue_limit,
-                "client_rate_per_s": config.client_rate_per_s,
-                "window_s": config.window_s,
-                "max_batch": config.max_batch,
-                "virtual_clock": True,
-            },
-            "outcome": {
-                "offered": result.offered,
-                "completed": result.completed,
-                "rejected": result.rejected,
-                "rejected_by_reason": dict(result.rejected_by_reason),
-                "completed_fraction": result.completed_fraction,
-            },
-            "metrics": snapshot,
-        },
-    }
+        service=service_block(spec.service, virtual_clock=True),
+        outcome=outcome_block(result),
+    )
 
 
 def sharded_document(
@@ -124,15 +73,15 @@ def sharded_document(
     topology and the chaos script; wall-clock recovery measurements
     (downtime, spawn attempts) stay on :class:`RecoveryReport`.
     """
-    tally = tally_outcomes(run.outcomes)
+    service = config.service
     merged = merge_dumps([r.registry_dump for r in run.shard_results])
     _fold_router_counters(merged, run)
     deployment: Dict[str, Any] = {
-        "policy": config.policy,
+        "policy": service.policy,
         "num_shards": config.num_shards,
-        "num_disks": config.num_disks,
-        "replication_factor": config.replication_factor,
-        "num_data": config.num_data,
+        "num_disks": service.num_disks,
+        "replication_factor": service.replication_factor,
+        "num_data": service.num_data,
         "vnodes": config.vnodes,
         "virtual_clock": True,
     }
@@ -150,70 +99,38 @@ def sharded_document(
             "requests_replayed": run.requests_replayed,
             "requests_failed_over": len(run.failed_over_indices),
         }
-    elapsed_s = max(
-        (r.virtual_elapsed_s for r in run.shard_results), default=0.0
-    )
-    events = sum(r.events_processed for r in run.shard_results)
-    shards: List[Dict[str, Any]] = []
-    for result in run.shard_results:  # shard_results is in shard-id order
-        shards.append(
-            {
-                "shard_id": result.shard_id,
-                "offered": len(result.indices),
-                "completed": sum(
-                    1 for o in result.outcomes if o.accepted
-                ),
-                "events_processed": result.events_processed,
-                "virtual_elapsed_s": result.virtual_elapsed_s,
-                "document_sha256": document_digest(result.document),
-            }
-        )
-    return {
-        "schema": BENCH_SCHEMA,
-        "bench": f"serve-sharded:{config.policy}",
-        "created_unix": 0.0,
-        "scale": float(load.num_requests),
-        "mwis_scale": 1.0,
-        "seed": config.seed,
-        "jobs": config.num_shards,
-        "wall_clock_s": elapsed_s,
-        "events_processed": events,
-        "events_per_sec": events / elapsed_s if elapsed_s > 0 else 0.0,
-        "peak_rss_bytes": None,
-        "cache": {
-            "enabled": False,
-            "hits": 0,
-            "misses": 0,
-            "corrupt": 0,
-            "hit_rate": 0.0,
-        },
-        "points": [],
-        "result": {
+    return bench_document(
+        f"serve-sharded:{service.policy}",
+        scale=float(load.num_requests),
+        seed=service.seed,
+        jobs=config.num_shards,
+        wall_clock_s=max(
+            (r.virtual_elapsed_s for r in run.shard_results), default=0.0
+        ),
+        events_processed=sum(r.events_processed for r in run.shard_results),
+        result={
             "deployment": deployment,
-            "load": {
-                "num_requests": load.num_requests,
-                "rate_per_s": load.rate_per_s,
-                "num_clients": load.num_clients,
-                "arrival": load.arrival,
-                "loop": load.loop,
-                "seed": load.seed,
-            },
-            "outcome": {
-                "offered": tally.offered,
-                "completed": tally.completed,
-                "rejected": tally.rejected,
-                "rejected_by_reason": dict(tally.rejected_by_reason),
-                "completed_fraction": tally.completed_fraction,
-            },
+            "load": load_block(load),
+            "outcome": outcome_block(tally_outcomes(run.outcomes)),
             "chaos": {
                 "shards_down": list(run.shards_down),
                 "requests_lost": run.requests_lost,
             },
-            "shards": shards,
+            "shards": [
+                {
+                    "shard_id": result.shard_id,
+                    "offered": len(result.indices),
+                    "completed": sum(1 for o in result.outcomes if o.accepted),
+                    "events_processed": result.events_processed,
+                    "virtual_elapsed_s": result.virtual_elapsed_s,
+                    "document_sha256": document_digest(result.document),
+                }
+                for result in run.shard_results  # shard-id order
+            ],
             "metrics": merged.snapshot(),
             **extra,
         },
-    }
+    )
 
 
 def _fold_router_counters(
@@ -268,8 +185,6 @@ def _fold_router_counters(
 
 
 __all__ = [
-    "canonical_json",
-    "document_digest",
     "shard_document",
     "sharded_document",
 ]

@@ -204,7 +204,7 @@ def plan_messages(
             "sharded serving routes a precomputed open-loop schedule; "
             f"closed-loop sessions are single-process only (got {load.loop!r})"
         )
-    schedule = open_loop_schedule(load, config.num_data)
+    schedule = open_loop_schedule(load, config.service.num_data)
     return [
         ShardRequest(
             index=index,
@@ -433,7 +433,7 @@ def _run_serial(
     owners: Sequence[int],
 ) -> _RunOutput:
     """Reference path: each shard session runs in-process, shard order."""
-    per_shard: Dict[int, List[Optional[ShardRequest]]] = {
+    per_shard: Dict[int, List[ShardRequest]] = {
         spec.shard_id: [] for spec in specs
     }
     for message, owner in zip(messages, owners):
@@ -492,13 +492,15 @@ def _run_multiprocess(
         slots[message.index] = _terminal_outcome(message, reason)
         lost += 1
 
+    def first_live(chain: Tuple[int, ...]) -> Optional[int]:
+        """The first live shard in a replica chain, or ``None``."""
+        return next((shard for shard in chain if supervisor.is_live(shard)), None)
+
     def route(message: ShardRequest) -> None:
         """Send one request to the first usable shard in replica order."""
         chain = replicas[message.data_id]
         primary = chain[0]
-        target = next(
-            (shard for shard in chain if supervisor.is_live(shard)), None
-        )
+        target = first_live(chain)
         if target is None:
             # No live replica. Park on a holder that will be restarted
             # (scripted recovery, or barrier restart when supervising)
@@ -538,10 +540,7 @@ def _run_multiprocess(
         outbox = supervisor.outbox(victim)
         supervisor.drop_outbox(victim)
         for message in outbox:
-            chain = replicas[message.data_id]
-            target = next(
-                (shard for shard in chain if supervisor.is_live(shard)), None
-            )
+            target = first_live(replicas[message.data_id])
             if target is None:
                 if supervise:
                     # Park back on the victim; its barrier restart

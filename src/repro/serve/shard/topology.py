@@ -36,12 +36,12 @@ A sharded deployment is a pure function of one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.placement.catalog import PlacementCatalog
-from repro.serve.service import POLICIES, POLICY_ONLINE, ServiceConfig
+from repro.serve.service import ServiceConfig
 from repro.serve.shard.ring import DEFAULT_VNODES, HashRing
 from repro.types import DataId, DiskId
 
@@ -54,22 +54,16 @@ SHARD_SEED_STRIDE = 7_919
 class ShardedServiceConfig:
     """One sharded serving deployment (the router-side config).
 
+    A deployment is ``num_shards`` copies of one serving session plus
+    the shard-only knobs below.
+
     Attributes:
-        policy: Scheduling policy every shard runs.
+        service: The session every shard runs, with deployment-wide
+            values: ``num_disks`` is the whole fleet, ``seed`` the
+            deployment seed (shard seeds derive from it), and
+            ``disk_deaths`` name global disk ids (mapped onto the
+            owning shard's local ids at topology build).
         num_shards: Worker process count (>= 1).
-        num_disks: Total fleet size, split across shards.
-        replication_factor: Copies per data item *within its shard*.
-        num_data: Global data population size.
-        zipf_exponent: Original-placement skew inside each shard.
-        seed: Deployment seed; shard seeds derive from it.
-        profile_name: Disk power profile for every shard.
-        queue_limit: Per-shard bounded ingress capacity.
-        client_rate_per_s: Per-client token refill rate (per shard).
-        client_burst: Per-client bucket capacity in tokens.
-        window_s: Micro-batch window length in seconds.
-        max_batch: Per-window dispatch cap (``None`` = whole queue).
-        alpha: Eq. 6 energy weight.
-        beta: Eq. 6 energy scale.
         vnodes: Virtual nodes per shard on the routing ring.
         hot_data_ids: Popularity ranks assigned greedily by Zipf weight
             instead of by the ring (0 = pure consistent hashing).
@@ -77,57 +71,31 @@ class ShardedServiceConfig:
         shard_replication_factor: Distinct shards holding each data id
             (1 = shard-local replicas only, the pre-replication
             topology; R > 1 enables cross-shard failover).
-        disk_deaths: Scripted in-shard disk crash-stops as
-            ``(global_disk_id, at_s)`` pairs — the serving-layer
-            reading of the :mod:`repro.faults` drill idiom. Each entry
-            is mapped onto the owning shard's local disk id at topology
-            build.
     """
 
-    policy: str = POLICY_ONLINE
+    service: ServiceConfig = field(default_factory=ServiceConfig)
     num_shards: int = 2
-    num_disks: int = 18
-    replication_factor: int = 3
-    num_data: int = 2_000
-    zipf_exponent: float = 1.0
-    seed: int = 1
-    profile_name: str = "paper-evaluation"
-    queue_limit: int = 1_024
-    client_rate_per_s: Optional[float] = None
-    client_burst: float = 8.0
-    window_s: float = 0.1
-    max_batch: Optional[int] = None
-    alpha: float = 0.2
-    beta: float = 100.0
     vnodes: int = DEFAULT_VNODES
     hot_data_ids: int = 64
     drain_grace_s: float = 2.0
     shard_replication_factor: int = 1
-    disk_deaths: Tuple[Tuple[DiskId, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; known: {POLICIES}"
-            )
         if self.num_shards < 1:
             raise ConfigurationError(
                 f"num_shards must be >= 1, got {self.num_shards}"
-            )
-        if self.num_data < 1:
-            raise ConfigurationError(
-                f"num_data must be >= 1, got {self.num_data}"
             )
         if self.hot_data_ids < 0:
             raise ConfigurationError(
                 f"hot_data_ids must be >= 0, got {self.hot_data_ids}"
             )
-        smallest = self.num_disks // self.num_shards
-        if smallest < self.replication_factor:
+        service = self.service
+        smallest = service.num_disks // self.num_shards
+        if smallest < service.replication_factor:
             raise ConfigurationError(
-                f"{self.num_disks} disks over {self.num_shards} shards "
+                f"{service.num_disks} disks over {self.num_shards} shards "
                 f"leaves {smallest} disks on the smallest shard, fewer "
-                f"than replication_factor={self.replication_factor}; "
+                f"than replication_factor={service.replication_factor}; "
                 "add disks or drop shards"
             )
         if not 1 <= self.shard_replication_factor <= self.num_shards:
@@ -135,29 +103,20 @@ class ShardedServiceConfig:
                 f"shard_replication_factor must be in [1, num_shards="
                 f"{self.num_shards}], got {self.shard_replication_factor}"
             )
-        for disk_id, at_s in self.disk_deaths:
-            if not 0 <= disk_id < self.num_disks:
-                raise ConfigurationError(
-                    f"disk death targets unknown disk {disk_id}; "
-                    f"fleet has disks 0..{self.num_disks - 1}"
-                )
-            if at_s < 0:
-                raise ConfigurationError(
-                    f"disk death time must be >= 0, got {at_s}"
-                )
 
     def ring(self) -> HashRing:
         """The deployment's routing ring (also used at topology build)."""
-        return HashRing(self.num_shards, vnodes=self.vnodes, seed=self.seed)
+        return HashRing(
+            self.num_shards, vnodes=self.vnodes, seed=self.service.seed
+        )
 
     def shard_seed(self, shard_id: int) -> int:
         """The service seed of shard ``shard_id``."""
-        return self.seed + SHARD_SEED_STRIDE * (shard_id + 1)
+        return self.service.seed + SHARD_SEED_STRIDE * (shard_id + 1)
 
     def disk_slices(self) -> List[Tuple[DiskId, DiskId]]:
         """Per-shard ``(first_global_disk, past_end)`` contiguous slices."""
-        base = self.num_disks // self.num_shards
-        extra = self.num_disks % self.num_shards
+        base, extra = divmod(self.service.num_disks, self.num_shards)
         slices: List[Tuple[DiskId, DiskId]] = []
         start = 0
         for shard in range(self.num_shards):
@@ -211,15 +170,16 @@ def assign_data(config: ShardedServiceConfig) -> List[int]:
     router consume this exact table, so they cannot disagree.
     """
     ring = config.ring()
-    owners = [0] * config.num_data
-    exponent = config.zipf_exponent
+    num_data = config.service.num_data
+    owners = [0] * num_data
+    exponent = config.service.zipf_exponent
     loads = [0.0] * config.num_shards
-    hot = min(config.hot_data_ids, config.num_data)
+    hot = min(config.hot_data_ids, num_data)
     for rank in range(hot):
         lightest = min(range(config.num_shards), key=lambda s: (loads[s], s))
         owners[rank] = lightest
         loads[lightest] += (rank + 1) ** -exponent
-    for data_id in range(hot, config.num_data):
+    for data_id in range(hot, num_data):
         owners[data_id] = ring.lookup(data_id)
     return owners
 
@@ -256,8 +216,9 @@ def replica_table(
     if replicas == 1:
         return [(owner,) for owner in routing_table]
     ring = config.ring()
-    exponent = config.zipf_exponent
-    hot = min(config.hot_data_ids, config.num_data)
+    num_data = config.service.num_data
+    exponent = config.service.zipf_exponent
+    hot = min(config.hot_data_ids, num_data)
     # Start from the primaries' accumulated hot-head weights (the same
     # sums assign_data's greedy built), so replica copies steer away
     # from shards that are already hot with primary traffic.
@@ -276,7 +237,7 @@ def replica_table(
             chosen.append(lightest)
             loads[lightest] += weight
         table.append(tuple(chosen))
-    for data_id in range(hot, config.num_data):
+    for data_id in range(hot, num_data):
         order = ring.successors(data_id)
         # successors()[0] is assign_data's tail owner by construction.
         table.append(tuple(order[:replicas]))
@@ -295,10 +256,10 @@ def build_topology(
     :func:`assign_data` owner, so shard data sets are pairwise disjoint
     and their union is the global population (pinned by
     ``tests/serve/test_shard_topology.py``); at R > 1 each id appears
-    on R distinct shards. Each shard gets a :class:`ServiceConfig`
-    scoped to its disk slice and derived seed, with any scripted
-    :attr:`~ShardedServiceConfig.disk_deaths` translated to the owning
-    shard's local disk ids.
+    on R distinct shards. Each shard's :class:`ServiceConfig` is the
+    deployment's ``service`` scoped to the shard's disk slice and
+    derived seed, with the scripted global ``disk_deaths`` translated
+    to the owning shard's local disk ids.
 
     Args:
         config: The deployment.
@@ -320,24 +281,13 @@ def build_topology(
     for shard_id, (start, stop) in enumerate(config.disk_slices()):
         local_deaths = tuple(
             (disk_id - start, at_s)
-            for disk_id, at_s in config.disk_deaths
+            for disk_id, at_s in config.service.disk_deaths
             if start <= disk_id < stop
         )
-        service = ServiceConfig(
-            policy=config.policy,
+        service = replace(
+            config.service,
             num_disks=stop - start,
-            replication_factor=config.replication_factor,
-            num_data=config.num_data,
-            zipf_exponent=config.zipf_exponent,
             seed=config.shard_seed(shard_id),
-            profile_name=config.profile_name,
-            queue_limit=config.queue_limit,
-            client_rate_per_s=config.client_rate_per_s,
-            client_burst=config.client_burst,
-            window_s=config.window_s,
-            max_batch=config.max_batch,
-            alpha=config.alpha,
-            beta=config.beta,
             disk_deaths=local_deaths,
         )
         specs.append(

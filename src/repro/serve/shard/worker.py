@@ -20,13 +20,13 @@ and report byte — depends solely on the message contents.
 
 from __future__ import annotations
 
-import asyncio
 import time
+from dataclasses import replace
 from multiprocessing.queues import Queue as MpQueue
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.serve.clock import virtual_run
-from repro.serve.loadgen import tally_outcomes
+from repro.serve.loadgen import submit_schedule, tally_outcomes
 from repro.serve.service import SchedulingService
 from repro.serve.shard.messages import (
     ShardFailure,
@@ -36,55 +36,46 @@ from repro.serve.shard.messages import (
 )
 from repro.serve.shard.reporting import shard_document
 from repro.serve.shard.topology import ShardSpec
+from repro.types import DataId
 
 
 async def _session(
-    spec: ShardSpec, messages: Iterable[Optional[ShardRequest]]
+    spec: ShardSpec, messages: Iterable[ShardRequest]
 ) -> ShardResult:
     """Run one shard's whole lifecycle on the current (virtual) loop.
 
+    The routed messages feed the same open-loop submit loop an
+    unsharded session runs (:func:`~repro.serve.loadgen.submit_schedule`).
     The report and registry dump are assembled *inside* the coroutine,
     while the service's loop-bound clock is still live.
     """
     service = SchedulingService(spec.service, catalog=spec.make_catalog())
     await service.start()
-    clock = service.clock
-    loop = asyncio.get_running_loop()
     indices: List[int] = []
-    tasks: "List[asyncio.Task[object]]" = []
-    for message in messages:
-        if message is None:  # router's end-of-stream sentinel
-            break
-        await clock.sleep_until(message.arrival_s)
-        indices.append(message.index)
-        tasks.append(
-            loop.create_task(
-                service.submit(
-                    message.client_id,
-                    message.data_id,
-                    size_bytes=message.size_bytes,
-                )
-            )
-        )
-    outcomes = tuple(await asyncio.gather(*tasks))
+
+    def schedule() -> Iterator[Tuple[float, str, DataId]]:
+        for message in messages:
+            indices.append(message.index)
+            yield message.arrival_s, message.client_id, message.data_id
+
+    outcomes = tuple(await submit_schedule(service, schedule()))
     await service.drain(grace_s=spec.drain_grace_s)
-    tally = tally_outcomes(outcomes)
-    document = shard_document(spec, service, tally)
-    dump = service.metrics.dump()
+    # The report's snapshot refreshes the derived gauges; dump after it.
+    document = shard_document(spec, service, tally_outcomes(outcomes))
     return ShardResult(
         shard_id=spec.shard_id,
         indices=tuple(indices),
         outcomes=outcomes,
-        registry_dump=dump,
+        registry_dump=service.metrics.dump(),
         document=document,
-        virtual_elapsed_s=clock.now,
+        virtual_elapsed_s=service.clock.now,
         compute_cpu_s=0.0,  # stamped by run_shard_session
         events_processed=service.backend.events_processed,
     )
 
 
 def run_shard_session(
-    spec: ShardSpec, messages: Iterable[Optional[ShardRequest]]
+    spec: ShardSpec, messages: Iterable[ShardRequest]
 ) -> ShardResult:
     """Execute one shard session to completion (blocking).
 
@@ -99,16 +90,7 @@ def run_shard_session(
     started_cpu_s = time.process_time()  # reprolint: disable=RPL101
     result = virtual_run(_session(spec, messages))
     elapsed_cpu_s = time.process_time() - started_cpu_s  # reprolint: disable=RPL101
-    return ShardResult(
-        shard_id=result.shard_id,
-        indices=result.indices,
-        outcomes=result.outcomes,
-        registry_dump=result.registry_dump,
-        document=result.document,
-        virtual_elapsed_s=result.virtual_elapsed_s,
-        compute_cpu_s=elapsed_cpu_s,
-        events_processed=result.events_processed,
-    )
+    return replace(result, compute_cpu_s=elapsed_cpu_s)
 
 
 def _drain_chunks(

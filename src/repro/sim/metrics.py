@@ -1,18 +1,13 @@
 """Shared metrics primitives: counters, gauges, histograms, registry.
 
-Two layers live here:
-
-* The *trace-replay* metrics — :class:`~repro.report.MetricsCollector`,
-  :class:`~repro.report.SimulationReport` and
-  :func:`~repro.report.percentile` — are re-exported from
-  :mod:`repro.report` (they moved there to keep :mod:`repro.core` free of
-  any dependency on :mod:`repro.sim`).
-* The *live-service* metrics primitives defined below —
-  :class:`Counter`, :class:`Gauge`, :class:`Histogram` and
-  :class:`MetricsRegistry` — are shared by the discrete-event engine
-  (via :func:`observe_engine`) and the serving layer
-  (:mod:`repro.serve`), so there is exactly one implementation of
-  "count / point-in-time value / latency distribution" in the repo.
+The *live-service* metrics primitives — :class:`Counter`,
+:class:`Gauge`, :class:`Histogram` and :class:`MetricsRegistry` — are
+shared by the discrete-event engine (via :func:`observe_engine`) and the
+serving layer (:mod:`repro.serve`), so there is exactly one
+implementation of "count / point-in-time value / latency distribution"
+in the repo. The *trace-replay* result types (``MetricsCollector``,
+``SimulationReport``) live in :mod:`repro.report`; only its
+:func:`~repro.report.percentile` is re-exported here.
 
 Everything is deterministic: a registry snapshot is a plain sorted dict
 of exact values (no wall-clock reads, no rounding), so two identical
@@ -23,6 +18,7 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -34,7 +30,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.report import MetricsCollector, SimulationReport, percentile
+from repro.report import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports nothing from here)
     from repro.sim.engine import SimulationEngine
@@ -233,19 +229,7 @@ class MetricsRegistry:
         The shape is stable: ``{"counters": {...}, "gauges": {...},
         "histograms": {name: {count, total, mean, min, max, p50, ...}}}``.
         """
-        return {
-            "counters": {
-                name: self._counters[name].value
-                for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value for name in sorted(self._gauges)
-            },
-            "histograms": {
-                name: dict(self._histograms[name].snapshot())
-                for name in sorted(self._histograms)
-            },
-        }
+        return self._export(lambda histogram: dict(histogram.snapshot()))
 
     def dump(self) -> Dict[str, Dict[str, object]]:
         """Full-fidelity export: like :meth:`snapshot`, but histograms
@@ -257,6 +241,13 @@ class MetricsRegistry:
         re-derives exact quantiles from the union of samples — something
         condensed snapshots cannot do.
         """
+        return self._export(lambda histogram: list(histogram.samples))
+
+    def _export(
+        self, histogram_view: Callable[[Histogram], object]
+    ) -> Dict[str, Dict[str, object]]:
+        """Counters and gauges by value, histograms through
+        ``histogram_view``; every block sorted by name."""
         return {
             "counters": {
                 name: self._counters[name].value
@@ -266,7 +257,7 @@ class MetricsRegistry:
                 name: self._gauges[name].value for name in sorted(self._gauges)
             },
             "histograms": {
-                name: list(self._histograms[name].samples)
+                name: histogram_view(self._histograms[name])
                 for name in sorted(self._histograms)
             },
         }
@@ -361,11 +352,9 @@ __all__ = [
     "GAUGE_MERGE_MAX",
     "Gauge",
     "Histogram",
-    "MetricsCollector",
     "MetricsRegistry",
     "Number",
     "QUANTILES",
-    "SimulationReport",
     "merge_dumps",
     "observe_engine",
     "percentile",

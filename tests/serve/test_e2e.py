@@ -13,8 +13,10 @@ clock in both dispatch modes and asserts the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict
 
+from repro.experiments import pins
 from repro.experiments.harness.schema import validate_bench_payload
 from repro.serve.admission import RejectReason, Rejected
 from repro.serve.clock import virtual_run
@@ -27,6 +29,8 @@ RATE_PER_S = 100.0
 DRAIN_GRACE_S = 2.0
 
 LOAD = LoadgenConfig(num_requests=NUM_REQUESTS, rate_per_s=RATE_PER_S, seed=7)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def run_policy(policy: str) -> Dict[str, Any]:
@@ -120,3 +124,14 @@ def test_overload_sheds_with_typed_rejections() -> None:
     snap = service.metrics_snapshot()
     assert snap["counters"]["requests.rejected"] == result.rejected
     assert snap["counters"]["rejected.queue_full"] == result.rejected
+
+
+def test_serve_smoke_documents_match_their_pins() -> None:
+    """CI's serve-smoke session, in-process, against its committed pins
+    (the CLI's written documents are checked against the same files)."""
+    for policy in ("online", "micro-batch"):
+        assert validate_bench_payload(pins.serve_smoke_document(policy)) == []
+    assert (
+        pins.main(["--check", "serve_online", "serve_micro_batch"], root=REPO_ROOT)
+        == 0
+    )

@@ -24,6 +24,7 @@ from typing import List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve.service import ServiceConfig
 from repro.serve.shard.ring import HashRing
 from repro.serve.shard.topology import (
     ShardedServiceConfig,
@@ -38,10 +39,8 @@ def _config(num_shards: int, factor: int, seed: int) -> ShardedServiceConfig:
     # 3 disks per shard keeps the smallest shard >= the in-shard
     # replication factor at every deployment width drawn below.
     return ShardedServiceConfig(
+        service=ServiceConfig(num_disks=3 * num_shards, num_data=200, seed=seed),
         num_shards=num_shards,
-        num_disks=3 * num_shards,
-        num_data=200,
-        seed=seed,
         shard_replication_factor=factor,
     )
 
@@ -59,7 +58,7 @@ def test_replicas_land_on_distinct_shards_primary_first(
     config = _config(num_shards, factor, seed)
     owners = assign_data(config)
     table = replica_table(config, owners)
-    assert len(table) == config.num_data
+    assert len(table) == config.service.num_data
     for data_id, chain in enumerate(table):
         assert len(chain) == factor
         assert len(set(chain)) == factor  # R *distinct* shards

@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.harness.schema import validate_bench_payload
 from repro.serve.admission import Completed, Rejected, RejectReason
 from repro.serve.loadgen import LoadgenConfig
+from repro.serve.service import ServiceConfig
 from repro.serve.shard import (
     ShardKill,
     ShardedServiceConfig,
@@ -28,7 +29,9 @@ from repro.serve.shard import (
     sharded_document,
 )
 
-CONFIG = ShardedServiceConfig(num_shards=3, num_disks=18, seed=5)
+CONFIG = ShardedServiceConfig(
+    service=ServiceConfig(num_disks=18, seed=5), num_shards=3
+)
 LOAD = LoadgenConfig(num_requests=450, rate_per_s=300.0, num_clients=8, seed=5)
 VICTIM = 1
 KILL_AT_S = 0.5
@@ -38,7 +41,7 @@ def _owned_by(shard_id: int) -> set:
     table = assign_data(CONFIG)
     return {
         data_id
-        for data_id in sorted(range(CONFIG.num_data))
+        for data_id in sorted(range(CONFIG.service.num_data))
         if table[data_id] == shard_id
     }
 

@@ -20,6 +20,7 @@ import multiprocessing
 from typing import List
 
 from repro.serve.loadgen import LoadgenConfig
+from repro.serve.service import ServiceConfig
 from repro.serve.shard import (
     ShardRequest,
     ShardedServiceConfig,
@@ -31,7 +32,9 @@ from repro.serve.shard import (
 from repro.serve.shard.messages import ShardProgress, ShardResult
 from repro.serve.shard.worker import shard_worker_main
 
-CONFIG = ShardedServiceConfig(num_shards=2, num_disks=12, seed=11)
+CONFIG = ShardedServiceConfig(
+    service=ServiceConfig(num_disks=12, seed=11), num_shards=2
+)
 
 #: Virtual horizons of the two hand-crafted streams, seconds. The slow
 #: shard's last arrival lands ~1000x beyond the fast shard's.

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import List
 
 from repro.experiments import pins
-from repro.experiments.harness.schema import validate_bench_payload
+from repro.experiments.harness.schema import document_json, validate_bench_payload
 from repro.serve.admission import Outcome
 from repro.serve.clock import virtual_run
 from repro.serve.service import SchedulingService
@@ -35,7 +35,6 @@ from repro.serve.shard import (
     run_sharded,
     sharded_document,
 )
-from repro.serve.shard.reporting import canonical_json
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -51,9 +50,9 @@ def test_multiprocess_run_is_byte_reproducible() -> None:
     first = run_sharded(SMOKE_CONFIG, SMOKE_LOAD)
     second = run_sharded(SMOKE_CONFIG, SMOKE_LOAD)
     assert first.outcomes == second.outcomes
-    assert canonical_json(
+    assert document_json(
         sharded_document(SMOKE_CONFIG, SMOKE_LOAD, first)
-    ) == canonical_json(sharded_document(SMOKE_CONFIG, SMOKE_LOAD, second))
+    ) == document_json(sharded_document(SMOKE_CONFIG, SMOKE_LOAD, second))
 
 
 def test_serial_and_multiprocess_paths_are_byte_identical() -> None:
@@ -67,12 +66,12 @@ def test_serial_and_multiprocess_paths_are_byte_identical() -> None:
         assert ours.outcomes == theirs.outcomes
         assert ours.registry_dump == theirs.registry_dump
         assert ours.virtual_elapsed_s == theirs.virtual_elapsed_s
-        assert canonical_json(dict(ours.document)) == canonical_json(
+        assert document_json(dict(ours.document)) == document_json(
             dict(theirs.document)
         )
-    assert canonical_json(
+    assert document_json(
         sharded_document(SMOKE_CONFIG, SMOKE_LOAD, serial)
-    ) == canonical_json(sharded_document(SMOKE_CONFIG, SMOKE_LOAD, multi))
+    ) == document_json(sharded_document(SMOKE_CONFIG, SMOKE_LOAD, multi))
 
 
 def test_merged_document_digest_matches_the_pinned_tier() -> None:
@@ -87,9 +86,9 @@ def test_replicated_paths_are_byte_identical() -> None:
     serial = run_sharded(SMOKE_R2_CONFIG, SMOKE_LOAD, multiprocess=False)
     multi = run_sharded(SMOKE_R2_CONFIG, SMOKE_LOAD, multiprocess=True)
     assert serial.outcomes == multi.outcomes
-    assert canonical_json(
+    assert document_json(
         sharded_document(SMOKE_R2_CONFIG, SMOKE_LOAD, serial)
-    ) == canonical_json(sharded_document(SMOKE_R2_CONFIG, SMOKE_LOAD, multi))
+    ) == document_json(sharded_document(SMOKE_R2_CONFIG, SMOKE_LOAD, multi))
     # Healthy replicated run: nothing failed over, nothing replayed.
     assert multi.requests_failed_over == 0
     assert multi.requests_replayed == 0

@@ -28,8 +28,12 @@ reproducible as a healthy one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.experiments.harness.schema import document_json, validate_bench_payload
 from repro.serve.admission import Completed, Rejected, RejectReason
 from repro.serve.loadgen import LoadgenConfig, tally_outcomes
+from repro.serve.service import ServiceConfig
 from repro.serve.shard import (
     ShardHang,
     ShardKill,
@@ -39,20 +43,15 @@ from repro.serve.shard import (
     sharded_document,
 )
 from repro.serve.shard.messages import ShardResult
-from repro.serve.shard.reporting import canonical_json
 from repro.serve.shard.router import _place_outcomes
-from repro.experiments.harness.schema import validate_bench_payload
 
 LOAD = LoadgenConfig(num_requests=450, rate_per_s=300.0, num_clients=8, seed=5)
 
-R2_CONFIG = ShardedServiceConfig(
-    num_shards=3,
-    num_disks=18,
-    seed=5,
-    shard_replication_factor=2,
+R1_CONFIG = ShardedServiceConfig(
+    service=ServiceConfig(num_disks=18, seed=5), num_shards=3
 )
 
-R1_CONFIG = ShardedServiceConfig(num_shards=3, num_disks=18, seed=5)
+R2_CONFIG = replace(R1_CONFIG, shard_replication_factor=2)
 
 VICTIM = 1
 KILL_AT_S = 0.5
@@ -103,9 +102,9 @@ def test_replicated_kill_drill_is_reproducible() -> None:
     second = run_sharded(R2_CONFIG, LOAD, kills=kills)
     assert first.outcomes == second.outcomes
     assert first.failed_over_indices == second.failed_over_indices
-    assert canonical_json(
+    assert document_json(
         sharded_document(R2_CONFIG, LOAD, first)
-    ) == canonical_json(sharded_document(R2_CONFIG, LOAD, second))
+    ) == document_json(sharded_document(R2_CONFIG, LOAD, second))
 
 
 def test_scripted_recovery_replays_and_rejoins() -> None:
@@ -245,10 +244,12 @@ def test_place_outcomes_dedup_is_first_wins() -> None:
 def test_disk_death_redispatches_onto_surviving_replicas() -> None:
     """One in-shard disk dies under traffic; replicas absorb it."""
     config = ShardedServiceConfig(
+        service=ServiceConfig(
+            num_disks=12,
+            seed=5,
+            disk_deaths=((0, 0.5),),  # shard 0, local disk 0
+        ),
         num_shards=2,
-        num_disks=12,
-        seed=5,
-        disk_deaths=((0, 0.5),),  # shard 0, local disk 0
     )
     run = run_sharded(config, LOAD)
     by_reason = dict(tally_outcomes(run.outcomes).rejected_by_reason)
@@ -271,10 +272,12 @@ def test_disk_death_redispatches_onto_surviving_replicas() -> None:
 def test_losing_every_replica_disk_sheds_typed_data_unavailable() -> None:
     """Kill shard 0's whole slice: its keys become ``data_unavailable``."""
     config = ShardedServiceConfig(
+        service=ServiceConfig(
+            num_disks=12,
+            seed=5,
+            disk_deaths=tuple((disk, 0.5) for disk in range(6)),
+        ),
         num_shards=2,
-        num_disks=12,
-        seed=5,
-        disk_deaths=tuple((disk, 0.5) for disk in range(6)),
     )
     run = run_sharded(config, LOAD)
     by_reason = dict(tally_outcomes(run.outcomes).rejected_by_reason)

@@ -36,7 +36,6 @@ from repro.core import (
     SchedulingProblem,
     StaticScheduler,
     WSCBatchScheduler,
-    make_scheduler,
 )
 from repro.disk import AnalyticServiceModel, ConstantServiceModel, SimulatedDisk
 from repro.errors import ReproError
@@ -103,7 +102,6 @@ __all__ = [
     "always_on_baseline",
     "generate_cello_like",
     "generate_financial_like",
-    "make_scheduler",
     "run_offline",
     "simulate",
     "__version__",

@@ -43,20 +43,6 @@ def _working_copy(
     return weights, adjacency
 
 
-def _remove_closed_neighborhood(
-    node: NodeId,
-    weights: Dict[NodeId, float],
-    adjacency: Dict[NodeId, Set[NodeId]],
-) -> None:
-    to_remove = adjacency[node] | {node}
-    for victim in to_remove:
-        for neighbor in adjacency[victim]:
-            if neighbor not in to_remove:
-                adjacency[neighbor].discard(victim)
-        del adjacency[victim]
-        del weights[victim]
-
-
 def gwmin(graph: ConflictGraph) -> List[NodeId]:
     """GWMIN greedy: pick argmax ``w(v) / (deg(v) + 1)`` until empty.
 

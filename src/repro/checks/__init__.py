@@ -23,14 +23,15 @@ RPL005    mutable default arguments
 RPL006    bare or overbroad ``except`` clauses
 ========  ==================================================================
 
-Violations can be suppressed per line with ``# reprolint: disable=RPL001``
-(comma-separated codes, or ``all``) and per file with a
-``# reprolint: disable-file=RPL001`` comment on a line of its own.
+A finding is accepted only in place: per line with
+``# reprolint: disable=RPL001`` (comma-separated codes, or ``all``) and per
+file with a ``# reprolint: disable-file=RPL001`` comment on a line of its
+own.  A pragma code that suppresses nothing is itself reported (RPL000).
 """
 
 from __future__ import annotations
 
-from repro.checks.config import CheckConfig, UnitVocabulary
+from repro.checks.config import CheckConfig
 from repro.checks.registry import Rule, all_rules, get_rule, register_rule
 from repro.checks.runner import check_paths, check_source
 from repro.checks.violation import Violation
@@ -38,7 +39,6 @@ from repro.checks.violation import Violation
 __all__ = [
     "CheckConfig",
     "Rule",
-    "UnitVocabulary",
     "Violation",
     "all_rules",
     "check_paths",

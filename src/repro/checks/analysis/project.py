@@ -14,7 +14,6 @@ from repro.checks.analysis.modules import (
     module_name_for_path,
 )
 from repro.checks.analysis.symbols import FunctionInfo, SymbolTable, build_symbol_table
-from repro.checks.config import CheckConfig
 from repro.checks.registry import Rule
 from repro.checks.violation import Violation
 
@@ -27,7 +26,6 @@ class ProjectContext:
     imports: ImportGraph
     symbols: SymbolTable
     calls: CallGraph
-    config: CheckConfig
 
     def violation(
         self, rule: Rule, module: ModuleInfo, node: ast.AST, message: str
@@ -67,9 +65,7 @@ def module_in_scope(module: str, prefixes: Sequence[str]) -> bool:
     )
 
 
-def build_project(
-    sources: Sequence[Tuple[str, str, ast.Module]], config: CheckConfig
-) -> ProjectContext:
+def build_project(sources: Sequence[Tuple[str, str, ast.Module]]) -> ProjectContext:
     """Assemble the whole-program context from parsed ``(path, source, tree)``.
 
     Later duplicates of a module name win (only plausible when linting two
@@ -91,5 +87,4 @@ def build_project(
         imports=build_import_graph(modules),
         symbols=symbols,
         calls=build_call_graph(symbols),
-        config=config,
     )

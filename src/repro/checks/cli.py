@@ -8,16 +8,6 @@ import subprocess
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.checks.baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    BaselineError,
-    apply_baseline,
-    find_baseline,
-    load_baseline,
-    normalise_path,
-    write_baseline,
-)
 from repro.checks.config import CheckConfig
 from repro.checks.registry import all_rules
 from repro.checks.reporting import render_json, render_sarif, render_text
@@ -65,24 +55,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(the whole-program analysis still sees every file)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline of accepted findings (default: nearest "
-        f"{BASELINE_FILENAME} above the first lint path)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings into the baseline file and exit "
-        "(justifications of entries that still match are kept)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -122,46 +94,7 @@ def run_lint_args(args: argparse.Namespace) -> int:
             return 0
     config = CheckConfig(select=select, ignore=ignore)
     report = check_paths(paths, config, restrict_to=restrict_to)
-
-    baseline_path = _baseline_path(args, paths)
-    if args.write_baseline:
-        target = baseline_path or BASELINE_FILENAME
-        existing = _load_quietly(target)
-        written = write_baseline(report, target, existing=existing)
-        print(
-            f"reprolint: wrote {len(written.entries)} accepted finding(s) "
-            f"to {target}"
-        )
-        return 0
-
-    stale_failure = False
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        outcome = apply_baseline(report, baseline)
-        report = outcome.report
-        stale = outcome.stale
-        if restrict_to is not None:
-            # A restricted run only reports findings for the changed files;
-            # an entry for an *unchanged* file is unproven, not stale.
-            changed = {
-                normalise_path(path, baseline.base_dir) for path in restrict_to
-            }
-            stale = tuple(entry for entry in stale if entry.path in changed)
-        for entry in stale:
-            print(
-                f"reprolint: stale baseline entry (fixed? remove it from "
-                f"{baseline_path}): {entry.format()}",
-                file=sys.stderr,
-            )
-        stale_failure = bool(stale)
-
     print(_RENDERERS[args.format](report))
-    if stale_failure:
-        return 1
     return report.exit_code
 
 
@@ -213,25 +146,6 @@ def _git(arguments: List[str]) -> Optional[str]:
     except (OSError, subprocess.CalledProcessError):
         return None
     return completed.stdout
-
-
-def _baseline_path(args: argparse.Namespace, paths: List[str]) -> Optional[str]:
-    """The baseline file in effect: explicit flag, else the upward walk."""
-    if args.no_baseline and not args.write_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    return find_baseline(paths[0])
-
-
-def _load_quietly(path: str) -> Optional[Baseline]:
-    """Existing baseline for justification carry-over; None when absent/bad."""
-    if not os.path.isfile(path):
-        return None
-    try:
-        return load_baseline(path)
-    except BaselineError:
-        return None
 
 
 def _parse_codes(raw: str) -> "frozenset[str]":

@@ -1,17 +1,17 @@
-"""Configuration for the reprolint pass.
+"""The data the reprolint rules read, plus the per-run rule selection.
 
-The unit vocabulary drives the two unit-discipline rules (RPL001/RPL002):
-it names the *stems* that mark an identifier as carrying a physical quantity
-(time, energy, power), the *suffixes* that make the unit explicit in the
-name itself, and the *unit words* that count as documentation when they
-appear in a docstring.  Projects with different conventions can swap the
-vocabulary without touching the rules.
+The unit domains drive the two unit-discipline rules (RPL001/RPL002):
+each names the *stems* that mark an identifier as carrying a physical
+quantity (time, energy, power), the *suffixes* that make the unit explicit
+in the name itself, and the *unit words* that count as documentation when
+they appear in a docstring.  The other constants name the scopes and call
+vocabularies of the rest of the catalogue; each rule imports what it reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,11 @@ class UnitDomain:
         )
 
 
-@dataclass(frozen=True)
-class UnitVocabulary:
-    """The unit domains reprolint knows about (paper Table 1 quantities)."""
-
-    domains: Mapping[str, UnitDomain] = field(
-        default_factory=lambda: dict(DEFAULT_DOMAINS)
-    )
-
-    def matching_domains(self, name: str) -> Tuple[str, ...]:
-        """Domains whose stems appear in ``name``, in declaration order."""
-        return tuple(
-            key for key, domain in self.domains.items() if domain.name_matches(name)
-        )
-
-
 #: Docstring words declaring a quantity explicitly unitless (any domain).
 UNITLESS_WORDS: Tuple[str, ...] = ("fraction", "ratio", "unitless", "normalized")
 
-DEFAULT_DOMAINS: Dict[str, UnitDomain] = {
+#: The unit domains reprolint knows about (paper Table 1 quantities).
+UNIT_DOMAINS: Dict[str, UnitDomain] = {
     "time": UnitDomain(
         stems=("time", "interval", "duration", "deadline", "timeout", "elapsed", "gap"),
         suffixes=("_seconds", "_secs", "_sec", "_s", "_ms", "_us", "_ns"),
@@ -92,12 +78,24 @@ DEFAULT_DOMAINS: Dict[str, UnitDomain] = {
     ),
 }
 
+
+def matching_domains(name: str) -> Tuple[str, ...]:
+    """Unit domains whose stems appear in ``name``, in declaration order."""
+    return tuple(
+        key for key, domain in UNIT_DOMAINS.items() if domain.name_matches(name)
+    )
+
+
 #: Scheduler base classes and the method each contract requires (RPL004).
-DEFAULT_SCHEDULER_CONTRACTS: Dict[str, str] = {
+SCHEDULER_CONTRACTS: Dict[str, str] = {
     "OnlineScheduler": "choose",
     "BatchScheduler": "choose_batch",
     "OfflineScheduler": "schedule",
 }
+
+#: Parameter names treated as frozen ``Request`` instances by the RPL004
+#: mutation check (``Request``-annotated parameters count too).
+REQUEST_NAMES: FrozenSet[str] = frozenset({"request", "req"})
 
 #: ``numpy.random`` attributes that are seedable constructors, not
 #: module-level draws from the hidden global state (RPL003).
@@ -109,8 +107,8 @@ SEEDABLE_NUMPY_ATTRS: FrozenSet[str] = frozenset(
 #: container built inside one of these runs once per simulated event —
 #: tens of thousands of times per run — so RPL007 flags
 #: comprehension-based rebuilding there. Method *names*, matched in the
-#: modules selected by :data:`DEFAULT_HOT_PATH_PARTS`.
-DEFAULT_HOT_FUNCTIONS: FrozenSet[str] = frozenset(
+#: modules selected by :data:`HOT_PATH_PARTS`.
+HOT_FUNCTIONS: FrozenSet[str] = frozenset(
     {
         "choose",
         "cost",
@@ -132,11 +130,11 @@ DEFAULT_HOT_FUNCTIONS: FrozenSet[str] = frozenset(
 
 #: Path fragments (``/``-separated) selecting the modules RPL007 scans:
 #: the simulation core and the scheduler layer.
-DEFAULT_HOT_PATH_PARTS: Tuple[str, ...] = ("repro/sim", "repro/core")
+HOT_PATH_PARTS: Tuple[str, ...] = ("repro/sim", "repro/core")
 
 #: Module-name prefixes rooting the determinism scope (RPL101/RPL102): the
 #: packages whose dispatch paths must be byte-identically replayable.
-DEFAULT_DETERMINISM_SCOPE: Tuple[str, ...] = (
+DETERMINISM_SCOPE: Tuple[str, ...] = (
     "repro.sim",
     "repro.core",
     "repro.serve",
@@ -146,7 +144,7 @@ DEFAULT_DETERMINISM_SCOPE: Tuple[str, ...] = (
 #: Canonical dotted names of calls that read the wall clock (RPL101).
 #: Matched after import-alias expansion, so ``from time import time`` and
 #: ``import time as t`` are both seen.
-DEFAULT_WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
+WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -166,7 +164,7 @@ DEFAULT_WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
 #: Canonical dotted names of RNG constructors whose *first argument* is the
 #: seed; passing a maybe-``None`` seed through falls back to OS entropy
 #: (RPL102).
-DEFAULT_RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
+RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {
         "random.Random",
         "numpy.random.default_rng",
@@ -177,7 +175,7 @@ DEFAULT_RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
 
 #: Function/method names that serialise reports and documents — the roots
 #: of the RPL103 scope (unordered iteration feeding serialisation).
-DEFAULT_SERIALISATION_FUNCTIONS: FrozenSet[str] = frozenset(
+SERIALISATION_FUNCTIONS: FrozenSet[str] = frozenset(
     {
         "as_dict",
         "to_dict",
@@ -200,7 +198,7 @@ DEFAULT_SERIALISATION_FUNCTIONS: FrozenSet[str] = frozenset(
 
 #: Canonical dotted names of calls that block the thread — forbidden inside
 #: (or reachable from) ``async def`` bodies (RPL201).
-DEFAULT_BLOCKING_CALLS: FrozenSet[str] = frozenset(
+BLOCKING_CALLS: FrozenSet[str] = frozenset(
     {
         "time.sleep",
         "subprocess.run",
@@ -240,7 +238,7 @@ class LayeringContract:
 #: The repo's layering contract (RPL301).  The scheduler and simulation
 #: cores sit below the serving/experiment/tooling layers; the lint pass is
 #: hermetic apart from the shared exception/type foundation.
-DEFAULT_LAYERING_CONTRACTS: Tuple[LayeringContract, ...] = (
+LAYERING_CONTRACTS: Tuple[LayeringContract, ...] = (
     LayeringContract(
         package="repro.core",
         forbidden=(
@@ -295,47 +293,15 @@ DEFAULT_LAYERING_CONTRACTS: Tuple[LayeringContract, ...] = (
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Everything a rule may consult while checking a module.
+    """Which rules a lint run executes.
 
     Attributes:
-        vocabulary: Unit stems/suffixes for RPL001/RPL002.
         select: When non-empty, only these codes run.
         ignore: Codes disabled globally (after ``select``).
-        scheduler_contracts: Base-class name -> required method (RPL004).
-        request_names: Parameter names treated as frozen ``Request``
-            instances for the mutation check (RPL004).
-        hot_functions: Function/method names treated as per-event hot
-            paths by RPL007.
-        hot_path_parts: Path fragments selecting the modules RPL007
-            scans (empty disables the rule everywhere).
-        determinism_scope: Module-name prefixes rooting the RPL101/RPL102
-            reachability walk (empty disables both rules).
-        wall_clock_calls: Canonical dotted call names that read the wall
-            clock (RPL101).
-        rng_constructors: Canonical dotted names of seed-first RNG
-            constructors (RPL102).
-        serialisation_functions: Function names rooting the RPL103
-            serialisation scope.
-        blocking_calls: Canonical dotted call names that block the event
-            loop (RPL201).
-        layering_contracts: Package import constraints (RPL301).
     """
 
-    vocabulary: UnitVocabulary = field(default_factory=UnitVocabulary)
     select: FrozenSet[str] = frozenset()
     ignore: FrozenSet[str] = frozenset()
-    scheduler_contracts: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_SCHEDULER_CONTRACTS)
-    )
-    request_names: Tuple[str, ...] = ("request", "req")
-    hot_functions: FrozenSet[str] = DEFAULT_HOT_FUNCTIONS
-    hot_path_parts: Tuple[str, ...] = DEFAULT_HOT_PATH_PARTS
-    determinism_scope: Tuple[str, ...] = DEFAULT_DETERMINISM_SCOPE
-    wall_clock_calls: FrozenSet[str] = DEFAULT_WALL_CLOCK_CALLS
-    rng_constructors: FrozenSet[str] = DEFAULT_RNG_CONSTRUCTORS
-    serialisation_functions: FrozenSet[str] = DEFAULT_SERIALISATION_FUNCTIONS
-    blocking_calls: FrozenSet[str] = DEFAULT_BLOCKING_CALLS
-    layering_contracts: Tuple[LayeringContract, ...] = DEFAULT_LAYERING_CONTRACTS
 
     def rule_enabled(self, code: str) -> bool:
         """Apply ``select`` then ``ignore`` to one rule code."""

@@ -8,7 +8,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
-from repro.checks.config import CheckConfig
 from repro.checks.violation import Violation
 from repro.errors import ConfigurationError
 
@@ -20,12 +19,11 @@ _CODE_PATTERN = re.compile(r"^RPL\d{3}$")
 
 @dataclass(frozen=True)
 class FileContext:
-    """What a rule sees: one parsed module plus its surroundings."""
+    """What a rule sees: one parsed module."""
 
     path: str
     source: str
     tree: ast.Module
-    config: CheckConfig
 
     def violation(self, rule: "Rule", node: ast.AST, message: str) -> Violation:
         """Build a violation anchored at ``node`` for ``rule``."""

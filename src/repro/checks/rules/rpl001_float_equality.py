@@ -8,7 +8,7 @@ ordering, ``math.isclose``, or an explicit tolerance instead.
 
 The rule fires on ``==`` / ``!=`` comparisons where either operand is a name
 or attribute whose snake_case components contain a time/energy stem from the
-unit vocabulary (``now``, ``t_last``, ``gap_energy``, ``arrival_time`` ...).
+unit domains (``now``, ``t_last``, ``gap_energy``, ``arrival_time`` ...).
 Comparisons against ``None`` are ignored (identity checks are fine), as are
 comparisons between two integer literals.
 """
@@ -18,11 +18,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.checks.config import matching_domains
 from repro.checks.registry import FileContext, Rule, register_rule
 from repro.checks.violation import Violation
 
 #: Extra identifiers that denote simulated-clock values beyond the
-#: vocabulary stems (``now`` is the canonical SystemView clock property).
+#: unit-domain stems (``now`` is the canonical SystemView clock property).
 CLOCK_NAMES = frozenset({"now", "t", "ti", "tlast", "t_last"})
 
 _QUANTITY_DOMAINS = ("time", "energy")
@@ -36,7 +37,6 @@ class FloatEqualityRule(Rule):
     summary = "no == / != on simulated-time or energy expressions"
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        vocabulary = context.config.vocabulary
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -52,7 +52,7 @@ class FloatEqualityRule(Rule):
                         continue
                     if name in CLOCK_NAMES or any(
                         domain in _QUANTITY_DOMAINS
-                        for domain in vocabulary.matching_domains(name)
+                        for domain in matching_domains(name)
                     ):
                         yield context.violation(
                             self,

@@ -8,8 +8,8 @@ unit recoverable — either in the name itself (``gap_seconds``,
 ``energy_joules``, ``idle_watts``) or in the enclosing docstring (a unit
 word such as "seconds", "joules", "watts").
 
-The stems, approved suffixes, and accepted unit words all come from the
-configurable :class:`~repro.checks.config.UnitVocabulary`.  Private names
+The stems, approved suffixes, and accepted unit words all come from
+:data:`~repro.checks.config.UNIT_DOMAINS`.  Private names
 (leading underscore) are exempt; ``__init__`` parameters are checked because
 they are the public constructor surface, with the class docstring accepted
 as documentation.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.checks.config import UnitVocabulary
+from repro.checks.config import UNIT_DOMAINS, matching_domains
 from repro.checks.registry import FileContext, Rule, register_rule
 from repro.checks.violation import Violation
 
@@ -36,17 +36,15 @@ class UnitSuffixRule(Rule):
     summary = "public energy/power/time names need a unit suffix or documented units"
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        vocabulary = context.config.vocabulary
         for function, doc in _public_functions(context.tree):
-            yield from self._check_function(context, vocabulary, function, doc)
+            yield from self._check_function(context, function, doc)
         for class_node in context.tree.body:
             if isinstance(class_node, ast.ClassDef) and not class_node.name.startswith("_"):
-                yield from self._check_class_attributes(context, vocabulary, class_node)
+                yield from self._check_class_attributes(context, class_node)
 
     def _check_function(
         self,
         context: FileContext,
-        vocabulary: UnitVocabulary,
         function: ast.FunctionDef,
         doc: Optional[str],
     ) -> Iterator[Violation]:
@@ -55,19 +53,18 @@ class UnitSuffixRule(Rule):
             if arg.arg in ("self", "cls") or arg.arg.startswith("_"):
                 continue
             yield from self._check_name(
-                context, vocabulary, arg, arg.arg, arg.annotation, doc,
+                context, arg, arg.arg, arg.annotation, doc,
                 f"parameter {arg.arg!r} of {function.name}()",
             )
         if function.name != "__init__":
             yield from self._check_name(
-                context, vocabulary, function, function.name, function.returns, doc,
+                context, function, function.name, function.returns, doc,
                 f"function {function.name}()",
             )
 
     def _check_class_attributes(
         self,
         context: FileContext,
-        vocabulary: UnitVocabulary,
         class_node: ast.ClassDef,
     ) -> Iterator[Violation]:
         doc = ast.get_docstring(class_node)
@@ -78,31 +75,30 @@ class UnitSuffixRule(Rule):
             if not isinstance(target, ast.Name) or target.id.startswith("_"):
                 continue
             yield from self._check_name(
-                context, vocabulary, statement, target.id, statement.annotation, doc,
+                context, statement, target.id, statement.annotation, doc,
                 f"attribute {class_node.name}.{target.id}",
             )
 
     def _check_name(
         self,
         context: FileContext,
-        vocabulary: UnitVocabulary,
         node: ast.AST,
         name: str,
         annotation: Optional[ast.expr],
         doc: Optional[str],
         described: str,
     ) -> Iterator[Violation]:
-        domains = vocabulary.matching_domains(name)
+        domains = matching_domains(name)
         if not domains:
             return
         if annotation is not None and not _is_quantity_annotation(annotation):
             return
         for key in domains:
-            domain = vocabulary.domains[key]
+            domain = UNIT_DOMAINS[key]
             if domain.name_carries_unit(name) or domain.documented_in(doc):
                 return
         suffixes = ", ".join(
-            vocabulary.domains[key].suffixes[0] for key in domains
+            UNIT_DOMAINS[key].suffixes[0] for key in domains
         )
         yield context.violation(
             self,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
+from repro.checks.config import REQUEST_NAMES, SCHEDULER_CONTRACTS
 from repro.checks.registry import FileContext, Rule, register_rule
 from repro.checks.violation import Violation
 
@@ -30,12 +31,11 @@ class SchedulerContractRule(Rule):
     summary = "schedulers implement their family method and never mutate Requests"
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        contracts = context.config.scheduler_contracts
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             base_names = {_base_name(base) for base in node.bases} - {None}
-            contract_bases = sorted(name for name in base_names if name in contracts)
+            contract_bases = sorted(name for name in base_names if name in SCHEDULER_CONTRACTS)
             is_scheduler = bool(contract_bases) or any(
                 name is not None and name.endswith("Scheduler") for name in base_names
             )
@@ -46,7 +46,7 @@ class SchedulerContractRule(Rule):
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
                 for base in contract_bases:
-                    required = contracts[base]
+                    required = SCHEDULER_CONTRACTS[base]
                     if required not in defined:
                         yield context.violation(
                             self,
@@ -101,7 +101,7 @@ class SchedulerContractRule(Rule):
         self, context: FileContext, function: ast.AST
     ) -> Set[str]:
         assert isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        names = set(context.config.request_names)
+        names = set(REQUEST_NAMES)
         arguments = function.args
         for arg in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs):
             annotation = arg.annotation

@@ -7,8 +7,8 @@ arithmetic does (the incremental-cost-caching work exists precisely
 because of this pattern). The rule flags list/set/dict comprehensions —
 and generator expressions materialised through ``list``/``tuple``/
 ``set``/``frozenset``/``sorted``/``dict`` — inside functions named in
-``CheckConfig.hot_functions``, but only in the hot-path modules selected
-by ``CheckConfig.hot_path_parts`` (the simulation core and scheduler
+``config.HOT_FUNCTIONS``, but only in the hot-path modules selected
+by ``config.HOT_PATH_PARTS`` (the simulation core and scheduler
 layer); offline/analysis code may comprehend freely.
 
 The rule is *interprocedural* when the whole program is available: a
@@ -26,10 +26,11 @@ line, not the expression's.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Set, Tuple, Union
 
 from repro.checks.analysis.callgraph import chain_text
 from repro.checks.analysis.project import ProjectContext
+from repro.checks.config import HOT_FUNCTIONS, HOT_PATH_PARTS
 from repro.checks.registry import FileContext, Rule, register_rule
 from repro.checks.violation import Violation
 
@@ -56,13 +57,12 @@ class HotPathAllocationRule(Rule):
     summary = "no per-call container rebuilds in known hot functions"
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        config = context.config
-        if not _in_scope(context.path, config.hot_path_parts):
+        if not _in_scope(context.path):
             return
         for node in ast.walk(context.tree):
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in config.hot_functions
+                and node.name in HOT_FUNCTIONS
             ):
                 for anchor, what in _iter_allocations(node):
                     yield context.violation(
@@ -79,14 +79,11 @@ class HotPathAllocationRule(Rule):
         Roots — hot-named functions in hot modules — are covered by the
         per-file pass above; this pass flags the helpers they reach.
         """
-        config = project.config
-        if not config.hot_path_parts:
-            return
         roots = {
             info.function_id
             for info in project.symbols.functions()
-            if info.qualname.rsplit(".", 1)[-1] in config.hot_functions
-            and _in_scope_module(project, info.module, config.hot_path_parts)
+            if info.qualname.rsplit(".", 1)[-1] in HOT_FUNCTIONS
+            and _in_scope_module(project, info.module)
         }
         parents = project.calls.reachable_from(sorted(roots))
         for function_id in sorted(parents):
@@ -131,19 +128,17 @@ def _iter_allocations(function: _FunctionNode) -> Iterator[Tuple[ast.AST, str]]:
             )
 
 
-def _in_scope(path: str, hot_path_parts: Sequence[str]) -> bool:
-    """True when ``path`` lies in one of the configured hot modules."""
+def _in_scope(path: str) -> bool:
+    """True when ``path`` lies in one of the hot-path modules."""
     normalized = path.replace("\\", "/")
-    return any(part in normalized for part in hot_path_parts)
+    return any(part in normalized for part in HOT_PATH_PARTS)
 
 
-def _in_scope_module(
-    project: ProjectContext, module: str, hot_path_parts: Sequence[str]
-) -> bool:
+def _in_scope_module(project: ProjectContext, module: str) -> bool:
     info = project.modules.get(module)
     if info is None:
         return False
-    return _in_scope(info.path, hot_path_parts)
+    return _in_scope(info.path)
 
 
 def _call_name(node: ast.Call) -> str:

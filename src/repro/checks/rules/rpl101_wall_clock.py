@@ -31,6 +31,7 @@ from repro.checks.analysis.callgraph import (
 )
 from repro.checks.analysis.project import ProjectContext, module_in_scope
 from repro.checks.analysis.symbols import canonical_call_name
+from repro.checks.config import DETERMINISM_SCOPE, WALL_CLOCK_CALLS
 from repro.checks.registry import ProjectRule, register_rule
 from repro.checks.violation import Violation
 
@@ -44,12 +45,8 @@ class WallClockRule(ProjectRule):
     summary = "no wall-clock reads reachable from sim/core/serve paths"
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        scope = project.config.determinism_scope
-        vocabulary = project.config.wall_clock_calls
-        if not scope or not vocabulary:
-            return
         roots = [
-            info.function_id for info in project.functions_in_scope(scope)
+            info.function_id for info in project.functions_in_scope(DETERMINISM_SCOPE)
         ]
         parents = project.calls.reachable_from(roots)
         for function_id in sorted(parents):
@@ -60,20 +57,20 @@ class WallClockRule(ProjectRule):
             symbols = project.symbols.modules[info.module]
             for call in iter_own_calls(info.node):
                 name = canonical_call_name(symbols, call)
-                if name is None or name not in vocabulary:
+                if name is None or name not in WALL_CLOCK_CALLS:
                     continue
                 yield project.violation(
                     self, module, call, self._message(name, project, parents, function_id)
                 )
         # Import-time reads inside the scope's own modules.
         for module_name in sorted(project.modules):
-            if not module_in_scope(module_name, scope):
+            if not module_in_scope(module_name, DETERMINISM_SCOPE):
                 continue
             module = project.modules[module_name]
             symbols = project.symbols.modules[module_name]
             for call in iter_module_level_calls(module.tree):
                 name = canonical_call_name(symbols, call)
-                if name is None or name not in vocabulary:
+                if name is None or name not in WALL_CLOCK_CALLS:
                     continue
                 yield project.violation(
                     self,

@@ -22,6 +22,7 @@ from typing import Dict, Iterator, Optional, Set
 from repro.checks.analysis.callgraph import chain_text, display_function, iter_own_calls
 from repro.checks.analysis.project import ProjectContext
 from repro.checks.analysis.symbols import FunctionNode, canonical_call_name
+from repro.checks.config import DETERMINISM_SCOPE, RNG_CONSTRUCTORS
 from repro.checks.registry import ProjectRule, register_rule
 from repro.checks.violation import Violation
 
@@ -35,12 +36,8 @@ class SeedFallthroughRule(ProjectRule):
     summary = "no maybe-None seed forwarded into an RNG constructor in scope"
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        scope = project.config.determinism_scope
-        constructors = project.config.rng_constructors
-        if not scope or not constructors:
-            return
         roots = [
-            info.function_id for info in project.functions_in_scope(scope)
+            info.function_id for info in project.functions_in_scope(DETERMINISM_SCOPE)
         ]
         parents = project.calls.reachable_from(roots)
         for function_id in sorted(parents):
@@ -54,7 +51,7 @@ class SeedFallthroughRule(ProjectRule):
             symbols = project.symbols.modules[info.module]
             for call in iter_own_calls(info.node):
                 name = canonical_call_name(symbols, call)
-                if name is None or name not in constructors:
+                if name is None or name not in RNG_CONSTRUCTORS:
                     continue
                 forwarded = _forwarded_optional(call, optional)
                 if forwarded is None:

@@ -7,8 +7,8 @@ varies per process, set iteration order varies with it, and the "same"
 report stops comparing equal.
 
 Scope: functions whose name marks them as serialisers (``as_dict``,
-``payload``, ``summary``, ... — configurable) plus every function
-reachable from one through the call graph.  Flagged shapes:
+``payload``, ``summary``, ... — see ``config.SERIALISATION_FUNCTIONS``)
+plus every function reachable from one through the call graph.  Flagged shapes:
 
 * ``for x in {a, b}`` / ``for x in set(...)`` / ``frozenset(...)``;
 * comprehensions iterating one of those;
@@ -27,6 +27,7 @@ from typing import Dict, Iterator, Optional, Set
 from repro.checks.analysis.callgraph import display_function, iter_own_calls
 from repro.checks.analysis.project import ProjectContext
 from repro.checks.analysis.symbols import FunctionNode
+from repro.checks.config import SERIALISATION_FUNCTIONS
 from repro.checks.registry import ProjectRule, register_rule
 from repro.checks.violation import Violation
 
@@ -45,13 +46,10 @@ class UnorderedSerialisationRule(ProjectRule):
     summary = "no unordered set iteration feeding report serialisation"
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        names = project.config.serialisation_functions
-        if not names:
-            return
         roots = [
             info.function_id
             for info in project.symbols.functions()
-            if info.qualname.rsplit(".", 1)[-1] in names
+            if info.qualname.rsplit(".", 1)[-1] in SERIALISATION_FUNCTIONS
         ]
         parents = project.calls.reachable_from(roots)
         for function_id in sorted(parents):

@@ -23,6 +23,7 @@ from typing import Dict, Iterator, Optional
 from repro.checks.analysis.callgraph import chain_text, display_function, iter_own_calls
 from repro.checks.analysis.project import ProjectContext
 from repro.checks.analysis.symbols import canonical_call_name
+from repro.checks.config import BLOCKING_CALLS
 from repro.checks.registry import ProjectRule, register_rule
 from repro.checks.violation import Violation
 
@@ -36,9 +37,6 @@ class BlockingInAsyncRule(ProjectRule):
     summary = "no blocking calls inside or reachable from async def bodies"
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        vocabulary = project.config.blocking_calls
-        if not vocabulary:
-            return
         roots = [
             info.function_id
             for info in project.symbols.functions()
@@ -57,7 +55,7 @@ class BlockingInAsyncRule(ProjectRule):
             symbols = project.symbols.modules[info.module]
             for call in iter_own_calls(info.node):
                 name = canonical_call_name(symbols, call)
-                if name is None or name not in vocabulary:
+                if name is None or name not in BLOCKING_CALLS:
                     continue
                 yield project.violation(
                     self,

@@ -1,7 +1,7 @@
 """RPL301 — the import-graph layering contract.
 
 Architecture erodes one convenient import at a time.  The contract this
-rule enforces (see ``CheckConfig.layering_contracts``) keeps the
+rule enforces (see ``config.LAYERING_CONTRACTS``) keeps the
 reproduction's dependency arrows pointing downward:
 
 * ``repro.core`` and ``repro.sim`` — the numerical heart — must never
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.checks.analysis.project import ProjectContext, module_in_scope
+from repro.checks.config import LAYERING_CONTRACTS
 from repro.checks.registry import ProjectRule, register_rule
 from repro.checks.violation import Violation
 
@@ -34,7 +35,7 @@ class LayeringRule(ProjectRule):
     summary = "package imports respect the layering contract (core below serve)"
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        for contract in project.config.layering_contracts:
+        for contract in LAYERING_CONTRACTS:
             for edge in project.imports.project_edges():
                 if not module_in_scope(edge.importer, (contract.package,)):
                     continue

@@ -1,4 +1,4 @@
-"""File discovery and rule execution (per-file and whole-program)."""
+"""File discovery, rule execution (per-file and whole-program) and pragmas."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import ast
 import os
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -76,11 +77,13 @@ def check_source(
 
     Project rules run over a single-module project, so determinism- and
     asyncio-family findings local to the snippet still fire (the supplied
-    ``path`` decides which scopes the snippet's module lands in).
+    ``path`` decides which scopes the snippet's module lands in).  Pragmas
+    suppress findings here but are not judged: unused pragmas are a
+    property of a lint run over files (:func:`check_paths`).
     """
     config = config if config is not None else CheckConfig()
     tree = ast.parse(source, filename=path)
-    context = FileContext(path=path, source=source, tree=tree, config=config)
+    context = FileContext(path=path, source=source, tree=tree)
     suppressions = scan_pragmas(source)
     rule_list = list(rules) if rules is not None else all_rules()
     found: List[Violation] = []
@@ -110,6 +113,12 @@ def check_paths(
     by normalised path) while the whole-program context is still built over
     everything discovered — the ``lint --changed`` fast path: cross-module
     rules stay sound, output stays scoped to the edited files.
+
+    A pragma code that suppressed no finding is reported as an
+    :data:`~repro.checks.suppression.UNUSED_PRAGMA` finding, but only in
+    reported files and only when its verdict means something: a code is
+    judged when its rule ran, and ``all`` (or a code naming no rule) only
+    when every rule ran.
     """
     config = config if config is not None else CheckConfig()
     rule_list = list(rules) if rules is not None else all_rules()
@@ -141,7 +150,7 @@ def check_paths(
         suppressions[path] = index
         if not _selected(path, restricted):
             continue
-        context = FileContext(path=path, source=source, tree=tree, config=config)
+        context = FileContext(path=path, source=source, tree=tree)
         for rule in rule_list:
             if not config.rule_enabled(rule.code):
                 continue
@@ -151,6 +160,10 @@ def check_paths(
     for violation in _run_project_rules(sources, suppressions, config, rule_list):
         if _selected(violation.path, restricted):
             violations.append(violation)
+    judged = _pragma_judge(config, rule_list)
+    for path, index in suppressions.items():
+        if _selected(path, restricted):
+            violations.extend(index.unused(path, judged))
     return CheckReport(
         violations=tuple(sorted(set(violations))),
         parse_errors=tuple(sorted(parse_errors)),
@@ -171,7 +184,7 @@ def _run_project_rules(
     # module feeds — a local import keeps the module graph acyclic.
     from repro.checks.analysis.project import build_project
 
-    project = build_project(sources, config)
+    project = build_project(sources)
     found: List[Violation] = []
     empty = SuppressionIndex()
     for rule in rules:
@@ -181,6 +194,13 @@ def _run_project_rules(
             if not suppressions.get(violation.path, empty).is_suppressed(violation):
                 found.append(violation)
     return found
+
+
+def _pragma_judge(config: CheckConfig, rules: Sequence[Rule]) -> Callable[[str], bool]:
+    """Whether this run can tell that a pragma code suppresses nothing."""
+    ran = frozenset(rule.code for rule in rules if config.rule_enabled(rule.code))
+    full_run = ran >= frozenset(rule.code for rule in all_rules())
+    return lambda code: full_run or code in ran
 
 
 def _selected(path: str, restricted: Optional[FrozenSet[str]]) -> bool:

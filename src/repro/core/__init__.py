@@ -25,13 +25,11 @@ from repro.core.saving import (
     saving_window,
 )
 from repro.core.scheduler import (
-    SCHEDULER_FACTORIES,
     BatchScheduler,
     OfflineScheduler,
     OnlineScheduler,
     Scheduler,
     SystemView,
-    make_scheduler,
 )
 from repro.core.static_scheduler import StaticScheduler
 from repro.core.writeoffload import WriteOffloadingScheduler
@@ -54,7 +52,6 @@ __all__ = [
     "PAPER_COST_FUNCTION",
     "PredictiveHeuristicScheduler",
     "RandomScheduler",
-    "SCHEDULER_FACTORIES",
     "SavingTerm",
     "Scheduler",
     "SchedulingProblem",
@@ -65,7 +62,6 @@ __all__ = [
     "chain_energies",
     "energy_cost",
     "gap_energy",
-    "make_scheduler",
     "max_request_energy",
     "performance_cost",
     "saving_value",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
-from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
+from repro.core.scheduler import OnlineScheduler, SystemView
 from repro.errors import ReplicaUnavailableError
 from repro.types import DiskId, Request
 
@@ -58,8 +58,3 @@ class HeuristicScheduler(OnlineScheduler):
             f"Heuristic(a={self.cost_function.alpha:g},"
             f"b={self.cost_function.beta:g})"
         )
-
-
-@register_scheduler("heuristic")
-def _make_heuristic() -> HeuristicScheduler:
-    return HeuristicScheduler()

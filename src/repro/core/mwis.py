@@ -38,7 +38,7 @@ from repro.algorithms.graph import ConflictGraph
 from repro.algorithms.independent_set import solve_mwis
 from repro.core.problem import SchedulingProblem
 from repro.core.saving import SavingTerm, gap_energy, max_request_energy, saving_window
-from repro.core.scheduler import OfflineScheduler, register_scheduler
+from repro.core.scheduler import OfflineScheduler
 from repro.power.profile import DiskPowerProfile
 from repro.types import Assignment, DiskId, Request, RequestId
 
@@ -235,8 +235,3 @@ def _request_time(problem: SchedulingProblem, request_id: RequestId) -> float:
         cache = {request.request_id: request.time for request in problem.requests}
         object.__setattr__(problem, "_time_cache", cache)
     return cache[request_id]
-
-
-@register_scheduler("mwis")
-def _make_mwis() -> MWISOfflineScheduler:
-    return MWISOfflineScheduler()

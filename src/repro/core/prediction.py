@@ -30,7 +30,7 @@ from repro.core.cost import (
     energy_cost,
     performance_cost,
 )
-from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
+from repro.core.scheduler import OnlineScheduler, SystemView
 from repro.errors import ConfigurationError
 from repro.types import DiskId, Request
 
@@ -129,8 +129,3 @@ class PredictiveHeuristicScheduler(OnlineScheduler):
             f"PredictiveHeuristic(a={self.cost_function.alpha:g},"
             f"b={self.cost_function.beta:g})"
         )
-
-
-@register_scheduler("predictive")
-def _make_predictive() -> PredictiveHeuristicScheduler:
-    return PredictiveHeuristicScheduler()

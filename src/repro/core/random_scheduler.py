@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
+from repro.core.scheduler import OnlineScheduler, SystemView
 from repro.errors import ReplicaUnavailableError
 from repro.types import DiskId, Request
 
@@ -34,8 +34,3 @@ class RandomScheduler(OnlineScheduler):
     @property
     def name(self) -> str:
         return "Random"
-
-
-@register_scheduler("random")
-def _make_random() -> RandomScheduler:
-    return RandomScheduler()

@@ -1,4 +1,4 @@
-"""Scheduler interfaces and registry.
+"""Scheduler interfaces.
 
 Three families, matching the paper's three models (Section 2.2):
 
@@ -18,7 +18,7 @@ offline scheduler works directly on a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Protocol, Sequence, Tuple
+from typing import Dict, Protocol, Sequence, Tuple
 
 from repro.core.cost import DiskView
 from repro.core.fleet import FleetCostState
@@ -96,31 +96,3 @@ class OfflineScheduler(Scheduler):
     @abstractmethod
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         """Return a complete, feasible assignment."""
-
-
-SCHEDULER_FACTORIES: Dict[str, Callable[[], Scheduler]] = {}
-
-
-def register_scheduler(
-    name: str,
-) -> Callable[[Callable[[], Scheduler]], Callable[[], Scheduler]]:
-    """Decorator registering a zero-argument scheduler factory by name."""
-
-    def decorator(factory: Callable[[], Scheduler]) -> Callable[[], Scheduler]:
-        if name in SCHEDULER_FACTORIES:
-            raise ConfigurationError(f"scheduler {name!r} registered twice")
-        SCHEDULER_FACTORIES[name] = factory
-        return factory
-
-    return decorator
-
-
-def make_scheduler(name: str) -> Scheduler:
-    """Instantiate a registered scheduler with its paper-default config."""
-    try:
-        factory = SCHEDULER_FACTORIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheduler {name!r}; known: {sorted(SCHEDULER_FACTORIES)}"
-        )
-    return factory()

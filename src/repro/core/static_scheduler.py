@@ -8,7 +8,7 @@ counts to Static for exactly that reason.
 
 from __future__ import annotations
 
-from repro.core.scheduler import OnlineScheduler, SystemView, register_scheduler
+from repro.core.scheduler import OnlineScheduler, SystemView
 from repro.errors import ReplicaUnavailableError
 from repro.types import DiskId, Request
 
@@ -32,8 +32,3 @@ class StaticScheduler(OnlineScheduler):
     @property
     def name(self) -> str:
         return "Static"
-
-
-@register_scheduler("static")
-def _make_static() -> StaticScheduler:
-    return StaticScheduler()

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.algorithms.set_cover import Bitsets, greedy_weighted_set_cover_dense
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
 from repro.core.fleet import FleetCostState
-from repro.core.scheduler import BatchScheduler, SystemView, register_scheduler
+from repro.core.scheduler import BatchScheduler, SystemView
 from repro.errors import ReplicaUnavailableError, SchedulingError
 from repro.types import DiskId, Request, RequestId
 
@@ -152,8 +152,3 @@ class WSCBatchScheduler(BatchScheduler):
     @property
     def name(self) -> str:
         return f"WSC(batch {self.interval:g}s)"
-
-
-@register_scheduler("wsc")
-def _make_wsc() -> WSCBatchScheduler:
-    return WSCBatchScheduler()

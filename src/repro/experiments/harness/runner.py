@@ -33,7 +33,6 @@ from repro.experiments.harness.cache import RunCache
 from repro.experiments.harness.serialize import report_to_payload
 from repro.experiments.harness.spec import KIND_BASELINE, RunSpec
 from repro.faults.plan import FaultPlan
-from repro.perf.profiler import hook_phase
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
 from repro.power.profile import get_profile
@@ -143,14 +142,13 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
     metadata and never participates in cache keys or byte comparisons.
     """
     started = time.perf_counter()
-    with hook_phase("binding"):
-        requests, catalog, disks = get_binding(
-            spec.trace,
-            spec.replication_factor,
-            spec.zipf_exponent,
-            spec.scale,
-            spec.seed,
-        )
+    requests, catalog, disks = get_binding(
+        spec.trace,
+        spec.replication_factor,
+        spec.zipf_exponent,
+        spec.scale,
+        spec.seed,
+    )
     config = make_config(disks, spec.profile, spec.seed)
     if spec.fault_rate > 0:
         # The plan seed derives from the run seed so replication seeds get
@@ -160,18 +158,15 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
             config,
             fault_plan=FaultPlan.canonical(spec.fault_rate, seed=spec.seed),
         )
-    with hook_phase("simulate"):
-        if spec.kind == KIND_BASELINE:
-            report = always_on_baseline(requests, catalog, config)
-        elif spec.scheduler_key == "mwis":
-            scheduler = make_scheduler(spec)
-            if not isinstance(scheduler, MWISOfflineScheduler):
-                raise ConfigurationError(
-                    "mwis spec produced a non-offline scheduler"
-                )
-            report = run_offline(requests, catalog, scheduler, config).report
-        else:
-            report = simulate(requests, catalog, make_scheduler(spec), config)
+    if spec.kind == KIND_BASELINE:
+        report = always_on_baseline(requests, catalog, config)
+    elif spec.scheduler_key == "mwis":
+        scheduler = make_scheduler(spec)
+        if not isinstance(scheduler, MWISOfflineScheduler):
+            raise ConfigurationError("mwis spec produced a non-offline scheduler")
+        report = run_offline(requests, catalog, scheduler, config).report
+    else:
+        report = simulate(requests, catalog, make_scheduler(spec), config)
     return {
         "report": report_to_payload(report),
         "wall_s": time.perf_counter() - started,

@@ -3,10 +3,8 @@
 Four parts, all opt-in so the hot path pays nothing by default:
 
 * :mod:`repro.perf.profiler` — a :class:`~repro.perf.profiler.Profiler`
-  combining cProfile accumulation with cheap per-phase wall-clock
-  counters. When no profiler is active, the instrumentation hook
-  returns one shared ``nullcontext`` — a single ``is None`` test per
-  phase, no allocation.
+  that merges the cProfile of many calls into one table, plus the
+  process-wide peak-RSS reading.
 * :mod:`repro.perf.benchprof` — runs any registered bench under cProfile
   and prints the top-N cumulative table (``repro-storage profile fig6``).
 * :mod:`repro.perf.gate` — the paired same-host perf gate over the repo
@@ -17,18 +15,6 @@ Four parts, all opt-in so the hot path pays nothing by default:
 
 from __future__ import annotations
 
-from repro.perf.profiler import (
-    PhaseStats,
-    Profiler,
-    activate,
-    deactivate,
-    hook_phase,
-)
+from repro.perf.profiler import Profiler
 
-__all__ = [
-    "PhaseStats",
-    "Profiler",
-    "activate",
-    "deactivate",
-    "hook_phase",
-]
+__all__ = ["Profiler"]

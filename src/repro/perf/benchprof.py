@@ -3,9 +3,7 @@
 Runs every spec of a bench's cell list (defined next to the figure that
 reads it and registered in :data:`~repro.experiments.harness.bench.BENCHES`)
 under one accumulating cProfile (cache bypassed — profiling a cache hit
-would measure JSON decoding) and renders the merged top-N table plus the
-coarse per-phase wall-clock breakdown recorded by the runner's
-:func:`~repro.perf.profiler.hook_phase` instrumentation.
+would measure JSON decoding) and renders the merged top-N table.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import ConfigurationError
-from repro.perf.profiler import Profiler, activate, deactivate
+from repro.perf.profiler import Profiler
 
 
 def profile_bench(
@@ -47,18 +45,14 @@ def profile_bench(
             "(figure-level recomputation only)"
         )
     profiler = Profiler()
-    previous = activate(profiler)
     try:
         for spec in specs:
             profiler.profile_call(execute_spec, spec)
     finally:
-        deactivate(previous)
         clear_memos()
     lines: List[str] = [
         f"profiled {len(specs)} spec(s) of bench {bench_id!r} "
         f"at scale {scale:g}, seed {seed}",
-        "",
-        profiler.phase_table(),
         "",
         profiler.top_table(limit=top, sort=sort),
     ]

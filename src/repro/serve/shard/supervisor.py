@@ -352,9 +352,7 @@ class ShardSupervisor:
                     )
                 # Exponential backoff between spawn attempts: pure wall
                 # pacing, invisible to outcomes.
-                time.sleep(  # reprolint: disable=RPL101
-                    config.spawn_backoff_s * 2 ** (attempt - 1)
-                )
+                time.sleep(config.spawn_backoff_s * 2 ** (attempt - 1))
         replay = self._outbox[shard_id]
         for start in range(0, len(replay), REQUEST_CHUNK):
             self._request_qs[shard_id].put(

@@ -39,7 +39,6 @@ class SimulationConfig:
         cache_factory: Optional block-cache constructor (one fresh cache
             per run); see :mod:`repro.cache`. ``None`` = no cache, the
             paper's configuration.
-        cache_hit_time: Response time charged to a cache hit.
         record_transitions: Keep per-disk ``(time, state)`` transition
             logs (memory-proportional to spin activity) for the
             state-period analyses.
@@ -65,7 +64,6 @@ class SimulationConfig:
     drain_slack: float = 30.0
     initial_state: DiskPowerState = DiskPowerState.STANDBY
     cache_factory: Optional[Callable[[], BlockCache]] = None
-    cache_hit_time: float = 0.0002
     record_transitions: bool = False
     fault_plan: Optional[FaultPlan] = None
     tier: Optional[TierConfig] = None
@@ -77,8 +75,6 @@ class SimulationConfig:
             raise ConfigurationError("horizon must be >= 0")
         if self.drain_slack < 0:
             raise ConfigurationError("drain_slack must be >= 0")
-        if self.cache_hit_time < 0:
-            raise ConfigurationError("cache_hit_time must be >= 0")
 
     def make_service_model(self) -> ServiceTimeModel:
         """The service model for one disk (fresh instance when a factory

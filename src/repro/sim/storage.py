@@ -38,6 +38,8 @@ from repro.types import DiskId, OpKind, Request, RequestId
 #: Request's dataclass compare-fields, as a sort key (see run()).
 _REQUEST_ORDER = operator.attrgetter("time", "request_id")
 
+#: Response time in seconds charged to a read served from the block cache.
+CACHE_HIT_S = 0.0002
 #: First failover-retry delay in seconds; doubles on every further attempt.
 RETRY_BASE_S = 0.5
 #: Backoff retries granted to a request whose replicas are all transiently
@@ -355,11 +357,7 @@ class StorageSystem(DiskFleet):
         def deliver() -> None:
             self._metrics.on_complete(request, home, self._engine.now)
 
-        delay = self._config.cache_hit_time
-        if delay > 0:
-            self._engine.schedule_after(delay, deliver)
-        else:
-            deliver()
+        self._engine.schedule_after(CACHE_HIT_S, deliver)
 
 
 class _Readmit:

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
 from repro.checks import CheckConfig, check_paths, check_source, main
 from repro.checks.registry import all_rules
 from repro.checks.reporting import render_json, render_text
+from repro.checks.suppression import UNUSED_PRAGMA
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -55,6 +57,49 @@ def test_all_keyword_suppresses_every_rule():
 def test_pragma_inside_string_literal_is_ignored():
     source = 'PRAGMA = "# reprolint: disable-file=all"\n' + MUTABLE_DEFAULT
     assert [v.code for v in check_source(source)] == ["RPL005"]
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("def collect(bucket=[]):  # reprolint: disable=RPL005\n    return bucket\n", []),
+        ("# reprolint: disable-file=RPL005\n" + MUTABLE_DEFAULT, []),
+        ("# reprolint: disable-file=all\n" + MUTABLE_DEFAULT, []),
+        ("X = 1  # reprolint: disable=RPL001\n", [(1, "RPL001")]),
+        ("X = 1\n# reprolint: disable-file=RPL005\n", [(2, "RPL005")]),
+        ("# reprolint: disable-file=all\nX = 1\n", [(1, "all")]),
+        (
+            "def collect(bucket=[]):  # reprolint: disable=RPL001,RPL005\n"
+            "    return bucket\n",
+            [(1, "RPL001")],
+        ),
+    ],
+)
+def test_pragma_code_that_suppresses_nothing_is_reported(tmp_path, source, unused):
+    target = tmp_path / "mod.py"
+    target.write_text(source)
+    report = check_paths([target])
+    assert [(v.code, v.line) for v in report.violations] == [
+        (UNUSED_PRAGMA, line) for line, _ in unused
+    ]
+    for violation, (_, code) in zip(report.violations, unused):
+        assert f"{code} suppresses no finding" in violation.message
+    assert report.exit_code == (1 if unused else 0)
+
+
+@pytest.mark.parametrize(
+    "pragma, flags",
+    [
+        ("disable=RPL001", ["--select", "RPL005"]),
+        ("disable=RPL001", ["--ignore", "RPL001"]),
+        ("disable-file=all", ["--ignore", "RPL001"]),
+    ],
+)
+def test_pragma_is_judged_only_when_its_rule_ran(tmp_path, pragma, flags):
+    target = tmp_path / "clean.py"
+    target.write_text(f"X = 1  # reprolint: {pragma}\n")
+    assert main([str(target), *flags]) == 0
+    assert main([str(target)]) == 1
 
 
 # ---------------------------------------------------------------- config
@@ -141,6 +186,16 @@ def test_cli_exits_nonzero_on_violation(tmp_path, capsys):
     assert "RPL005" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+def test_cli_fails_on_unused_pragma_in_every_format(tmp_path, capsys, fmt):
+    target = tmp_path / "clean.py"
+    target.write_text("X = 1  # reprolint: disable=RPL001\n")
+    assert main([str(target), "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    assert UNUSED_PRAGMA in out
+    assert "RPL001 suppresses no finding" in out
+
+
 def test_cli_json_format(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(MUTABLE_DEFAULT)
@@ -174,15 +229,20 @@ def test_cli_list_rules(capsys):
         assert rule.code in out
 
 
+def _commit_to_fresh_repo(root: Path, files: Dict[str, str]) -> None:
+    """Write ``files`` under ``root`` and commit them to a new git repository."""
+    git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
+    subprocess.run([*git, "init", "-q"], cwd=root, check=True)
+    for name, content in files.items():
+        (root / name).write_text(content)
+    subprocess.run([*git, "add", "."], cwd=root, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], cwd=root, check=True)
+
+
 def test_cli_changed_mode_reports_only_edited_files(tmp_path, capsys, monkeypatch):
     """--changed scopes findings to files edited versus HEAD."""
     monkeypatch.chdir(tmp_path)
-    git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    (tmp_path / "bad.py").write_text(MUTABLE_DEFAULT)
-    (tmp_path / "good.py").write_text("X = 1\n")
-    subprocess.run([*git, "add", "."], check=True)
-    subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    _commit_to_fresh_repo(tmp_path, {"bad.py": MUTABLE_DEFAULT, "good.py": "X = 1\n"})
     # Nothing changed: nothing to lint, exit 0 despite bad.py's finding.
     assert main([".", "--changed"]) == 0
     capsys.readouterr()
@@ -194,6 +254,22 @@ def test_cli_changed_mode_reports_only_edited_files(tmp_path, capsys, monkeypatc
     (tmp_path / "bad.py").write_text(MUTABLE_DEFAULT + "\n")
     assert main([".", "--changed"]) == 1
     assert "RPL005" in capsys.readouterr().out
+
+
+def test_cli_changed_mode_judges_pragmas_only_in_edited_files(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    stale = "X = 1  # reprolint: disable=RPL001\n"
+    _commit_to_fresh_repo(tmp_path, {"stale.py": stale, "good.py": "X = 1\n"})
+    # Only the clean file changed: the unchanged file's pragma is not judged.
+    (tmp_path / "good.py").write_text("X = 2\n")
+    assert main([".", "--changed"]) == 0
+    assert UNUSED_PRAGMA not in capsys.readouterr().out
+    # Touch the file holding the stale pragma: now it is reported.
+    (tmp_path / "stale.py").write_text(stale + "\n")
+    assert main([".", "--changed"]) == 1
+    assert UNUSED_PRAGMA in capsys.readouterr().out
 
 
 def test_cli_changed_mode_requires_git(tmp_path, capsys, monkeypatch):

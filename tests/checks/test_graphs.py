@@ -12,7 +12,6 @@ from repro.checks.analysis import (
     build_project,
     module_name_for_path,
 )
-from repro.checks.config import CheckConfig
 
 
 def project(files: Dict[str, str]):
@@ -21,7 +20,7 @@ def project(files: Dict[str, str]):
     for path, raw in files.items():
         source = textwrap.dedent(raw)
         sources.append((path, source, ast.parse(source, filename=path)))
-    return build_project(sources, CheckConfig())
+    return build_project(sources)
 
 
 # ---------------------------------------------------------------- naming

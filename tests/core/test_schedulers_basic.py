@@ -1,11 +1,12 @@
-"""Tests for the Random and Static baselines and the scheduler registry."""
+"""Tests for the Random and Static baselines and the scheduler factory."""
 
 import pytest
 
 from repro.core.random_scheduler import RandomScheduler
-from repro.core.scheduler import SCHEDULER_FACTORIES, make_scheduler
+from repro.core.scheduler import Scheduler
 from repro.core.static_scheduler import StaticScheduler
 from repro.errors import ConfigurationError
+from repro.experiments.harness import SCHEDULER_KEYS, cell_spec, make_scheduler
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_EVAL
 from repro.types import Request
@@ -73,15 +74,19 @@ class TestRandom:
             assert counts[disk] == pytest.approx(n / 3, rel=0.2)
 
 
+def spec_for(key):
+    return cell_spec("cello", 1, key, scale=0.01, seed=1)
+
+
 class TestRegistry:
     def test_all_five_schedulers_registered(self):
-        assert {"static", "random", "heuristic", "wsc", "mwis"} <= set(
-            SCHEDULER_FACTORIES
-        )
+        assert set(SCHEDULER_KEYS) == {"static", "random", "heuristic", "wsc", "mwis"}
+        for key in SCHEDULER_KEYS:
+            assert isinstance(make_scheduler(spec_for(key)), Scheduler)
 
     def test_make_scheduler(self):
-        assert make_scheduler("static").name == "Static"
+        assert make_scheduler(spec_for("static")).name == "Static"
 
     def test_unknown_scheduler(self):
         with pytest.raises(ConfigurationError, match="unknown scheduler"):
-            make_scheduler("quantum")
+            make_scheduler(spec_for("quantum"))

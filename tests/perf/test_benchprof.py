@@ -25,11 +25,11 @@ def test_cli_profile_power_profile_still_works(capsys):
 
 def test_cli_profile_bench_id_prints_top_table(capsys):
     """The acceptance path: ``repro-storage profile fig6`` exits 0 and
-    prints the phase breakdown plus the cProfile cumulative table."""
+    prints the cProfile cumulative table."""
     assert main(["profile", "fig6", "--scale", "0.05", "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "profiled" in out
-    assert "simulate" in out  # phase breakdown
+    assert "execute_spec" in out  # the per-spec root row
     assert "cumulative" in out  # pstats table header
 
 

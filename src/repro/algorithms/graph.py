@@ -1,19 +1,80 @@
-"""Lightweight weighted conflict graph.
+"""Weighted conflict graphs for the MWIS solvers.
 
-The MWIS scheduling algorithm builds a graph whose nodes are energy-saving
-terms ``X(i, j, k)`` and whose edges mark constraint violations. A custom
-adjacency-set structure (rather than networkx) keeps the hot path — degree
-queries and neighbourhood removal during greedy MWIS — allocation-free and
-fast for the tens of thousands of nodes full-scale traces produce.
+The MWIS solvers (:mod:`repro.algorithms.independent_set`) run over the
+small :class:`MWISGraph` protocol, which two graphs implement:
+
+* :class:`ConflictGraph` — a general graph with explicit adjacency sets,
+  for arbitrary instances (tests, reductions, differential oracles).
+* :class:`SavingTermGraph` — the implicit conflict graph of the offline
+  scheduler's saving terms ``X(i, j, k)`` (Section 3.1). It stores no
+  edges: one index of live terms per request gives every degree and
+  neighbourhood on demand, so paper-scale traces, whose explicit graphs
+  run to tens of millions of edges, fit in memory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from collections import defaultdict
+from itertools import chain
+from typing import (
+    AbstractSet,
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Protocol,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError
 
 NodeId = Hashable
+N = TypeVar("N", bound=Hashable)
+
+
+class MWISGraph(Protocol[N]):
+    """What the MWIS solvers need of a graph with nodes of type ``N``.
+
+    Queries name live nodes and see the live graph: nodes gone through
+    :meth:`remove_closed_neighborhood` no longer count, in degrees,
+    neighbourhoods, ``nodes``, ``len`` or ``num_edges``.
+    """
+
+    def __len__(self) -> int: ...
+
+    @property
+    def nodes(self) -> Sequence[N]:
+        """Live nodes in insertion order."""
+
+    @property
+    def num_edges(self) -> int: ...
+
+    def weight(self, node: N) -> float:
+        """The node's weight."""
+
+    def degree(self, node: N) -> int:
+        """Number of live neighbours of ``node``."""
+
+    def neighbors(self, node: N) -> Collection[N]:
+        """The live neighbours of ``node``."""
+
+    def has_edge(self, u: N, v: N) -> bool:
+        """True when ``u`` and ``v`` are adjacent."""
+
+    def total_weight(self, nodes: Iterable[N]) -> float:
+        """Sum of the given nodes' weights."""
+
+    def copy(self) -> MWISGraph[N]:
+        """An independent graph to remove nodes from."""
+
+    def remove_closed_neighborhood(self, node: N) -> Set[N]:
+        """Remove ``node`` and its neighbours; return the surviving nodes
+        that lost a neighbour (each lost at least one, so its degree
+        fell)."""
 
 
 class ConflictGraph:
@@ -71,18 +132,6 @@ class ConflictGraph:
         return list(self._weights)
 
     @property
-    def edges(self) -> List[Tuple[NodeId, NodeId]]:
-        seen = set()
-        result = []
-        for u, neighbors in self._adjacency.items():
-            for v in neighbors:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    result.append((u, v))
-        return result
-
-    @property
     def num_edges(self) -> int:
         return sum(len(n) for n in self._adjacency.values()) // 2
 
@@ -101,16 +150,205 @@ class ConflictGraph:
                 return False
         return True
 
-    def subgraph_without(self, removed: Set[NodeId]) -> "ConflictGraph":
-        """Copy of the graph with ``removed`` nodes (and their edges) gone."""
+    def copy(self) -> ConflictGraph:
+        """A deep copy (the adjacency sets are copied too)."""
         result = ConflictGraph()
-        for node, weight in self._weights.items():
-            if node not in removed:
-                result.add_node(node, weight)
-        for node, neighbors in self._adjacency.items():
-            if node in removed:
-                continue
-            for neighbor in neighbors:
-                if neighbor not in removed and not result.has_edge(node, neighbor):
-                    result.add_edge(node, neighbor)
+        result._weights = dict(self._weights)
+        result._adjacency = {
+            node: set(neighbors) for node, neighbors in self._adjacency.items()
+        }
         return result
+
+    def remove_closed_neighborhood(self, node: NodeId) -> Set[NodeId]:
+        """Remove ``node`` and its neighbours; return the surviving nodes
+        that lost a neighbour."""
+        removed = self._adjacency[node] | {node}
+        touched: Set[NodeId] = set()
+        for victim in removed:
+            for neighbor in self._adjacency.pop(victim):
+                if neighbor not in removed:
+                    self._adjacency[neighbor].discard(victim)
+                    touched.add(neighbor)
+            del self._weights[victim]
+        return touched
+
+
+class ChainTerm(Protocol):
+    """A term pairing two consecutive requests of one disk's chain."""
+
+    @property
+    def predecessor(self) -> Hashable: ...
+
+    @property
+    def successor(self) -> Hashable: ...
+
+    @property
+    def disk(self) -> Hashable: ...
+
+    @property
+    def weight(self) -> float: ...
+
+
+_NO_TERMS: AbstractSet[int] = frozenset()
+
+
+class SavingTermGraph:
+    """Implicit conflict graph over chain terms ``(p, s, d)``.
+
+    Node ``i`` is ``terms[i]``. Two terms that share a request conflict
+    unless they sit on the same disk and one's successor is the other's
+    predecessor (the chain ``ri -> rj -> rk``), as in
+    ``repro.core.saving.SavingTerm.conflicts_with`` (Section 3.1).
+    No edge is stored. Live terms are indexed by the
+    request they start at and the request they end at, so the
+    neighbours of ``(p, s, d)`` are the live terms touching ``p`` or
+    ``s``, less the chain partners on ``d``. With ``T(r)`` the live
+    terms touching ``r``, its degree is::
+
+        |T(p)| + |T(s)| - #(p, s, .) - 1 - #(., p, d) - #(s, ., d)
+
+    Removing a node lowers each surviving neighbour's degree by one.
+
+    Preconditions (met by terms built from one time-sorted request
+    stream): a term's predecessor precedes its successor in one total
+    order of requests, and no ``(p, s, d)`` appears twice.
+    """
+
+    def __init__(self, terms: Sequence[ChainTerm]) -> None:
+        self._pred = [term.predecessor for term in terms]
+        self._succ = [term.successor for term in terms]
+        self._disk = [term.disk for term in terms]
+        self._weights = [term.weight for term in terms]
+        # Live terms by the request they start at / end at.
+        self._out: Dict[Hashable, Set[int]] = defaultdict(set)
+        self._into: Dict[Hashable, Set[int]] = defaultdict(set)
+        for index, (pred, succ) in enumerate(zip(self._pred, self._succ)):
+            self._out[pred].add(index)
+            self._into[succ].add(index)
+        self._degree = self._initial_degrees()
+
+    def _initial_degrees(self) -> List[int]:
+        """Every term's degree from the closed form, one request at a time."""
+        pred, succ, disk = self._pred, self._succ, self._disk
+        degree = [0] * len(pred)
+        for request in self._out.keys() | self._into.keys():
+            starting = self._out.get(request, _NO_TERMS)
+            ending = self._into.get(request, _NO_TERMS)
+            touching = len(starting) + len(ending)
+            same_pair: Dict[Hashable, int] = {}
+            starting_on: Dict[Hashable, int] = {}
+            for index in starting:
+                same_pair[succ[index]] = same_pair.get(succ[index], 0) + 1
+                starting_on[disk[index]] = starting_on.get(disk[index], 0) + 1
+            ending_on: Dict[Hashable, int] = {}
+            for index in ending:
+                ending_on[disk[index]] = ending_on.get(disk[index], 0) + 1
+            # As predecessor: |T(p)| - #(p, s, .) - 1 - #(., p, d).
+            for index in starting:
+                degree[index] += (
+                    touching
+                    - same_pair[succ[index]]
+                    - 1
+                    - ending_on.get(disk[index], 0)
+                )
+            # As successor: |T(s)| - #(s, ., d).
+            for index in ending:
+                degree[index] += touching - starting_on.get(disk[index], 0)
+        return degree
+
+    def __len__(self) -> int:
+        return sum(map(len, self._out.values()))
+
+    @property
+    def nodes(self) -> List[int]:
+        return sorted(chain.from_iterable(self._out.values()))
+
+    @property
+    def num_edges(self) -> int:
+        return sum(self._degree) // 2
+
+    def weight(self, node: int) -> float:
+        """The term's weight."""
+        return self._weights[node]
+
+    def degree(self, node: int) -> int:
+        """Number of live terms conflicting with ``node``."""
+        return self._degree[node]
+
+    def total_weight(self, nodes: Iterable[int]) -> float:
+        """Sum of the given terms' weights."""
+        return sum(self._weights[node] for node in nodes)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """True when terms ``u`` and ``v`` conflict."""
+        if u == v:
+            return False
+        pred_u, succ_u = self._pred[u], self._succ[u]
+        pred_v, succ_v = self._pred[v], self._succ[v]
+        if pred_u == pred_v or succ_u == succ_v:
+            return True
+        shares = pred_u == succ_v or succ_u == pred_v
+        return shares and self._disk[u] != self._disk[v]
+
+    def neighbors(self, node: int) -> List[int]:
+        """The live terms conflicting with ``node``."""
+        pred, disk = self._pred, self._disk
+        p, s, d = pred[node], self._succ[node], disk[node]
+        out_p = self._out.get(p, _NO_TERMS)
+        into_p = self._into.get(p, _NO_TERMS)
+        into_s = self._into.get(s, _NO_TERMS)
+        out_s = self._out.get(s, _NO_TERMS)
+        # Each term appears once: a term starting at p and ending at s is
+        # taken from out_p only.
+        result = [u for u in out_p if u != node]
+        result += [u for u in into_p if disk[u] != d]
+        result += [u for u in into_s if pred[u] != p]
+        result += [u for u in out_s if disk[u] != d]
+        return result
+
+    def copy(self) -> SavingTermGraph:
+        """An independent graph; the term arrays are shared, never written."""
+        result = SavingTermGraph.__new__(SavingTermGraph)
+        result._pred = self._pred
+        result._succ = self._succ
+        result._disk = self._disk
+        result._weights = self._weights
+        result._out = {request: set(terms) for request, terms in self._out.items()}
+        result._into = {
+            request: set(terms) for request, terms in self._into.items()
+        }
+        result._degree = list(self._degree)
+        return result
+
+    def remove_closed_neighborhood(self, node: int) -> Set[int]:
+        """Remove ``node`` and its neighbours; return the surviving terms
+        that lost a neighbour."""
+        pred, succ, disk = self._pred, self._succ, self._disk
+        out, into, degree = self._out, self._into, self._degree
+        victims = self.neighbors(node)
+        victims.append(node)
+        for victim in victims:
+            out[pred[victim]].remove(victim)
+            into[succ[victim]].remove(victim)
+            degree[victim] = 0
+        # What is left in the indexes survives; each survivor loses one
+        # neighbour per victim it conflicts with.
+        touched: Set[int] = set()
+        for victim in victims:
+            p, s, d = pred[victim], succ[victim], disk[victim]
+            for u in out[p]:
+                degree[u] -= 1
+                touched.add(u)
+            for u in into.get(p, _NO_TERMS):
+                if disk[u] != d:
+                    degree[u] -= 1
+                    touched.add(u)
+            for u in into[s]:
+                if pred[u] != p:
+                    degree[u] -= 1
+                    touched.add(u)
+            for u in out.get(s, _NO_TERMS):
+                if disk[u] != d:
+                    degree[u] -= 1
+                    touched.add(u)
+        return touched

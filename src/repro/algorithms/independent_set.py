@@ -23,129 +23,120 @@ which is why the paper accepts greedy solutions.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, List, Set, Tuple
+import math
+from typing import Callable, Dict, List, Tuple
 
-from repro.algorithms.graph import ConflictGraph
+from repro.algorithms.graph import ConflictGraph, MWISGraph, N, NodeId
 from repro.errors import ConfigurationError
 
-NodeId = Hashable
+#: A greedy selection rule: value to *minimise* for ``node`` in the live
+#: graph (negate for maximisation).
+Scorer = Callable[[MWISGraph[N], N], float]
 
-#: A greedy selection rule: value to *minimise* for ``node`` given the
-#: current weights and adjacency (negate for maximisation).
-Scorer = Callable[[NodeId, Dict[NodeId, float], Dict[NodeId, Set[NodeId]]], float]
-
-
-def _working_copy(
-    graph: ConflictGraph,
-) -> Tuple[Dict[NodeId, float], Dict[NodeId, Set[NodeId]]]:
-    weights = {node: graph.weight(node) for node in graph.nodes}
-    adjacency = {node: graph.neighbors(node) for node in graph.nodes}
-    return weights, adjacency
+#: The greedy rebuilds its heap from the valid entries once the stale
+#: ones outnumber the live nodes this many times over.
+HEAP_COMPACTION_FACTOR = 2
 
 
-def gwmin(graph: ConflictGraph) -> List[NodeId]:
+def gwmin(graph: MWISGraph[N]) -> List[N]:
     """GWMIN greedy: pick argmax ``w(v) / (deg(v) + 1)`` until empty.
 
     Ties break deterministically on node insertion order. Returns the
     selected independent set in pick order.
 
     Implementation note: scores only change when a vertex loses neighbours,
-    so a lazy max-heap with per-node version counters gives
-    O((V + E) log V) instead of the naive O(V^2) rescan — the difference
-    between seconds and hours on full-scale trace graphs.
+    so a lazy max-heap whose entries carry the degree they were scored at
+    gives O((V + E) log V) instead of the naive O(V^2) rescan — the
+    difference between seconds and hours on full-scale trace graphs.
     """
 
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        return -weights[node] / (len(adjacency[node]) + 1)
+    def score(live: MWISGraph[N], node: N) -> float:
+        return -live.weight(node) / (live.degree(node) + 1)
 
     return _lazy_heap_greedy(graph, score)
 
 
-def _lazy_heap_greedy(graph: ConflictGraph, score: Scorer) -> List[NodeId]:
+def _lazy_heap_greedy(graph: MWISGraph[N], score: Scorer[N]) -> List[N]:
     """Shared lazy-heap skeleton for the greedy MWIS family.
 
-    ``score(node, weights, adjacency)`` returns a value to *minimise*
-    (negate for maximisation). A node's score may only depend on its own
-    weight and its current neighbourhood, which is exactly what GWMIN,
-    GWMIN2 and min-degree need: scores change only when a vertex loses
-    neighbours, so stale heap entries are detected with per-node version
-    counters.
+    ``score(live, node)`` returns a value to *minimise* (negate for
+    maximisation). A node's score may only depend on its own weight and
+    its current neighbourhood, which is exactly what GWMIN, GWMIN2 and
+    min-degree need: scores change only when a vertex loses neighbours,
+    and every such loss lowers its degree, so a heap entry carrying the
+    degree it was scored at is stale once the degree has moved. The
+    greedy works on ``graph.copy()``; ``graph`` is left as it was.
+
+    Every live node has exactly one valid entry, and its key
+    ``(score, insertion index)`` is unique, so rebuilding the heap from
+    the valid entries never changes the pick order.
     """
-    weights, adjacency = _working_copy(graph)
-    selected: List[NodeId] = []
-    version: Dict[NodeId, int] = dict.fromkeys(weights, 0)
-    order: Dict[NodeId, int] = {node: i for i, node in enumerate(weights)}
-
-    def entry(node: NodeId) -> Tuple[float, int, int, NodeId]:
-        return (score(node, weights, adjacency), order[node], version[node], node)
-
-    heap = [entry(node) for node in weights]
+    # Insertion index of every live node; removed nodes drop out.
+    order: Dict[N, int] = {node: i for i, node in enumerate(graph.nodes)}
+    live = graph.copy()
+    degree = live.degree
+    heap: List[Tuple[float, int, int, N]] = [
+        (score(live, node), index, degree(node), node)
+        for node, index in order.items()
+    ]
     heapq.heapify(heap)
-    while weights:
-        _score, _order, entry_version, node = heapq.heappop(heap)
-        if node not in weights or version[node] != entry_version:
+    push, pop = heapq.heappush, heapq.heappop
+    selected: List[N] = []
+    while order:
+        if len(heap) > (HEAP_COMPACTION_FACTOR + 1) * len(order):
+            heap = [
+                item for item in heap
+                if item[3] in order and degree(item[3]) == item[2]
+            ]
+            heapq.heapify(heap)
+        _score, _order, scored_degree, node = pop(heap)
+        if node not in order or degree(node) != scored_degree:
             continue
         selected.append(node)
-        removed = adjacency[node] | {node}
-        touched: Set[NodeId] = set()
-        for victim in removed:
-            for neighbor in adjacency[victim]:
-                if neighbor not in removed:
-                    adjacency[neighbor].discard(victim)
-                    touched.add(neighbor)
-            del adjacency[victim]
-            del weights[victim]
-            version.pop(victim, None)
-        for survivor in touched:
-            version[survivor] += 1
-            heapq.heappush(heap, entry(survivor))
+        for victim in live.neighbors(node):
+            del order[victim]
+        del order[node]
+        for survivor in live.remove_closed_neighborhood(node):
+            push(
+                heap,
+                (score(live, survivor), order[survivor], degree(survivor), survivor),
+            )
     return selected
 
 
-def gwmin2(graph: ConflictGraph) -> List[NodeId]:
+def gwmin2(graph: MWISGraph[N]) -> List[N]:
     """GWMIN2 greedy: pick argmax ``w(v) / w(N[v])`` until empty.
 
     ``w(N[v])`` is the weight of the closed neighbourhood. Zero-weight
     neighbourhoods (possible when every weight is 0) fall back to degree.
     """
 
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        closed = weights[node] + sum(weights[n] for n in adjacency[node])
+    def score(live: MWISGraph[N], node: N) -> float:
+        # fsum rounds once, so the score does not depend on the order in
+        # which a graph lists the neighbours.
+        weight = live.weight(node)
+        closed = math.fsum([weight, *map(live.weight, live.neighbors(node))])
         if closed <= 0:
-            return -1.0 / (len(adjacency[node]) + 1)
-        return -weights[node] / closed
+            return -1.0 / (live.degree(node) + 1)
+        return -weight / closed
 
     return _lazy_heap_greedy(graph, score)
 
 
-def greedy_min_degree(graph: ConflictGraph) -> List[NodeId]:
+def greedy_min_degree(graph: MWISGraph[N]) -> List[N]:
     """Unweighted classic: repeatedly take a minimum-degree vertex.
 
     The algorithm GMIN extends (Section 6 of the paper); included for
     ablations comparing weighted vs unweighted selection.
     """
 
-    def score(
-        node: NodeId,
-        weights: Dict[NodeId, float],
-        adjacency: Dict[NodeId, Set[NodeId]],
-    ) -> float:
-        return float(len(adjacency[node]))
+    def score(live: MWISGraph[N], node: N) -> float:
+        return float(live.degree(node))
 
     return _lazy_heap_greedy(graph, score)
 
 
-def exact_mwis(
-    graph: ConflictGraph, max_nodes: int = 40
-) -> List[NodeId]:
+def exact_mwis(graph: MWISGraph[N], max_nodes: int = 40) -> List[N]:
     """Optimal MWIS by branch and bound (small graphs only).
 
     Branches on the highest-weight remaining vertex (include/exclude) with
@@ -161,16 +152,16 @@ def exact_mwis(
         )
     incumbent = gwmin(graph)
     incumbent_weight = graph.total_weight(incumbent)
-    insertion = {node: i for i, node in enumerate(graph.nodes)}
-    order = sorted(graph.nodes, key=lambda n: (-graph.weight(n), insertion[n]))
-    adjacency = {node: graph.neighbors(node) for node in graph.nodes}
-    weights = {node: graph.weight(node) for node in graph.nodes}
+    nodes = graph.nodes
+    insertion = {node: i for i, node in enumerate(nodes)}
+    order = sorted(nodes, key=lambda n: (-graph.weight(n), insertion[n]))
+    weight = graph.weight
 
     best_set = list(incumbent)
     best_weight = incumbent_weight
 
     def search(
-        candidates: List[NodeId], current: List[NodeId], current_weight: float
+        candidates: List[N], current: List[N], current_weight: float
     ) -> None:
         nonlocal best_set, best_weight
         if not candidates:
@@ -178,13 +169,13 @@ def exact_mwis(
                 best_weight = current_weight
                 best_set = list(current)
             return
-        upper = current_weight + sum(weights[n] for n in candidates)
+        upper = current_weight + sum(weight(n) for n in candidates)
         if upper <= best_weight:
             return
         head, *rest = candidates
         # Branch 1: include head.
-        allowed = [n for n in rest if n not in adjacency[head]]
-        search(allowed, current + [head], current_weight + weights[head])
+        allowed = [n for n in rest if not graph.has_edge(head, n)]
+        search(allowed, current + [head], current_weight + weight(head))
         # Branch 2: exclude head.
         search(rest, current, current_weight)
 
@@ -198,7 +189,7 @@ def independence_check(graph: ConflictGraph, nodes: List[NodeId]) -> None:
         raise ConfigurationError("selected nodes are not an independent set")
 
 
-def gwmin_weight_bound(graph: ConflictGraph) -> float:
+def gwmin_weight_bound(graph: MWISGraph[N]) -> float:
     """Sakai et al.'s lower bound: ``sum_v w(v) / (deg(v) + 1)``.
 
     Any GWMIN solution is guaranteed to weigh at least this much — a
@@ -209,9 +200,9 @@ def gwmin_weight_bound(graph: ConflictGraph) -> float:
     )
 
 
-def solve_mwis(graph: ConflictGraph, method: str = "gwmin") -> List[NodeId]:
+def solve_mwis(graph: MWISGraph[N], method: str = "gwmin") -> List[N]:
     """Dispatch by method name: gwmin | gwmin2 | min-degree | exact."""
-    solvers = {
+    solvers: Dict[str, Callable[[MWISGraph[N]], List[N]]] = {
         "gwmin": gwmin,
         "gwmin2": gwmin2,
         "min-degree": greedy_min_degree,

@@ -8,7 +8,10 @@ The four steps of the paper's algorithm (Fig. 4):
 2. **Edges** — between any two terms violating the energy-constraint
    (shared predecessor — and, symmetrically, shared successor, as the
    paper's own Fig. 4 step 2 shows for request r3) or the
-   schedule-constraint (shared request, different disks).
+   schedule-constraint (shared request, different disks). The edges are
+   implicit (:class:`~repro.algorithms.graph.SavingTermGraph`): terms are
+   indexed by request, and degrees and neighbourhoods are derived on
+   demand, so no edge is ever stored.
 3. **Solve** — a maximum weighted independent set algorithm; the paper
    uses the GWMIN greedy of Sakai et al., and exact branch-and-bound is
    available for small instances.
@@ -34,13 +37,13 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.graph import ConflictGraph
+from repro.algorithms.graph import SavingTermGraph
 from repro.algorithms.independent_set import solve_mwis
 from repro.core.problem import SchedulingProblem
 from repro.core.saving import SavingTerm, gap_energy, max_request_energy, saving_window
 from repro.core.scheduler import OfflineScheduler
 from repro.power.profile import DiskPowerProfile
-from repro.types import Assignment, DiskId, Request, RequestId
+from repro.types import Assignment, DiskId, Request
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,13 @@ class MWISOfflineScheduler(OfflineScheduler):
 
     def build_graph(
         self, problem: SchedulingProblem
-    ) -> Tuple[ConflictGraph, List[SavingTerm]]:
+    ) -> Tuple[SavingTermGraph, List[SavingTerm]]:
         """Construct the conflict graph of saving terms.
 
-        Graph nodes are integer indices into the returned term list —
-        full-scale traces produce hundreds of thousands of terms, and
-        integer nodes keep the solver's hashing cost negligible.
+        Graph nodes are integer indices into the returned term list. The
+        graph is implicit: conflicts only occur between terms sharing a
+        request, so it indexes terms by request and derives degrees and
+        neighbourhoods on demand instead of storing the edges.
         """
         profile = problem.profile
         window = saving_window(profile)
@@ -116,36 +120,7 @@ class MWISOfflineScheduler(OfflineScheduler):
                     if term is not None:
                         terms.append(term)
 
-        graph = ConflictGraph()
-        for index, term in enumerate(terms):
-            graph.add_node(index, term.weight)
-
-        # Group terms by the requests they touch; conflicts only ever occur
-        # between terms sharing a request, so pairwise checks stay local.
-        # The conflict test is inlined over plain tuples — this is the hot
-        # loop of the whole scheduler.
-        touching: Dict[RequestId, List[int]] = {}
-        flat: List[Tuple[RequestId, RequestId, DiskId]] = []
-        for index, term in enumerate(terms):
-            flat.append((term.predecessor, term.successor, term.disk))
-            touching.setdefault(term.predecessor, []).append(index)
-            touching.setdefault(term.successor, []).append(index)
-        add_edge = graph.add_edge
-        for group in touching.values():
-            group_size = len(group)
-            for position in range(group_size):
-                index_a = group[position]
-                pred_a, succ_a, disk_a = flat[index_a]
-                for other in range(position + 1, group_size):
-                    index_b = group[other]
-                    pred_b, succ_b, disk_b = flat[index_b]
-                    if (
-                        pred_a == pred_b
-                        or succ_a == succ_b
-                        or disk_a != disk_b
-                    ):
-                        add_edge(index_a, index_b)
-        return graph, terms
+        return SavingTermGraph(terms), terms
 
     # -- Step 3 + 4 ----------------------------------------------------
 
@@ -184,10 +159,10 @@ def _repair_unassigned(problem: SchedulingProblem, assignment: Assignment) -> No
     """
     profile = problem.profile
     epmax = max_request_energy(profile)
+    time_of = {request.request_id: request.time for request in problem.requests}
     chain_times: Dict[DiskId, List[float]] = {}
     for request_id, disk_id in assignment.items():
-        times = chain_times.setdefault(disk_id, [])
-        times.append(_request_time(problem, request_id))
+        chain_times.setdefault(disk_id, []).append(time_of[request_id])
     for times in chain_times.values():
         times.sort()
 
@@ -225,13 +200,3 @@ def _marginal_energy(
         + gap_energy(successor - t, profile)
         - gap_energy(successor - predecessor, profile)
     )
-
-
-def _request_time(problem: SchedulingProblem, request_id: RequestId) -> float:
-    # Requests are stored sorted; build a lookup lazily and cache on the
-    # problem object to avoid quadratic scans.
-    cache = getattr(problem, "_time_cache", None)
-    if cache is None:
-        cache = {request.request_id: request.time for request in problem.requests}
-        object.__setattr__(problem, "_time_cache", cache)
-    return cache[request_id]

@@ -293,16 +293,18 @@ MWIS_CAPS = (1, 2, 4, 8)
 MWIS_METHODS = ("gwmin", "gwmin2", "min-degree")
 
 
-def run_mwis_solver(scale: Optional[float] = None) -> AblationResult:
+def run_mwis_solver(
+    scale: Optional[float] = None, seed: Optional[int] = None
+) -> AblationResult:
     """Compare MWIS greedies and sweep the successor cap.
 
     Expected story: weighted greedies (GWMIN/GWMIN2) beat the unweighted
     min-degree rule, and a small cap already captures almost all of the
-    achievable saving.
+    achievable saving. ``seed`` defaults to the campaign's base seed.
     """
     scale = 0.1 if scale is None else scale
-    requests, catalog, disks = common.get_binding("cello", 3, 1.0, scale)
-    config = common.make_config(disks)
+    requests, catalog, disks = common.get_binding("cello", 3, 1.0, scale, seed)
+    config = common.make_config(disks, seed)
     problem = SchedulingProblem.build(requests, catalog, config.profile, disks)
     evaluator = OfflineEvaluator(problem)
 

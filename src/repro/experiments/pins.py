@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.experiments.ablations import run_mwis_solver
 from repro.experiments.fault_sweep import fault_sweep_cells
 from repro.experiments.figures import energy_cells
 from repro.experiments.harness import RunSpec, canonical_json, execute_spec
@@ -36,6 +37,10 @@ FIG6_SEED = 1
 #: fault_sweep smoke cells: fault-injected replays at the fig6 size.
 FAULT_SWEEP_SCALE = 0.05
 FAULT_SWEEP_SEED = 1
+
+#: mwis_solver cell: every MWIS greedy at cap 4 and GWMIN at caps 1/2/4/8.
+MWIS_SOLVER_SCALE = 0.02
+MWIS_SOLVER_SEED = 1
 
 #: tape_tier smoke cell: 300 requests per cell over 2000 ids.
 TAPE_SCALE = 0.05
@@ -91,6 +96,12 @@ def fault_sweep_digest() -> str:
     )
 
 
+def mwis_solver_digest() -> str:
+    """Digest of the MWIS solver ablation's bench payload."""
+    result = run_mwis_solver(scale=MWIS_SOLVER_SCALE, seed=MWIS_SOLVER_SEED)
+    return sha256_hex(canonical_json(ablation_result_payload(result)))
+
+
 def tape_tier_digest() -> str:
     """Digest of the tape_tier smoke sweep's bench payload (panels,
     x-values and every series value)."""
@@ -130,6 +141,9 @@ PINS: Dict[str, Pin] = {
     ),
     "fault_sweep": Pin(
         Path("tests/faults/data/fault_sweep_smoke.sha256"), fault_sweep_digest
+    ),
+    "mwis_solver": Pin(
+        Path("tests/core/data/mwis_solver.sha256"), mwis_solver_digest
     ),
     "tape_tier": Pin(
         Path("tests/tape/data/tape_smoke.sha256"), tape_tier_digest

@@ -80,11 +80,3 @@ def test_independent_set_in_path_graph():
     assert graph.is_independent_set(["b", "d"])
     assert not graph.is_independent_set(["c", "d"])
 
-
-def test_subgraph_without(triangle):
-    sub = triangle.subgraph_without({"b"})
-    assert len(sub) == 2
-    assert sub.has_edge("a", "c")
-    assert not sub.has_edge("a", "b")
-    # original untouched
-    assert len(triangle) == 3

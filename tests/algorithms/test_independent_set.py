@@ -1,11 +1,14 @@
 """Tests for the MWIS solvers."""
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import independent_set
 from repro.algorithms.graph import ConflictGraph
 from repro.algorithms.independent_set import (
     exact_mwis,
@@ -123,3 +126,30 @@ class TestDeterminism:
         rng = random.Random(5)
         graph = random_graph(rng, 20)
         assert solver(graph) == solver(graph)
+
+
+class TestHeapCompaction:
+    @pytest.mark.parametrize("solver", (gwmin, gwmin2, greedy_min_degree))
+    def test_rebuilding_every_pick_keeps_picks(self, solver, monkeypatch):
+        rng = random.Random(11)
+        graphs = [random_graph(rng, 40, 0.15) for _ in range(5)]
+        expected = [solver(graph) for graph in graphs]
+        rebuilds = []
+
+        def heapify(heap):
+            rebuilds.append(len(heap))
+            heapq.heapify(heap)
+
+        monkeypatch.setattr(independent_set, "HEAP_COMPACTION_FACTOR", 0)
+        monkeypatch.setattr(
+            independent_set,
+            "heapq",
+            SimpleNamespace(
+                heapify=heapify, heappush=heapq.heappush, heappop=heapq.heappop
+            ),
+        )
+        assert [solver(graph) for graph in graphs] == expected
+        # Beyond the one initial heapify per solve, the heap was rebuilt
+        # before most picks.
+        picks = sum(len(selected) for selected in expected)
+        assert len(rebuilds) - len(graphs) > picks // 2

@@ -1,14 +1,20 @@
 """Tests for the MWIS offline scheduler mechanics."""
 
+import copy
+from pathlib import Path
+
 import pytest
 
 from repro.core.mwis import MWISOfflineScheduler
 from repro.core.offline import OfflineEvaluator
 from repro.core.problem import SchedulingProblem
 from repro.errors import ConfigurationError
+from repro.experiments import pins
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_UNIT
 from repro.types import Request
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestGraphConstruction:
@@ -94,6 +100,11 @@ class TestScheduling:
         with pytest.raises(ConfigurationError):
             scheduler.schedule(paper_problem)
 
+    def test_problem_left_untouched(self, paper_problem):
+        before = copy.copy(vars(paper_problem))
+        MWISOfflineScheduler(neighborhood=None).schedule(paper_problem)
+        assert vars(paper_problem) == before
+
     def test_name_mentions_method(self):
         assert "gwmin" in MWISOfflineScheduler().name
 
@@ -112,3 +123,9 @@ class TestScheduling:
             ).schedule_detailed(paper_problem)
             savings.append(result.estimated_saving)
         assert savings == sorted(savings)
+
+
+def test_mwis_solver_pin():
+    """Every greedy at cap 4 and GWMIN at caps 1/2/4/8 on a small cello
+    binding, byte for byte (the fig6 pin covers GWMIN at cap 4 only)."""
+    assert pins.main(["--check", "mwis_solver"], root=REPO_ROOT) == 0

@@ -9,7 +9,10 @@ invariants checked are the load-bearing claims of Section 3.1:
   interleaving subtlety makes it a lower bound, not an equality);
 * objective energy == N * EPmax - true saving (the formulation identity);
 * the exact solver is never beaten by any feasible schedule (optimality
-  on brute-forceable instances).
+  on brute-forceable instances);
+* the implicit saving-term graph is the explicit pairwise conflict graph:
+  same edges, degrees and edge count, before and after every removal,
+  and every solver picks the same nodes on both.
 """
 
 import itertools
@@ -18,6 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import independent_set
+from repro.algorithms.graph import ConflictGraph
+from repro.algorithms.independent_set import exact_mwis, solve_mwis
 from repro.core.mwis import MWISOfflineScheduler
 from repro.core.offline import OfflineEvaluator
 from repro.core.problem import SchedulingProblem
@@ -125,3 +131,65 @@ def test_every_request_energy_bounded_by_epmax(problem):
     epmax = problem.profile.max_request_energy
     for energy in evaluation.request_energy.values():
         assert -1e-9 <= energy <= epmax + 1e-9
+
+
+def explicit_graph(terms):
+    """The conflict graph built pairwise from ``SavingTerm.conflicts_with``."""
+    graph = ConflictGraph()
+    for index, term in enumerate(terms):
+        graph.add_node(index, term.weight)
+    for a, b in itertools.combinations(range(len(terms)), 2):
+        if terms[a].conflicts_with(terms[b]):
+            graph.add_edge(a, b)
+    return graph
+
+
+def assert_same_graph(implicit, explicit):
+    assert len(implicit) == len(explicit)
+    assert implicit.nodes == explicit.nodes
+    assert implicit.num_edges == explicit.num_edges
+    for node in explicit.nodes:
+        assert implicit.degree(node) == explicit.degree(node), node
+        assert sorted(implicit.neighbors(node)) == sorted(explicit.neighbors(node))
+
+
+@pytest.mark.parametrize("neighborhood", [None, 1])
+@given(problem=small_problems())
+@settings(max_examples=60, deadline=None)
+def test_implicit_graph_matches_explicit(problem, neighborhood):
+    implicit, terms = MWISOfflineScheduler(
+        neighborhood=neighborhood
+    ).build_graph(problem)
+    explicit = explicit_graph(terms)
+    for u, v in itertools.product(range(len(terms)), repeat=2):
+        assert implicit.has_edge(u, v) == explicit.has_edge(u, v), (u, v)
+    assert_same_graph(implicit, explicit)
+
+    for method in ("gwmin", "gwmin2", "min-degree"):
+        assert solve_mwis(implicit, method) == solve_mwis(explicit, method), method
+    if len(terms) <= 40:
+        assert implicit.total_weight(exact_mwis(implicit)) == explicit.total_weight(
+            exact_mwis(explicit)
+        )
+
+    # Removing the same closed neighbourhoods keeps the two graphs equal.
+    implicit_live, explicit_live = implicit.copy(), explicit.copy()
+    for node in solve_mwis(explicit, "gwmin"):
+        touched = implicit_live.remove_closed_neighborhood(node)
+        assert touched == explicit_live.remove_closed_neighborhood(node)
+        assert_same_graph(implicit_live, explicit_live)
+    assert len(implicit_live) == 0
+    # The solvers worked on copies.
+    assert_same_graph(implicit, explicit)
+
+
+@given(problem=small_problems())
+@settings(max_examples=40, deadline=None)
+def test_heap_rebuilt_every_pick_keeps_picks(problem):
+    graph, _terms = MWISOfflineScheduler(neighborhood=None).build_graph(problem)
+    expected = {m: solve_mwis(graph, m) for m in ("gwmin", "gwmin2", "min-degree")}
+    with pytest.MonkeyPatch.context() as patch:
+        # Rebuild whenever the heap holds a single stale entry.
+        patch.setattr(independent_set, "HEAP_COMPACTION_FACTOR", 0)
+        for method, picks in expected.items():
+            assert solve_mwis(graph, method) == picks, method

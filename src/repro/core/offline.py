@@ -13,21 +13,23 @@ bookkeeping over each disk's request chain:
 
 The evaluator reproduces the paper's worked examples exactly (Fig. 2:
 schedule B = 10; Fig. 3: schedule B = 23, schedule C = 19, always-on 76)
-and also synthesises physical per-disk state breakdowns so offline (MWIS)
-runs can sit on the same figures as simulated runs.
+and also synthesises physical per-disk state breakdowns — the pre-spun
+walk of :mod:`repro.power.timeline` — so offline (MWIS) runs can sit on
+the same figures as simulated runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.core.problem import SchedulingProblem
-from repro.core.saving import gap_energy, max_request_energy, saving_window
+from repro.core.saving import gap_energy, max_request_energy
 from repro.disk.stats import DiskStats
-from repro.power.states import DiskPowerState
+from repro.power.profile import DiskPowerProfile
+from repro.power.timeline import GapRule, fill_timeline
 from repro.report import SimulationReport
-from repro.types import Assignment, DiskId, RequestId
+from repro.types import Assignment, DiskId, Request, RequestId
 
 
 @dataclass(frozen=True)
@@ -98,62 +100,18 @@ class OfflineEvaluator:
         self._problem.validate_schedule(assignment)
         profile = self._problem.profile
         epmax = max_request_energy(profile)
-        window = saving_window(profile)
         horizon = self.horizon()
 
         request_energy: Dict[RequestId, float] = {}
         disk_stats: Dict[DiskId, DiskStats] = {}
         chains = assignment.chains()
-
         for disk_id in self._problem.disks:
-            stats = DiskStats(profile)
             chain = chains.get(disk_id, [])
-            if not chain:
-                _accumulate(stats, DiskPowerState.STANDBY, horizon)
-                stats.mark_closed()
-                disk_stats[disk_id] = stats
-                continue
-
-            # Lead-in: standby, then an in-advance spin-up ending exactly
-            # at the first arrival.
-            first_time = chain[0].time
-            spin_up_lead = min(profile.spin_up_time, first_time)
-            _accumulate(stats, DiskPowerState.STANDBY, first_time - spin_up_lead)
-            _accumulate(stats, DiskPowerState.SPIN_UP, spin_up_lead)
-            stats.spin_ups += 1
-
-            for current, successor in zip(chain, chain[1:]):
-                gap = successor.time - current.time
-                request_energy[current.request_id] = gap_energy(gap, profile)
-                if gap < window:
-                    _accumulate(stats, DiskPowerState.IDLE, gap)
-                else:
-                    _accumulate(stats, DiskPowerState.IDLE, profile.breakeven_time)
-                    _accumulate(
-                        stats, DiskPowerState.SPIN_DOWN, profile.spin_down_time
-                    )
-                    _accumulate(
-                        stats,
-                        DiskPowerState.STANDBY,
-                        gap - profile.breakeven_time - profile.transition_time,
-                    )
-                    _accumulate(stats, DiskPowerState.SPIN_UP, profile.spin_up_time)
-                    stats.spin_downs += 1
-                    stats.spin_ups += 1
-                stats.note_request_serviced()
-
-            # Tail: the last request idles out TB, spins down, sleeps.
-            last = chain[-1]
-            request_energy[last.request_id] = epmax
-            stats.note_request_serviced()
-            _accumulate(stats, DiskPowerState.IDLE, profile.breakeven_time)
-            _accumulate(stats, DiskPowerState.SPIN_DOWN, profile.spin_down_time)
-            stats.spin_downs += 1
-            tail_standby = horizon - (
-                last.time + profile.breakeven_time + profile.spin_down_time
+            request_energy.update(_request_energies(chain, profile, epmax))
+            stats = DiskStats(profile)
+            fill_timeline(
+                stats, profile, [r.time for r in chain], horizon, GapRule.PRE_SPUN
             )
-            _accumulate(stats, DiskPowerState.STANDBY, max(0.0, tail_standby))
-            stats.mark_closed()
             disk_stats[disk_id] = stats
 
         objective = sum(request_energy.values())
@@ -176,12 +134,15 @@ class OfflineEvaluator:
         )
 
 
-def _accumulate(stats: DiskStats, state: DiskPowerState, seconds: float) -> None:
-    """Directly credit ``seconds`` to ``state`` in a synthetic ledger."""
-    if seconds < 0:
-        # Negative tails only arise from float noise at the horizon; clamp.
-        seconds = 0.0
-    stats.state_time[state] += seconds
+def _request_energies(
+    chain: Sequence[Request], profile: DiskPowerProfile, epmax: float
+) -> Iterator[Tuple[RequestId, float]]:
+    """Eq. 3 energy in joules of each request of one disk's chain, in
+    chain order: the gap to its successor, or ``EPmax`` for the last."""
+    for current, successor in zip(chain, chain[1:]):
+        yield current.request_id, gap_energy(successor.time - current.time, profile)
+    if chain:
+        yield chain[-1].request_id, epmax
 
 
 def chain_energies(
@@ -190,11 +151,9 @@ def chain_energies(
     """Per-disk objective energy (diagnostics / tests)."""
     profile = problem.profile
     epmax = max_request_energy(profile)
-    result: Dict[DiskId, float] = {}
-    for disk_id, chain in assignment.chains().items():
-        total = 0.0
-        for current, successor in zip(chain, chain[1:]):
-            total += gap_energy(successor.time - current.time, profile)
-        total += epmax
-        result[disk_id] = total
-    return result
+    return {
+        disk_id: sum(
+            energy for _, energy in _request_energies(chain, profile, epmax)
+        )
+        for disk_id, chain in assignment.chains().items()
+    }

@@ -128,18 +128,20 @@ class _RecordingScheduler(OnlineScheduler):
 THRESHOLD_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def run_threshold(scale: Optional[float] = None) -> AblationResult:
+def run_threshold(
+    scale: Optional[float] = None, seed: Optional[int] = None
+) -> AblationResult:
     """Sweep the spin-down threshold as a multiple of the breakeven TB.
 
     Expected story: aggressive thresholds (<< TB) burn transition energy
     and spin-up delays; conservative ones (>> TB) burn idle energy; the
     breakeven threshold (x1) sits near the energy minimum, and the
     measured 2CPM-vs-oracle competitive ratio stays far below the
-    worst-case 2.
+    worst-case 2. ``seed`` defaults to the campaign's base seed.
     """
     scale = 0.2 if scale is None else scale
-    requests, catalog, disks = common.get_binding("cello", 3, 1.0, scale)
-    base_config = common.make_config(disks)
+    requests, catalog, disks = common.get_binding("cello", 3, 1.0, scale, seed)
+    base_config = common.make_config(disks, seed)
     baseline = always_on_baseline(requests, catalog, base_config)
     events = baseline.events_processed
     energies, responses, ratios = [], [], []

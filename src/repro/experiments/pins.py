@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.experiments.ablations import run_mwis_solver
+from repro.experiments.ablations import run_mwis_solver, run_threshold
 from repro.experiments.fault_sweep import fault_sweep_cells
 from repro.experiments.figures import energy_cells
 from repro.experiments.harness import RunSpec, canonical_json, execute_spec
@@ -41,6 +41,11 @@ FAULT_SWEEP_SEED = 1
 #: mwis_solver cell: every MWIS greedy at cap 4 and GWMIN at caps 1/2/4/8.
 MWIS_SOLVER_SCALE = 0.02
 MWIS_SOLVER_SEED = 1
+
+#: threshold cell: the spin-down threshold sweep and its 2CPM/oracle
+#: ratios.
+THRESHOLD_SCALE = 0.05
+THRESHOLD_SEED = 1
 
 #: tape_tier smoke cell: 300 requests per cell over 2000 ids.
 TAPE_SCALE = 0.05
@@ -102,6 +107,12 @@ def mwis_solver_digest() -> str:
     return sha256_hex(canonical_json(ablation_result_payload(result)))
 
 
+def threshold_digest() -> str:
+    """Digest of the threshold ablation's bench payload."""
+    result = run_threshold(scale=THRESHOLD_SCALE, seed=THRESHOLD_SEED)
+    return sha256_hex(canonical_json(ablation_result_payload(result)))
+
+
 def tape_tier_digest() -> str:
     """Digest of the tape_tier smoke sweep's bench payload (panels,
     x-values and every series value)."""
@@ -144,6 +155,9 @@ PINS: Dict[str, Pin] = {
     ),
     "mwis_solver": Pin(
         Path("tests/core/data/mwis_solver.sha256"), mwis_solver_digest
+    ),
+    "threshold": Pin(
+        Path("tests/power/data/threshold.sha256"), threshold_digest
     ),
     "tape_tier": Pin(
         Path("tests/tape/data/tape_smoke.sha256"), tape_tier_digest

@@ -1,18 +1,13 @@
 """Disk power modelling: states, profiles, breakeven math, policies."""
 
 from repro.power.breakeven import (
-    always_on_interval_energy,
     breakeven_time,
     breakeven_time_with_standby,
     competitive_ratio_bound,
-    idle_interval_energy,
 )
 from repro.power.oracle import (
-    OracleDecision,
-    OracleResult,
     empirical_competitive_ratio,
     oracle_energy,
-    optimal_gap_energy,
     two_cpm_energy,
 )
 from repro.power.policy import (
@@ -40,8 +35,6 @@ __all__ = [
     "DiskPowerProfile",
     "DiskPowerState",
     "FixedThresholdPolicy",
-    "OracleDecision",
-    "OracleResult",
     "PAPER_EVAL",
     "PAPER_UNIT",
     "PROFILES",
@@ -49,14 +42,11 @@ __all__ = [
     "ScaledBreakevenPolicy",
     "STATE_ORDER",
     "TwoCompetitivePolicy",
-    "always_on_interval_energy",
     "breakeven_time",
     "breakeven_time_with_standby",
     "competitive_ratio_bound",
     "empirical_competitive_ratio",
     "get_profile",
-    "idle_interval_energy",
-    "optimal_gap_energy",
     "oracle_energy",
     "two_cpm_energy",
 ]

@@ -7,8 +7,6 @@ down after an idle period of exactly the breakeven time
 * :func:`breakeven_time` — the classic threshold.
 * :func:`breakeven_time_with_standby` — a refinement that accounts for
   non-zero standby power (the classic formula assumes standby draws 0 W).
-* :func:`idle_interval_energy` — energy a 2CPM-managed disk consumes over an
-  idle interval of a given length.
 * :func:`competitive_ratio_bound` — the worst-case ratio against the
   offline-optimal policy, which is at most 2 for the classic threshold.
 """
@@ -54,35 +52,6 @@ def breakeven_time_with_standby(
         )
     numerator = transition_energy - standby_power * transition_time
     return max(0.0, numerator) / (idle_power - standby_power)
-
-
-def idle_interval_energy(profile: DiskPowerProfile, gap: float) -> float:
-    """Energy a 2CPM-managed disk consumes over an idle gap of ``gap`` s.
-
-    For ``gap < TB`` the disk stays idle the whole time. Otherwise it idles
-    ``TB`` seconds, spins down, sleeps, and spins up in time for the next
-    request (the transition time is assumed to fit inside the gap; for gaps
-    in ``[TB, TB + Tup + Tdown)`` the simulator keeps the disk idle, matching
-    Lemma 1 case II, and that branch is handled here too).
-    """
-    if gap < 0:
-        raise ConfigurationError("gap must be >= 0")
-    threshold = profile.breakeven_time
-    if gap < threshold + profile.transition_time:
-        return gap * profile.idle_power
-    sleep_time = gap - threshold - profile.transition_time
-    return (
-        threshold * profile.idle_power
-        + profile.transition_energy
-        + sleep_time * profile.standby_power
-    )
-
-
-def always_on_interval_energy(profile: DiskPowerProfile, gap: float) -> float:
-    """Joules an always-on disk consumes over a gap of ``gap`` seconds."""
-    if gap < 0:
-        raise ConfigurationError("gap must be >= 0")
-    return gap * profile.idle_power
 
 
 def competitive_ratio_bound(profile: DiskPowerProfile) -> float:

@@ -117,9 +117,10 @@ class StateLedger(Generic[S]):
     def mark_closed(self) -> None:
         """Close a *synthetic* ledger whose times were credited directly.
 
-        The offline evaluator and the report deserialiser fill
-        ``state_time`` without :meth:`transition`; this seals the ledger
-        without crediting any additional interval.
+        The analytic timeline (:mod:`repro.power.timeline`) and the
+        report deserialiser fill ``state_time`` without
+        :meth:`transition`; this seals the ledger without crediting any
+        additional interval.
         """
         self._closed = True
 

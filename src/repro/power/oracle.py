@@ -2,142 +2,44 @@
 
 2CPM is *2-competitive*: for any request sequence its energy is at most
 twice what an omniscient policy would spend (Irani et al., cited in
-Section 1). This module computes that omniscient optimum — per idle gap,
-sleep iff sleeping is cheaper — so experiments can measure the empirical
-competitive ratio of 2CPM on real schedules, not just the worst-case
-bound. Used by ``benchmarks/bench_ablation_threshold.py``.
+Section 1). Both energies here are the analytic timeline of
+:mod:`repro.power.timeline` over one disk's arrival chain, under the
+omniscient and the pre-spun gap rule, so experiments can measure the
+empirical competitive ratio of 2CPM on real schedules, not just the
+worst-case bound. Used by ``benchmarks/bench_ablation_threshold.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.errors import ConfigurationError
-from repro.power.breakeven import idle_interval_energy
 from repro.power.profile import DiskPowerProfile
-
-
-@dataclass(frozen=True)
-class OracleDecision:
-    """Optimal handling of one idle gap.
-
-    ``gap`` is the idle-gap length in seconds; ``energy`` the joules the
-    optimal choice spends on it.
-    """
-
-    gap: float
-    sleep: bool
-    energy: float
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Optimal power management of one disk's request chain.
-
-    Attributes:
-        energy: Joules spent over all gaps (service energy excluded — it
-            is schedule-invariant).
-        decisions: Per-gap choices, in chain order.
-        spin_cycles: Number of sleep decisions (each costs one
-            down+up transition pair).
-    """
-
-    energy: float
-    decisions: Sequence[OracleDecision]
-
-    @property
-    def spin_cycles(self) -> int:
-        return sum(1 for decision in self.decisions if decision.sleep)
-
-
-def gap_sleep_energy(profile: DiskPowerProfile, gap: float) -> float:
-    """Joules spent sleeping through a gap of ``gap`` seconds
-    (transition + standby floor).
-
-    Gaps shorter than the transition time cannot fit a full spin cycle;
-    sleeping is then infeasible and this returns ``inf``.
-    """
-    if gap < profile.transition_time:
-        return float("inf")
-    return (
-        profile.transition_energy
-        + (gap - profile.transition_time) * profile.standby_power
-    )
-
-
-def gap_idle_energy(profile: DiskPowerProfile, gap: float) -> float:
-    """Joules spent riding out a gap of ``gap`` seconds fully spinning."""
-    return gap * profile.idle_power
-
-
-def optimal_gap_energy(profile: DiskPowerProfile, gap: float) -> OracleDecision:
-    """The omniscient choice for one idle gap of ``gap`` seconds."""
-    if gap < 0:
-        raise ConfigurationError("gap must be >= 0")
-    idle = gap_idle_energy(profile, gap)
-    sleep = gap_sleep_energy(profile, gap)
-    if sleep < idle:
-        return OracleDecision(gap=gap, sleep=True, energy=sleep)
-    return OracleDecision(gap=gap, sleep=False, energy=idle)
+from repro.power.timeline import GapRule, disk_timeline
 
 
 def oracle_energy(
     profile: DiskPowerProfile, arrival_times: Sequence[float], horizon: float
-) -> OracleResult:
-    """Optimal energy for one disk given its (sorted) arrival times.
-
-    ``arrival_times`` and ``horizon`` are simulated seconds. The disk
-    starts asleep, wakes exactly in time for each burst it must serve, and
-    the tail gap runs to ``horizon``. An empty chain costs only standby
-    power.
-    """
-    times = list(arrival_times)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ConfigurationError("arrival times must be sorted")
-    if times and horizon < times[-1]:
-        raise ConfigurationError("horizon precedes the last arrival")
-    decisions: List[OracleDecision] = []
-    if not times:
-        return OracleResult(
-            energy=horizon * profile.standby_power, decisions=()
-        )
-    # Lead-in: sleep until the wake-up for the first request.
-    lead = times[0]
-    decisions.append(
-        OracleDecision(
-            gap=lead,
-            sleep=True,
-            energy=profile.spin_up_energy
-            + max(0.0, lead - profile.spin_up_time) * profile.standby_power,
-        )
-    )
-    for current, nxt in zip(times, times[1:]):
-        decisions.append(optimal_gap_energy(profile, nxt - current))
-    # Tail: sleeping always wins eventually; compare both anyway.
-    decisions.append(optimal_gap_energy(profile, horizon - times[-1]))
-    return OracleResult(
-        energy=sum(decision.energy for decision in decisions),
-        decisions=tuple(decisions),
-    )
+) -> float:
+    """Omniscient energy in joules for one disk given its sorted arrival
+    seconds, over ``[0, horizon]`` seconds (service energy excluded — it
+    is schedule-invariant): each gap is slept through at once iff that
+    costs no more than idling it out."""
+    return disk_timeline(
+        profile, arrival_times, horizon, GapRule.OMNISCIENT
+    ).energy
 
 
 def two_cpm_energy(
     profile: DiskPowerProfile, arrival_times: Sequence[float], horizon: float
 ) -> float:
-    """2CPM energy in joules for the same chain of arrival seconds
-    (gap-by-gap, analytic)."""
-    times = list(arrival_times)
-    if not times:
-        return horizon * profile.standby_power
-    energy = (
-        profile.spin_up_energy
-        + max(0.0, times[0] - profile.spin_up_time) * profile.standby_power
-    )
-    for current, nxt in zip(times, times[1:]):
-        energy += idle_interval_energy(profile, nxt - current)
-    energy += idle_interval_energy(profile, horizon - times[-1])
-    return energy
+    """2CPM energy in joules for the same chain of arrival seconds under
+    the paper's offline model (Lemma 1): the disk idles ``TB`` and then sleeps iff a full spin
+    cycle still fits, spinning up in advance of the next request.
+
+    This is not the simulator's reactive 2CPM, which spins down at ``TB``
+    whatever comes next and makes the next request wait for the spin-up.
+    """
+    return disk_timeline(profile, arrival_times, horizon, GapRule.PRE_SPUN).energy
 
 
 def empirical_competitive_ratio(
@@ -147,7 +49,9 @@ def empirical_competitive_ratio(
 ) -> float:
     """2CPM-vs-oracle energy ratio aggregated over many disk chains.
 
-    The theoretical guarantee is ratio <= 2 (for zero standby power); on
+    The theoretical guarantee is ratio <= 2 for zero standby power and
+    chains whose first arrival leaves room for a full spin-up (a lead-in
+    cut short at t=0 no longer pays for the tail's spin-down); on
     realistic traces the measured ratio is usually far lower because most
     gaps are either clearly short or clearly long.
     """
@@ -155,7 +59,7 @@ def empirical_competitive_ratio(
     offline = 0.0
     for chain in chains:
         online += two_cpm_energy(profile, chain, horizon)
-        offline += oracle_energy(profile, chain, horizon).energy
+        offline += oracle_energy(profile, chain, horizon)
     if offline == 0:
         return 1.0
     return online / offline

@@ -11,7 +11,9 @@ and physically-meaningful invariants are checked:
 * total energy is bounded by the always-on energy from above (2CPM only
   sheds energy) and by standby-everything from below;
 * 2CPM never leaves a disk idle for longer than TB + epsilon without
-  spinning down.
+  spinning down;
+* with free transitions and instant service, each simulated disk's ledger
+  is the analytic pre-spun timeline of its arrivals.
 """
 
 import random
@@ -26,8 +28,9 @@ from repro.core.static_scheduler import StaticScheduler
 from repro.core.wsc import WSCBatchScheduler
 from repro.disk.service import ConstantServiceModel
 from repro.placement.schemes import ZipfOriginalUniformReplicas
-from repro.power.profile import BARRACUDA
+from repro.power.profile import BARRACUDA, PAPER_UNIT
 from repro.power.states import DiskPowerState
+from repro.power.timeline import GapRule, disk_timeline
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import always_on_baseline, simulate
 from repro.traces.record import TraceRecord
@@ -143,3 +146,41 @@ def test_identical_seeds_identical_reports(data):
     second, _ = run_one(requests, catalog, num_disks, seed, StaticScheduler())
     assert first.total_energy == second.total_energy
     assert first.response_times == second.response_times
+
+
+@given(data=small_workloads())
+@settings(max_examples=40, deadline=None)
+def test_simulated_ledgers_match_the_analytic_timeline(data):
+    """The simulator against the walk, disk by disk.
+
+    With zero-time transitions the simulator's reactive 2CPM and the
+    pre-spun rule coincide: a gap shorter than TB is idled out, a longer
+    one idles TB and sleeps, and a spin-up costs no waiting. A gap of
+    exactly TB is a tie the two break apart: the arrival fires before the
+    idle timer, so the simulated disk stays up while the walk books a
+    zero-length spin cycle. Expovariate gaps hit it with probability 0.
+    """
+    requests, catalog, num_disks, seed = data
+    config = SimulationConfig(
+        num_disks=num_disks,
+        profile=PAPER_UNIT,
+        service_model=ConstantServiceModel(0.0),
+        seed=seed,
+        drain_slack=0.0,
+    )
+    report = simulate(requests, catalog, StaticScheduler(), config)
+    arrivals = {disk: [] for disk in report.disk_stats}
+    for request in requests:
+        arrivals[catalog.original(request.data_id)].append(request.time)
+    for disk, stats in report.disk_stats.items():
+        walk = disk_timeline(
+            PAPER_UNIT, arrivals[disk], report.duration, GapRule.PRE_SPUN
+        )
+        assert (stats.spin_ups, stats.spin_downs, stats.requests_serviced) == (
+            walk.ups,
+            walk.downs,
+            walk.requests_serviced,
+        )
+        for state, seconds in walk.state_time.items():
+            assert stats.state_time[state] == pytest.approx(seconds, rel=1e-9)
+        assert stats.energy == pytest.approx(walk.energy, rel=1e-9)

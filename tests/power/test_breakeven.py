@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.power.breakeven import (
-    always_on_interval_energy,
     breakeven_time,
     breakeven_time_with_standby,
     competitive_ratio_bound,
-    idle_interval_energy,
 )
 from repro.power.profile import BARRACUDA, PAPER_EVAL, DiskPowerProfile
+from repro.power.timeline import GapRule, disk_timeline
+
+PRE_SPUN = GapRule.PRE_SPUN
 
 
 class TestBreakevenTime:
@@ -60,34 +61,39 @@ class TestBreakevenWithStandby:
 
 
 class TestIntervalEnergy:
-    def test_short_gap_stays_idle(self):
+    """One interior gap under the pre-spun rule (Lemma 1)."""
+
+    def test_short_gap_stays_idle(self, gap_cost):
         gap = BARRACUDA.breakeven_time / 2
-        assert idle_interval_energy(BARRACUDA, gap) == pytest.approx(
-            gap * BARRACUDA.idle_power
-        )
+        ledger, energy = gap_cost(BARRACUDA, gap, PRE_SPUN)
+        assert ledger.ups == 1
+        assert energy == pytest.approx(gap * BARRACUDA.idle_power)
 
-    def test_long_gap_sleeps(self):
+    def test_long_gap_sleeps(self, gap_cost):
         gap = BARRACUDA.breakeven_time * 10
-        energy = idle_interval_energy(BARRACUDA, gap)
-        assert energy < always_on_interval_energy(BARRACUDA, gap)
+        ledger, energy = gap_cost(BARRACUDA, gap, PRE_SPUN)
+        assert ledger.ups == 2
+        assert energy < gap * BARRACUDA.idle_power
 
-    def test_gap_at_threshold_boundary_stays_idle(self):
+    def test_gap_at_threshold_boundary_stays_idle(self, gap_cost):
         # Gaps inside [TB, TB + Tup + Tdown) ride out idle (Lemma 1 case II).
         gap = BARRACUDA.breakeven_time + BARRACUDA.transition_time / 2
-        assert idle_interval_energy(BARRACUDA, gap) == pytest.approx(
-            gap * BARRACUDA.idle_power
-        )
+        ledger, energy = gap_cost(BARRACUDA, gap, PRE_SPUN)
+        assert ledger.ups == 1
+        assert energy == pytest.approx(gap * BARRACUDA.idle_power)
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ConfigurationError):
-            idle_interval_energy(BARRACUDA, -1.0)
+            disk_timeline(BARRACUDA, [10.0, 9.0], 100.0, PRE_SPUN)
 
     @given(gap=st.floats(min_value=0.0, max_value=1e5))
-    def test_2cpm_never_exceeds_twice_always_on_plus_transition(self, gap):
+    def test_2cpm_never_exceeds_twice_always_on_plus_transition(
+        self, gap_cost, gap
+    ):
         """The 2-competitiveness sanity bound on a single interval."""
-        online = idle_interval_energy(PAPER_EVAL, gap)
+        _, online = gap_cost(PAPER_EVAL, gap, PRE_SPUN)
         offline_best = min(
-            always_on_interval_energy(PAPER_EVAL, gap),
+            gap * PAPER_EVAL.idle_power,
             PAPER_EVAL.transition_energy + gap * PAPER_EVAL.standby_power,
         )
         if offline_best > 0:

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOT_FRACTION",
         help="run the tiered disk/tape system, keeping this fraction of "
         "data ids (by popularity) on disk and the cold rest on tape; "
-        "tiered runs are uncached and ignore --fault-rate",
+        "tiered runs are uncached",
     )
     simulate.add_argument(
         "--sequencer",
@@ -671,6 +671,7 @@ def _run_simulate_tiered(args: argparse.Namespace) -> int:
     # Imported lazily: only --tier runs need the tape subsystem.
     from dataclasses import replace
 
+    from repro.faults.plan import FaultPlan
     from repro.sim.runner import simulate as run_simulation
     from repro.tape.config import TierConfig
     from repro.tape.profile import get_tape_profile
@@ -687,7 +688,14 @@ def _run_simulate_tiered(args: argparse.Namespace) -> int:
         sequencer=args.sequencer,
         tape_profile=get_tape_profile(args.tape_profile),
     )
-    config = replace(common.make_config(num_disks), tier=tier)
+    config = replace(
+        common.make_config(num_disks),
+        tier=tier,
+        # The plan an untiered run of the same cell gets.
+        fault_plan=FaultPlan.canonical(args.fault_rate, seed=common.BASE_SEED)
+        if args.fault_rate
+        else None,
+    )
     report = run_simulation(requests, catalog, scheduler, config)
     print(report.summary())
     return 0

@@ -5,7 +5,8 @@ simulated disks.  At install time it materialises the plan into a
 deterministic schedule (:func:`repro.faults.schedule.build_schedule`)
 and posts one engine event per fault; at run time those events
 crash-stop disks, the disks hand back their drained requests, and the
-storage layer (via the ``on_disk_failed`` callback) fails them over to
+disk fleet (:class:`repro.sim.fleet.DiskFleet`, replay and serving
+alike, via the ``on_disk_failed`` callback) fails them over to
 surviving replicas.  The injector also owns all availability
 accounting: per-disk downtime intervals and the failure counters that
 end up in :class:`repro.report.AvailabilityReport`.
@@ -57,8 +58,8 @@ class FaultInjector:
     """Drives one run's fault plan against the simulated disks.
 
     Lifecycle: construct (arms each disk's spin-up fault hook), then
-    :meth:`install` once the run horizon is known, run the engine, then
-    :meth:`close` and :meth:`availability_report`.
+    :meth:`install` once the run horizon is known, then run the engine;
+    :meth:`availability_report` reads the accounting at any instant.
     """
 
     def __init__(
@@ -84,7 +85,6 @@ class FaultInjector:
         self._transient_outages = 0
         self._spin_up_failures = 0
         self._installed = False
-        self._closed = False
         for disk_id, disk in self._disks.items():
             disk.enable_fault_injection(
                 spin_up=plan.spin_up,
@@ -120,32 +120,21 @@ class FaultInjector:
                     up_at_s, _FaultEvent(self._end_outage, sched.disk_id)
                 )
 
-    def close(self, end_s: float) -> None:
-        """Close still-open downtime intervals at simulation end."""
-        if self._closed:
-            raise SimulationError("fault injector closed twice")
-        self._closed = True
-        for disk_id, down_since_s in self._down_since.items():
-            self._downtime_s[disk_id] = self._downtime_s.get(
-                disk_id, 0.0
-            ) + max(0.0, end_s - down_since_s)
-        self._down_since.clear()
-
     def availability_report(
         self,
-        duration_s: float,
+        end_s: float,
         requests_lost: int,
         requests_redispatched: int,
         failover_retries: int,
     ) -> AvailabilityReport:
-        """Bundle the accounting into an :class:`AvailabilityReport`."""
-        if not self._closed:
-            raise SimulationError("availability report requested before close()")
-        downtime_s = {
-            disk_id: seconds
-            for disk_id, seconds in sorted(self._downtime_s.items())
-            if seconds > 0
-        }
+        """Bundle the accounting through ``end_s`` into an
+        :class:`AvailabilityReport`; a disk still down counts as down
+        until ``end_s``."""
+        downtime_s = dict(self._downtime_s)
+        for disk_id, down_since_s in self._down_since.items():
+            downtime_s[disk_id] = downtime_s.get(disk_id, 0.0) + max(
+                0.0, end_s - down_since_s
+            )
         return AvailabilityReport(
             requests_lost=requests_lost,
             requests_redispatched=requests_redispatched,
@@ -153,8 +142,12 @@ class FaultInjector:
             spin_up_failures=self._spin_up_failures,
             disk_failures=self._disk_failures,
             transient_outages=self._transient_outages,
-            downtime_s=downtime_s,
-            disk_seconds=len(self._disks) * duration_s,
+            downtime_s={
+                disk_id: seconds
+                for disk_id, seconds in sorted(downtime_s.items())
+                if seconds > 0
+            },
+            disk_seconds=len(self._disks) * end_s,
         )
 
     # ------------------------------------------------------------------

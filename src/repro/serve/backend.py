@@ -12,25 +12,23 @@ requests injected at their live arrival instants.
 Because the view is the replay's own, the existing online/batch
 schedulers run against it unchanged — that is the whole point: the
 serving policies *are* the paper's scheduling models, re-hosted behind a
-request API.
+request API. So is the fault path: a ``config.fault_plan`` (serving's
+scripted disk deaths) is installed at construction, and a dead disk's
+queue fails over to the least loaded live replica exactly as in replay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+from typing import Optional
 
 from repro.disk.drive import CompletionCallback
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 from repro.placement.catalog import PlacementCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.fleet import DiskFleet
+from repro.sim.fleet import DiskFleet, LostCallback
 from repro.types import DiskId, Request
-
-#: ``(dead disk, drained requests, death time in seconds)`` — fired when a
-#: scripted disk death strikes, *after* the disk's queue has been drained,
-#: so the service can redispatch the survivors to live replicas.
-DiskDeathCallback = Callable[[DiskId, List[Request], float], None]
 
 
 class SimBackend(DiskFleet):
@@ -40,10 +38,12 @@ class SimBackend(DiskFleet):
         catalog: Data placement (``L``); replica routing uses it exactly
             as the replay path does.
         config: The standard simulation config (power profile, policy,
-            service model, seed). Fault plans and caches are not
-            supported on the serving path.
+            service model, seed, fault plan). Caches are not supported
+            on the serving path.
         on_complete: Invoked once per serviced request, *during*
             :meth:`advance_to`, at the request's completion instant.
+        on_lost: Invoked, also during :meth:`advance_to`, for a request
+            whose every replica died under it.
     """
 
     def __init__(
@@ -51,38 +51,15 @@ class SimBackend(DiskFleet):
         catalog: PlacementCatalog,
         config: SimulationConfig,
         on_complete: CompletionCallback,
+        on_lost: LostCallback,
     ):
-        if config.fault_plan is not None and config.fault_plan.active:
-            raise SchedulingError(
-                "SimBackend does not support fault injection; "
-                "use StorageSystem replay for fault studies"
-            )
-        super().__init__(catalog, config, SimulationEngine(), on_complete)
+        super().__init__(
+            catalog, config, SimulationEngine(), on_complete, on_lost
+        )
         self._submitted = 0
-
-    # -- scripted disk deaths ------------------------------------------
-
-    def schedule_disk_death(
-        self, disk_id: DiskId, at_s: float, on_death: DiskDeathCallback
-    ) -> None:
-        """Crash-stop ``disk_id`` permanently at engine time ``at_s``.
-
-        The death fires as an ordinary engine event during
-        :meth:`advance_to`, so it is deterministic relative to every
-        request event. Drained requests (in service + queued on the
-        dying disk) are handed to ``on_death`` for redispatch. From the
-        first scheduled death on, :meth:`available_locations` filters
-        out disks that are no longer available.
-        """
-        if disk_id not in self._disks:
-            raise SchedulingError(f"cannot kill unknown disk {disk_id}")
-        self._faults_armed = True
-
-        def _die() -> None:
-            drained = self._disks[disk_id].fail(permanent=True)
-            on_death(disk_id, drained, self._engine.now)
-
-        self._engine.schedule(at_s, _die)
+        if self._faults is not None:
+            # The service clock has no horizon: post every planned fault.
+            self._faults.install(math.inf)
 
     # -- clock injection -----------------------------------------------
 
@@ -136,4 +113,4 @@ class SimBackend(DiskFleet):
             self.advance_to(time_s)
         super().finalize()
 
-__all__ = ["CompletionCallback", "DiskDeathCallback", "SimBackend"]
+__all__ = ["CompletionCallback", "SimBackend"]

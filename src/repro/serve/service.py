@@ -27,7 +27,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import CostFunction
 from repro.core.heuristic import HeuristicScheduler
@@ -37,6 +37,7 @@ from repro.errors import (
     ReplicaUnavailableError,
     SimulationError,
 )
+from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
 from repro.power.profile import get_profile
@@ -85,9 +86,10 @@ class ServiceConfig:
         beta: Eq. 6 energy scale.
         disk_deaths: Scripted permanent disk failures as ``(disk_id,
             at_s)`` pairs in service-clock seconds — the chaos drills'
-            in-shard fault axis. Each death drains the dying disk's
-            queue back to the service, which redispatches to live
-            replicas or sheds with
+            in-shard fault axis, run as the backend's scripted
+            :class:`~repro.faults.plan.FaultPlan`. Each death fails the
+            dying disk's queue over to the least loaded live replica;
+            a request whose last replica died is shed with
             :attr:`RejectReason.DATA_UNAVAILABLE`.
     """
 
@@ -163,11 +165,17 @@ class ServiceConfig:
         )
 
     def make_sim_config(self) -> SimulationConfig:
-        """The backend's simulation config (paper profile, 2CPM)."""
+        """The backend's simulation config (paper profile, 2CPM), with
+        :attr:`disk_deaths` as its scripted fault plan (``None`` when
+        no disk dies)."""
+        deaths = tuple(
+            ScriptedFault(disk_id, at_s) for disk_id, at_s in self.disk_deaths
+        )
         return SimulationConfig(
             num_disks=self.num_disks,
             profile=get_profile(self.profile_name),
             seed=self.seed,
+            fault_plan=FaultPlan(scripted=deaths) if deaths else None,
         )
 
     def cost_function(self) -> CostFunction:
@@ -242,17 +250,8 @@ class SchedulingService:
             catalog,
             config.make_sim_config(),
             self._on_complete,
+            self._on_lost,
         )
-        # Scripted disk deaths (chaos drills only): the redispatch
-        # scheduler exists only when deaths are configured, so the
-        # healthy path is byte-identical to builds without this feature.
-        self._redispatch: Optional[HeuristicScheduler] = None
-        if config.disk_deaths:
-            self._redispatch = HeuristicScheduler(config.cost_function())
-            for disk_id, at_s in config.disk_deaths:
-                self._backend.schedule_disk_death(
-                    disk_id, at_s, self._on_disk_death
-                )
         self._admission = AdmissionController(
             queue_limit=config.queue_limit,
             client_rate_per_s=config.client_rate_per_s,
@@ -433,31 +432,10 @@ class SchedulingService:
             )
         )
 
-    def _on_disk_death(
-        self, disk_id: DiskId, drained: List[Request], now_s: float
-    ) -> None:
-        """Backend callback: a scripted disk death struck at ``now_s``.
-
-        Every request drained off the dead disk is still in flight from
-        the caller's point of view; redispatch each to its best live
-        replica, or shed it with ``DATA_UNAVAILABLE`` when the death
-        took the last copy.
-        """
-        scheduler = self._redispatch
-        assert scheduler is not None  # only wired when deaths configured
-        backend = self.backend
-        self.metrics.counter("disks.failed").inc()
-        redispatched = self.metrics.counter("requests.redispatched")
-        for request in drained:
-            pending = self._inflight[request.request_id]
-            try:
-                target = scheduler.choose(request, backend)
-            except ReplicaUnavailableError:
-                del self._inflight[request.request_id]
-                self._shed_unavailable(pending, now_s)
-                continue
-            backend.submit(request, target)
-            redispatched.inc()
+    def _on_lost(self, request: Request, now_s: float) -> None:
+        """Backend callback: a disk death took the in-flight request's
+        last replica at ``now_s``; shed it with ``DATA_UNAVAILABLE``."""
+        self._shed_unavailable(self._inflight.pop(request.request_id), now_s)
         self._m_inflight.set(len(self._inflight))
         if self._draining and not self._inflight:
             self._idle.set()
@@ -653,6 +631,16 @@ class SchedulingService:
             backend.requests_submitted
         )
         observe_engine(metrics, backend.engine)
+        availability = backend.availability_report()
+        if availability is not None and availability.disk_failures:
+            # Created on the first death only, so healthy dumps keep
+            # exactly their rows.
+            for name, value in (
+                ("disks.failed", availability.disk_failures),
+                ("requests.redispatched", availability.requests_redispatched),
+            ):
+                counter = metrics.counter(name)
+                counter.inc(value - counter.value)
         self._m_queue_depth.set(len(self._ingress))
         self._m_inflight.set(len(self._inflight))
         return metrics.snapshot()

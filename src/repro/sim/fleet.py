@@ -1,29 +1,46 @@
-"""The disk fleet: disks, cost columns and placement behind one view.
+"""The disk fleet: disks, cost columns, placement and faults behind one view.
 
 :class:`DiskFleet` is what every owner of simulated disks shares: one
 :class:`~repro.disk.drive.SimulatedDisk` per disk on a common engine,
 the Eq. 5/6 columns they keep current (``view.fleet``), the data
-placement, the :class:`~repro.core.scheduler.SystemView` protocol and
-the checked dispatch. The trace replay
-(:class:`~repro.sim.storage.StorageSystem`) and the serving backend
+placement, the :class:`~repro.core.scheduler.SystemView` protocol, the
+checked dispatch and the one fault path (the
+:class:`~repro.faults.injector.FaultInjector` of ``config.fault_plan``,
+failover to the least loaded live replica, backoff, typed loss). The
+trace replay (:class:`~repro.sim.storage.StorageSystem`, the tiered
+system included) and the serving backend
 (:class:`~repro.serve.backend.SimBackend`) subclass it and differ only
-in who drives the clock.
+in who drives the clock and how a backed-off request is re-admitted.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.fleet import FleetCostState
 from repro.disk.drive import CompletionCallback, SimulatedDisk
 from repro.disk.stats import DiskStats
 from repro.errors import PlacementError, SchedulingError
+from repro.faults.health import DiskHealth
+from repro.faults.injector import FaultInjector
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import DiskPowerProfile
+from repro.report import AvailabilityReport
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.types import DataId, DiskId, OpKind, Request
+from repro.types import DataId, DiskId, OpKind, Request, RequestId
+
+#: ``(request, now_s)``: the request can no longer be served — every
+#: replica is permanently dead, or its backoff budget ran out.
+LostCallback = Callable[[Request, float], None]
+
+#: First failover-retry delay in seconds; doubles on every further attempt.
+RETRY_BASE_S = 0.5
+#: Backoff retries granted to a request whose replicas are all transiently
+#: down before it is declared lost.
+MAX_FAILOVER_ATTEMPTS = 8
 
 
 class DiskFleet:
@@ -35,6 +52,8 @@ class DiskFleet:
         engine: The virtual clock every disk schedules on.
         on_complete: Invoked once per serviced request at its completion
             instant.
+        on_lost: Invoked once per request the fleet gives up on (only
+            ever under an active fault plan).
     """
 
     def __init__(
@@ -43,6 +62,7 @@ class DiskFleet:
         config: SimulationConfig,
         engine: SimulationEngine,
         on_complete: CompletionCallback,
+        on_lost: LostCallback,
     ):
         # data_id -> locations tuple, resolved once: per-request placement
         # lookups are one dict access instead of a catalog method call.
@@ -67,10 +87,23 @@ class DiskFleet:
             )
             for disk_id in range(config.num_disks)
         }
-        #: Set by an owner once any disk is armed for fault injection;
-        #: until then every disk is available and no filtering is paid.
-        self._faults_armed = False
         self._finalized = False
+        self._on_lost = on_lost
+        self._lost = 0
+        self._redispatched = 0
+        self._failover_retries = 0
+        # Deferred requests not yet dispatched: id -> (attempts, request).
+        self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
+        #: None without an active plan: every disk stays available and no
+        #: filtering is paid. Owners ``install`` it at their horizon.
+        self._faults: Optional[FaultInjector] = None
+        if config.fault_plan is not None and config.fault_plan.active:
+            self._faults = FaultInjector(
+                plan=config.fault_plan,
+                engine=engine,
+                disks=self._disks,
+                on_disk_failed=self._on_disk_failed,
+            )
 
     @property
     def engine(self) -> SimulationEngine:
@@ -105,10 +138,10 @@ class DiskFleet:
     def available_locations(self, data_id: DataId) -> Tuple[DiskId, ...]:
         """Replicas currently able to service requests (SystemView).
 
-        Identical to :meth:`locations` until some disk is armed for fault
-        injection — the precomputed placement tuple is returned as-is,
-        nothing is rebuilt. Afterwards down and failed disks are filtered
-        out, so the schedulers steer around them and raise
+        Identical to :meth:`locations` when no fault plan is active — the
+        precomputed placement tuple is returned as-is, nothing is
+        rebuilt. Otherwise down and failed disks are filtered out, so
+        the schedulers steer around them and raise
         :class:`~repro.errors.ReplicaUnavailableError` when every replica
         of an item is gone.
         """
@@ -116,7 +149,7 @@ class DiskFleet:
             locations = self._locations_by_data[data_id]
         except KeyError:
             raise PlacementError(f"unknown data id {data_id}")
-        if not self._faults_armed:
+        if self._faults is None:
             return locations
         disks = self._disks
         return tuple(  # reprolint: disable=RPL007 -- fault path only
@@ -144,16 +177,102 @@ class DiskFleet:
             )
         disk.submit(request)
 
+    def _dispatch(self, request: Request, disk_id: DiskId) -> None:
+        """Submit a request, closing its backoff record if it had one."""
+        self.submit(request, disk_id)
+        if self._retry_attempts:
+            self._retry_attempts.pop(request.request_id, None)
+
+    # -- failover (fault injection only) -------------------------------
+
+    def _admit(self, request: Request) -> None:
+        """Re-admit a request whose backoff expired.
+
+        The default routes it like a drained request; an owner with its
+        own admission path (the trace replay's scheduler) overrides this.
+        """
+        self._failover(request)
+
+    def _on_disk_failed(self, disk_id: DiskId, drained: List[Request]) -> None:
+        """Injector callback: ``disk_id`` crash-stopped mid-run, and
+        every request drained from its queue fails over; routing new
+        arrivals around it is :meth:`available_locations`' job."""
+        del disk_id  # routing consults per-disk health, not the event
+        for request in drained:
+            self._failover(request)
+
+    def _failover(self, request: Request) -> None:
+        """Least-loaded live replica (ties by disk id), else defer."""
+        candidates = self.available_locations(request.data_id)
+        if not candidates:
+            self._defer_or_lose(request)
+            return
+        best = min(
+            candidates, key=lambda d: (self._disks[d].queue_length, d)
+        )
+        self._redispatched += 1
+        self._dispatch(request, best)
+
+    def _servable_or_deferred(self, request: Request) -> bool:
+        """True when some replica is live; otherwise defers the request."""
+        if self.available_locations(request.data_id):
+            return True
+        self._defer_or_lose(request)
+        return False
+
+    def _defer_or_lose(self, request: Request) -> None:
+        """Back off and re-admit, or record the request as lost.
+
+        Lost means: every replica is permanently dead, or the retry
+        budget is exhausted while all replicas stay unavailable.
+        """
+        locations = self.locations(request.data_id)
+        backoff = self._retry_attempts.get(request.request_id)
+        attempts = backoff[0] if backoff is not None else 0
+        all_dead = all(
+            self._disks[d].health is DiskHealth.FAILED for d in locations
+        )
+        if all_dead or attempts >= MAX_FAILOVER_ATTEMPTS:
+            self._retry_attempts.pop(request.request_id, None)
+            self._lose(request)
+            return
+        self._retry_attempts[request.request_id] = (attempts + 1, request)
+        self._failover_retries += 1
+        delay = RETRY_BASE_S * (2.0**attempts)
+        self._engine.schedule_after(delay, partial(self._admit, request))
+
+    def _lose(self, request: Request) -> None:
+        self._lost += 1
+        self._on_lost(request, self._engine.now)
+
     # -- accounting ----------------------------------------------------
 
     def finalize(self) -> None:
         """Close every disk's ledger at the engine's current time
-        (idempotent)."""
+        (idempotent).
+
+        A deferred request not dispatched by then (still backing off, or
+        re-admitted to a batch that never ticked) can no longer be
+        served: it is lost, not silently unresolved.
+        """
         if self._finalized:
             return
+        for _, request in self._retry_attempts.values():
+            self._lose(request)
         for disk in self._disks.values():
             disk.finalize()
         self._finalized = True
+
+    def availability_report(self) -> Optional[AvailabilityReport]:
+        """Fault accounting up to now; None when no plan is active."""
+        if self._faults is None:
+            return None
+        return self._faults.availability_report(
+            end_s=self._engine.now,
+            requests_lost=self._lost,
+            requests_redispatched=self._redispatched,
+            failover_retries=self._failover_retries,
+        )
 
     @property
     def disk_stats(self) -> Dict[DiskId, DiskStats]:
@@ -179,4 +298,4 @@ class DiskFleet:
         )
 
 
-__all__ = ["DiskFleet"]
+__all__ = ["DiskFleet", "LostCallback"]

@@ -7,8 +7,9 @@ each :class:`~repro.disk.drive.SimulatedDisk`) spins idle disks down.
 
 The disks, their cost columns and the
 :class:`~repro.core.scheduler.SystemView` the schedulers observe come
-from :class:`~repro.sim.fleet.DiskFleet`; this class adds the trace
-replay: admission, batching, caching and failover.
+from :class:`~repro.sim.fleet.DiskFleet`, and so do fault injection,
+failover and typed loss; this class adds the trace replay: admission,
+batching and caching.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
@@ -26,25 +27,18 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
 )
-from repro.faults.health import DiskHealth
-from repro.faults.injector import FaultInjector
 from repro.placement.catalog import PlacementCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import DiskFleet
 from repro.report import MetricsCollector, SimulationReport
-from repro.types import DiskId, OpKind, Request, RequestId
+from repro.types import DiskId, OpKind, Request
 
 #: Request's dataclass compare-fields, as a sort key (see run()).
 _REQUEST_ORDER = operator.attrgetter("time", "request_id")
 
 #: Response time in seconds charged to a read served from the block cache.
 CACHE_HIT_S = 0.0002
-#: First failover-retry delay in seconds; doubles on every further attempt.
-RETRY_BASE_S = 0.5
-#: Backoff retries granted to a request whose replicas are all transiently
-#: down before it is declared lost.
-MAX_FAILOVER_ATTEMPTS = 8
 
 
 class StorageSystem(DiskFleet):
@@ -63,7 +57,11 @@ class StorageSystem(DiskFleet):
             )
         self._metrics = MetricsCollector()
         super().__init__(
-            catalog, config, SimulationEngine(), self._metrics.on_complete
+            catalog,
+            config,
+            SimulationEngine(),
+            self._metrics.on_complete,
+            self._metrics.on_lost,
         )
         self._scheduler = scheduler
         # Narrowed alias: _admit runs per arrival and should not pay an
@@ -76,19 +74,6 @@ class StorageSystem(DiskFleet):
         self._offered = 0
         self._ran = False
         self.cache = config.cache_factory() if config.cache_factory else None
-        self._redispatched = 0
-        self._failover_retries = 0
-        # Deferred requests not yet dispatched: id -> (attempts, request).
-        self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
-        self._faults: Optional[FaultInjector] = None
-        if config.fault_plan is not None and config.fault_plan.active:
-            self._faults = FaultInjector(
-                plan=config.fault_plan,
-                engine=self._engine,
-                disks=self._disks,
-                on_disk_failed=self._on_disk_failed,
-            )
-            self._faults_armed = True
 
     # -- driving the run -------------------------------------------------
 
@@ -133,11 +118,6 @@ class StorageSystem(DiskFleet):
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # A deferred request not dispatched by the horizon (still backing
-        # off, or re-admitted to a batch that never ticked) can no longer
-        # be served: it is lost, not silently unresolved.
-        for _, request in self._retry_attempts.values():
-            self._metrics.on_lost(request, self._engine.now)
         self.finalize()
         return self._report()
 
@@ -148,15 +128,6 @@ class StorageSystem(DiskFleet):
 
     def _report(self) -> SimulationReport:
         """The final report of a finished run."""
-        availability = None
-        if self._faults is not None:
-            self._faults.close(self._engine.now)
-            availability = self._faults.availability_report(
-                duration_s=self._engine.now,
-                requests_lost=self._metrics.lost,
-                requests_redispatched=self._redispatched,
-                failover_retries=self._failover_retries,
-            )
         return SimulationReport(
             scheduler_name=self._scheduler.name,
             duration=self._engine.now,
@@ -168,7 +139,7 @@ class StorageSystem(DiskFleet):
             cache_hits=self.cache.hits if self.cache else 0,
             cache_misses=self.cache.misses if self.cache else 0,
             events_processed=self._engine.events_processed,
-            availability=availability,
+            availability=self.availability_report(),
         )
 
     # -- internal event handlers ------------------------------------------
@@ -290,65 +261,13 @@ class StorageSystem(DiskFleet):
             self._dispatch(request, disk_id)
 
     def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        self.submit(request, disk_id)
-        if self._retry_attempts:
-            self._retry_attempts.pop(request.request_id, None)
+        # Per dispatched request: the direct base call skips building a
+        # super() proxy each time.
+        DiskFleet._dispatch(self, request, disk_id)
         if self.cache is not None and request.op is OpKind.READ:
             self.cache.insert(
                 request.data_id, disk_id, lambda d: self._disks[d].state
             )
-
-    # -- failover (fault injection only) ----------------------------------
-
-    def _servable_or_deferred(self, request: Request) -> bool:
-        """True when some replica is live; otherwise defers the request."""
-        if self.available_locations(request.data_id):
-            return True
-        self._defer_or_lose(request)
-        return False
-
-    def _on_disk_failed(self, disk_id: DiskId, drained: List[Request]) -> None:
-        """Injector callback: ``disk_id`` crash-stopped mid-run.
-
-        Requests drained from its queue are re-dispatched to the least
-        loaded surviving replica; placement-driven routing around the
-        dead disk happens separately via :meth:`available_locations`.
-        """
-        del disk_id  # routing consults per-disk health, not the event
-        for request in drained:
-            self._failover(request)
-
-    def _failover(self, request: Request) -> None:
-        candidates = self.available_locations(request.data_id)
-        if not candidates:
-            self._defer_or_lose(request)
-            return
-        best = min(
-            candidates, key=lambda d: (self._disks[d].queue_length, d)
-        )
-        self._redispatched += 1
-        self._dispatch(request, best)
-
-    def _defer_or_lose(self, request: Request) -> None:
-        """Back off and re-admit, or record the request as lost.
-
-        Lost means: every replica is permanently dead, or the retry
-        budget is exhausted while all replicas stay unavailable.
-        """
-        locations = self.locations(request.data_id)
-        backoff = self._retry_attempts.get(request.request_id)
-        attempts = backoff[0] if backoff is not None else 0
-        all_dead = all(
-            self._disks[d].health is DiskHealth.FAILED for d in locations
-        )
-        if all_dead or attempts >= MAX_FAILOVER_ATTEMPTS:
-            self._retry_attempts.pop(request.request_id, None)
-            self._metrics.on_lost(request, self._engine.now)
-            return
-        self._retry_attempts[request.request_id] = (attempts + 1, request)
-        self._failover_retries += 1
-        delay = RETRY_BASE_S * (2.0**attempts)
-        self._engine.schedule_after(delay, _Readmit(self, request))
 
     def _complete_from_cache(self, request: Request) -> None:
         """Serve a read from the cache: no disk is touched."""
@@ -358,16 +277,3 @@ class StorageSystem(DiskFleet):
             self._metrics.on_complete(request, home, self._engine.now)
 
         self._engine.schedule_after(CACHE_HIT_S, deliver)
-
-
-class _Readmit:
-    """Backoff-retry callback re-admitting a deferred request."""
-
-    __slots__ = ("_system", "_request")
-
-    def __init__(self, system: StorageSystem, request: Request):
-        self._system = system
-        self._request = request
-
-    def __call__(self) -> None:
-        self._system._admit(self._request)

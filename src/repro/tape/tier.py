@@ -66,10 +66,6 @@ class TieredStorageSystem(StorageSystem):
                 "TieredStorageSystem needs config.tier; disk-only runs "
                 "use StorageSystem"
             )
-        if config.fault_plan is not None and config.fault_plan.active:
-            raise ConfigurationError(
-                "fault injection is not supported on tiered runs yet"
-            )
         super().__init__(catalog, scheduler, config)
         self._tier = tier
         # Hot ids take the disk-only admission path, fused fast path and

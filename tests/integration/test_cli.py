@@ -61,6 +61,11 @@ class TestCommands:
         assert code == 0
         assert "normalized energy" in capsys.readouterr().out
 
+    def test_tiered_simulate_injects_the_fault_rate(self, capsys):
+        code = main(["simulate", "--tier", "0.2", "--fault-rate", "0.001"])
+        assert code == 0
+        assert "availability" in capsys.readouterr().out
+
     def test_compare_lists_all_schedulers(self, capsys):
         assert main(["compare", "--replication", "2"]) == 0
         out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from typing import List
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.serve.admission import Completed, Outcome, Rejected, RejectReason
 from repro.serve.clock import virtual_run
 from repro.serve.service import SchedulingService, ServiceConfig
@@ -55,6 +56,15 @@ def test_disk_deaths_validation(
 ) -> None:
     with pytest.raises(ConfigurationError, match=match):
         ServiceConfig(num_disks=18, disk_deaths=disk_deaths)
+
+
+def test_disk_deaths_are_the_backend_fault_plan() -> None:
+    config = ServiceConfig(num_disks=18, disk_deaths=((3, 1.5), (0, 2.0)))
+    assert config.make_sim_config().fault_plan == FaultPlan(
+        scripted=(ScriptedFault(3, 1.5), ScriptedFault(0, 2.0))
+    )
+    # No deaths, no plan: the healthy session builds no fault injector.
+    assert ServiceConfig(num_disks=18).make_sim_config().fault_plan is None
 
 
 def test_lifecycle_errors() -> None:

@@ -67,6 +67,7 @@ class ServeOwner:
             on_complete=lambda request, disk_id, now: self._completed.append(
                 request
             ),
+            on_lost=lambda request, now: None,
         )
         self.engine = self.view.engine
 

@@ -10,6 +10,7 @@ additive), and same-seed byte stability.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List
 
 import pytest
@@ -21,6 +22,7 @@ from repro.experiments.harness.serialize import (
     report_from_payload,
     report_to_payload,
 )
+from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
 from repro.placement.zipf import ZipfSampler
@@ -120,6 +122,24 @@ def test_same_seed_tiered_runs_are_byte_identical(sequencer: str) -> None:
         _workload(), _catalog(), HeuristicScheduler(), _config(0.15, sequencer)
     )
     assert canonical_report_json(first) == canonical_report_json(second)
+
+
+def test_a_hot_tier_disk_death_fails_over_inside_the_tiered_run() -> None:
+    healthy = simulate(_workload(), _catalog(), HeuristicScheduler(), _config())
+    config = replace(
+        _config(), fault_plan=FaultPlan(scripted=(ScriptedFault(0, 40.0),))
+    )
+    report = simulate(_workload(), _catalog(), HeuristicScheduler(), config)
+    availability = report.availability
+    assert availability is not None
+    assert availability.disk_failures == 1
+    assert (
+        report.requests_completed + availability.requests_lost
+        == report.requests_offered
+    )
+    # Routing by temperature does not depend on disk health.
+    assert report.tape is not None and healthy.tape is not None
+    assert report.tape.requests_to_tape == healthy.tape.requests_to_tape
 
 
 def test_tiered_system_requires_a_tier_config() -> None:

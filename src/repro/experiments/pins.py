@@ -24,11 +24,21 @@ from repro.experiments.fault_sweep import fault_sweep_cells
 from repro.experiments.figures import energy_cells
 from repro.experiments.harness import RunSpec, canonical_json, execute_spec
 from repro.experiments.harness.bench import ablation_result_payload
+from repro.experiments.harness.runner import get_binding, make_config, make_scheduler
 from repro.experiments.harness.schema import document_digest
-from repro.experiments.harness.serialize import sha256_hex
+from repro.experiments.harness.serialize import report_to_payload, sha256_hex
+from repro.experiments.harness.spec import cell_spec
 from repro.experiments.tape_tier import run_tape_tier
+from repro.faults.plan import (
+    FaultPlan,
+    PermanentFaults,
+    ScriptedFault,
+    SpinUpFaults,
+    TransientFaults,
+)
 from repro.serve import LoadgenConfig, ServiceConfig, serve_session, virtual_run
 from repro.serve.shard import ShardedServiceConfig, run_sharded, sharded_document
+from repro.sim.runner import simulate
 
 #: fig6 smoke cell: the cell sizes bench-smoke runs.
 FIG6_SCALE = 0.05
@@ -46,6 +56,27 @@ MWIS_SOLVER_SEED = 1
 #: ratios.
 THRESHOLD_SCALE = 0.05
 THRESHOLD_SEED = 1
+
+#: fault_mix cell: Heuristic on the Financial-like trace at rf 3 (18
+#: disks, 7,000 requests) under every fault kind at once.
+FAULT_MIX_SCALE = 0.1
+FAULT_MIX_SEED = 1
+#: The permanent, transient and spin-up models of perfbench's
+#: ``faulty-financial`` workload, plus scripted drills: every replica of
+#: data 0 (disks 9, 6, 13) goes down for 30 s at t = 1000 s, so its
+#: requests back off and retry; every replica of data 1 (disks 4, 8, 0)
+#: dies at t = 2500 s, so its later requests end in a typed loss.
+FAULT_MIX_PLAN = FaultPlan(
+    seed=FAULT_MIX_SEED,
+    permanent=PermanentFaults(mttf_s=1e4),
+    transient=TransientFaults(mtbf_s=2000.0, mean_repair_s=10.0),
+    spin_up=SpinUpFaults(probability=0.05),
+    scripted=tuple(
+        ScriptedFault(disk_id, 1000.0, repair_after_s=30.0)
+        for disk_id in (9, 6, 13)
+    )
+    + tuple(ScriptedFault(disk_id, 2500.0) for disk_id in (4, 8, 0)),
+)
 
 #: tape_tier smoke cell: 300 requests per cell over 2000 ids.
 TAPE_SCALE = 0.05
@@ -120,6 +151,25 @@ def tape_tier_digest() -> str:
     return sha256_hex(canonical_json(ablation_result_payload(result)))
 
 
+def fault_mix_report() -> Dict[str, Any]:
+    """Report payload of the fault_mix cell."""
+    spec = cell_spec(
+        "financial", 3, "heuristic", scale=FAULT_MIX_SCALE, seed=FAULT_MIX_SEED
+    )
+    requests, catalog, disks = get_binding(
+        spec.trace,
+        spec.replication_factor,
+        spec.zipf_exponent,
+        spec.scale,
+        spec.seed,
+    )
+    config = replace(
+        make_config(disks, spec.profile, spec.seed), fault_plan=FAULT_MIX_PLAN
+    )
+    report = simulate(requests, catalog, make_scheduler(spec), config)
+    return report_to_payload(report)
+
+
 def shard_document(config: ShardedServiceConfig) -> Dict[str, Any]:
     """Merged report of one smoke deployment (serial path)."""
     run = run_sharded(config, SHARD_SMOKE_LOAD, multiprocess=False)
@@ -152,6 +202,10 @@ PINS: Dict[str, Pin] = {
     ),
     "fault_sweep": Pin(
         Path("tests/faults/data/fault_sweep_smoke.sha256"), fault_sweep_digest
+    ),
+    "fault_mix": Pin(
+        Path("tests/faults/data/fault_mix.sha256"),
+        lambda: sha256_hex(canonical_json(fault_mix_report())),
     ),
     "mwis_solver": Pin(
         Path("tests/core/data/mwis_solver.sha256"), mwis_solver_digest

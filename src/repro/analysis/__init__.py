@@ -1,11 +1,6 @@
 """Analysis helpers: distributions, state periods, tables, exports."""
 
-from repro.analysis.distributions import (
-    inverse_cdf,
-    log_spaced_thresholds,
-    mean,
-    nearest_rank_percentile,
-)
+from repro.analysis.distributions import log_spaced_thresholds, mean
 from repro.analysis.export import (
     figure_to_csv,
     figure_to_json,
@@ -29,10 +24,8 @@ __all__ = [
     "format_series_table",
     "format_table",
     "idle_periods_of_report",
-    "inverse_cdf",
     "log_spaced_thresholds",
     "mean",
-    "nearest_rank_percentile",
     "period_summary",
     "report_to_dict",
     "report_to_json",

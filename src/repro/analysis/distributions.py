@@ -1,37 +1,16 @@
-"""Distribution utilities for response-time analysis (Fig. 12/13)."""
+"""Distribution utilities for response-time analysis (Fig. 12/13).
+
+The inverse CDF and the nearest-rank percentile of a run's response
+times are :meth:`repro.report.SimulationReport.inverse_cdf` and
+:func:`repro.report.percentile`.
+"""
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
-
-
-def inverse_cdf(
-    values: Sequence[float], thresholds: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """``P[value > x]`` at each threshold — the paper's Fig. 12 axes."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return [(x, 0.0) for x in thresholds]
-    return [
-        (x, (n - bisect.bisect_right(ordered, x)) / n)
-        for x in thresholds
-    ]
-
-
-def nearest_rank_percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (0.9 = the paper's 90th percentile)."""
-    if not values:
-        raise ConfigurationError("percentile of empty sequence")
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
 
 
 def log_spaced_thresholds(

@@ -39,11 +39,9 @@ from repro.power.states import DiskPowerState
 from repro.types import DiskId, Request
 
 if TYPE_CHECKING:  # used only in annotations; avoids a package import cycle
-    from repro.faults.plan import SpinUpFaults
     from repro.sim.engine import SimulationEngine
 
 CompletionCallback = Callable[[Request, DiskId, float], None]
-FaultDeathCallback = Callable[[DiskId, List[Request]], None]
 
 # Hot-path aliases: one global load instead of an enum attribute lookup
 # per state test in submit / completion (the two per-request functions).
@@ -79,11 +77,7 @@ class SimulatedDisk:
         "_f_tlast",
         "_f_queue",
         "_health",
-        "_spin_up_faults",
-        "_spin_up_rng",
-        "_spin_up_streak",
-        "_on_spin_up_failure",
-        "_on_fault_death",
+        "spin_up_failed",
     )
 
     def __init__(
@@ -146,14 +140,13 @@ class SimulatedDisk:
         self._f_tlast = fleet.tlast
         self._f_queue = fleet.queue
         fleet.encode(disk_id, initial_state, None)
-        # Health changes only through fail()/repair(); the spin-up fault
-        # hooks stay inert until enable_fault_injection().
+        # Health changes only through fail()/repair().
         self._health = DiskHealth.HEALTHY
-        self._spin_up_faults: Optional[SpinUpFaults] = None
-        self._spin_up_rng: Optional[random.Random] = None
-        self._spin_up_streak = 0
-        self._on_spin_up_failure: Optional[Callable[[DiskId], None]] = None
-        self._on_fault_death: Optional[FaultDeathCallback] = None
+        #: Spin-up fault hook, set by the fault injector: called with
+        #: this disk's id at each spin-up completion, it returns True
+        #: when the attempt failed (and fails the disk itself when the
+        #: disk is bricked).
+        self.spin_up_failed: Optional[Callable[[DiskId], bool]] = None
         if initial_state is DiskPowerState.IDLE:
             self._arm_idle_timer()
 
@@ -247,29 +240,6 @@ class SimulatedDisk:
     # fault injection (driven by repro.faults.injector.FaultInjector)
     # ------------------------------------------------------------------
 
-    def enable_fault_injection(
-        self,
-        spin_up: Optional[SpinUpFaults] = None,
-        spin_up_rng: Optional[random.Random] = None,
-        on_spin_up_failure: Optional[Callable[[DiskId], None]] = None,
-        on_fault_death: Optional[FaultDeathCallback] = None,
-    ) -> None:
-        """Install the probabilistic spin-up failure model and its hooks.
-
-        ``on_spin_up_failure`` hears every failed spin-up attempt and
-        ``on_fault_death`` receives the requests drained when a disk runs
-        out of spin-up retries. :meth:`fail` and :meth:`repair` work
-        without this call; only spin-up faults need it.
-        """
-        if spin_up is not None and spin_up_rng is None:
-            raise SimulationError(
-                f"disk {self.disk_id}: spin-up faults need a dedicated RNG"
-            )
-        self._spin_up_faults = spin_up
-        self._spin_up_rng = spin_up_rng
-        self._on_spin_up_failure = on_spin_up_failure
-        self._on_fault_death = on_fault_death
-
     def fail(self, permanent: bool) -> List[Request]:
         """Crash-stop this disk; returns every request drained from it.
 
@@ -305,7 +275,6 @@ class SimulatedDisk:
                 f"repair of disk {self.disk_id} in health {self._health.value}"
             )
         self._health = DiskHealth.HEALTHY
-        self._spin_up_streak = 0
 
     # ------------------------------------------------------------------
     # state machine internals
@@ -329,31 +298,17 @@ class SimulatedDisk:
                 f"spin-up completion in state {self._state.value} on disk "
                 f"{self.disk_id}"
             )
-        faults = self._spin_up_faults
-        rng = self._spin_up_rng
-        if faults is not None and rng is not None and faults.probability > 0:
-            if rng.random() < faults.probability:
-                self._spin_up_failed(faults)
-                return
-            self._spin_up_streak = 0
+        failed = self.spin_up_failed
+        if failed is not None and failed(self.disk_id):
+            if self._health is _HEALTHY:  # retry; a bricked disk is FAILED
+                self._transition(DiskPowerState.STANDBY)
+                self._start_spin_up()
+            return
         self._transition(DiskPowerState.IDLE)
         if self._queue:
             self._start_service()
         else:
             self._arm_idle_timer()
-
-    def _spin_up_failed(self, faults: SpinUpFaults) -> None:
-        """One spin-up attempt failed: retry, or brick the disk."""
-        self._spin_up_streak += 1
-        if self._on_spin_up_failure is not None:
-            self._on_spin_up_failure(self.disk_id)
-        if self._spin_up_streak > faults.max_retries:
-            drained = self.fail(permanent=True)
-            if self._on_fault_death is not None:
-                self._on_fault_death(self.disk_id, drained)
-            return
-        self._transition(DiskPowerState.STANDBY)
-        self._start_spin_up()
 
     def _start_service(self) -> None:
         if self._in_service is not None:

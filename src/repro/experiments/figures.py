@@ -11,7 +11,7 @@ functions; they are equally usable from a REPL or the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.tables import format_breakdown, format_series_table
 from repro.errors import ConfigurationError
@@ -393,11 +393,11 @@ def fig12(trace: str = "cello") -> FigureResult:
     series: Dict[str, List[float]] = {}
     thresholds = list(RESPONSE_THRESHOLDS)
     baseline = common.get_baseline(trace)
-    series["Always-on"] = [p for _x, p in _icdf(baseline.response_times, thresholds)]
+    series["Always-on"] = [p for _x, p in baseline.inverse_cdf(thresholds)]
     for key in RESPONSE_KEYS:
-        result = run_cell(trace, 3, key)
+        report = run_cell(trace, 3, key).report
         series[SCHEDULER_LABELS[key]] = [
-            p for _x, p in _icdf(result.report.response_times, thresholds)
+            p for _x, p in report.inverse_cdf(thresholds)
         ]
     return FigureResult(
         figure_id="fig12",
@@ -413,24 +413,16 @@ def fig12(trace: str = "cello") -> FigureResult:
     )
 
 
-def _icdf(
-    values: Sequence[float], thresholds: Sequence[float]
-) -> List[Tuple[float, float]]:
-    from repro.analysis.distributions import inverse_cdf
-
-    return inverse_cdf(values, thresholds)
-
-
 def fig13(trace: str = "cello") -> FigureResult:
     """Fig. 13 — 90th-percentile response time (ms) vs replication."""
     common.fetch(response_cells(trace, *common.knobs()))
     series: Dict[str, List[float]] = {}
     baseline = common.get_baseline(trace)
-    base_p90 = _p90_ms(baseline.response_times)
+    base_p90 = baseline.response_percentile(0.9) * 1000.0
     series["Always-on"] = [base_p90 for _ in REPLICATION_FACTORS]
     for key in RESPONSE_KEYS:
         series[SCHEDULER_LABELS[key]] = [
-            _p90_ms(run_cell(trace, rf, key).report.response_times)
+            run_cell(trace, rf, key).report.response_percentile(0.9) * 1000.0
             for rf in REPLICATION_FACTORS
         ]
     return FigureResult(
@@ -445,14 +437,6 @@ def fig13(trace: str = "cello") -> FigureResult:
             "WSC highest (batch queueing delay), improving with replication",
         ],
     )
-
-
-def _p90_ms(response_times: Sequence[float]) -> float:
-    from repro.analysis.distributions import nearest_rank_percentile
-
-    if not response_times:
-        return 0.0
-    return nearest_rank_percentile(response_times, 0.9) * 1000.0
 
 
 def fig14() -> FigureResult:

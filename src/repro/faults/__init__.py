@@ -13,10 +13,11 @@ Design invariants:
 * **Zero overlay.** Without an active plan no injector exists, no RNG
   stream is consumed and no report field is emitted: serialised results
   are byte-identical to the pre-fault code.
-* **Schedule determinism.** Failure schedules are precomputed from the
-  plan seed alone (:mod:`repro.faults.schedule`), so the same plan
-  yields the same faults across serial, process-pool and cache-replayed
-  runs, and fault draws never perturb service-time streams.
+* **Fault determinism.** Each disk's faults are drawn, as the run
+  reaches them, from per-disk streams of the plan seed alone
+  (:mod:`repro.faults.schedule`), so the same plan yields the same
+  faults across serial, process-pool and cache-replayed runs, and fault
+  draws never perturb service-time streams.
 * **Health is orthogonal to power.** A failed disk is ``FAILED`` on the
   :class:`DiskHealth` axis while its power ledger keeps the ordinary
   five states (:mod:`repro.faults.health` explains why).
@@ -38,17 +39,14 @@ from repro.faults.plan import (
     TransientFaults,
 )
 from repro.faults.schedule import (
-    MAX_OUTAGES_PER_DISK,
-    DiskFaultSchedule,
-    build_schedule,
+    death_time_s,
+    outages,
     spin_up_stream,
     weibull_time_s,
 )
 
 __all__ = [
-    "MAX_OUTAGES_PER_DISK",
     "DiskFailedCallback",
-    "DiskFaultSchedule",
     "DiskHealth",
     "FaultInjector",
     "FaultPlan",
@@ -56,7 +54,8 @@ __all__ = [
     "ScriptedFault",
     "SpinUpFaults",
     "TransientFaults",
-    "build_schedule",
+    "death_time_s",
+    "outages",
     "spin_up_stream",
     "weibull_time_s",
 ]

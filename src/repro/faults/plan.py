@@ -4,9 +4,10 @@ A :class:`FaultPlan` is to failures what
 :class:`~repro.sim.config.SimulationConfig` is to the disk model: a
 frozen value object naming *everything* that determines the failure
 behaviour of a run and nothing else.  The same plan and the same seed
-always produce the same failure schedule (see
-:mod:`repro.faults.schedule`), across serial, process-pool and
-cache-replayed executions.
+always produce the same faults on every disk, across serial,
+process-pool and cache-replayed executions: each disk's faults are
+drawn from its own seeded streams (:mod:`repro.faults.schedule`) as
+the run reaches them, so a plan needs no run horizon.
 
 Three stochastic failure models (each optional, freely combined):
 

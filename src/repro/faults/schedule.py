@@ -1,12 +1,14 @@
-"""Deterministic failure schedules: plan + disk count + horizon → events.
+"""Per-disk fault draws: the pure functions behind the fault injector.
 
-The schedule is computed *up front*, before any simulation event fires,
-from dedicated per-disk RNG streams derived from the plan seed alone.
-Consequences:
+Every stochastic fault of a disk comes from a dedicated per-disk RNG
+stream derived from the plan seed alone, and
+:class:`~repro.faults.injector.FaultInjector` draws from it only as the
+run reaches each fault. Consequences:
 
-* the same ``(plan, num_disks, horizon)`` triple always yields the same
-  schedule — in this process, in a process-pool worker, and on a
-  cache-replayed run;
+* the same ``(plan, disk)`` pair always yields the same faults — in this
+  process, in a process-pool worker, and on a cache-replayed run — and a
+  disk's faults do not depend on how many disks the fleet has or how
+  long the run lasts;
 * fault draws never interleave with (and therefore never perturb)
   service-time draws, which use separate streams;
 * the permanent-failure time of each disk is an *inverse-CDF transform
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -36,10 +37,6 @@ from repro.types import DiskId
 _PERMANENT_STREAM = 1_000_033
 _TRANSIENT_STREAM = 1_000_037
 _SPIN_UP_STREAM = 1_000_039
-
-#: Hard cap on outages per disk per run — a runaway-parameter backstop
-#: (mean_repair_s far below mtbf_s cannot wedge the event loop).
-MAX_OUTAGES_PER_DISK = 10_000
 
 
 def _stream(seed: int, disk_id: DiskId, kind: int) -> random.Random:
@@ -64,98 +61,26 @@ def weibull_time_s(u: float, mttf_s: float, shape: float) -> float:
     return scale_s * (-math.log(1.0 - u)) ** (1.0 / shape)
 
 
-@dataclass(frozen=True)
-class DiskFaultSchedule:
-    """All scheduled faults of one disk within one run's horizon.
-
-    Attributes:
-        disk_id: The disk this schedule belongs to.
-        permanent_at_s: Instant of permanent death in simulated seconds,
-            or ``None`` if the disk survives the horizon.
-        outages: Transient ``(down_at_s, up_at_s)`` intervals, ascending,
-            truncated at the permanent death when one precedes them.
-    """
-
-    disk_id: DiskId
-    permanent_at_s: Optional[float]
-    outages: Tuple[Tuple[float, float], ...]
+def death_time_s(plan: FaultPlan, disk_id: DiskId) -> Optional[float]:
+    """Instant of the disk's stochastic permanent death, in simulated
+    seconds; ``None`` without a permanent-fault model."""
+    if plan.permanent is None:
+        return None
+    rng = _stream(plan.seed, disk_id, _PERMANENT_STREAM)
+    return weibull_time_s(
+        rng.random(), plan.permanent.mttf_s, plan.permanent.weibull_shape
+    )
 
 
-def build_schedule(
-    plan: FaultPlan, num_disks: int, horizon_s: float
-) -> Tuple[DiskFaultSchedule, ...]:
-    """Compute every disk's failure schedule for one run.
-
-    Only events strictly inside ``[0, horizon_s)`` are emitted; scripted
-    faults are applied after the stochastic models and win ties by
-    overriding the permanent-death instant when earlier.
-    """
-    if num_disks <= 0:
-        raise ConfigurationError(f"num_disks must be positive, got {num_disks}")
-    if horizon_s < 0:
-        raise ConfigurationError(f"horizon_s must be >= 0, got {horizon_s}")
-
-    permanent_at: Dict[DiskId, float] = {}
-    outages: Dict[DiskId, List[Tuple[float, float]]] = {
-        disk_id: [] for disk_id in range(num_disks)
-    }
-
-    if plan.permanent is not None:
-        for disk_id in range(num_disks):
-            rng = _stream(plan.seed, disk_id, _PERMANENT_STREAM)
-            death_s = weibull_time_s(
-                rng.random(),
-                plan.permanent.mttf_s,
-                plan.permanent.weibull_shape,
-            )
-            if death_s < horizon_s:
-                permanent_at[disk_id] = death_s
-
-    if plan.transient is not None:
-        for disk_id in range(num_disks):
-            rng = _stream(plan.seed, disk_id, _TRANSIENT_STREAM)
-            now_s = 0.0
-            for _ in range(MAX_OUTAGES_PER_DISK):
-                down_at_s = now_s + rng.expovariate(1.0 / plan.transient.mtbf_s)
-                if down_at_s >= horizon_s:
-                    break
-                up_at_s = down_at_s + rng.expovariate(
-                    1.0 / plan.transient.mean_repair_s
-                )
-                outages[disk_id].append((down_at_s, up_at_s))
-                now_s = up_at_s
-
-    for fault in plan.scripted:
-        if not 0 <= fault.disk_id < num_disks:
-            raise ConfigurationError(
-                f"scripted fault targets unknown disk {fault.disk_id} "
-                f"(have {num_disks})"
-            )
-        if fault.at_s >= horizon_s:
-            continue
-        if fault.permanent:
-            current = permanent_at.get(fault.disk_id)
-            if current is None or fault.at_s < current:
-                permanent_at[fault.disk_id] = fault.at_s
-        else:
-            assert fault.repair_after_s is not None
-            outages[fault.disk_id].append(
-                (fault.at_s, fault.at_s + fault.repair_after_s)
-            )
-
-    schedules: List[DiskFaultSchedule] = []
-    for disk_id in range(num_disks):
-        death_s = permanent_at.get(disk_id)
-        kept = sorted(
-            (down_s, up_s)
-            for down_s, up_s in outages[disk_id]
-            if death_s is None or down_s < death_s
-        )
-        schedules.append(
-            DiskFaultSchedule(
-                disk_id=disk_id,
-                permanent_at_s=death_s,
-                outages=tuple(kept),
-            )
-        )
-    return tuple(schedules)
+def outages(plan: FaultPlan, disk_id: DiskId) -> Iterator[Tuple[float, float]]:
+    """The disk's transient ``(down_at_s, up_at_s)`` outages, ascending
+    and without end; empty without a transient-fault model."""
+    transient = plan.transient
+    if transient is None:
+        return
+    rng = _stream(plan.seed, disk_id, _TRANSIENT_STREAM)
+    up_at_s = 0.0
+    while True:
+        down_at_s = up_at_s + rng.expovariate(1.0 / transient.mtbf_s)
+        up_at_s = down_at_s + rng.expovariate(1.0 / transient.mean_repair_s)
+        yield down_at_s, up_at_s

@@ -13,13 +13,12 @@ Because the view is the replay's own, the existing online/batch
 schedulers run against it unchanged — that is the whole point: the
 serving policies *are* the paper's scheduling models, re-hosted behind a
 request API. So is the fault path: a ``config.fault_plan`` (serving's
-scripted disk deaths) is installed at construction, and a dead disk's
+scripted disk deaths) is armed at construction, and a dead disk's
 queue fails over to the least loaded live replica exactly as in replay.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.disk.drive import CompletionCallback
@@ -57,9 +56,6 @@ class SimBackend(DiskFleet):
             catalog, config, SimulationEngine(), on_complete, on_lost
         )
         self._submitted = 0
-        if self._faults is not None:
-            # The service clock has no horizon: post every planned fault.
-            self._faults.install(math.inf)
 
     # -- clock injection -----------------------------------------------
 

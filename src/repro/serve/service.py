@@ -529,18 +529,17 @@ class SchedulingService:
         self._m_queue_depth.set(len(ingress))
         backend = self.backend
         backend.advance_to(self.clock.now)
-        if self._config.disk_deaths:
-            # Shed batch members whose last replica died; choose_batch
-            # would otherwise raise for the whole batch.
-            servable = []
-            for pending in batch:
-                if backend.available_locations(pending.request.data_id):
-                    servable.append(pending)
-                else:
-                    self._shed_unavailable(pending, self.clock.now)
-            batch = servable
-            if not batch:
-                return
+        # Shed batch members whose last replica died; choose_batch
+        # would otherwise raise for the whole batch.
+        servable = []
+        for pending in batch:
+            if backend.available_locations(pending.request.data_id):
+                servable.append(pending)
+            else:
+                self._shed_unavailable(pending, self.clock.now)
+        batch = servable
+        if not batch:
+            return
         scheduler = self._batch
         assert scheduler is not None
         requests = [pending.request for pending in batch]

@@ -6,9 +6,11 @@ the Eq. 5/6 columns they keep current (``view.fleet``), the data
 placement, the :class:`~repro.core.scheduler.SystemView` protocol, the
 checked dispatch and the one fault path (the
 :class:`~repro.faults.injector.FaultInjector` of ``config.fault_plan``,
-failover to the least loaded live replica, backoff, typed loss). The
-trace replay (:class:`~repro.sim.storage.StorageSystem`, the tiered
-system included) and the serving backend
+which arms every disk's faults at construction and draws each as the
+run reaches it; failover to the least loaded live replica, backoff,
+typed loss). The trace replay
+(:class:`~repro.sim.storage.StorageSystem`, the tiered system included)
+and the serving backend
 (:class:`~repro.serve.backend.SimBackend`) subclass it and differ only
 in who drives the clock and how a backed-off request is re-admitted.
 """
@@ -95,7 +97,7 @@ class DiskFleet:
         # Deferred requests not yet dispatched: id -> (attempts, request).
         self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
         #: None without an active plan: every disk stays available and no
-        #: filtering is paid. Owners ``install`` it at their horizon.
+        #: filtering is paid. It arms every disk's faults at construction.
         self._faults: Optional[FaultInjector] = None
         if config.fault_plan is not None and config.fault_plan.active:
             self._faults = FaultInjector(

@@ -91,8 +91,6 @@ class StorageSystem(DiskFleet):
         ordered = sorted(requests, key=_REQUEST_ORDER)
         self._offered = len(ordered)
         horizon = self._prepare(ordered)
-        if self._faults is not None:
-            self._faults.install(horizon)
         # Arrivals stream straight through the engine's merge loop: they
         # never touch the heap, so the trace stops paying O(log n) per
         # event and every runtime event's heap ops shrink. Ordering is

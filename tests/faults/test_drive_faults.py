@@ -10,7 +10,13 @@ import pytest
 from repro.disk.drive import SimulatedDisk
 from repro.disk.service import ConstantServiceModel
 from repro.errors import ReplicaUnavailableError, SimulationError
-from repro.faults import DiskHealth, SpinUpFaults
+from repro.faults import (
+    DiskHealth,
+    FaultInjector,
+    FaultPlan,
+    ScriptedFault,
+    SpinUpFaults,
+)
 from repro.power.policy import TwoCompetitivePolicy
 from repro.power.profile import BARRACUDA
 from repro.power.states import DiskPowerState
@@ -59,7 +65,6 @@ class TestCrashStop:
         for i in range(3):
             engine.schedule(0.0, lambda i=i: disk.submit(req(0.0, i)))
         engine.run(until=0.5)  # first request mid-service, two queued
-        disk.enable_fault_injection()
         drained = disk.fail(permanent=True)
         assert [r.request_id for r in drained] == [0, 1, 2]
         assert disk.health is DiskHealth.FAILED
@@ -74,7 +79,6 @@ class TestCrashStop:
         )
         engine.schedule(0.0, lambda: disk.submit(req(0.0)))
         engine.run(until=0.5)
-        disk.enable_fault_injection()
         disk.fail(permanent=True)
         # An orderly spin-down would count; a crash-stop must not.
         assert disk.stats.spin_ups == 0
@@ -83,7 +87,6 @@ class TestCrashStop:
     def test_submit_on_failed_disk_rejected(self) -> None:
         engine = SimulationEngine()
         disk, _ = make_disk(engine)
-        disk.enable_fault_injection()
         disk.fail(permanent=True)
         with pytest.raises(ReplicaUnavailableError, match="failed"):
             disk.submit(req(0.0))
@@ -91,7 +94,6 @@ class TestCrashStop:
     def test_submit_on_down_disk_rejected(self) -> None:
         engine = SimulationEngine()
         disk, _ = make_disk(engine)
-        disk.enable_fault_injection()
         disk.fail(permanent=False)
         assert disk.health is DiskHealth.DOWN
         assert not disk.is_available
@@ -101,7 +103,6 @@ class TestCrashStop:
     def test_double_fail_rejected(self) -> None:
         engine = SimulationEngine()
         disk, _ = make_disk(engine)
-        disk.enable_fault_injection()
         disk.fail(permanent=True)
         with pytest.raises(SimulationError, match="failed twice"):
             disk.fail(permanent=True)
@@ -113,7 +114,6 @@ class TestRepair:
         disk, completions = make_disk(
             engine, initial_state=DiskPowerState.IDLE
         )
-        disk.enable_fault_injection()
         disk.fail(permanent=False)
         disk.repair()
         assert disk.health is DiskHealth.HEALTHY
@@ -125,7 +125,6 @@ class TestRepair:
     def test_repair_requires_down_health(self) -> None:
         engine = SimulationEngine()
         disk, _ = make_disk(engine)
-        disk.enable_fault_injection()
         with pytest.raises(SimulationError, match="repair"):
             disk.repair()  # healthy
         disk.fail(permanent=True)
@@ -142,7 +141,6 @@ class TestEpochGuard:
         disk, completions = make_disk(
             engine, service=5.0, initial_state=DiskPowerState.IDLE
         )
-        disk.enable_fault_injection()
         engine.schedule(0.0, lambda: disk.submit(req(0.0, 0)))
         engine.run(until=1.0)  # in service; completion queued for t=5
         disk.fail(permanent=False)
@@ -158,7 +156,6 @@ class TestEpochGuard:
         disk, completions = make_disk(
             engine, service=5.0, initial_state=DiskPowerState.IDLE
         )
-        disk.enable_fault_injection()
         engine.schedule(0.0, lambda: disk.submit(req(0.0, 0)))
         engine.run(until=1.0)
         disk.fail(permanent=False)
@@ -172,9 +169,9 @@ class TestEpochGuard:
     def test_fail_without_fault_injection_cancels_pending_events(
         self, initial_state: str
     ) -> None:
-        """``fail()`` needs no ``enable_fault_injection()``: the armed
-        service completion (IDLE disk) or spin-up completion (STANDBY
-        disk, failed mid-spin-up) must not fire after the crash."""
+        """``fail()`` needs no fault injector: the armed service
+        completion (IDLE disk) or spin-up completion (STANDBY disk,
+        failed mid-spin-up) must not fire after the crash."""
         engine = SimulationEngine()
         disk, completions = make_disk(
             engine, service=1.0, initial_state=DiskPowerState(initial_state)
@@ -188,35 +185,35 @@ class TestEpochGuard:
 
 
 class TestSpinUpFailures:
-    def _make_faulty(
-        self, engine: SimulationEngine, max_retries: int
-    ) -> Tuple[SimulatedDisk, List[DiskId], List[List[Request]]]:
-        disk, _ = make_disk(engine)  # STANDBY: first submit spins up
-        failures: List[DiskId] = []
-        deaths: List[List[Request]] = []
-        disk.enable_fault_injection(
-            spin_up=SpinUpFaults(probability=1.0, max_retries=max_retries),
-            spin_up_rng=random.Random(7),
-            on_spin_up_failure=failures.append,
-            on_fault_death=lambda disk_id, drained: deaths.append(drained),
-        )
-        return disk, failures, deaths
+    """The spin-up failure policy lives in the fault injector; the disk
+    only asks it, at each spin-up completion, whether the attempt failed."""
 
-    def test_rng_required_for_spin_up_faults(self) -> None:
-        engine = SimulationEngine()
-        disk, _ = make_disk(engine)
-        with pytest.raises(SimulationError, match="dedicated RNG"):
-            disk.enable_fault_injection(
-                spin_up=SpinUpFaults(probability=1.0)
-            )
+    def _make_faulty(
+        self, engine: SimulationEngine, probability: float, max_retries: int = 2
+    ) -> Tuple[SimulatedDisk, FaultInjector, List[List[Request]]]:
+        disk, _ = make_disk(engine)  # STANDBY: first submit spins up
+        deaths: List[List[Request]] = []
+        plan = FaultPlan(
+            seed=7,
+            spin_up=SpinUpFaults(probability=probability, max_retries=max_retries),
+        )
+        injector = FaultInjector(
+            plan,
+            engine,
+            {0: disk},
+            lambda disk_id, drained: deaths.append(drained),
+        )
+        return disk, injector, deaths
 
     def test_retries_then_bricks_after_budget(self) -> None:
         engine = SimulationEngine()
-        disk, failures, deaths = self._make_faulty(engine, max_retries=2)
+        disk, injector, deaths = self._make_faulty(engine, 1.0, max_retries=2)
         engine.schedule(0.0, lambda: disk.submit(req(0.0, 5)))
         engine.run(until=10 * TUP)
         # Initial attempt + 2 retries, each paying the full Tup, then dead.
-        assert failures == [0, 0, 0]
+        report = injector.availability_report(engine.now, 0, 0, 0)
+        assert report.spin_up_failures == 3
+        assert report.disk_failures == 1
         assert disk.stats.spin_ups == 3
         assert disk.health is DiskHealth.FAILED
         assert len(deaths) == 1
@@ -225,22 +222,43 @@ class TestSpinUpFailures:
 
     def test_zero_retry_budget_bricks_on_first_failure(self) -> None:
         engine = SimulationEngine()
-        disk, failures, deaths = self._make_faulty(engine, max_retries=0)
+        disk, injector, deaths = self._make_faulty(engine, 1.0, max_retries=0)
         engine.schedule(0.0, lambda: disk.submit(req(0.0)))
         engine.run(until=2 * TUP)
-        assert failures == [0]
+        assert injector.availability_report(engine.now, 0, 0, 0).spin_up_failures == 1
         assert disk.stats.spin_ups == 1
         assert disk.health is DiskHealth.FAILED
         assert len(deaths) == 1
 
     def test_zero_probability_never_fails(self) -> None:
         engine = SimulationEngine()
-        disk, completions = make_disk(engine)
-        disk.enable_fault_injection(
-            spin_up=SpinUpFaults(probability=0.0),
-            spin_up_rng=random.Random(7),
-        )
+        disk, injector, deaths = self._make_faulty(engine, 0.0)
         engine.schedule(0.0, lambda: disk.submit(req(0.0)))
         engine.run(until=TUP + 1.0)
-        assert len(completions) == 1
+        assert disk.stats.requests_serviced == 1
         assert disk.health is DiskHealth.HEALTHY
+        assert injector.availability_report(engine.now, 0, 0, 0).spin_up_failures == 0
+        assert deaths == []
+
+    def test_repair_resets_the_streak(self) -> None:
+        """A transient outage mid-streak ends with a fresh retry budget."""
+        engine = SimulationEngine()
+        disk, _ = make_disk(engine)
+        drained: List[List[Request]] = []
+        plan = FaultPlan(
+            spin_up=SpinUpFaults(probability=1.0, max_retries=1),
+            scripted=(ScriptedFault(0, at_s=1.5 * TUP, repair_after_s=0.1),),
+        )
+        injector = FaultInjector(
+            plan, engine, {0: disk}, lambda disk_id, requests: drained.append(requests)
+        )
+        engine.schedule(0.0, lambda: disk.submit(req(0.0, 0)))
+        engine.schedule(2 * TUP, lambda: disk.submit(req(2 * TUP, 1)))
+        # One failure before the outage, one after the repair: without
+        # the reset, the second would exceed the budget and brick it.
+        engine.run(until=3.5 * TUP)
+        assert disk.health is DiskHealth.HEALTHY
+        assert injector.availability_report(engine.now, 0, 0, 0).spin_up_failures == 2
+        engine.run(until=4.5 * TUP)
+        assert disk.health is DiskHealth.FAILED
+        assert [[r.request_id for r in batch] for batch in drained] == [[0], [1]]

@@ -1,25 +1,32 @@
-"""Tests for fault plans and their deterministic schedules."""
+"""Tests for fault plans, their per-disk draws and how the injector
+posts them as the run reaches them."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import random
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.disk.drive import SimulatedDisk
 from repro.errors import ConfigurationError
 from repro.faults import (
-    MAX_OUTAGES_PER_DISK,
-    DiskFaultSchedule,
+    FaultInjector,
     FaultPlan,
     PermanentFaults,
     ScriptedFault,
     SpinUpFaults,
     TransientFaults,
-    build_schedule,
+    death_time_s,
+    outages,
     spin_up_stream,
     weibull_time_s,
 )
-from repro.types import DiskId
+from repro.power.profile import BARRACUDA
+from repro.report import AvailabilityReport
+from repro.sim.engine import SimulationEngine
+from repro.types import DiskId, Request
 
 
 class TestPlanValidation:
@@ -131,6 +138,38 @@ class TestWeibullDraw:
         )
 
 
+def run_injector(
+    plan: FaultPlan, num_disks: int, until_s: float
+) -> Tuple[List[Tuple[float, DiskId]], AvailabilityReport]:
+    """Drive ``plan`` over an idle fleet up to ``until_s``; returns every
+    ``(instant, disk)`` at which a disk became unavailable, and the
+    accounting at ``until_s``."""
+    engine = SimulationEngine()
+    disks = {
+        disk_id: SimulatedDisk(disk_id, engine, BARRACUDA, rng=random.Random(0))
+        for disk_id in range(num_disks)
+    }
+    failed: List[Tuple[float, DiskId]] = []
+
+    def on_disk_failed(disk_id: DiskId, drained: List[Request]) -> None:
+        del drained
+        failed.append((engine.now, disk_id))
+
+    injector = FaultInjector(plan, engine, disks, on_disk_failed)
+    engine.run(until=until_s)
+    return failed, injector.availability_report(until_s, 0, 0, 0)
+
+
+def deaths(plan: FaultPlan, num_disks: int) -> Dict[DiskId, Optional[float]]:
+    return {disk_id: death_time_s(plan, disk_id) for disk_id in range(num_disks)}
+
+
+def first_outages(
+    plan: FaultPlan, disk_id: DiskId, count: int = 20
+) -> List[Tuple[float, float]]:
+    return list(islice(outages(plan, disk_id), count))
+
+
 class TestScheduleDeterminism:
     def test_same_inputs_same_schedule(self) -> None:
         plan = FaultPlan(
@@ -138,25 +177,30 @@ class TestScheduleDeterminism:
             permanent=PermanentFaults(mttf_s=500.0),
             transient=TransientFaults(mtbf_s=200.0, mean_repair_s=20.0),
         )
-        first = build_schedule(plan, num_disks=6, horizon_s=1000.0)
-        second = build_schedule(plan, num_disks=6, horizon_s=1000.0)
-        assert first == second
+        assert deaths(plan, 6) == deaths(plan, 6)
+        for disk_id in range(6):
+            assert first_outages(plan, disk_id) == first_outages(plan, disk_id)
 
     def test_disk_schedules_stable_under_fleet_growth(self) -> None:
         # Per-disk streams derive from (seed, disk_id) alone, so adding
         # disks never perturbs the existing disks' failure times.
-        plan = FaultPlan(seed=11, permanent=PermanentFaults(mttf_s=500.0))
-        small = build_schedule(plan, num_disks=4, horizon_s=1000.0)
-        large = build_schedule(plan, num_disks=8, horizon_s=1000.0)
-        assert large[:4] == small
+        plan = FaultPlan(
+            seed=11,
+            permanent=PermanentFaults(mttf_s=500.0),
+            transient=TransientFaults(mtbf_s=200.0, mean_repair_s=20.0),
+        )
+        small, small_report = run_injector(plan, num_disks=4, until_s=1000.0)
+        large, _ = run_injector(plan, num_disks=8, until_s=1000.0)
+        assert small_report.disk_failures > 0
+        assert small_report.transient_outages > 0
+        assert [event for event in large if event[1] < 4] == small
 
     def test_different_seeds_differ(self) -> None:
-        def deaths(seed: int) -> Tuple[Optional[float], ...]:
+        def deaths_of(seed: int) -> Dict[DiskId, Optional[float]]:
             plan = FaultPlan(seed=seed, permanent=PermanentFaults(mttf_s=500.0))
-            sched = build_schedule(plan, num_disks=16, horizon_s=10_000.0)
-            return tuple(entry.permanent_at_s for entry in sched)
+            return deaths(plan, 16)
 
-        assert deaths(1) != deaths(2)
+        assert deaths_of(1) != deaths_of(2)
 
     def test_spin_up_stream_is_per_disk_deterministic(self) -> None:
         plan = FaultPlan(seed=5, spin_up=SpinUpFaults(probability=0.5))
@@ -165,29 +209,42 @@ class TestScheduleDeterminism:
         assert again.random() == draws[0]
         assert spin_up_stream(plan, 4).random() != draws[0]
 
-    def test_input_validation(self) -> None:
-        plan = FaultPlan(seed=1, permanent=PermanentFaults(mttf_s=10.0))
-        with pytest.raises(ConfigurationError, match="num_disks"):
-            build_schedule(plan, num_disks=0, horizon_s=10.0)
-        with pytest.raises(ConfigurationError, match="horizon_s"):
-            build_schedule(plan, num_disks=1, horizon_s=-1.0)
+    def test_streams_are_per_disk_and_per_kind(self) -> None:
+        plan = FaultPlan(
+            seed=5,
+            permanent=PermanentFaults(mttf_s=500.0),
+            transient=TransientFaults(mtbf_s=200.0, mean_repair_s=20.0),
+        )
+        assert death_time_s(plan, 3) != death_time_s(plan, 4)
+        assert first_outages(plan, 3) != first_outages(plan, 4)
+        # The three fault kinds of one disk draw from distinct streams.
+        first_uniforms = {
+            random.Random(plan.seed * kind + 3).random()
+            for kind in (1_000_033, 1_000_037, 1_000_039)
+        }
+        assert len(first_uniforms) == 3
+        assert spin_up_stream(plan, 3).random() in first_uniforms
+
+    def test_models_absent_draw_nothing(self) -> None:
+        plan = FaultPlan(spin_up=SpinUpFaults(probability=0.5))
+        assert death_time_s(plan, 0) is None
+        assert first_outages(plan, 0) == []
 
 
 class TestScheduleMonotonicity:
     def test_higher_rate_strictly_advances_every_death(self) -> None:
         horizon = 50_000.0
-        lo = build_schedule(FaultPlan.canonical(1e-5, seed=1), 32, horizon)
-        hi = build_schedule(FaultPlan.canonical(1e-4, seed=1), 32, horizon)
-        deaths_lo: Dict[DiskId, float] = {
-            s.disk_id: s.permanent_at_s
-            for s in lo
-            if s.permanent_at_s is not None
-        }
-        deaths_hi: Dict[DiskId, float] = {
-            s.disk_id: s.permanent_at_s
-            for s in hi
-            if s.permanent_at_s is not None
-        }
+
+        def deaths_within(rate: float) -> Dict[DiskId, float]:
+            plan = FaultPlan.canonical(rate, seed=1)
+            return {
+                disk_id: at_s
+                for disk_id, at_s in deaths(plan, 32).items()
+                if at_s is not None and at_s < horizon
+            }
+
+        deaths_lo = deaths_within(1e-5)
+        deaths_hi = deaths_within(1e-4)
         # Every disk dead at the low rate is dead (earlier) at the high rate.
         assert set(deaths_lo) <= set(deaths_hi)
         for disk_id, at_lo in deaths_lo.items():
@@ -203,10 +260,10 @@ class TestScriptedMerge:
             permanent=PermanentFaults(mttf_s=10.0),  # everything dies fast
             scripted=(ScriptedFault(disk_id=0, at_s=0.25),),
         )
-        sched = build_schedule(plan, num_disks=1, horizon_s=1000.0)
-        death = sched[0].permanent_at_s
-        assert death is not None
-        assert death <= 0.25
+        failed, report = run_injector(plan, num_disks=1, until_s=1000.0)
+        assert len(failed) == 1
+        assert failed[0][0] <= 0.25
+        assert report.disk_failures == 1
 
     def test_later_scripted_death_does_not_postpone(self) -> None:
         plan = FaultPlan(
@@ -216,8 +273,9 @@ class TestScriptedMerge:
                 ScriptedFault(disk_id=0, at_s=100.0),
             ),
         )
-        sched = build_schedule(plan, num_disks=1, horizon_s=1000.0)
-        assert sched[0].permanent_at_s == 5.0
+        failed, report = run_injector(plan, num_disks=1, until_s=1000.0)
+        assert failed == [(5.0, 0)]
+        assert report.disk_failures == 1
 
     def test_outages_truncated_at_permanent_death(self) -> None:
         plan = FaultPlan(
@@ -227,42 +285,69 @@ class TestScriptedMerge:
                 ScriptedFault(disk_id=0, at_s=2.0, repair_after_s=1.0),
             )
         )
-        sched = build_schedule(plan, num_disks=1, horizon_s=1000.0)
-        assert sched[0].permanent_at_s == 10.0
-        assert sched[0].outages == ((2.0, 3.0),)
+        failed, report = run_injector(plan, num_disks=1, until_s=1000.0)
+        assert failed == [(2.0, 0), (10.0, 0)]
+        assert report.transient_outages == 1
+        assert report.disk_failures == 1
+        assert report.downtime_s == {0: 1.0 + 990.0}
+
+    def test_stochastic_outages_truncated_at_permanent_death(self) -> None:
+        # The outage chain stops at the disk's death: nothing after it
+        # is posted, so the queue drains once the disk is gone.
+        plan = FaultPlan(
+            seed=3,
+            transient=TransientFaults(mtbf_s=10.0, mean_repair_s=1.0),
+            scripted=(ScriptedFault(disk_id=0, at_s=100.0),),
+        )
+        engine = SimulationEngine()
+        disk = SimulatedDisk(0, engine, BARRACUDA, rng=random.Random(0))
+        FaultInjector(plan, engine, {0: disk}, lambda disk_id, drained: None)
+        engine.run(until=200.0)
+        assert engine.pending_events == 0
 
     def test_scripted_fault_beyond_horizon_ignored(self) -> None:
         plan = FaultPlan(scripted=(ScriptedFault(disk_id=0, at_s=999.0),))
-        sched = build_schedule(plan, num_disks=1, horizon_s=100.0)
-        assert sched[0].permanent_at_s is None
+        failed, report = run_injector(plan, num_disks=1, until_s=100.0)
+        assert failed == []
+        assert report.disk_failures == 0
+
+    def test_scripted_fault_at_the_run_end_fires(self) -> None:
+        plan = FaultPlan(scripted=(ScriptedFault(disk_id=0, at_s=100.0),))
+        failed, _ = run_injector(plan, num_disks=1, until_s=100.0)
+        assert failed == [(100.0, 0)]
 
     def test_scripted_fault_on_unknown_disk_rejected(self) -> None:
         plan = FaultPlan(scripted=(ScriptedFault(disk_id=9, at_s=1.0),))
         with pytest.raises(ConfigurationError, match="unknown disk 9"):
-            build_schedule(plan, num_disks=3, horizon_s=100.0)
+            run_injector(plan, num_disks=3, until_s=100.0)
 
 
 class TestOutageBackstop:
-    def test_outage_count_bounded_per_disk(self) -> None:
-        # A pathological parameterisation (repairs much faster than
-        # failures arrive) cannot wedge the event loop: the generator
-        # stops at MAX_OUTAGES_PER_DISK intervals.
-        plan = FaultPlan(
-            seed=1,
-            transient=TransientFaults(mtbf_s=1e-4, mean_repair_s=1e-6),
-        )
-        sched: Tuple[DiskFaultSchedule, ...] = build_schedule(
-            plan, num_disks=1, horizon_s=1e9
-        )
-        assert len(sched[0].outages) == MAX_OUTAGES_PER_DISK
-
     def test_outages_are_ordered(self) -> None:
         plan = FaultPlan(
             seed=4, transient=TransientFaults(mtbf_s=50.0, mean_repair_s=5.0)
         )
-        sched = build_schedule(plan, num_disks=2, horizon_s=5000.0)
-        for entry in sched:
-            downs = [down for down, _ in entry.outages]
+        for disk_id in range(2):
+            drawn = first_outages(plan, disk_id, count=100)
+            downs = [down for down, _ in drawn]
             assert downs == sorted(downs)
-            for down, up in entry.outages:
-                assert up > down
+            for (down, up), (next_down, _) in zip(drawn, drawn[1:]):
+                assert down < up < next_down
+
+    def test_outage_chain_is_unbounded(self) -> None:
+        # A fast outage process (repairs much faster than failures
+        # arrive) runs to the end of the run: the injector holds one
+        # outage per disk at a time and draws the next when it ends.
+        plan = FaultPlan(
+            seed=1, transient=TransientFaults(mtbf_s=1e-2, mean_repair_s=1e-4)
+        )
+        engine = SimulationEngine()
+        disk = SimulatedDisk(0, engine, BARRACUDA, rng=random.Random(0))
+        injector = FaultInjector(
+            plan, engine, {0: disk}, lambda disk_id, drained: None
+        )
+        assert engine.pending_events == 2
+        engine.run(until=200.0)
+        assert engine.pending_events == 2
+        report = injector.availability_report(200.0, 0, 0, 0)
+        assert report.transient_outages > 10_000

@@ -1,6 +1,8 @@
 """Tests for MetricsCollector and SimulationReport."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.disk.stats import DiskStats
 from repro.errors import SimulationError
@@ -47,6 +49,51 @@ class TestPercentile:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             percentile([1.0], 1.1)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 1.5)
+        with pytest.raises(ValueError):
+            percentile([1.0], -0.1)
+
+    def test_median(self):
+        assert make_report([3.0, 1.0, 2.0]).response_percentile(0.5) == 2.0
+
+    def test_p90_of_uniform_grid(self):
+        values = [float(i) for i in range(1, 101)]
+        assert percentile(values, 0.9) == 90.0
+
+    def test_extremes(self):
+        values = [5.0, 7.0, 9.0]
+        assert percentile(values, 0.0) == 5.0
+        assert percentile(values, 1.0) == 9.0
+
+
+class TestInverseCdf:
+    def test_basic_points(self):
+        report = make_report([1.0, 2.0, 3.0, 4.0])
+        points = dict(report.inverse_cdf([0.5, 2.0, 4.0, 5.0]))
+        assert points[0.5] == 1.0       # all greater
+        assert points[2.0] == 0.5       # strictly greater than 2: {3, 4}
+        assert points[4.0] == 0.0
+        assert points[5.0] == 0.0
+
+    def test_empty_values(self):
+        assert make_report([]).inverse_cdf([1.0]) == [(1.0, 0.0)]
+
+    @given(
+        values=st.lists(st.floats(min_value=0, max_value=100), min_size=1),
+        x=st.floats(min_value=-1, max_value=101),
+    )
+    def test_probability_in_unit_interval(self, values, x):
+        (_x, p), = make_report(values).inverse_cdf([x])
+        assert 0.0 <= p <= 1.0
+
+    def test_monotone_nonincreasing(self):
+        report = make_report([0.1, 0.5, 2.5, 9.0])
+        points = report.inverse_cdf([0.0, 1.0, 5.0, 10.0])
+        probs = [p for _x, p in points]
+        assert probs == sorted(probs, reverse=True)
 
 
 def make_report(response_times=(0.1, 0.2, 5.0), num_disks=2):

@@ -4,8 +4,8 @@ The per-arrival choice of the online Heuristic and the per-tick weight
 pass of the WSC batch scheduler score disks with Eq. 5 (marginal
 energy) and Eq. 6 (composite cost). Rather than walking disk objects,
 they read four parallel ``array('d')`` columns (structure-of-arrays)
-that every :class:`~repro.disk.drive.SimulatedDisk` keeps current for
-its own slot:
+and one set that every :class:`~repro.disk.drive.SimulatedDisk` keeps
+current for its own slot:
 
 ``pi``
     Idle-power slope in watts: ``profile.idle_power`` while the disk is
@@ -18,6 +18,12 @@ its own slot:
     ``pi == 0`` — until the disk first receives a request.
 ``queue``
     ``P(dk)`` of Eq. 7: queued requests plus the one in service.
+``down``
+    The ids of the disks that cannot serve a request now (transiently
+    down or permanently failed); empty unless a fault struck. Only
+    :meth:`SimulatedDisk.fail <repro.disk.drive.SimulatedDisk.fail>`
+    and :meth:`~repro.disk.drive.SimulatedDisk.repair` write it, so a
+    read's live replicas are its placement minus this set.
 
 so that for every disk, at every instant::
 
@@ -36,7 +42,7 @@ power state to its ``(pi, const)`` pair.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.power.profile import DiskPowerProfile
 from repro.power.states import DiskPowerState
@@ -64,6 +70,7 @@ class FleetCostState:
         "const",
         "tlast",
         "queue",
+        "down",
         "idle_power",
         "standby_marginal",
     )
@@ -83,6 +90,7 @@ class FleetCostState:
         self.const = array("d", zeros)
         self.tlast = array("d", zeros)
         self.queue = array("d", zeros)
+        self.down: Set[DiskId] = set()
 
     def encode(
         self,

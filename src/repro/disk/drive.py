@@ -232,6 +232,14 @@ class SimulatedDisk:
             self._transition(DiskPowerState.IDLE)
             self._arm_idle_timer()
 
+    def held_requests(self) -> List[Request]:
+        """The request in service (if any), then the queue in order."""
+        held: List[Request] = []
+        if self._in_service is not None:
+            held.append(self._in_service)
+        held.extend(self._queue)
+        return held
+
     def finalize(self) -> None:
         """Close the stats ledger at simulation end."""
         self.stats.finalize(self._engine.now)
@@ -249,19 +257,19 @@ class SimulatedDisk:
         spin-down, so no spin operation is added to the ledger — and every
         pending timer of this disk (idle, service, spin-up, spin-down) is
         cancelled, so none of them fires into the post-crash state machine.
+        The disk enters the fleet's ``down`` set, which is how the
+        schedulers and the failover path see it is gone.
         """
         if self._health is DiskHealth.FAILED:
             raise SimulationError(f"disk {self.disk_id} failed twice")
         self._health = DiskHealth.FAILED if permanent else DiskHealth.DOWN
+        self._fleet.down.add(self.disk_id)
         self._idle_timer.cancel()
         self._service_timer.cancel()
         self._spin_up_timer.cancel()
         self._spin_down_timer.cancel()
-        drained: List[Request] = []
-        if self._in_service is not None:
-            drained.append(self._in_service)
-            self._in_service = None
-        drained.extend(self._queue)
+        drained = self.held_requests()
+        self._in_service = None
         self._queue.clear()
         self._f_queue[self.disk_id] = 0.0
         if self._state is not DiskPowerState.STANDBY:
@@ -269,12 +277,14 @@ class SimulatedDisk:
         return drained
 
     def repair(self) -> None:
-        """End a transient outage; the disk returns spun-down and empty."""
+        """End a transient outage; the disk returns spun-down and empty,
+        and leaves the fleet's ``down`` set."""
         if self._health is not DiskHealth.DOWN:
             raise SimulationError(
                 f"repair of disk {self.disk_id} in health {self._health.value}"
             )
         self._health = DiskHealth.HEALTHY
+        self._fleet.down.discard(self.disk_id)
 
     # ------------------------------------------------------------------
     # state machine internals

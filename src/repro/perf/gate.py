@@ -2,11 +2,12 @@
 
 The repo benchmark under ``perfbench/`` is the one end-to-end perf
 instrument; this module only turns it into a pass/fail decision. For
-each of :data:`GATE_SEEDS` it runs the ``online-cello`` workload (the
-Fig. 6 cell) once in the base checkout and once in this tree, on the
-same host, alternating which side runs first. It fails when this tree's
-median normalised ``requests_per_s`` is lower than the base's by more
-than that metric's ``bound`` in ``BENCHMARK.json``.
+each of :data:`GATE_WORKLOADS` and each of :data:`GATE_SEEDS` it runs
+the workload once in the base checkout and once in this tree, on the
+same host, alternating which side runs first. It fails when, on any
+workload, this tree's median normalised ``requests_per_s`` is lower
+than the base's by more than that metric's ``bound`` in
+``BENCHMARK.json``.
 
 The runs and their medians are ``perfbench/compare.py``'s own
 ``run_once`` and ``spread``, loaded from that file. Simulated results
@@ -28,8 +29,10 @@ from repro.errors import ConfigurationError
 
 #: The checkout this module belongs to: the gate's head side.
 ROOT = Path(__file__).resolve().parents[3]
-#: The benchmark workload both sides run.
-GATE_WORKLOAD = "online-cello"
+#: The benchmark workloads both sides run: the Fig. 6 cell, and the
+#: fault run, so that neither a fault-free nor a faulty replay can slow
+#: down unseen.
+GATE_WORKLOADS = ("online-cello", "faulty-financial")
 #: The end-to-end metric compared (higher is better).
 GATE_METRIC = "requests_per_s"
 #: One paired run per seed.
@@ -63,14 +66,16 @@ def metric_bound() -> float:
 
 @dataclass(frozen=True)
 class Verdict:
-    """The gate's decision over one set of paired runs.
+    """The gate's decision over one workload's paired runs.
 
     Attributes:
+        workload: The benchmark workload both sides ran.
         head_median: Median of this tree's runs.
         base_median: Median of the base checkout's runs.
         bound: Largest allowed fractional drop of ``head_median``.
     """
 
+    workload: str
     head_median: float
     base_median: float
     bound: float
@@ -89,18 +94,19 @@ class Verdict:
         """One line: both medians, the change and the outcome."""
         outcome = "ok" if self.passed else "FAILED"
         return (
-            f"perf gate {outcome}: {GATE_WORKLOAD} median {GATE_METRIC} "
+            f"perf gate {outcome}: {self.workload} median {GATE_METRIC} "
             f"head {self.head_median:.0f} vs base {self.base_median:.0f} "
             f"({self.change:+.1%}, bound -{self.bound:.0%})"
         )
 
 
 def decide(
-    head: Sequence[float], base: Sequence[float], bound: float
+    workload: str, head: Sequence[float], base: Sequence[float], bound: float
 ) -> Verdict:
-    """Compare the paired runs' medians of :data:`GATE_METRIC`."""
+    """Compare one workload's paired runs' medians of :data:`GATE_METRIC`."""
     spread = _compare().spread
     return Verdict(
+        workload=workload,
         head_median=spread(list(head))["median"],
         base_median=spread(list(base))["median"],
         bound=bound,
@@ -112,27 +118,36 @@ def run_gate(
 ) -> int:
     """Run the paired gate against ``base``; returns the exit code.
 
-    0 when this tree passes, 1 when it is slower beyond the bound, 2 when
-    ``base`` holds no benchmark to run.
+    0 when this tree passes on every workload, 1 when it is slower
+    beyond the bound on any, 2 when ``base`` holds no benchmark to run.
     """
     if not (base / "perfbench" / "run.py").is_file():
         emit(f"error: {base} holds no perfbench/run.py")
         return 2
     run_once = _compare().run_once
     seconds = _benchmark()["run_seconds"]
-    head_rates: List[float] = []
-    base_rates: List[float] = []
-    for index, seed in enumerate(GATE_SEEDS):
-        sides = [(base, base_rates), (ROOT, head_rates)]
-        for tree, rates in sides if index % 2 == 0 else sides[::-1]:
-            rates.append(run_once(tree, GATE_WORKLOAD, seed, seconds)[GATE_METRIC])
-        emit(
-            f"seed {seed}: {GATE_METRIC} head {head_rates[-1]:.0f} "
-            f"base {base_rates[-1]:.0f}"
-        )
-    verdict = decide(head_rates, base_rates, metric_bound())
-    emit(verdict.summary())
-    return 0 if verdict.passed else 1
+    bound = metric_bound()
+    failed: List[str] = []
+    for workload in GATE_WORKLOADS:
+        head_rates: List[float] = []
+        base_rates: List[float] = []
+        for index, seed in enumerate(GATE_SEEDS):
+            sides = [(base, base_rates), (ROOT, head_rates)]
+            for tree, rates in sides if index % 2 == 0 else sides[::-1]:
+                rates.append(run_once(tree, workload, seed, seconds)[GATE_METRIC])
+            emit(
+                f"{workload} seed {seed}: {GATE_METRIC} "
+                f"head {head_rates[-1]:.0f} base {base_rates[-1]:.0f}"
+            )
+        verdict = decide(workload, head_rates, base_rates, bound)
+        emit(verdict.summary())
+        if not verdict.passed:
+            failed.append(workload)
+    if failed:
+        emit(f"perf gate FAILED on {', '.join(failed)}")
+        return 1
+    emit(f"perf gate ok on {', '.join(GATE_WORKLOADS)}")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

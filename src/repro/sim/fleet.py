@@ -96,8 +96,9 @@ class DiskFleet:
         self._failover_retries = 0
         # Deferred requests not yet dispatched: id -> (attempts, request).
         self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
-        #: None without an active plan: every disk stays available and no
-        #: filtering is paid. It arms every disk's faults at construction.
+        #: None without an active plan: every disk stays available (the
+        #: fleet's down set stays empty). It arms every disk's faults at
+        #: construction.
         self._faults: Optional[FaultInjector] = None
         if config.fault_plan is not None and config.fault_plan.active:
             self._faults = FaultInjector(
@@ -140,22 +141,22 @@ class DiskFleet:
     def available_locations(self, data_id: DataId) -> Tuple[DiskId, ...]:
         """Replicas currently able to service requests (SystemView).
 
-        Identical to :meth:`locations` when no fault plan is active — the
-        precomputed placement tuple is returned as-is, nothing is
-        rebuilt. Otherwise down and failed disks are filtered out, so
-        the schedulers steer around them and raise
-        :class:`~repro.errors.ReplicaUnavailableError` when every replica
-        of an item is gone.
+        The precomputed placement tuple itself whenever none of its
+        disks is in the fleet's ``down`` set (always, without faults);
+        otherwise the tuple minus the down and failed disks, in
+        placement order, so the schedulers steer around them and raise
+        :class:`~repro.errors.ReplicaUnavailableError` when every
+        replica of an item is gone.
         """
         try:
             locations = self._locations_by_data[data_id]
         except KeyError:
             raise PlacementError(f"unknown data id {data_id}")
-        if self._faults is None:
+        down = self.fleet.down
+        if not down or down.isdisjoint(locations):
             return locations
-        disks = self._disks
-        return tuple(  # reprolint: disable=RPL007 -- fault path only
-            disk_id for disk_id in locations if disks[disk_id].is_available
+        return tuple(  # reprolint: disable=RPL007 -- only when a replica is down
+            disk_id for disk_id in locations if disk_id not in down
         )
 
     # -- dispatch ------------------------------------------------------
@@ -199,7 +200,7 @@ class DiskFleet:
         """Injector callback: ``disk_id`` crash-stopped mid-run, and
         every request drained from its queue fails over; routing new
         arrivals around it is :meth:`available_locations`' job."""
-        del disk_id  # routing consults per-disk health, not the event
+        del disk_id  # routing reads the fleet's down set, not the event
         for request in drained:
             self._failover(request)
 
@@ -209,9 +210,9 @@ class DiskFleet:
         if not candidates:
             self._defer_or_lose(request)
             return
-        best = min(
-            candidates, key=lambda d: (self._disks[d].queue_length, d)
-        )
+        # min keeps the first of equal keys: sorting first breaks ties
+        # by disk id.
+        best = min(sorted(candidates), key=self.fleet.queue.__getitem__)
         self._redispatched += 1
         self._dispatch(request, best)
 
@@ -253,14 +254,20 @@ class DiskFleet:
         """Close every disk's ledger at the engine's current time
         (idempotent).
 
-        A deferred request not dispatched by then (still backing off, or
-        re-admitted to a batch that never ticked) can no longer be
-        served: it is lost, not silently unresolved.
+        Under an active fault plan, a request not served by then can no
+        longer be: one still deferred (backing off, or re-admitted to a
+        batch that never ticked) and one still held by a disk (queued
+        or in service on a replica that outages kept from serving it)
+        are lost, not silently unresolved.
         """
         if self._finalized:
             return
         for _, request in self._retry_attempts.values():
             self._lose(request)
+        if self._faults is not None:
+            for disk in self._disks.values():
+                for request in disk.held_requests():
+                    self._lose(request)
         for disk in self._disks.values():
             disk.finalize()
         self._finalized = True

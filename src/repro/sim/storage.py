@@ -21,12 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
-from repro.errors import (
-    PlacementError,
-    ReplicaUnavailableError,
-    SchedulingError,
-    SimulationError,
-)
+from repro.errors import PlacementError, SchedulingError, SimulationError
 from repro.placement.catalog import PlacementCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -145,23 +140,28 @@ class StorageSystem(DiskFleet):
     def _arrival_callback(self) -> Callable[[Request], None]:
         """The per-arrival handler for this run's configuration.
 
-        The general path (:meth:`_on_arrival`) re-checks cache, faults
-        and scheduler kind on every arrival even though all three are
-        fixed for the whole run. A Heuristic run with no cache and no
-        faults gets a fused closure instead — semantically identical,
-        minus the per-arrival re-dispatch: it gathers placement and
-        scores through the fleet directly, and the chosen disk is one of
-        the request's replicas by construction, so the dispatch checks
-        of :meth:`DiskFleet.submit` are redundant.
+        The general path (:meth:`_on_arrival`) re-checks cache and
+        scheduler kind on every arrival even though both are fixed for
+        the whole run. A Heuristic run with no cache gets a fused
+        closure instead — semantically identical, minus the per-arrival
+        re-dispatch: it gathers placement and scores through the fleet
+        directly, and the chosen disk is one of the request's live
+        replicas by construction, so the dispatch checks of
+        :meth:`DiskFleet.submit` are redundant. Faults need no path of
+        their own: when one of a request's replicas is in the fleet's
+        ``down`` set the closure takes the live ones from
+        :meth:`available_locations`, and a request with none backs off
+        or is lost (its re-admissions go through :meth:`_admit`).
         """
         scheduler = self._online_scheduler
-        if (
-            self.cache is not None
-            or self._faults is not None
-            or not isinstance(scheduler, HeuristicScheduler)
+        if self.cache is not None or not isinstance(
+            scheduler, HeuristicScheduler
         ):
             return self._on_arrival
         locations_by_data = self._locations_by_data
+        available_locations = self.available_locations
+        defer_or_lose = self._defer_or_lose
+        down = self.fleet.down
         disks = self._disks
         engine = self._engine
         fleet_choose = self.fleet.choose
@@ -181,10 +181,11 @@ class StorageSystem(DiskFleet):
                 locations = locations_by_data[request.data_id]
             except KeyError:
                 raise PlacementError(f"unknown data id {request.data_id}")
-            if not locations:
-                raise ReplicaUnavailableError(
-                    f"no live replica for data {request.data_id}"
-                )
+            if down and not down.isdisjoint(locations):
+                locations = available_locations(request.data_id)
+                if not locations:
+                    defer_or_lose(request)
+                    return
             disk_id = fleet_choose(
                 locations, engine._now, alpha, beta, load_weight
             )

@@ -84,6 +84,21 @@ class TestMidFlightFailover:
         assert report.disk_stats[1].requests_serviced == 3
         assert availability_of(report).requests_lost == 0
 
+    def test_failover_ties_go_to_the_lowest_disk_id(self) -> None:
+        # Static sends the read to disk 0; when disk 0 dies mid-service,
+        # disks 2 and 1 are equally idle, and the lower id takes it
+        # whatever the placement order.
+        catalog = PlacementCatalog({0: [0, 2, 1]})
+        plan = scripted(ScriptedFault(disk_id=0, at_s=0.5))
+        system = StorageSystem(
+            catalog, StaticScheduler(), unit_config(num_disks=3, fault_plan=plan)
+        )
+        report = system.run(make_requests([0.0]))
+        assert report.requests_completed == 1
+        assert availability_of(report).requests_redispatched == 1
+        assert system.disk(1).stats.requests_serviced == 1
+        assert system.disk(2).stats.requests_serviced == 0
+
 
 class TestDataLoss:
     def test_all_replicas_dead_records_lost_not_crash(self) -> None:
@@ -162,6 +177,24 @@ class TestTransientBackoff:
             report.requests_completed + avail.requests_lost
             == report.requests_offered
         )
+
+    def test_requests_held_by_a_disk_at_the_horizon_end_lost(self) -> None:
+        catalog = PlacementCatalog({0: [0]})
+        plan = scripted(ScriptedFault(disk_id=0, at_s=100.0))
+        config = SimulationConfig(
+            num_disks=1,
+            profile=PAPER_UNIT,
+            service_model=ConstantServiceModel(10.0),
+            horizon=5.0,
+            fault_plan=plan,
+        )
+        system = StorageSystem(catalog, HeuristicScheduler(), config)
+        report = system.run(make_requests([0.0, 1.0]))
+        # The horizon cuts request 0 in service and request 1 queued
+        # behind it: both are typed losses, in service order.
+        assert report.requests_completed == 0
+        assert availability_of(report).requests_lost == 2
+        assert system._metrics.lost_request_ids == [0, 1]
 
     def test_availability_accounts_open_ended_downtime(self) -> None:
         catalog = PlacementCatalog({0: [0, 1]})

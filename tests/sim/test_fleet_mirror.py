@@ -9,6 +9,12 @@ owners of a disk fleet are checked: the trace replay
 (:class:`~repro.sim.storage.StorageSystem`) and the serving backend
 (:class:`~repro.serve.backend.SimBackend`), driven the way the serving
 layer drives it.
+
+The liveness mirror is checked the same way: after every fault event
+(a permanent death, the start and the end of a transient outage, a
+spin-up brick) the fleet's ``down`` set is exactly the unavailable
+disks, and every data id's live replicas are its placement filtered by
+disk health — so a read only ever goes to a live replica.
 """
 
 import pytest
@@ -17,6 +23,14 @@ from repro.core.cost import energy_cost
 from repro.core.heuristic import HeuristicScheduler
 from repro.experiments import common
 from repro.disk.service import ConstantServiceModel
+from repro.faults import (
+    FaultPlan,
+    ScriptedFault,
+    SpinUpFaults,
+    TransientFaults,
+)
+from repro.faults.health import DiskHealth
+from repro.faults.injector import FaultInjector
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_UNIT
 from repro.power.states import DiskPowerState
@@ -47,6 +61,7 @@ class ReplayOwner:
 
     def __init__(self, inputs=None, **kwargs):
         catalog, config = inputs or _inputs(**kwargs)
+        self.data_ids = sorted(catalog.mapping())
         self.view = StorageSystem(catalog, HeuristicScheduler(), config)
         self.engine = self.view.engine
 
@@ -60,6 +75,7 @@ class ServeOwner:
 
     def __init__(self, inputs=None, **kwargs):
         catalog, self._config = inputs or _inputs(**kwargs)
+        self.data_ids = sorted(catalog.mapping())
         self._completed = []
         self.view = SimBackend(
             catalog,
@@ -73,11 +89,15 @@ class ServeOwner:
 
     def run(self, requests):
         """Inject ``requests`` at their arrival times and drain the
-        backend to the replay's horizon; returns the number completed."""
+        backend to the replay's horizon; returns the number completed.
+
+        A request with no live replica at its arrival is shed, as the
+        serving layer sheds it."""
         scheduler = HeuristicScheduler()
         for request in requests:
             self.view.advance_to(request.time)
-            self.view.submit(request, scheduler.choose(request, self.view))
+            if self.view.available_locations(request.data_id):
+                self.view.submit(request, scheduler.choose(request, self.view))
         self.view.finalize(self._config.derived_horizon(requests[-1].time))
         return len(self._completed)
 
@@ -153,6 +173,98 @@ class TestIncrementalMaintenance:
 
 class TestIncrementalMaintenanceServe(TestIncrementalMaintenance):
     make_owner = ServeOwner
+
+
+def assert_liveness_mirrors_health(view, data_ids):
+    """The down set is the unavailable disks, and every data id's live
+    replicas are its placement filtered by per-disk health."""
+    fleet = view.fleet
+    assert fleet.down == {
+        disk_id for disk_id in view.disk_ids if not view.disk(disk_id).is_available
+    }
+    for data_id in data_ids:
+        placement = view.locations(data_id)
+        live = view.available_locations(data_id)
+        assert live == tuple(
+            disk_id for disk_id in placement if view.disk(disk_id).is_available
+        ), data_id
+        if fleet.down.isdisjoint(placement):
+            # Nothing is rebuilt while every replica is up.
+            assert live is placement, data_id
+
+
+#: A plan that exercises every way a disk leaves or rejoins service on
+#: the four-disk fleet within a 400 s trace.
+MIXED_FAULTS = FaultPlan(
+    seed=3,
+    transient=TransientFaults(mtbf_s=25.0, mean_repair_s=4.0),
+    spin_up=SpinUpFaults(probability=0.4, max_retries=1),
+    scripted=(
+        ScriptedFault(disk_id=1, at_s=6.0, repair_after_s=10.0),
+        ScriptedFault(disk_id=3, at_s=30.0),
+    ),
+)
+
+
+@pytest.fixture
+def fault_events(monkeypatch):
+    """Wraps the injector's fault actions; each call appends its kind
+    and then runs the owner-supplied ``check`` (set on the returned
+    record)."""
+    record = {"kinds": [], "check": None}
+
+    def wrap(name, kind_of):
+        original = getattr(FaultInjector, name)
+
+        def action(injector, disk_id):
+            result = original(injector, disk_id)
+            kind = kind_of(injector, disk_id, result)
+            if kind is not None:
+                record["kinds"].append(kind)
+                record["check"]()
+            return result
+
+        monkeypatch.setattr(FaultInjector, name, action)
+
+    def death(injector, disk_id, result):
+        return "death"
+
+    def outage(injector, disk_id, result):
+        return "outage"
+
+    def repair(injector, disk_id, result):
+        healthy = injector._disks[disk_id].health is DiskHealth.HEALTHY
+        return "repair" if healthy else None
+
+    def spin_up(injector, disk_id, failed):
+        bricked = injector._disks[disk_id].health is DiskHealth.FAILED
+        return "brick" if failed and bricked else None
+
+    wrap("_fail_permanently", death)
+    wrap("_start_outage", outage)
+    wrap("_end_outage", repair)
+    wrap("_spin_up_failed", spin_up)
+    return record
+
+
+@pytest.mark.parametrize("make_owner", [ReplayOwner, ServeOwner])
+def test_liveness_mirror_tracks_every_fault_event(make_owner, fault_events):
+    owner = make_owner(fault_plan=MIXED_FAULTS)
+
+    def check():
+        assert_liveness_mirrors_health(owner.view, owner.data_ids)
+        assert_columns_mirror_disks(owner.view, owner.engine.now)
+
+    fault_events["check"] = check
+    check()
+    times = [2.0 * i for i in range(200)]
+    data_ids = [(7 * i) % 8 for i in range(200)]
+    owner.run(make_requests(times, data_ids))
+    check()
+    kinds = set(fault_events["kinds"])
+    assert {"death", "outage", "repair", "brick"} <= kinds, kinds
+    # Some disk is down at the end, so the filtered branch ran too.
+    assert owner.view.fleet.down
 
 
 @pytest.mark.parametrize("trace", ["cello", "financial"])

@@ -1,20 +1,11 @@
-"""Export experiment results to CSV / JSON for downstream plotting.
+"""Normalise experiment figures into plain rows.
 
-The benchmarks print ASCII tables; anyone recreating the paper's actual
-plots (matplotlib, gnuplot, ...) can instead dump the underlying series
-with these helpers::
-
-    from repro.analysis.export import figure_to_csv, figure_to_json
-    from repro.experiments.figures import fig6
-
-    print(figure_to_csv(fig6()))
+:func:`figure_to_rows` turns a ``FigureResult`` into the dict of axes and
+series that bench documents serialise.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from typing import Any, Dict
 
 from repro.errors import ConfigurationError
@@ -34,44 +25,3 @@ def figure_to_rows(figure: Any) -> Dict[str, Any]:
         "x_values": list(figure.x_values),
         "series": {name: list(values) for name, values in figure.series.items()},
     }
-
-
-def figure_to_csv(figure: Any) -> str:
-    """One header row (x label + series names), one row per x value."""
-    data = figure_to_rows(figure)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    names = list(data["series"])
-    writer.writerow([data["x_label"]] + names)
-    for index, x in enumerate(data["x_values"]):
-        writer.writerow([x] + [data["series"][name][index] for name in names])
-    return buffer.getvalue()
-
-
-def figure_to_json(figure: Any, indent: int = 2) -> str:
-    """The full figure payload (id, title, axes, series) as JSON."""
-    return json.dumps(figure_to_rows(figure), indent=indent)
-
-
-def report_to_dict(report: Any) -> Dict[str, Any]:
-    """Flatten a SimulationReport into JSON-serialisable summary fields."""
-    payload: Dict[str, Any] = {
-        "scheduler": report.scheduler_name,
-        "duration_s": report.duration,
-        "total_energy_j": report.total_energy,
-        "spin_ups": report.spin_ups,
-        "spin_downs": report.spin_downs,
-        "requests_offered": report.requests_offered,
-        "requests_completed": report.requests_completed,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-    }
-    if report.response_times:
-        payload["mean_response_s"] = report.mean_response_time
-        payload["p90_response_s"] = report.response_percentile(0.9)
-    return payload
-
-
-def report_to_json(report: Any, indent: int = 2) -> str:
-    """JSON form of :func:`report_to_dict`."""
-    return json.dumps(report_to_dict(report), indent=indent)

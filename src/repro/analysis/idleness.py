@@ -95,17 +95,3 @@ def standby_periods_of_report(report: SimulationReport) -> List[float]:
             )
         )
     return periods
-
-
-def idle_periods_of_report(report: SimulationReport) -> List[float]:
-    """Every idle period across all disks of a run (same requirements)."""
-    periods: List[float] = []
-    for stats in report.disk_stats.values():
-        if stats.transitions is None:
-            continue
-        periods.extend(
-            state_periods(
-                stats.transitions, DiskPowerState.IDLE, report.duration
-            )
-        )
-    return periods

@@ -1,15 +1,9 @@
 """Block caching in front of the disk array (power-aware eviction)."""
 
-from repro.cache.policy import (
-    BlockCache,
-    LRUBlockCache,
-    PowerAwareLRUCache,
-    make_cache,
-)
+from repro.cache.policy import BlockCache, LRUBlockCache, PowerAwareLRUCache
 
 __all__ = [
     "BlockCache",
     "LRUBlockCache",
     "PowerAwareLRUCache",
-    "make_cache",
 ]

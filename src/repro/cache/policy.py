@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.power.states import DiskPowerState
@@ -129,16 +129,3 @@ class PowerAwareLRUCache(LRUBlockCache):
                 return
         # Every candidate's disk sleeps: plain LRU fallback.
         self._entries.popitem(last=False)
-
-
-def make_cache(
-    kind: Optional[str], capacity: int, scan_depth: int = 8
-) -> Optional[BlockCache]:
-    """Factory by name: ``None``/"none", "lru", "pa-lru"."""
-    if kind is None or kind == "none":
-        return None
-    if kind == "lru":
-        return LRUBlockCache(capacity)
-    if kind == "pa-lru":
-        return PowerAwareLRUCache(capacity, scan_depth)
-    raise ConfigurationError(f"unknown cache kind {kind!r}")

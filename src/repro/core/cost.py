@@ -119,14 +119,6 @@ class CostFunction:
         # flip near-tie scheduling decisions.
         return energy * self.alpha / self.beta + queue_length * self.load_weight
 
-    def energy_only(self) -> "CostFunction":
-        """The pure-energy corner (alpha = 1) used by the plain WSC weights."""
-        return CostFunction(alpha=1.0, beta=self.beta)
-
-    def performance_only(self) -> "CostFunction":
-        """The pure-performance corner (alpha = 0)."""
-        return CostFunction(alpha=0.0, beta=self.beta)
-
 
 #: The configuration the paper uses for Heuristic and WSC (Appendix A.2).
 PAPER_COST_FUNCTION = CostFunction(alpha=0.2, beta=100.0)

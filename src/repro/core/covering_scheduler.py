@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
 from repro.core.scheduler import OnlineScheduler, SystemView
+from repro.errors import ReplicaUnavailableError
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.covering import covering_subset
 from repro.types import DataId, DiskId, Request
@@ -39,9 +40,13 @@ class CoveringSetScheduler(OnlineScheduler):
         self.cost_function = cost_function or PAPER_COST_FUNCTION
 
     def choose(self, request: Request, view: SystemView) -> DiskId:
-        # The cheapest covering replica, or the cheapest replica overall
-        # when the covering subset holds none of them.
-        locations = view.locations(request.data_id)
+        # The cheapest live covering replica, or the cheapest live replica
+        # overall when the covering subset holds none of them.
+        locations = view.available_locations(request.data_id)
+        if not locations:
+            raise ReplicaUnavailableError(
+                f"no live replica for data {request.data_id}"
+            )
         candidates = tuple(filter(self.covering.__contains__, locations))
         cost_function = self.cost_function
         return view.fleet.choose(

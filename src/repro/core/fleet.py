@@ -181,10 +181,3 @@ class FleetCostState:
             + queue[d] * load_weight
             for d in disk_ids
         ]
-
-    def energies(self, disk_ids: Sequence[DiskId], now: float) -> List[float]:
-        """Eq. 5 energies for ``disk_ids`` (plain-WSC set weights)."""
-        pi = self.pi
-        const = self.const
-        tlast = self.tlast
-        return [(now - tlast[d]) * pi[d] + const[d] for d in disk_ids]

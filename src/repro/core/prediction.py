@@ -31,7 +31,7 @@ from repro.core.cost import (
     performance_cost,
 )
 from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplicaUnavailableError
 from repro.types import DiskId, Request
 
 
@@ -100,9 +100,14 @@ class PredictiveHeuristicScheduler(OnlineScheduler):
         window = profile.breakeven_time
         alpha = self.cost_function.alpha
         beta = self.cost_function.beta
+        locations = view.available_locations(request.data_id)
+        if not locations:
+            raise ReplicaUnavailableError(
+                f"no live replica for data {request.data_id}"
+            )
         best_disk = None
         best_key = None
-        for disk_id in view.locations(request.data_id):
+        for disk_id in locations:
             disk = view.disk(disk_id)
             energy = energy_cost(
                 disk.state, disk.last_request_time, view.now, profile

@@ -13,7 +13,7 @@ later, so placement does not constrain the target). Preference order:
 
 1. a spinning disk (ACTIVE or IDLE), least-loaded first;
 2. a disk already spinning up (joins the wake-up);
-3. the write's own original location (forced wake-up — happens only when
+3. the write's first live location (forced wake-up — happens only when
    every disk in the system is asleep).
 
 The off-loader keeps a per-disk journal of diverted writes so experiments
@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.scheduler import OnlineScheduler, SystemView
+from repro.errors import ReplicaUnavailableError
 from repro.power.states import DiskPowerState
 from repro.types import DiskId, OpKind, Request
 
@@ -51,8 +52,13 @@ class WriteOffloadingScheduler(OnlineScheduler):
         if target is None:
             target = self._pick_waking_disk(view)
         if target is None:
+            available = view.available_locations(request.data_id)
+            if not available:
+                raise ReplicaUnavailableError(
+                    f"no live replica for data {request.data_id}"
+                )
             self.forced_wakeups += 1
-            target = view.locations(request.data_id)[0]
+            target = available[0]
         else:
             self.offloaded[target] = self.offloaded.get(target, 0) + 1
         return target

@@ -9,7 +9,9 @@ disk holding its data.
 
 The paper's experiments weight disks "by the same cost function of
 Heuristic" — i.e. Eq. 6 with ``alpha=0.2, beta=100`` — rather than the pure
-Eq. 5 energy; both are supported (``use_cost_function`` flag).
+Eq. 5 energy. The pure Eq. 5 weights are Eq. 6's ``alpha=1`` corner,
+``cost_function=CostFunction(alpha=1.0)``, which divides every disk's
+energy by the same ``beta``.
 """
 
 from __future__ import annotations
@@ -32,20 +34,17 @@ class WSCBatchScheduler(BatchScheduler):
 
     Args:
         interval: Scheduling interval in seconds (paper: 0.1 s).
-        cost_function: Eq. 6 weights (paper default) when
-            ``use_cost_function``; otherwise pure Eq. 5 energy weights.
-        use_cost_function: Weight sets by C(dk) instead of E(dk).
+        cost_function: The Eq. 6 set weights (paper default:
+            :data:`~repro.core.cost.PAPER_COST_FUNCTION`).
     """
 
     def __init__(
         self,
         interval: float = PAPER_BATCH_INTERVAL,
         cost_function: Optional[CostFunction] = None,
-        use_cost_function: bool = True,
     ):
         super().__init__(interval)
         self.cost_function = cost_function or PAPER_COST_FUNCTION
-        self.use_cost_function = use_cost_function
         self._repr_of: Dict[DiskId, str] = {}
 
     def choose_batch(
@@ -125,18 +124,15 @@ class WSCBatchScheduler(BatchScheduler):
     def _weights(
         self, disk_ids: List[DiskId], fleet: FleetCostState, now: float
     ) -> List[float]:
-        """One Eq. 6 (or Eq. 5) pass over the fleet columns of all
-        covering disks."""
-        if self.use_cost_function:
-            cost_function = self.cost_function
-            return fleet.weights(
-                disk_ids,
-                now,
-                cost_function.alpha,
-                cost_function.beta,
-                cost_function.load_weight,
-            )
-        return fleet.energies(disk_ids, now)
+        """One Eq. 6 pass over the fleet columns of all covering disks."""
+        cost_function = self.cost_function
+        return fleet.weights(
+            disk_ids,
+            now,
+            cost_function.alpha,
+            cost_function.beta,
+            cost_function.load_weight,
+        )
 
     def _tie_keys(self, disk_ids: List[DiskId]) -> List[str]:
         """The greedy's tie-break key, ``repr(disk_id)``, per disk id;

@@ -9,7 +9,6 @@ from repro.disk.geometry import (
 from repro.disk.service import (
     AnalyticServiceModel,
     ConstantServiceModel,
-    PositionAwareServiceModel,
     ServiceTimeModel,
 )
 from repro.disk.stats import DiskStats
@@ -21,7 +20,6 @@ __all__ = [
     "ConstantServiceModel",
     "DiskGeometry",
     "DiskStats",
-    "PositionAwareServiceModel",
     "ServiceTimeModel",
     "SimulatedDisk",
 ]

@@ -223,14 +223,8 @@ class SimulatedDisk:
         if duration > 0:
             self._service_timer.schedule_at(now + duration)
             return
-        # Zero-duration service (analysis configs): complete inline and
-        # return to IDLE exactly as the general _service_loop tail does.
-        self._complete_current()
-        if self._queue:
-            self._service_loop()
-        else:
-            self._transition(DiskPowerState.IDLE)
-            self._arm_idle_timer()
+        # Zero-duration service (analysis configs): complete inline.
+        self._on_service_complete()
 
     def held_requests(self) -> List[Request]:
         """The request in service (if any), then the queue in order."""

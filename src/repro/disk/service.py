@@ -15,7 +15,6 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.disk.geometry import CHEETAH_15K5_GEOMETRY, DiskGeometry
 from repro.errors import ConfigurationError
@@ -114,50 +113,3 @@ class AnalyticServiceModel(ServiceTimeModel):
             + geometry.transfer_time(size_bytes)
             + geometry.controller_overhead
         )
-
-
-class PositionAwareServiceModel(ServiceTimeModel):
-    """Seek model with per-disk head-position tracking.
-
-    Unlike :class:`AnalyticServiceModel` (which draws seek distances
-    uniformly), this model remembers where each request left the head and
-    charges the seek from there, so workloads with spatial locality —
-    consecutive accesses to nearby data — get realistically cheaper
-    seeks, the main fidelity Disksim adds over an averaged model.
-
-    Data is laid onto cylinders deterministically by hashing the data id,
-    so the mapping is stable across runs. The model is stateful *per
-    disk*: construct one instance per disk (e.g. through
-    ``SimulationConfig(service_model_factory=PositionAwareServiceModel.factory())``).
-    """
-
-    def __init__(self, geometry: DiskGeometry = CHEETAH_15K5_GEOMETRY):
-        self._geometry = geometry
-        self._head_cylinder = 0
-
-    @property
-    def geometry(self) -> DiskGeometry:
-        """The mechanical model used."""
-        return self._geometry
-
-    @classmethod
-    def factory(
-        cls, geometry: DiskGeometry = CHEETAH_15K5_GEOMETRY
-    ) -> Callable[[], "PositionAwareServiceModel"]:
-        """A zero-argument constructor for per-disk instantiation."""
-        return lambda: cls(geometry)
-
-    def cylinder_of_data(self, data_id: int) -> int:
-        """Deterministic data -> cylinder layout (hash-spread)."""
-        spread = (data_id * 2654435761) % (2**32)
-        return spread % self._geometry.cylinders
-
-    def service_time(self, request: Request, rng: random.Random) -> float:
-        geometry = self._geometry
-        target = self.cylinder_of_data(request.data_id)
-        distance = abs(target - self._head_cylinder)
-        self._head_cylinder = target
-        seek = geometry.seek_time(distance)
-        rotation = rng.random() * geometry.rotation_time
-        transfer = geometry.transfer_time(request.size_bytes)
-        return seek + rotation + transfer + geometry.controller_overhead

@@ -28,8 +28,3 @@ class DiskHealth(Enum):
     def is_available(self) -> bool:
         """True when the disk can accept and service requests."""
         return self is DiskHealth.HEALTHY
-
-    @property
-    def is_terminal(self) -> bool:
-        """True when the disk is permanently dead (no repair coming)."""
-        return self is DiskHealth.FAILED

@@ -3,7 +3,6 @@
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.covering import covering_subset
 from repro.placement.schemes import (
-    PackedPlacement,
     PlacementScheme,
     UniformPlacement,
     ZipfOriginalUniformReplicas,
@@ -11,7 +10,6 @@ from repro.placement.schemes import (
 from repro.placement.zipf import ZipfSampler, rank_permutation, zipf_probabilities
 
 __all__ = [
-    "PackedPlacement",
     "PlacementCatalog",
     "PlacementScheme",
     "UniformPlacement",

@@ -102,39 +102,6 @@ class UniformPlacement(PlacementScheme):
         return PlacementCatalog(locations)
 
 
-class PackedPlacement(PlacementScheme):
-    """Popularity-packing placement (the data-placement family of related
-    work, e.g. Pinheiro & Bianchini): data items are packed onto the fewest
-    disks in popularity order, replicas uniform.
-
-    Data items are assumed sorted by descending popularity (the synthetic
-    generators emit ids in that order); each disk takes ``items_per_disk``
-    originals before the next disk is opened.
-    """
-
-    def __init__(self, replication_factor: int = 1, items_per_disk: int = 256):
-        if replication_factor <= 0:
-            raise ConfigurationError("replication_factor must be positive")
-        if items_per_disk <= 0:
-            raise ConfigurationError("items_per_disk must be positive")
-        self.replication_factor = replication_factor
-        self.items_per_disk = items_per_disk
-
-    def place(
-        self, data_ids: Sequence[DataId], num_disks: int, rng: random.Random
-    ) -> PlacementCatalog:
-        _validate(num_disks, self.replication_factor)
-        locations: Dict[DataId, List[DiskId]] = {}
-        for index, data_id in enumerate(data_ids):
-            original = min(index // self.items_per_disk, num_disks - 1)
-            disks = [original]
-            disks.extend(
-                _uniform_distinct(rng, num_disks, self.replication_factor - 1, disks)
-            )
-            locations[data_id] = disks
-        return PlacementCatalog(locations)
-
-
 def _uniform_distinct(
     rng: random.Random, num_disks: int, count: int, exclude: Sequence[DiskId]
 ) -> List[DiskId]:

@@ -12,7 +12,6 @@ from repro.power.oracle import (
 )
 from repro.power.policy import (
     AlwaysOnPolicy,
-    FixedThresholdPolicy,
     PowerPolicy,
     ScaledBreakevenPolicy,
     TwoCompetitivePolicy,
@@ -34,7 +33,6 @@ __all__ = [
     "CHEETAH_15K5",
     "DiskPowerProfile",
     "DiskPowerState",
-    "FixedThresholdPolicy",
     "PAPER_EVAL",
     "PAPER_UNIT",
     "PROFILES",

@@ -7,8 +7,8 @@ starting a spin-down, or ``None`` to keep the disk spinning indefinitely.
 
 The paper's experiments use :class:`TwoCompetitivePolicy` (2CPM — threshold
 equal to the breakeven time) and normalise energy against
-:class:`AlwaysOnPolicy`. :class:`FixedThresholdPolicy` generalises 2CPM to
-arbitrary thresholds for ablations.
+:class:`AlwaysOnPolicy`. :class:`ScaledBreakevenPolicy` generalises 2CPM
+to thresholds at any multiple of ``TB`` for ablations.
 """
 
 from __future__ import annotations
@@ -57,31 +57,6 @@ class AlwaysOnPolicy(PowerPolicy):
     @property
     def name(self) -> str:
         return "always-on"
-
-
-class FixedThresholdPolicy(PowerPolicy):
-    """Spin down after a caller-chosen idleness threshold.
-
-    A threshold of 0 spins the disk down the moment its queue drains
-    (aggressive); thresholds above ``TB`` are conservative. Commercial MAID
-    systems (Copan-400, AutoMAID) expose exactly this knob.
-    """
-
-    def __init__(self, threshold: float):
-        if threshold < 0:
-            raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-        self._threshold = threshold
-
-    @property
-    def threshold(self) -> float:
-        return self._threshold
-
-    def idle_timeout(self, profile: DiskPowerProfile) -> Optional[float]:
-        return self._threshold
-
-    @property
-    def name(self) -> str:
-        return f"fixed-threshold({self._threshold:g}s)"
 
 
 class ScaledBreakevenPolicy(PowerPolicy):

@@ -24,11 +24,9 @@ class SimulationConfig:
         profile: Disk power model (paper: Barracuda-like numbers).
         policy: Power-management policy (paper: 2CPM).
         service_model: Per-request I/O time model (paper: Disksim; here
-            the analytic seek+rotate+transfer model). Shared by all disks —
-            fine for stateless models.
-        service_model_factory: Optional per-disk model constructor; wins
-            over ``service_model`` when set (use for stateful models like
-            :class:`~repro.disk.service.PositionAwareServiceModel`).
+            the analytic seek+rotate+transfer model). One instance is
+            shared by all disks, so it must be stateless; each disk draws
+            from its own RNG.
         seed: Seed for service-time draws (per-disk RNGs derive from it).
         horizon: Fixed end-of-simulation time. ``None`` derives
             ``last arrival + TB + Tup + Tdown + drain slack`` so different
@@ -58,7 +56,6 @@ class SimulationConfig:
     profile: DiskPowerProfile = BARRACUDA
     policy: PowerPolicy = field(default_factory=TwoCompetitivePolicy)
     service_model: ServiceTimeModel = field(default_factory=AnalyticServiceModel)
-    service_model_factory: Optional[Callable[[], ServiceTimeModel]] = None
     seed: int = 0
     horizon: Optional[float] = None
     drain_slack: float = 30.0
@@ -75,13 +72,6 @@ class SimulationConfig:
             raise ConfigurationError("horizon must be >= 0")
         if self.drain_slack < 0:
             raise ConfigurationError("drain_slack must be >= 0")
-
-    def make_service_model(self) -> ServiceTimeModel:
-        """The service model for one disk (fresh instance when a factory
-        is configured, the shared one otherwise)."""
-        if self.service_model_factory is not None:
-            return self.service_model_factory()
-        return self.service_model
 
     def derived_horizon(self, last_arrival: float) -> float:
         """The horizon used when none is pinned explicitly."""

@@ -40,8 +40,8 @@ LostCallback = Callable[[Request, float], None]
 
 #: First failover-retry delay in seconds; doubles on every further attempt.
 RETRY_BASE_S = 0.5
-#: Backoff retries granted to a request whose replicas are all transiently
-#: down before it is declared lost.
+#: Backoff retries granted to a request over its whole life: once it has
+#: spent them, the next time it finds no live replica it is declared lost.
 MAX_FAILOVER_ATTEMPTS = 8
 
 
@@ -80,7 +80,7 @@ class DiskFleet:
                 engine=engine,
                 profile=config.profile,
                 policy=config.policy,
-                service_model=config.make_service_model(),
+                service_model=config.service_model,
                 rng=random.Random(config.seed * 1_000_003 + disk_id),
                 on_complete=on_complete,
                 initial_state=config.initial_state,
@@ -94,8 +94,12 @@ class DiskFleet:
         self._lost = 0
         self._redispatched = 0
         self._failover_retries = 0
-        # Deferred requests not yet dispatched: id -> (attempts, request).
-        self._retry_attempts: Dict[RequestId, Tuple[int, Request]] = {}
+        # Backoff retries each deferred request has spent, over its whole
+        # life: a dispatch does not refund them, so a replica that keeps
+        # failing under a request cannot bounce it forever.
+        self._retries: Dict[RequestId, int] = {}
+        # Deferred requests not yet dispatched: id -> request.
+        self._deferred: Dict[RequestId, Request] = {}
         #: None without an active plan: every disk stays available (the
         #: fleet's down set stays empty). It arms every disk's faults at
         #: construction.
@@ -181,10 +185,10 @@ class DiskFleet:
         disk.submit(request)
 
     def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        """Submit a request, closing its backoff record if it had one."""
+        """Submit a request; one that was deferred is deferred no more."""
         self.submit(request, disk_id)
-        if self._retry_attempts:
-            self._retry_attempts.pop(request.request_id, None)
+        if self._deferred:
+            self._deferred.pop(request.request_id, None)
 
     # -- failover (fault injection only) -------------------------------
 
@@ -226,20 +230,22 @@ class DiskFleet:
     def _defer_or_lose(self, request: Request) -> None:
         """Back off and re-admit, or record the request as lost.
 
-        Lost means: every replica is permanently dead, or the retry
-        budget is exhausted while all replicas stay unavailable.
+        Lost means: every replica is permanently dead, or the request has
+        spent its lifetime retry budget and finds no replica available.
         """
+        request_id = request.request_id
         locations = self.locations(request.data_id)
-        backoff = self._retry_attempts.get(request.request_id)
-        attempts = backoff[0] if backoff is not None else 0
+        attempts = self._retries.get(request_id, 0)
         all_dead = all(
             self._disks[d].health is DiskHealth.FAILED for d in locations
         )
         if all_dead or attempts >= MAX_FAILOVER_ATTEMPTS:
-            self._retry_attempts.pop(request.request_id, None)
+            self._retries.pop(request_id, None)
+            self._deferred.pop(request_id, None)
             self._lose(request)
             return
-        self._retry_attempts[request.request_id] = (attempts + 1, request)
+        self._retries[request_id] = attempts + 1
+        self._deferred[request_id] = request
         self._failover_retries += 1
         delay = RETRY_BASE_S * (2.0**attempts)
         self._engine.schedule_after(delay, partial(self._admit, request))
@@ -262,7 +268,7 @@ class DiskFleet:
         """
         if self._finalized:
             return
-        for _, request in self._retry_attempts.values():
+        for request in self._deferred.values():
             self._lose(request)
         if self._faults is not None:
             for disk in self._disks.values():

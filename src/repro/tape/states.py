@@ -37,15 +37,6 @@ class TapePowerState(Enum):
     __hash__ = object.__hash__  # type: ignore[assignment]
 
     @property
-    def is_mounted(self) -> bool:
-        """True when a cartridge is threaded and the head can move."""
-        return self in (
-            TapePowerState.LOADED,
-            TapePowerState.SEEKING,
-            TapePowerState.READING,
-        )
-
-    @property
     def is_transitioning(self) -> bool:
         """True during a cartridge mount or unmount."""
         return self in (TapePowerState.MOUNTING, TapePowerState.UNMOUNTING)

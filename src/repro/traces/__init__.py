@@ -7,13 +7,6 @@ from repro.traces.financial import (
     parse_spc,
 )
 from repro.traces.record import TraceRecord
-from repro.traces.transform import (
-    merge_traces,
-    scale_rate,
-    slice_requests,
-    time_window,
-    with_read_fraction,
-)
 from repro.traces.synthetic import (
     ArrivalProcess,
     MMPPArrivals,
@@ -40,11 +33,6 @@ __all__ = [
     "generate_cello_like",
     "generate_financial_like",
     "inter_arrival_gaps",
-    "merge_traces",
     "parse_hp_cello",
     "parse_spc",
-    "scale_rate",
-    "slice_requests",
-    "time_window",
-    "with_read_fraction",
 ]

@@ -1,17 +1,10 @@
-"""Tests for CSV/JSON export."""
+"""Tests for the figure-row normalisation that bench documents serialise."""
 
-import csv
-import io
 import json
 
 import pytest
 
-from repro.analysis.export import (
-    figure_to_csv,
-    figure_to_json,
-    report_to_dict,
-    report_to_json,
-)
+from repro.analysis.export import figure_to_rows
 from repro.errors import ConfigurationError
 from repro.experiments.figures import FigureResult
 
@@ -28,45 +21,12 @@ def figure():
 
 
 class TestFigureExport:
-    def test_csv_round_trip(self, figure):
-        rows = list(csv.reader(io.StringIO(figure_to_csv(figure))))
-        assert rows[0] == ["rf", "a", "b"]
-        assert rows[1] == ["1", "0.1", "1.0"]
-        assert len(rows) == 4
-
     def test_json_payload(self, figure):
-        payload = json.loads(figure_to_json(figure))
+        payload = json.loads(json.dumps(figure_to_rows(figure)))
         assert payload["figure_id"] == "figX"
         assert payload["series"]["b"] == [1.0, 2.0, 3.0]
         assert payload["x_values"] == [1, 2, 3]
 
     def test_rejects_non_figure(self):
         with pytest.raises(ConfigurationError):
-            figure_to_csv("not a figure")
-
-
-class TestReportExport:
-    def make_report(self):
-        from repro.core.static_scheduler import StaticScheduler
-        from repro.placement.catalog import PlacementCatalog
-        from repro.power.profile import PAPER_UNIT
-        from repro.sim.config import SimulationConfig
-        from repro.sim.runner import simulate
-        from repro.types import Request
-
-        catalog = PlacementCatalog({0: [0]})
-        requests = [Request(time=0.0, request_id=0, data_id=0)]
-        config = SimulationConfig(
-            num_disks=1, profile=PAPER_UNIT, drain_slack=1.0
-        )
-        return simulate(requests, catalog, StaticScheduler(), config)
-
-    def test_dict_fields(self):
-        payload = report_to_dict(self.make_report())
-        assert payload["scheduler"] == "Static"
-        assert payload["requests_completed"] == 1
-        assert "mean_response_s" in payload
-
-    def test_json_serialises(self):
-        payload = json.loads(report_to_json(self.make_report()))
-        assert payload["spin_downs"] >= 1
+            figure_to_rows("not a figure")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.idleness import (
     PeriodSummary,
-    idle_periods_of_report,
     standby_periods_of_report,
     state_periods,
 )
@@ -94,8 +93,11 @@ class TestReportIntegration:
         from repro.power.profile import BARRACUDA
 
         report = self.make_report(record=True)
-        for period in idle_periods_of_report(report):
-            assert period <= BARRACUDA.breakeven_time + 1e-6
+        for stats in report.disk_stats.values():
+            for period in state_periods(
+                stats.transitions, DiskPowerState.IDLE, report.duration
+            ):
+                assert period <= BARRACUDA.breakeven_time + 1e-6
 
     def test_without_recording_no_periods(self):
         report = self.make_report(record=False)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policy import LRUBlockCache, PowerAwareLRUCache, make_cache
+from repro.cache.policy import LRUBlockCache, PowerAwareLRUCache
 from repro.errors import ConfigurationError
 from repro.power.states import DiskPowerState
 
@@ -102,18 +102,6 @@ class TestPowerAware:
     def test_invalid_scan_depth(self):
         with pytest.raises(ConfigurationError):
             PowerAwareLRUCache(4, scan_depth=0)
-
-
-class TestFactory:
-    def test_kinds(self):
-        assert make_cache(None, 10) is None
-        assert make_cache("none", 10) is None
-        assert isinstance(make_cache("lru", 10), LRUBlockCache)
-        assert isinstance(make_cache("pa-lru", 10), PowerAwareLRUCache)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_cache("arc", 10)
 
 
 class TestSimulationIntegration:

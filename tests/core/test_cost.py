@@ -118,7 +118,3 @@ class TestCostFunction:
     def test_beta_nonpositive_rejected(self):
         with pytest.raises(ConfigurationError):
             CostFunction(beta=0.0)
-
-    def test_corner_helpers(self):
-        assert PAPER_COST_FUNCTION.energy_only().alpha == 1.0
-        assert PAPER_COST_FUNCTION.performance_only().alpha == 0.0

@@ -44,7 +44,7 @@ class FakeView:
             fleet.queue[disk_id] = disk.queue_length
         return fleet
 
-    def locations(self, data_id):
+    def available_locations(self, data_id):
         return self._catalog.locations(data_id)
 
 

@@ -124,7 +124,8 @@ def test_weights_parity_full_precision(instance: Instance) -> None:
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
 def test_energies_parity_full_precision(instance: Instance) -> None:
-    """Eq. 5 energies match ``energy_cost`` bit for bit."""
+    """The columns' Eq. 5 term (Eq. 6 weights with alpha = beta = 1)
+    matches ``energy_cost`` bit for bit."""
     disks, candidates, _ = instance
     fleet = _fleet(disks)
     expected = [
@@ -136,4 +137,4 @@ def test_energies_parity_full_precision(instance: Instance) -> None:
         )
         for disk_id in candidates
     ]
-    assert fleet.energies(candidates, NOW) == expected
+    assert fleet.weights(candidates, NOW, 1.0, 1.0, 0.0) == expected

@@ -35,7 +35,7 @@ class FakeView:
     def disk(self, disk_id):
         return self._disks[disk_id]
 
-    def locations(self, data_id):
+    def available_locations(self, data_id):
         return self._catalog.locations(data_id)
 
 

@@ -11,6 +11,9 @@ from repro.power.profile import PAPER_EVAL, PAPER_UNIT
 from repro.power.states import DiskPowerState
 from repro.types import Request
 
+#: Pure Eq. 5 set weights: Eq. 6 with alpha = 1 (energy over beta).
+EQ5_WEIGHTS = CostFunction(alpha=1.0)
+
 
 class FakeDisk:
     def __init__(self, state, queue_length=0, last_request_time=None):
@@ -67,7 +70,7 @@ class TestFigure2Instance:
     def test_covers_with_two_disks(self):
         catalog, requests = self.make()
         view = standby_view(catalog, 4)
-        scheduler = WSCBatchScheduler(use_cost_function=False)
+        scheduler = WSCBatchScheduler(cost_function=EQ5_WEIGHTS)
         decisions = scheduler.choose_batch(requests, view)
         assert set(decisions) == {r.request_id for r in requests}
         used = set(decisions.values())
@@ -91,7 +94,7 @@ class TestWeighting:
             1: FakeDisk(DiskPowerState.IDLE, last_request_time=0.0),
         }
         view = FakeView(disks, catalog, now=1.0, profile=PAPER_EVAL)
-        decisions = WSCBatchScheduler(use_cost_function=False).choose_batch(
+        decisions = WSCBatchScheduler(cost_function=EQ5_WEIGHTS).choose_batch(
             [Request(time=1.0, request_id=0, data_id=0)], view
         )
         assert decisions[0] == 1
@@ -104,7 +107,7 @@ class TestWeighting:
             1: FakeDisk(DiskPowerState.IDLE, last_request_time=0.0),
         }
         view = FakeView(disks, catalog, now=30.0, profile=PAPER_EVAL)
-        decisions = WSCBatchScheduler(use_cost_function=False).choose_batch(
+        decisions = WSCBatchScheduler(cost_function=EQ5_WEIGHTS).choose_batch(
             [Request(time=30.0, request_id=0, data_id=0)], view
         )
         assert decisions[0] == 0
@@ -198,7 +201,7 @@ class TestTieBreaks:
             10: FakeDisk(DiskPowerState.STANDBY, queue_length=0),
         }
         view = FleetOnlyView(disks, catalog)
-        decisions = WSCBatchScheduler(use_cost_function=False).choose_batch(
+        decisions = WSCBatchScheduler(cost_function=EQ5_WEIGHTS).choose_batch(
             self.requests(5), view
         )
         assert decisions == {0: 9, 1: 10, 2: 10, 3: 10, 4: 10}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost import energy_cost
+from repro.core.cost import CostFunction, energy_cost
 from repro.core.fleet import FleetCostState
 from repro.core.wsc import WSCBatchScheduler
 from repro.placement.catalog import PlacementCatalog
@@ -108,9 +108,8 @@ def test_free_disks_absorb_when_they_cover(instance):
     """A request whose data sits on an ACTIVE/SPIN_UP disk never pays to
     wake a STANDBY disk instead (pure Eq. 5 weighting)."""
     view, requests, catalog = instance
-    decisions = WSCBatchScheduler(use_cost_function=False).choose_batch(
-        requests, view
-    )
+    scheduler = WSCBatchScheduler(cost_function=CostFunction(alpha=1.0))
+    decisions = scheduler.choose_batch(requests, view)
     for request in requests:
         chosen = decisions[request.request_id]
         chosen_cost = energy_cost(

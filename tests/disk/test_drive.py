@@ -12,7 +12,11 @@ import pytest
 from repro.disk.drive import SimulatedDisk
 from repro.disk.service import ConstantServiceModel
 from repro.errors import SimulationError
-from repro.power.policy import AlwaysOnPolicy, FixedThresholdPolicy, TwoCompetitivePolicy
+from repro.power.policy import (
+    AlwaysOnPolicy,
+    ScaledBreakevenPolicy,
+    TwoCompetitivePolicy,
+)
 from repro.power.profile import BARRACUDA, PAPER_UNIT
 from repro.power.states import DiskPowerState
 from repro.sim.engine import SimulationEngine
@@ -121,7 +125,7 @@ class TestIdleTimeout:
 
     def test_zero_threshold_spins_down_immediately(self):
         engine = SimulationEngine()
-        disk, _ = make_disk(engine, policy=FixedThresholdPolicy(0.0))
+        disk, _ = make_disk(engine, policy=ScaledBreakevenPolicy(0.0))
         engine.schedule(0.0, lambda: disk.submit(req(0.0)))
         engine.run(until=TUP + TDOWN + 0.01)
         assert disk.state is DiskPowerState.STANDBY

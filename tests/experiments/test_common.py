@@ -69,14 +69,14 @@ class TestRunCell:
             common.run_cell("cello", 1, "fifo", scale=SCALE)
 
     def test_alpha_beta_feed_heuristic(self):
-        energy_only = common.run_cell(
+        pure_energy = common.run_cell(
             "cello", 3, "heuristic", alpha=1.0, beta=100.0, scale=SCALE
         )
-        load_only = common.run_cell(
+        pure_load = common.run_cell(
             "cello", 3, "heuristic", alpha=0.0, beta=100.0, scale=SCALE
         )
         assert (
-            energy_only.report.total_energy <= load_only.report.total_energy
+            pure_energy.report.total_energy <= pure_load.report.total_energy
         )
 
 

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import pytest
 
+from repro.core.covering_scheduler import CoveringSetScheduler
 from repro.core.heuristic import HeuristicScheduler
+from repro.core.prediction import PredictiveHeuristicScheduler
 from repro.core.random_scheduler import RandomScheduler
 from repro.core.scheduler import Scheduler
 from repro.core.static_scheduler import StaticScheduler
+from repro.core.writeoffload import WriteOffloadingScheduler
 from repro.core.wsc import WSCBatchScheduler
 from repro.disk.service import ConstantServiceModel
-from repro.faults import FaultPlan, ScriptedFault, SpinUpFaults
+from repro.faults import FaultPlan, ScriptedFault, SpinUpFaults, TransientFaults
 from repro.placement.catalog import PlacementCatalog
-from repro.power.profile import PAPER_UNIT
+from repro.power.profile import BARRACUDA, PAPER_UNIT
 from repro.report import AvailabilityReport, SimulationReport
 from repro.sim.config import SimulationConfig
+from repro.sim.fleet import MAX_FAILOVER_ATTEMPTS
 from repro.sim.storage import StorageSystem
-from repro.types import Request
+from repro.types import OpKind, Request
 
 
 def unit_config(
@@ -69,8 +74,15 @@ class TestMidFlightFailover:
 
     @pytest.mark.parametrize(
         "scheduler",
-        [StaticScheduler(), RandomScheduler(seed=1), HeuristicScheduler()],
-        ids=["static", "random", "heuristic"],
+        [
+            StaticScheduler(),
+            RandomScheduler(seed=1),
+            HeuristicScheduler(),
+            PredictiveHeuristicScheduler(),
+            CoveringSetScheduler(PlacementCatalog({0: [0, 1]})),
+            WriteOffloadingScheduler(HeuristicScheduler()),
+        ],
+        ids=["static", "random", "heuristic", "predictive", "covering", "offload"],
     )
     def test_online_schedulers_skip_dead_replica(
         self, scheduler: Scheduler
@@ -78,7 +90,11 @@ class TestMidFlightFailover:
         catalog = PlacementCatalog({0: [0, 1]})
         plan = scripted(ScriptedFault(disk_id=0, at_s=0.0))
         system = StorageSystem(catalog, scheduler, unit_config(fault_plan=plan))
-        report = system.run(make_requests([0.5, 1.0, 1.5]))
+        # The first request is a write that finds every disk asleep, so the
+        # off-loader wakes a replica of its own data: the live one.
+        requests = make_requests([0.5, 1.0, 1.5])
+        requests[0] = replace(requests[0], op=OpKind.WRITE)
+        report = system.run(requests)
         assert report.requests_completed == 3
         assert report.disk_stats[0].requests_serviced == 0
         assert report.disk_stats[1].requests_serviced == 3
@@ -177,6 +193,27 @@ class TestTransientBackoff:
             report.requests_completed + avail.requests_lost
             == report.requests_offered
         )
+
+    def test_retry_budget_spans_the_request_life(self) -> None:
+        # Outages about every second against a 6 s spin-up: each replica
+        # that takes the read goes down under it and drains it back, and
+        # every drain finds no live replica. The budget bounds the
+        # request's whole life, not each run of consecutive backoffs.
+        config = SimulationConfig(
+            num_disks=2,
+            profile=BARRACUDA,
+            seed=1,
+            fault_plan=FaultPlan(
+                seed=1, transient=TransientFaults(mtbf_s=1.0, mean_repair_s=1.0)
+            ),
+        )
+        system = StorageSystem(
+            PlacementCatalog({0: [0, 1]}), HeuristicScheduler(), config
+        )
+        report = system.run(make_requests([0.0]))
+        avail = availability_of(report)
+        assert 0 < avail.failover_retries <= MAX_FAILOVER_ATTEMPTS
+        assert report.requests_completed + avail.requests_lost == 1
 
     def test_requests_held_by_a_disk_at_the_horizon_end_lost(self) -> None:
         catalog = PlacementCatalog({0: [0]})

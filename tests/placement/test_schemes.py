@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, PlacementError
-from repro.placement.schemes import (
-    PackedPlacement,
-    UniformPlacement,
-    ZipfOriginalUniformReplicas,
-)
+from repro.placement.schemes import UniformPlacement, ZipfOriginalUniformReplicas
 
 
 DATA = list(range(400))
@@ -101,26 +97,3 @@ class TestUniformPlacement:
         counts = Counter(catalog.original(d) for d in range(8000))
         for disk in range(8):
             assert counts[disk] == pytest.approx(1000, rel=0.2)
-
-
-class TestPackedPlacement:
-    def test_hot_items_share_first_disk(self):
-        catalog = PackedPlacement(replication_factor=1, items_per_disk=100).place(
-            DATA, 10, random.Random(0)
-        )
-        assert all(catalog.original(d) == 0 for d in range(100))
-        assert all(catalog.original(d) == 1 for d in range(100, 200))
-
-    def test_overflow_lands_on_last_disk(self):
-        catalog = PackedPlacement(replication_factor=1, items_per_disk=10).place(
-            DATA, 3, random.Random(0)
-        )
-        assert catalog.original(399) == 2
-
-    def test_replicas_avoid_original(self):
-        catalog = PackedPlacement(replication_factor=3, items_per_disk=50).place(
-            DATA, 12, random.Random(5)
-        )
-        for d in DATA:
-            original = catalog.original(d)
-            assert original not in catalog.replicas(d)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.power.policy import (
     AlwaysOnPolicy,
-    FixedThresholdPolicy,
     ScaledBreakevenPolicy,
     TwoCompetitivePolicy,
 )
@@ -29,21 +28,6 @@ class TestTwoCompetitive:
 class TestAlwaysOn:
     def test_never_times_out(self):
         assert AlwaysOnPolicy().idle_timeout(BARRACUDA) is None
-
-
-class TestFixedThreshold:
-    def test_uses_given_threshold(self):
-        assert FixedThresholdPolicy(12.5).idle_timeout(BARRACUDA) == 12.5
-
-    def test_zero_threshold_allowed(self):
-        assert FixedThresholdPolicy(0.0).idle_timeout(BARRACUDA) == 0.0
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FixedThresholdPolicy(-1.0)
-
-    def test_name_includes_threshold(self):
-        assert "12.5" in FixedThresholdPolicy(12.5).name
 
 
 class TestScaledBreakeven:

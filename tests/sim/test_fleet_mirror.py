@@ -116,9 +116,9 @@ def assert_columns_mirror_disks(view, now):
         disk = view.disk(disk_id)
         # Queue column is P(dk): queued + in service.
         assert fleet.queue[disk_id] == float(disk.queue_length), disk_id
-        # The columns' Eq. 5 term equals the specification on the
-        # disk's live state.
-        assert fleet.energies([disk_id], now) == [
+        # The columns' Eq. 5 term (Eq. 6 with alpha = beta = 1) equals
+        # the specification on the disk's live state.
+        assert fleet.weights([disk_id], now, 1.0, 1.0, 0.0) == [
             energy_cost(disk.state, disk.last_request_time, now, view.profile)
         ], disk_id
         if disk.last_request_time is not None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cost import CostFunction
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.random_scheduler import RandomScheduler
 from repro.core.scheduler import OnlineScheduler
@@ -106,7 +107,9 @@ class TestBatchRuns:
         assert report.response_times[1] == pytest.approx(0.1)
 
     def test_wsc_full_paper_example(self, paper_catalog, batch_requests):
-        scheduler = WSCBatchScheduler(interval=0.1, use_cost_function=False)
+        scheduler = WSCBatchScheduler(
+            interval=0.1, cost_function=CostFunction(alpha=1.0)
+        )
         system = StorageSystem(paper_catalog, scheduler, unit_config(num_disks=4))
         report = system.run(batch_requests)
         assert report.requests_completed == 6

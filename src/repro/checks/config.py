@@ -86,11 +86,14 @@ def matching_domains(name: str) -> Tuple[str, ...]:
     )
 
 
-#: Scheduler base classes and the method each contract requires (RPL004).
-SCHEDULER_CONTRACTS: Dict[str, str] = {
-    "OnlineScheduler": "choose",
-    "BatchScheduler": "choose_batch",
-    "OfflineScheduler": "schedule",
+#: Scheduler base classes and the methods each contract accepts (RPL004):
+#: a subclass must define at least one of them. An online scheduler may
+#: bind a picker or only choose per request (the base bind falls back
+#: to its choose).
+SCHEDULER_CONTRACTS: Dict[str, Tuple[str, ...]] = {
+    "OnlineScheduler": ("bind", "choose"),
+    "BatchScheduler": ("choose_batch",),
+    "OfflineScheduler": ("schedule",),
 }
 
 #: Parameter names treated as frozen ``Request`` instances by the RPL004
@@ -122,7 +125,9 @@ HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "transition",
         "_admit",
         "_dispatch",
-        "_on_arrival",
+        "admit",
+        "cached_arrival",
+        "pick",
         "_fix_head",
         "_service_loop",
     }

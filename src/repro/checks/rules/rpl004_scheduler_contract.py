@@ -5,7 +5,8 @@ Two statically checkable halves of the contract in
 
 * a concrete class deriving directly from ``OnlineScheduler`` /
   ``BatchScheduler`` / ``OfflineScheduler`` must implement that family's
-  decision method (``choose`` / ``choose_batch`` / ``schedule``);
+  decision method (``bind`` or ``choose`` / ``choose_batch`` /
+  ``schedule``);
 * scheduler code must never mutate a :class:`~repro.types.Request` — the
   dataclass is frozen precisely because requests are shared between the
   engine, the assignment, and the report, so the rule flags attribute
@@ -46,13 +47,14 @@ class SchedulerContractRule(Rule):
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
                 for base in contract_bases:
-                    required = SCHEDULER_CONTRACTS[base]
-                    if required not in defined:
+                    accepted = SCHEDULER_CONTRACTS[base]
+                    if defined.isdisjoint(accepted):
+                        wanted = " or ".join(f"{name}()" for name in accepted)
                         yield context.violation(
                             self,
                             node,
                             f"class {node.name} subclasses {base} but does not "
-                            f"implement {required}()",
+                            f"implement {wanted}",
                         )
             if is_scheduler:
                 yield from self._check_request_mutation(context, node)

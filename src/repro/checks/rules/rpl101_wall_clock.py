@@ -20,7 +20,6 @@ it never fires here.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterator, Optional
 
 from repro.checks.analysis.callgraph import (

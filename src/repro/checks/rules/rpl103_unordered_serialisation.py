@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set
 
-from repro.checks.analysis.callgraph import display_function, iter_own_calls
+from repro.checks.analysis.callgraph import display_function
 from repro.checks.analysis.project import ProjectContext
 from repro.checks.analysis.symbols import FunctionNode
 from repro.checks.config import SERIALISATION_FUNCTIONS

@@ -1,11 +1,6 @@
 """The paper's contribution: energy-aware schedulers and their math."""
 
-from repro.core.cost import (
-    PAPER_COST_FUNCTION,
-    CostFunction,
-    energy_cost,
-    performance_cost,
-)
+from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
 from repro.core.covering_scheduler import CoveringSetScheduler
 from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler
@@ -63,7 +58,6 @@ __all__ = [
     "energy_cost",
     "gap_energy",
     "max_request_energy",
-    "performance_cost",
     "saving_value",
     "saving_window",
 ]

@@ -15,6 +15,11 @@ cost the online Heuristic and the WSC batch scheduler minimise. ``alpha``
 trades energy against response time (1 = energy only, 0 = load only);
 ``beta`` converts joules into the unitless load scale. The paper settles
 on ``alpha = 0.2``, ``beta = 100`` (Appendix A.2).
+
+The live copy of Eq. 5/6 is :class:`~repro.core.fleet.FleetCostState`.
+:func:`energy_cost` and :meth:`CostFunction.cost` are the per-disk
+specification the parity tests hold its columns to; no scheduler calls
+them.
 """
 
 from __future__ import annotations
@@ -72,13 +77,6 @@ def energy_cost(
             f"last_request_time {last_request_time} is in the future of {now}"
         )
     return extension * profile.idle_power
-
-
-def performance_cost(queue_length: int) -> float:
-    """Eq. 7 — current number of requests on the disk."""
-    if queue_length < 0:
-        raise ConfigurationError("queue length must be >= 0")
-    return float(queue_length)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ rest of the array sleeps.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ReplicaUnavailableError
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.covering import covering_subset
 from repro.types import DataId, DiskId, Request
@@ -39,23 +38,20 @@ class CoveringSetScheduler(OnlineScheduler):
         self.covering = frozenset(covering_subset(catalog, weights))
         self.cost_function = cost_function or PAPER_COST_FUNCTION
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        # The cheapest live covering replica, or the cheapest live replica
-        # overall when the covering subset holds none of them.
-        locations = view.available_locations(request.data_id)
-        if not locations:
-            raise ReplicaUnavailableError(
-                f"no live replica for data {request.data_id}"
-            )
-        candidates = tuple(filter(self.covering.__contains__, locations))
+    def bind(self, view: SystemView) -> Picker:
+        covers = self.covering.__contains__
         cost_function = self.cost_function
-        return view.fleet.choose(
-            candidates or locations,
-            view.now,
-            cost_function.alpha,
-            cost_function.beta,
-            cost_function.load_weight,
+        cheapest = view.fleet.picker(
+            cost_function.alpha, cost_function.beta, cost_function.load_weight
         )
+
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            # The cheapest live covering replica, or the cheapest live
+            # replica overall when the covering subset holds none of them.
+            covering = tuple(filter(covers, locations))
+            return cheapest(request, covering or locations, now)
+
+        return pick
 
     @property
     def name(self) -> str:

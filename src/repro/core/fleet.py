@@ -1,11 +1,12 @@
 """Columnar fleet-cost state: the live Eq. 5/Eq. 6 scoring path.
 
-The per-arrival choice of the online Heuristic and the per-tick weight
-pass of the WSC batch scheduler score disks with Eq. 5 (marginal
-energy) and Eq. 6 (composite cost). Rather than walking disk objects,
-they read four parallel ``array('d')`` columns (structure-of-arrays)
-and one set that every :class:`~repro.disk.drive.SimulatedDisk` keeps
-current for its own slot:
+This is the one live copy of Eq. 5 (marginal energy) and Eq. 6
+(composite cost). The per-arrival pickers of the online Heuristic, the
+covering-set and the predictive schedulers, and the per-tick weight
+pass of the WSC batch scheduler, all score disks through it. Rather
+than walking disk objects, they read four parallel ``array('d')``
+columns (structure-of-arrays) and one set that every
+:class:`~repro.disk.drive.SimulatedDisk` keeps current for its own slot:
 
 ``pi``
     Idle-power slope in watts: ``profile.idle_power`` while the disk is
@@ -31,7 +32,8 @@ so that for every disk, at every instant::
     C(dk) = E(dk) * alpha / beta + queue * lw   (Eq. 6, lw = 1 - alpha)
 
 **bit-identically** to the reference specification
-(:func:`repro.core.cost.energy_cost`, :meth:`CostFunction.cost`): in
+(:func:`repro.core.cost.energy_cost`, :meth:`CostFunction.cost`, which
+no scheduler calls; the parity tests compare these columns with it): in
 the IDLE branch ``const`` is ``0.0`` and IEEE-754 guarantees
 ``x + 0.0 == x`` for the non-negative products that occur; in every
 other branch ``pi`` is ``0.0`` and the expression collapses to the
@@ -42,11 +44,14 @@ power state to its ``(pi, const)`` pair.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 from repro.power.profile import DiskPowerProfile
 from repro.power.states import DiskPowerState
-from repro.types import DiskId
+from repro.types import DiskId, Request
+
+if TYPE_CHECKING:
+    from repro.core.scheduler import Picker
 
 _IDLE = DiskPowerState.IDLE
 _STANDBY = DiskPowerState.STANDBY
@@ -115,53 +120,49 @@ class FleetCostState:
         self.pi[disk_id] = pi
         self.const[disk_id] = const
 
-    def choose(
-        self,
-        candidates: Sequence[DiskId],
-        now: float,
-        alpha: float,
-        beta: float,
-        load_weight: float,
-    ) -> DiskId:
-        """Cheapest candidate by Eq. 6; ties by queue, then disk id.
+    def picker(self, alpha: float, beta: float, load_weight: float) -> Picker:
+        """The Eq. 6 arg-min over these columns, weights bound in.
 
-        Equal to ``min`` over the ``(CostFunction.cost, queue_length,
-        disk_id)`` key, with the comparisons unrolled so no key tuple is
-        allocated per candidate. ``candidates`` must be non-empty.
+        ``pick(request, candidates, now)`` returns the cheapest of the
+        non-empty ``candidates``; ties by queue, then disk id. That is
+        ``min`` over the ``(CostFunction.cost, queue_length, disk_id)``
+        key, with the comparisons unrolled so no key tuple is allocated
+        per candidate. It is the Heuristic's whole per-arrival decision.
         """
         pi = self.pi
         const = self.const
         tlast = self.tlast
         queue = self.queue
-        best_disk: int = -1
-        best_cost = 0.0
-        best_queue = 0.0
-        for disk_id in candidates:
-            energy = (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
-            queue_length = queue[disk_id]
-            # NOTE: `energy * alpha / beta` in this order, as in
-            # CostFunction.cost(): folding alpha/beta into one factor
-            # rounds differently and would flip near-tie decisions.
-            cost = energy * alpha / beta + queue_length * load_weight
-            if (
-                best_disk < 0
-                or cost < best_cost
-                or (
-                    cost == best_cost
-                    and (
-                        queue_length < best_queue
-                        or (
-                            queue_length == best_queue
-                            and disk_id < best_disk
+
+        def pick(request: Request, candidates: Sequence[DiskId], now: float) -> DiskId:
+            best_disk: int = -1
+            best_cost = 0.0
+            best_queue = 0.0
+            for disk_id in candidates:
+                energy = (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
+                queue_length = queue[disk_id]
+                # NOTE: `energy * alpha / beta` in this order, as in
+                # CostFunction.cost(): folding alpha/beta into one factor
+                # rounds differently and would flip near-tie decisions.
+                cost = energy * alpha / beta + queue_length * load_weight
+                if (
+                    best_disk < 0
+                    or cost < best_cost
+                    or (
+                        cost == best_cost
+                        and (
+                            queue_length < best_queue
+                            or (queue_length == best_queue and disk_id < best_disk)
                         )
                     )
-                )
-            ):
-                best_cost = cost
-                best_queue = queue_length
-                best_disk = disk_id
-        assert best_disk >= 0  # candidates is non-empty
-        return best_disk
+                ):
+                    best_cost = cost
+                    best_queue = queue_length
+                    best_disk = disk_id
+            assert best_disk >= 0  # candidates is non-empty
+            return best_disk
+
+        return pick
 
     def weights(
         self,

@@ -18,16 +18,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ReplicaUnavailableError
-from repro.types import DiskId, Request
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 
 
 class HeuristicScheduler(OnlineScheduler):
     """Cost-function online scheduler.
 
-    Scores the live replicas through the view's fleet cost columns
-    (:meth:`~repro.core.fleet.FleetCostState.choose`).
+    Its picker is the Eq. 6 arg-min over the view's fleet cost columns
+    (:meth:`~repro.core.fleet.FleetCostState.picker`), weights bound in.
 
     Args:
         cost_function: The Eq. 6 instance to minimise; defaults to the
@@ -37,19 +35,10 @@ class HeuristicScheduler(OnlineScheduler):
     def __init__(self, cost_function: Optional[CostFunction] = None):
         self.cost_function = cost_function or PAPER_COST_FUNCTION
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        locations = view.available_locations(request.data_id)
-        if not locations:
-            raise ReplicaUnavailableError(
-                f"no live replica for data {request.data_id}"
-            )
+    def bind(self, view: SystemView) -> Picker:
         cost_function = self.cost_function
-        return view.fleet.choose(
-            locations,
-            view.now,
-            cost_function.alpha,
-            cost_function.beta,
-            cost_function.load_weight,
+        return view.fleet.picker(
+            cost_function.alpha, cost_function.beta, cost_function.load_weight
         )
 
     @property

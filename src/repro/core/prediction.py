@@ -22,16 +22,11 @@ P(d) * (1-alpha)``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from repro.core.cost import (
-    PAPER_COST_FUNCTION,
-    CostFunction,
-    energy_cost,
-    performance_cost,
-)
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ConfigurationError, ReplicaUnavailableError
+from repro.core.cost import PAPER_COST_FUNCTION, CostFunction
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
+from repro.errors import ConfigurationError
 from repro.types import DiskId, Request
 
 
@@ -95,38 +90,35 @@ class PredictiveHeuristicScheduler(OnlineScheduler):
         self.cost_function = cost_function or PAPER_COST_FUNCTION
         self.estimator = InterArrivalEstimator(smoothing=smoothing)
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        profile = view.profile
-        window = profile.breakeven_time
-        alpha = self.cost_function.alpha
-        beta = self.cost_function.beta
-        locations = view.available_locations(request.data_id)
-        if not locations:
-            raise ReplicaUnavailableError(
-                f"no live replica for data {request.data_id}"
-            )
-        best_disk = None
-        best_key = None
-        for disk_id in locations:
-            disk = view.disk(disk_id)
-            energy = energy_cost(
-                disk.state, disk.last_request_time, view.now, profile
-            )
-            # The prediction: a disk that will see traffic within the idle
-            # window anyway costs (almost) nothing extra to touch now.
-            survival = self.estimator.idle_through_window_probability(
-                disk_id, window
-            )
-            discounted = energy * survival
-            load = performance_cost(disk.queue_length)
-            cost = discounted * alpha / beta + load * (1.0 - alpha)
-            key = (cost, disk.queue_length, disk_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_disk = disk_id
-        assert best_disk is not None
-        self.estimator.observe(best_disk, view.now)
-        return best_disk
+    def bind(self, view: SystemView) -> Picker:
+        fleet = view.fleet
+        pi, const, tlast, queue = fleet.pi, fleet.const, fleet.tlast, fleet.queue
+        window = view.profile.breakeven_time
+        cost_function = self.cost_function
+        alpha, beta = cost_function.alpha, cost_function.beta
+        load_weight = cost_function.load_weight
+        survival = self.estimator.idle_through_window_probability
+        observe = self.estimator.observe
+
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            best_disk = -1
+            best_key = None
+            for disk_id in locations:
+                energy = (now - tlast[disk_id]) * pi[disk_id] + const[disk_id]
+                # The prediction: a disk that will see traffic within the
+                # idle window anyway costs (almost) nothing extra to touch
+                # now.
+                discounted = energy * survival(disk_id, window)
+                queue_length = queue[disk_id]
+                cost = discounted * alpha / beta + queue_length * load_weight
+                key = (cost, queue_length, disk_id)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_disk = disk_id
+            observe(best_disk, now)
+            return best_disk
+
+        return pick
 
     @property
     def name(self) -> str:

@@ -10,7 +10,7 @@ Mirrors Table 1 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import PlacementError, SchedulingError

@@ -9,9 +9,9 @@ always-on configuration as replication grows (Fig. 6).
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ReplicaUnavailableError
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.types import DiskId, Request
 
 
@@ -23,13 +23,13 @@ class RandomScheduler(OnlineScheduler):
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        available = view.available_locations(request.data_id)
-        if not available:
-            raise ReplicaUnavailableError(
-                f"no live replica for data {request.data_id}"
-            )
-        return self._rng.choice(available)
+    def bind(self, view: SystemView) -> Picker:
+        choice = self._rng.choice
+
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            return choice(locations)
+
+        return pick
 
     @property
     def name(self) -> str:

@@ -18,14 +18,19 @@ offline scheduler works directly on a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Protocol, Sequence, Tuple
 
 from repro.core.cost import DiskView
 from repro.core.fleet import FleetCostState
 from repro.core.problem import SchedulingProblem
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplicaUnavailableError
 from repro.power.profile import DiskPowerProfile
 from repro.types import Assignment, DataId, DiskId, Request, RequestId
+
+#: An online scheduler's decision, bound once per run:
+#: ``pick(request, live_locations, now)`` returns one of the request's
+#: live locations (or, for an off-loaded write, any disk).
+Picker = Callable[[Request, Sequence[DiskId], float], DiskId]
 
 
 class SystemView(Protocol):
@@ -65,11 +70,37 @@ class Scheduler(ABC):
 
 
 class OnlineScheduler(Scheduler):
-    """Assigns each request to a disk the moment it arrives."""
+    """Assigns each request to a disk the moment it arrives.
 
-    @abstractmethod
+    :meth:`bind` returns the scheduler's picker for one run, which the
+    owner calls on each arrival with the request's (non-empty) live
+    replicas. A subclass defines ``bind``, or only ``choose``: the base
+    ``bind`` then calls that ``choose`` per arrival.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "choose" in vars(cls) and "bind" not in vars(cls):
+            # Its own choose decides, even below a scheduler that binds.
+            cls.bind = OnlineScheduler.bind  # type: ignore[method-assign]
+        if cls.bind is OnlineScheduler.bind and cls.choose is OnlineScheduler.choose:
+            raise TypeError(f"{cls.__name__} defines neither bind() nor choose()")
+
+    def bind(self, view: SystemView) -> Picker:
+        """This scheduler's picker over ``view``, for one run."""
+        choose = self.choose
+        return lambda request, locations, now: choose(request, view)
+
     def choose(self, request: Request, view: SystemView) -> DiskId:
-        """Pick one of the request's data locations."""
+        """One of the request's live locations, picked now.
+
+        Raises:
+            ReplicaUnavailableError: when no replica of its data is live.
+        """
+        locations = view.available_locations(request.data_id)
+        if not locations:
+            raise ReplicaUnavailableError(f"no live replica for data {request.data_id}")
+        return self.bind(view)(request, locations, view.now)
 
 
 class BatchScheduler(Scheduler):

@@ -8,8 +8,9 @@ counts to Static for exactly that reason.
 
 from __future__ import annotations
 
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ReplicaUnavailableError
+from typing import Sequence
+
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.types import DiskId, Request
 
 
@@ -21,13 +22,11 @@ class StaticScheduler(OnlineScheduler):
     minimal deviation that keeps the baseline meaningful.
     """
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        available = view.available_locations(request.data_id)
-        if not available:
-            raise ReplicaUnavailableError(
-                f"no live replica for data {request.data_id}"
-            )
-        return available[0]
+    def bind(self, view: SystemView) -> Picker:
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            return locations[0]
+
+        return pick
 
     @property
     def name(self) -> str:

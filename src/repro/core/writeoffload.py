@@ -22,12 +22,15 @@ can report the reclaim debt.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.core.scheduler import OnlineScheduler, SystemView
-from repro.errors import ReplicaUnavailableError
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.power.states import DiskPowerState
 from repro.types import DiskId, OpKind, Request
+
+#: Where an off-loaded write goes: a spinning disk, else a waking one.
+_SPINNING = frozenset({DiskPowerState.ACTIVE, DiskPowerState.IDLE})
+_WAKING = frozenset({DiskPowerState.SPIN_UP})
 
 
 class WriteOffloadingScheduler(OnlineScheduler):
@@ -45,52 +48,41 @@ class WriteOffloadingScheduler(OnlineScheduler):
         #: Writes that found no spinning disk and woke their home disk.
         self.forced_wakeups: int = 0
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        if request.op is not OpKind.WRITE:
-            return self._read_scheduler.choose(request, view)
-        target = self._pick_spinning_disk(view)
-        if target is None:
-            target = self._pick_waking_disk(view)
-        if target is None:
-            available = view.available_locations(request.data_id)
-            if not available:
-                raise ReplicaUnavailableError(
-                    f"no live replica for data {request.data_id}"
-                )
-            self.forced_wakeups += 1
-            target = available[0]
-        else:
+    def bind(self, view: SystemView) -> Picker:
+        read_pick = self._read_scheduler.bind(view)
+
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            if request.op is not OpKind.WRITE:
+                return read_pick(request, locations, now)
+            target = _least_loaded(view, _SPINNING)
+            if target is None:
+                target = _least_loaded(view, _WAKING)
+            if target is None:
+                self.forced_wakeups += 1
+                return locations[0]
             self.offloaded[target] = self.offloaded.get(target, 0) + 1
-        return target
+            return target
+
+        return pick
 
     @property
     def total_offloaded(self) -> int:
         return sum(self.offloaded.values())
 
-    def _pick_spinning_disk(self, view: SystemView) -> Optional[DiskId]:
-        best = None
-        best_key = None
-        for disk_id in view.disk_ids:
-            disk = view.disk(disk_id)
-            if disk.state.is_spinning:
-                key = (disk.queue_length, disk_id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = disk_id
-        return best
-
-    def _pick_waking_disk(self, view: SystemView) -> Optional[DiskId]:
-        best = None
-        best_key = None
-        for disk_id in view.disk_ids:
-            disk = view.disk(disk_id)
-            if disk.state is DiskPowerState.SPIN_UP:
-                key = (disk.queue_length, disk_id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = disk_id
-        return best
-
     @property
     def name(self) -> str:
         return f"WriteOffload({self._read_scheduler.name})"
+
+
+def _least_loaded(
+    view: SystemView, states: FrozenSet[DiskPowerState]
+) -> Optional[DiskId]:
+    """The least loaded disk in one of ``states`` (ties by id), if any."""
+    best: Optional[Tuple[int, DiskId]] = None
+    for disk_id in view.disk_ids:
+        disk = view.disk(disk_id)
+        if disk.state in states:
+            key = (disk.queue_length, disk_id)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]

@@ -23,8 +23,7 @@ class DiskGeometry:
         rpm: Spindle speed; rotational latency averages half a revolution.
         cylinders: Number of cylinders; seek distance is measured in
             cylinders.
-        capacity_bytes: Addressable capacity; logical block addresses are
-            mapped linearly onto cylinders.
+        capacity_bytes: Addressable capacity.
         max_transfer_rate: Sustained media transfer rate in bytes/second.
         track_to_track_seek: Seconds for a single-cylinder seek.
         full_stroke_seek: Seconds for a full-stroke seek.
@@ -64,20 +63,15 @@ class DiskGeometry:
         """Expected rotational latency (half a revolution)."""
         return self.rotation_time / 2.0
 
-    def cylinder_of(self, lba: int) -> int:
-        """Map a byte offset / LBA onto a cylinder (linear layout)."""
-        if lba < 0:
-            raise ConfigurationError("lba must be >= 0")
-        bytes_per_cylinder = self.capacity_bytes / self.cylinders
-        cylinder = int(lba / bytes_per_cylinder)
-        return min(cylinder, self.cylinders - 1)
-
     def seek_time(self, distance: int) -> float:
         """Seek time in seconds for a cylinder distance.
 
         Uses the standard concave seek curve: a square-root ramp between the
         track-to-track and full-stroke endpoints, which matches measured
-        drives far better than a linear model.
+        drives far better than a linear model. The reference for the curve
+        :meth:`AnalyticServiceModel.service_time
+        <repro.disk.service.AnalyticServiceModel.service_time>` inlines; a
+        parity test holds the two equal.
         """
         if distance < 0:
             raise ConfigurationError("seek distance must be >= 0")

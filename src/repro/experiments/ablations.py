@@ -29,7 +29,7 @@ from repro.core.mwis import MWISOfflineScheduler
 from repro.core.offline import OfflineEvaluator
 from repro.core.prediction import PredictiveHeuristicScheduler
 from repro.core.problem import SchedulingProblem
-from repro.core.scheduler import OnlineScheduler, SystemView
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.core.writeoffload import WriteOffloadingScheduler
 from repro.core.wsc import WSCBatchScheduler
 from repro.errors import ConfigurationError
@@ -115,10 +115,16 @@ class _RecordingScheduler(OnlineScheduler):
         self._inner = inner
         self.chains: Dict[DiskId, List[float]] = {}
 
-    def choose(self, request: Request, view: SystemView) -> DiskId:
-        disk_id = self._inner.choose(request, view)
-        self.chains.setdefault(disk_id, []).append(view.now)
-        return disk_id
+    def bind(self, view: SystemView) -> Picker:
+        inner = self._inner.bind(view)
+        chains = self.chains
+
+        def pick(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            disk_id = inner(request, locations, now)
+            chains.setdefault(disk_id, []).append(now)
+            return disk_id
+
+        return pick
 
     @property
     def name(self) -> str:

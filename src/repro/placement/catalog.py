@@ -8,7 +8,7 @@ scheduler never moves data — it only chooses among existing locations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.types import DataId, DiskId

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.placement.catalog import PlacementCatalog

@@ -32,11 +32,7 @@ from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 from repro.core.cost import CostFunction
 from repro.core.heuristic import HeuristicScheduler
 from repro.core.wsc import WSCBatchScheduler
-from repro.errors import (
-    ConfigurationError,
-    ReplicaUnavailableError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
@@ -449,18 +445,19 @@ class SchedulingService:
         backend = self.backend
         clock = self.clock
         ingress = self._ingress
+        pick = scheduler.bind(backend)
         while True:
             while ingress:
                 pending = ingress.popleft()
                 self._m_queue_depth.set(len(ingress))
                 backend.advance_to(clock.now)
-                try:
-                    disk_id = scheduler.choose(pending.request, backend)
-                except ReplicaUnavailableError:
+                request = pending.request
+                locations = backend.available_locations(request.data_id)
+                if not locations:
                     # Every replica disk died before dispatch.
                     self._shed_unavailable(pending, clock.now)
                     continue
-                self._dispatch_one(pending, disk_id)
+                self._dispatch_one(pending, pick(request, locations, backend.now))
             if self._draining:
                 break
             self._arrived.clear()

@@ -19,12 +19,7 @@ from typing import Optional, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.problem import SchedulingProblem
-from repro.core.scheduler import (
-    BatchScheduler,
-    OfflineScheduler,
-    OnlineScheduler,
-    Scheduler,
-)
+from repro.core.scheduler import OfflineScheduler, Scheduler
 from repro.core.static_scheduler import StaticScheduler
 from repro.errors import SchedulingError
 from repro.placement.catalog import PlacementCatalog

@@ -17,12 +17,12 @@ from __future__ import annotations
 import gc
 import math
 import operator
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
-from repro.core.heuristic import HeuristicScheduler
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
 from repro.errors import PlacementError, SchedulingError, SimulationError
 from repro.placement.catalog import PlacementCatalog
+from repro.power.states import DiskPowerState
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import DiskFleet
@@ -34,6 +34,8 @@ _REQUEST_ORDER = operator.attrgetter("time", "request_id")
 
 #: Response time in seconds charged to a read served from the block cache.
 CACHE_HIT_S = 0.0002
+
+_READ = OpKind.READ
 
 
 class StorageSystem(DiskFleet):
@@ -59,16 +61,18 @@ class StorageSystem(DiskFleet):
             self._metrics.on_lost,
         )
         self._scheduler = scheduler
-        # Narrowed alias: _admit runs per arrival and should not pay an
-        # ABC isinstance check each time.
-        self._online_scheduler: Optional[OnlineScheduler] = (
-            scheduler if isinstance(scheduler, OnlineScheduler) else None
-        )
         self._batch_buffer: List[Request] = []
         self._tick_scheduled = False
         self._offered = 0
         self._ran = False
         self.cache = config.cache_factory() if config.cache_factory else None
+        #: The one admission path: every arrival the cache does not
+        #: serve, and every backoff re-admission.
+        self._admission: Callable[[Request], None] = (
+            self._online_admission(scheduler)
+            if isinstance(scheduler, OnlineScheduler)
+            else self._batch_admission
+        )
 
     # -- driving the run -------------------------------------------------
 
@@ -138,45 +142,40 @@ class StorageSystem(DiskFleet):
     # -- internal event handlers ------------------------------------------
 
     def _arrival_callback(self) -> Callable[[Request], None]:
-        """The per-arrival handler for this run's configuration.
+        """The per-arrival handler: admission, behind the cache's lookup
+        when a cache is configured."""
+        admit = self._admission
+        cache = self.cache
+        if cache is None:
+            return admit
 
-        The general path (:meth:`_on_arrival`) re-checks cache and
-        scheduler kind on every arrival even though both are fixed for
-        the whole run. A Heuristic run with no cache gets a fused
-        closure instead — semantically identical, minus the per-arrival
-        re-dispatch: it gathers placement and scores through the fleet
-        directly, and the chosen disk is one of the request's live
-        replicas by construction, so the dispatch checks of
-        :meth:`DiskFleet.submit` are redundant. Faults need no path of
-        their own: when one of a request's replicas is in the fleet's
-        ``down`` set the closure takes the live ones from
-        :meth:`available_locations`, and a request with none backs off
-        or is lost (its re-admissions go through :meth:`_admit`).
-        """
-        scheduler = self._online_scheduler
-        if self.cache is not None or not isinstance(
-            scheduler, HeuristicScheduler
-        ):
-            return self._on_arrival
+        def cached_arrival(request: Request) -> None:
+            if request.op is _READ and cache.lookup(request.data_id):
+                self._complete_from_cache(request)
+            else:
+                admit(request)
+
+        return cached_arrival
+
+    def _online_admission(self, scheduler: OnlineScheduler) -> Callable[[Request], None]:
+        """One closure admits every request through ``scheduler``'s picker,
+        bound once: live replicas (back off or lose when none is live),
+        pick, the dispatch check, submit, and a read's cache insert."""
+        pick = scheduler.bind(self)
         locations_by_data = self._locations_by_data
         available_locations = self.available_locations
         defer_or_lose = self._defer_or_lose
         down = self.fleet.down
-        disks = self._disks
         engine = self._engine
-        fleet_choose = self.fleet.choose
-        cost_function = scheduler.cost_function
-        alpha = cost_function.alpha
-        beta = cost_function.beta
-        load_weight = cost_function.load_weight
+        deferred = self._deferred
+        cache = self.cache
+        num_disks = len(self._disks)
         # Disk ids are dense (range(num_disks)), so a list of bound
         # submit methods replaces the dict hash + attribute lookup on
         # the hand-off.
-        submit_by_disk = [
-            disks[disk_id].submit for disk_id in range(len(disks))
-        ]
+        submit_by_disk = [self._disks[disk_id].submit for disk_id in range(num_disks)]
 
-        def heuristic_arrival(request: Request) -> None:
+        def admit(request: Request) -> None:
             try:
                 locations = locations_by_data[request.data_id]
             except KeyError:
@@ -186,42 +185,40 @@ class StorageSystem(DiskFleet):
                 if not locations:
                     defer_or_lose(request)
                     return
-            disk_id = fleet_choose(
-                locations, engine._now, alpha, beta, load_weight
-            )
+            disk_id = pick(request, locations, engine._now)
+            # A read must go to one of the live replicas it was handed; an
+            # off-loaded write to any disk, but no negative id may wrap.
+            if request.op is _READ:
+                if disk_id not in locations:
+                    raise SchedulingError(
+                        f"scheduler sent read {request.request_id} to disk {disk_id}, "
+                        f"not a live replica of data {request.data_id}"
+                    )
+            elif not 0 <= disk_id < num_disks:
+                raise SchedulingError(f"scheduler sent write to unknown disk {disk_id}")
             submit_by_disk[disk_id](request)
+            if deferred:
+                deferred.pop(request.request_id, None)
+            if cache is not None and request.op is _READ:
+                cache.insert(request.data_id, disk_id, self._disk_state)
 
-        return heuristic_arrival
+        return admit
 
-    def _on_arrival(self, request: Request) -> None:
-        if (
-            self.cache is not None
-            and request.op is OpKind.READ
-            and self.cache.lookup(request.data_id)
-        ):
-            self._complete_from_cache(request)
-            return
-        self._admit(request)
-
-    def _admit(self, request: Request) -> None:
-        """Hand a (possibly re-admitted) request to the scheduler.
-
-        Requests none of whose replicas are currently servable never
-        reach the scheduler — they back off and retry, or are recorded
-        as lost. Re-admissions skip the cache on purpose: the arrival
-        already consulted it.
-        """
+    def _batch_admission(self, request: Request) -> None:
+        """Queue a request for the next batch tick, unless no replica is
+        live: then it backs off or is lost."""
         if self._faults is not None and not self.available_locations(
             request.data_id
         ):
             self._defer_or_lose(request)
             return
-        online = self._online_scheduler
-        if online is not None:
-            self._dispatch(request, online.choose(request, self))
-        else:
-            self._batch_buffer.append(request)
-            self._ensure_tick()
+        self._batch_buffer.append(request)
+        self._ensure_tick()
+
+    def _admit(self, request: Request) -> None:
+        """Re-admit a request whose backoff expired. It skips the cache
+        on purpose: its arrival already consulted it."""
+        self._admission(request)
 
     def _ensure_tick(self) -> None:
         if self._tick_scheduled:
@@ -260,13 +257,16 @@ class StorageSystem(DiskFleet):
             self._dispatch(request, disk_id)
 
     def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        # Per dispatched request: the direct base call skips building a
-        # super() proxy each time.
+        """A batch tick's or a failover's dispatch; a read's home disk
+        enters the cache."""
+        # The direct base call skips building a super() proxy each time.
         DiskFleet._dispatch(self, request, disk_id)
-        if self.cache is not None and request.op is OpKind.READ:
-            self.cache.insert(
-                request.data_id, disk_id, lambda d: self._disks[d].state
-            )
+        if self.cache is not None and request.op is _READ:
+            self.cache.insert(request.data_id, disk_id, self._disk_state)
+
+    def _disk_state(self, disk_id: DiskId) -> DiskPowerState:
+        """The cache's eviction probe."""
+        return self._disks[disk_id].state
 
     def _complete_from_cache(self, request: Request) -> None:
         """Serve a read from the cache: no disk is touched."""

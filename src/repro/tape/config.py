@@ -11,7 +11,6 @@ run byte-identical — the tier axis is strictly additive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.tape.profile import LTO_GEN8, TapePowerProfile

@@ -7,8 +7,8 @@ clock. Per arrival it routes by data-id temperature:
 
 * **hot** ids (an LRU set of the most popular ids, capacity
   ``ceil(hot_fraction × num_ids)``) go to the disk tier through the
-  exact same admission path a disk-only run uses — scheduler choice,
-  placement checks, fused fast paths and all;
+  exact same admission closure a disk-only run uses — cache, scheduler
+  pick and dispatch checks all;
 * **cold** ids go to the tape drive holding their cartridge, at the
   position assigned by the popularity-ranked
   :class:`~repro.tape.layout.TapeLayout`.
@@ -43,7 +43,6 @@ from repro.report import SimulationReport, TapeTierReport
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.storage import StorageSystem
-from repro.tape.config import TierConfig
 from repro.tape.drive import TapeDrive
 from repro.tape.layout import TapeLayout
 from repro.tape.sequencer import make_sequencer
@@ -68,8 +67,8 @@ class TieredStorageSystem(StorageSystem):
             )
         super().__init__(catalog, scheduler, config)
         self._tier = tier
-        # Hot ids take the disk-only admission path, fused fast path and
-        # all, so the disk tier behaves byte-identically to a disk-only run.
+        # Hot ids take the disk-only arrival handler, so the disk tier
+        # behaves byte-identically to a disk-only run.
         self._disk_admit = super()._arrival_callback()
         #: Live tape metrics (per-request seek distance and energy
         #: histograms) — the drives' window into repro.sim.metrics.

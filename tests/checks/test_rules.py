@@ -225,6 +225,14 @@ class FineScheduler(OnlineScheduler):
         return min(view.locations(request.data_id))
 """
 
+RPL004_PASS_BIND = """
+class BoundScheduler(OnlineScheduler):
+    def bind(self, view):
+        def pick(request, locations, now):
+            return locations[0]
+        return pick
+"""
+
 RPL004_PASS_ABSTRACT = """
 from abc import abstractmethod
 
@@ -236,7 +244,7 @@ class StillAbstract(OnlineScheduler):
 
 def test_rpl004_flags_missing_family_method():
     violations = [v for v in lint(RPL004_FAIL_MISSING_METHOD) if v.code == "RPL004"]
-    assert violations and "choose" in violations[0].message
+    assert violations and "bind() or choose()" in violations[0].message
 
 
 def test_rpl004_flags_request_mutation():
@@ -250,6 +258,10 @@ def test_rpl004_flags_object_setattr_bypass():
 
 def test_rpl004_accepts_conforming_scheduler():
     assert "RPL004" not in codes(RPL004_PASS)
+
+
+def test_rpl004_accepts_bind_only_online_scheduler():
+    assert "RPL004" not in codes(RPL004_PASS_BIND)
 
 
 def test_rpl004_skips_abstract_intermediates():

@@ -1,13 +1,8 @@
-"""Tests for the Eq. 5/6/7 cost functions."""
+"""Tests for the Eq. 5/6/7 cost specification."""
 
 import pytest
 
-from repro.core.cost import (
-    PAPER_COST_FUNCTION,
-    CostFunction,
-    energy_cost,
-    performance_cost,
-)
+from repro.core.cost import PAPER_COST_FUNCTION, CostFunction, energy_cost
 from repro.errors import ConfigurationError
 from repro.power.profile import BARRACUDA, PAPER_EVAL
 from repro.power.states import DiskPowerState
@@ -71,15 +66,6 @@ class TestEnergyCost:
         assert idle == pytest.approx(threshold * PAPER_EVAL.idle_power)
 
 
-class TestPerformanceCost:
-    def test_equals_queue_length(self):
-        assert performance_cost(3) == 3.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            performance_cost(-1)
-
-
 class TestCostFunction:
     def test_alpha_one_is_pure_energy(self):
         cost = CostFunction(alpha=1.0, beta=1.0)
@@ -99,6 +85,11 @@ class TestCostFunction:
         assert small_beta.cost(standby, 0.0, BARRACUDA) > large_beta.cost(
             standby, 0.0, BARRACUDA
         )
+
+    def test_negative_queue_rejected(self):
+        standby = FakeDisk(DiskPowerState.STANDBY, queue_length=-1)
+        with pytest.raises(ConfigurationError):
+            PAPER_COST_FUNCTION.cost(standby, 10.0, BARRACUDA)
 
     def test_paper_configuration(self):
         assert PAPER_COST_FUNCTION.alpha == 0.2

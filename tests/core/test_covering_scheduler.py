@@ -1,10 +1,7 @@
 """Tests for covering subsets and the covering-set scheduler."""
 
-import pytest
-
 from repro.core.covering_scheduler import CoveringSetScheduler
 from repro.core.fleet import FleetCostState
-from repro.errors import PlacementError
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.covering import covering_subset
 from repro.power.profile import PAPER_EVAL

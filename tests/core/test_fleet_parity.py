@@ -19,6 +19,7 @@ from repro.core.cost import CostFunction, energy_cost
 from repro.core.fleet import FleetCostState
 from repro.power.profile import PAPER_EVAL
 from repro.power.states import DiskPowerState
+from repro.types import Request
 
 NOW = 100.0
 
@@ -94,7 +95,7 @@ def _args(
 @settings(max_examples=200, deadline=None)
 @given(fleet_instances())
 def test_choose_parity_including_ties(instance: Instance) -> None:
-    """``choose`` is the arg-min of Eq. 6 under the (cost, queue, id) key."""
+    """The Eq. 6 picker is the arg-min under the (cost, queue, id) key."""
     disks, candidates, cost_function = instance
     expected = min(
         candidates,
@@ -104,8 +105,10 @@ def test_choose_parity_including_ties(instance: Instance) -> None:
             disk_id,
         ),
     )
-    fleet = _fleet(disks)
-    assert fleet.choose(*_args(candidates, cost_function)) == expected
+    pick = _fleet(disks).picker(
+        cost_function.alpha, cost_function.beta, cost_function.load_weight
+    )
+    assert pick(Request(time=NOW, request_id=0, data_id=0), candidates, NOW) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,5 @@
 """Tests for the energy-aware online Heuristic (Section 3.3)."""
 
-import pytest
-
 from repro.core.cost import CostFunction
 from repro.core.fleet import FleetCostState
 from repro.core.heuristic import HeuristicScheduler

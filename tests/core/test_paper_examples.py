@@ -15,9 +15,6 @@ import pytest
 
 from repro.core.mwis import MWISOfflineScheduler
 from repro.core.offline import OfflineEvaluator, chain_energies
-from repro.core.problem import SchedulingProblem
-from repro.core.saving import SavingTerm
-from repro.power.profile import PAPER_UNIT
 from repro.types import Assignment
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cost import CostFunction
+from repro.core.fleet import FleetCostState
 from repro.core.prediction import (
     InterArrivalEstimator,
     PredictiveHeuristicScheduler,
@@ -34,6 +35,17 @@ class FakeView:
 
     def disk(self, disk_id):
         return self._disks[disk_id]
+
+    @property
+    def fleet(self):
+        """The fake disks as Eq. 5/6 columns, via the library encoder."""
+        fleet = FleetCostState(max(self._disks) + 1, self.profile)
+        for disk_id, disk in self._disks.items():
+            fleet.encode(disk_id, disk.state, disk.last_request_time)
+            if disk.last_request_time is not None:
+                fleet.tlast[disk_id] = disk.last_request_time
+            fleet.queue[disk_id] = disk.queue_length
+        return fleet
 
     def available_locations(self, data_id):
         return self._catalog.locations(data_id)

@@ -1,11 +1,12 @@
-"""Tests for the Random and Static baselines and the scheduler factory."""
+"""Tests for the online scheduler contract, the Random and Static
+baselines and the scheduler factory."""
 
 import pytest
 
 from repro.core.random_scheduler import RandomScheduler
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import OnlineScheduler, Scheduler
 from repro.core.static_scheduler import StaticScheduler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplicaUnavailableError
 from repro.experiments.harness import SCHEDULER_KEYS, cell_spec, make_scheduler
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_EVAL
@@ -37,6 +38,46 @@ def view():
 
 def req(data_id=0):
     return Request(time=0.0, request_id=0, data_id=data_id)
+
+
+class TestOnlineContract:
+    def test_neither_bind_nor_choose_rejected_at_definition(self):
+        with pytest.raises(TypeError, match="neither bind"):
+
+            class Undecided(OnlineScheduler):
+                pass
+
+    def test_choose_runs_the_bound_picker_on_live_replicas(self, view):
+        seen = []
+
+        class Last(OnlineScheduler):
+            def bind(self, view):
+                def pick(request, locations, now):
+                    seen.append((tuple(locations), now))
+                    return locations[-1]
+
+                return pick
+
+        view.now = 7.0
+        assert Last().choose(req(), view) == 4
+        assert seen == [((3, 1, 4), 7.0)]
+
+    def test_choose_without_live_replica_raises(self):
+        class NoneLive(FakeView):
+            def available_locations(self, data_id):
+                return ()
+
+        view = NoneLive(PlacementCatalog({0: [3]}))
+        with pytest.raises(ReplicaUnavailableError):
+            StaticScheduler().choose(req(), view)
+
+    def test_choose_override_wins_over_an_inherited_bind(self, view):
+        class Contrarian(StaticScheduler):
+            def choose(self, request, view):
+                return 1
+
+        pick = Contrarian().bind(view)
+        assert pick(req(), (3, 1, 4), 0.0) == 1
 
 
 class TestStatic:

@@ -1,8 +1,5 @@
 """Property-based tests of the WSC batch scheduler (Theorem 2 claims)."""
 
-from typing import Dict
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -56,19 +56,6 @@ class TestSeekCurve:
             CHEETAH_15K5_GEOMETRY.seek_time(-1)
 
 
-class TestMapping:
-    def test_cylinder_of_start(self):
-        assert CHEETAH_15K5_GEOMETRY.cylinder_of(0) == 0
-
-    def test_cylinder_of_end_clamped(self):
-        geometry = CHEETAH_15K5_GEOMETRY
-        assert geometry.cylinder_of(geometry.capacity_bytes) == geometry.cylinders - 1
-
-    def test_negative_lba_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CHEETAH_15K5_GEOMETRY.cylinder_of(-1)
-
-
 class TestTransfer:
     def test_transfer_scales_linearly(self):
         geometry = CHEETAH_15K5_GEOMETRY

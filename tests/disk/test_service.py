@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.disk.geometry import CHEETAH_15K5_GEOMETRY
+from repro.disk.geometry import BARRACUDA_GEOMETRY, CHEETAH_15K5_GEOMETRY
 from repro.disk.service import AnalyticServiceModel, ConstantServiceModel
 from repro.errors import ConfigurationError
 from repro.types import Request
@@ -53,6 +53,30 @@ class TestAnalyticModel:
         assert mean == pytest.approx(
             model.expected_service_time(512 * 1024), rel=0.05
         )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        size=st.integers(min_value=1, max_value=10**8),
+        geometry=st.sampled_from([CHEETAH_15K5_GEOMETRY, BARRACUDA_GEOMETRY]),
+    )
+    def test_inlined_draw_matches_the_geometry_reference(self, seed, size, geometry):
+        """``service_time`` equals ``seek_time(d) + rotation + transfer +
+        overhead``, with ``d`` and the rotation re-drawn from a clone of
+        the same RNG."""
+        rng = random.Random(seed)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        drawn = AnalyticServiceModel(geometry).service_time(make_request(size), rng)
+        distance = clone.randrange(geometry.cylinders)
+        rotation = clone.random() * geometry.rotation_time
+        expected = (
+            geometry.seek_time(distance)
+            + rotation
+            + geometry.transfer_time(size)
+            + geometry.controller_overhead
+        )
+        assert drawn == expected
+        assert rng.getstate() == clone.getstate()
 
     @given(size=st.integers(min_value=1, max_value=10**8))
     def test_always_positive(self, size):

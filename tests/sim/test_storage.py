@@ -4,18 +4,18 @@ import pytest
 
 from repro.core.cost import CostFunction
 from repro.core.heuristic import HeuristicScheduler
-from repro.core.random_scheduler import RandomScheduler
 from repro.core.scheduler import OnlineScheduler
 from repro.core.static_scheduler import StaticScheduler
 from repro.core.wsc import WSCBatchScheduler
 from repro.core.mwis import MWISOfflineScheduler
 from repro.disk.service import ConstantServiceModel
 from repro.errors import SchedulingError, SimulationError
+from repro.faults import FaultPlan, ScriptedFault
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import PAPER_UNIT
 from repro.sim.config import SimulationConfig
 from repro.sim.storage import StorageSystem
-from repro.types import DiskId, Request
+from repro.types import DiskId, OpKind, Request
 
 
 def unit_config(num_disks=3, **kwargs):
@@ -73,10 +73,34 @@ class TestOnlineRuns:
         system = StorageSystem(catalog, RogueScheduler(), unit_config())
         # The engine wraps callback failures with event context but keeps
         # the scheduling error as the cause chain.
-        with pytest.raises(SimulationError, match="does not hold") as excinfo:
+        with pytest.raises(SimulationError, match="not a live replica") as excinfo:
             system.run(make_requests([0.0]))
         assert isinstance(excinfo.value.__cause__, SchedulingError)
         assert "t=0" in str(excinfo.value)
+
+    def test_read_to_a_down_replica_caught(self):
+        class FirstReplica(OnlineScheduler):
+            def choose(self, request, view) -> DiskId:
+                return view.locations(request.data_id)[0]  # ignores liveness
+
+        catalog = PlacementCatalog({0: [0, 1]})
+        plan = FaultPlan(seed=0, scripted=(ScriptedFault(disk_id=0, at_s=0.0),))
+        system = StorageSystem(catalog, FirstReplica(), unit_config(fault_plan=plan))
+        with pytest.raises(SimulationError, match="not a live replica") as excinfo:
+            system.run(make_requests([1.0]))
+        assert isinstance(excinfo.value.__cause__, SchedulingError)
+
+    def test_write_to_a_negative_disk_caught(self):
+        class Underflow(OnlineScheduler):
+            def choose(self, request, view) -> DiskId:
+                return -1  # would index the last disk if it wrapped
+
+        catalog = PlacementCatalog({0: [0, 1]})
+        system = StorageSystem(catalog, Underflow(), unit_config())
+        write = Request(time=0.0, request_id=0, data_id=0, op=OpKind.WRITE)
+        with pytest.raises(SimulationError, match="unknown disk -1") as excinfo:
+            system.run([write])
+        assert isinstance(excinfo.value.__cause__, SchedulingError)
 
     def test_empty_request_stream(self):
         catalog = PlacementCatalog({0: [0]})

@@ -7,7 +7,7 @@ fall (requests concentrate on already-spinning disks); MWIS is lowest.
 
 import pytest
 
-from repro.experiments import common, figures
+from repro.experiments import figures
 from repro.experiments.common import SCHEDULER_LABELS
 
 

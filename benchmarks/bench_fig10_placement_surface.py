@@ -8,7 +8,6 @@ as replication grows.
 """
 
 from repro.experiments import figures
-from repro.experiments.common import SCHEDULER_LABELS
 
 
 def test_fig10_energy_surface(benchmark, show):

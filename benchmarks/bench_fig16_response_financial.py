@@ -5,7 +5,7 @@ roughly 3x lower because Financial1's arrivals are far less bursty
 (Appendix A.4 attributes Cello's ~1 s means entirely to burstiness).
 """
 
-from repro.experiments import common, figures
+from repro.experiments import figures
 from repro.experiments.common import SCHEDULER_LABELS
 
 

@@ -129,13 +129,16 @@ HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "cached_arrival",
         "pick",
         "_fix_head",
-        "_service_loop",
+        "advance",
+        "catch_up",
+        "_serve",
+        "_advance_due",
     }
 )
 
 #: Path fragments (``/``-separated) selecting the modules RPL007 scans:
-#: the simulation core and the scheduler layer.
-HOT_PATH_PARTS: Tuple[str, ...] = ("repro/sim", "repro/core")
+#: the simulation core, the disks and the scheduler layer.
+HOT_PATH_PARTS: Tuple[str, ...] = ("repro/sim", "repro/disk", "repro/core")
 
 #: Module-name prefixes rooting the determinism scope (RPL101/RPL102): the
 #: packages whose dispatch paths must be byte-identically replayable.

@@ -4,8 +4,8 @@ This is the one live copy of Eq. 5 (marginal energy) and Eq. 6
 (composite cost). The per-arrival pickers of the online Heuristic, the
 covering-set and the predictive schedulers, and the per-tick weight
 pass of the WSC batch scheduler, all score disks through it. Rather
-than walking disk objects, they read four parallel ``array('d')``
-columns (structure-of-arrays) and one set that every
+than walking disk objects, they read parallel float columns
+(structure-of-arrays) and one set that every
 :class:`~repro.disk.drive.SimulatedDisk` keeps current for its own slot:
 
 ``pi``
@@ -19,6 +19,12 @@ columns (structure-of-arrays) and one set that every
     ``pi == 0`` — until the disk first receives a request.
 ``queue``
     ``P(dk)`` of Eq. 7: queued requests plus the one in service.
+``due``
+    The instant (seconds) of the disk's next completion, idle timeout
+    or spin-down end, ``inf`` when none is pending. The disks are lazy
+    (:mod:`repro.disk.drive`): the other columns are current only for a
+    disk whose ``due`` is after the reader's instant, so a reader first
+    walks each disk it is about to read that is due by then.
 ``down``
     The ids of the disks that cannot serve a request now (transiently
     down or permanently failed); empty unless a fault struck. Only
@@ -37,14 +43,15 @@ no scheduler calls; the parity tests compare these columns with it): in
 the IDLE branch ``const`` is ``0.0`` and IEEE-754 guarantees
 ``x + 0.0 == x`` for the non-negative products that occur; in every
 other branch ``pi`` is ``0.0`` and the expression collapses to the
-constant. :meth:`FleetCostState.encode` is the one place that maps a
-power state to its ``(pi, const)`` pair.
+constant. :attr:`FleetCostState.terms` is the one map from a power
+state to its ``(pi, const)`` pair; :meth:`FleetCostState.encode` and the
+disks' transitions write the columns from it.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from math import inf
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.power.profile import DiskPowerProfile
 from repro.power.states import DiskPowerState
@@ -75,9 +82,11 @@ class FleetCostState:
         "const",
         "tlast",
         "queue",
+        "due",
         "down",
         "idle_power",
         "standby_marginal",
+        "terms",
     )
 
     def __init__(self, num_disks: int, profile: DiskPowerProfile):
@@ -90,11 +99,20 @@ class FleetCostState:
             profile.transition_energy
             + profile.breakeven_time * profile.idle_power
         )
-        zeros = bytes(8 * num_disks)
-        self.pi = array("d", zeros)
-        self.const = array("d", zeros)
-        self.tlast = array("d", zeros)
-        self.queue = array("d", zeros)
+        #: ``(pi, const)`` per power state of a disk that has received
+        #: a request: :meth:`encode`'s table, one lookup per transition.
+        self.terms: Dict[DiskPowerState, Tuple[float, float]] = {
+            state: (0.0, 0.0) for state in DiskPowerState
+        }
+        self.terms[_IDLE] = (self.idle_power, 0.0)
+        self.terms[_STANDBY] = self.terms[_SPIN_DOWN] = (0.0, self.standby_marginal)
+        # Lists, not arrays: a picker reads each column per candidate,
+        # and a list item comes back without a float allocation.
+        self.pi: List[float] = [0.0] * num_disks
+        self.const: List[float] = [0.0] * num_disks
+        self.tlast: List[float] = [0.0] * num_disks
+        self.queue: List[float] = [0.0] * num_disks
+        self.due: List[float] = [inf] * num_disks
         self.down: Set[DiskId] = set()
 
     def encode(
@@ -110,13 +128,9 @@ class FleetCostState:
         spinning-down one costs the full wake-up, and an idle one pays
         its idle extension — nothing until it has seen a request.
         """
-        pi = 0.0  # ACTIVE / SPIN_UP
-        const = 0.0
-        if state is _IDLE:
-            if last_request_time is not None:
-                pi = self.idle_power
-        elif state is _STANDBY or state is _SPIN_DOWN:
-            const = self.standby_marginal
+        pi, const = self.terms[state]
+        if last_request_time is None:
+            pi = 0.0
         self.pi[disk_id] = pi
         self.const[disk_id] = const
 

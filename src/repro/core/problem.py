@@ -11,7 +11,7 @@ Mirrors Table 1 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import PlacementError, SchedulingError
 from repro.placement.catalog import PlacementCatalog
@@ -100,7 +100,3 @@ class SchedulingProblem:
                     f"but its data {request.data_id} lives on "
                     f"{self.locations_of(request)}"
                 )
-
-    def used_disks(self, assignment: Assignment) -> List[DiskId]:
-        """Sorted disks that service at least one request."""
-        return sorted(assignment.chains())

@@ -5,23 +5,30 @@ gap under a fixed-threshold power manager (Lemma 1, Eq. 3), and judges
 2CPM against an omniscient policy (Irani et al.). :func:`fill_timeline`
 is that walk: a disk's sorted arrival times, a horizon and a
 :class:`GapRule` fill a :class:`~repro.power.ledger.StateLedger` with
-state times and spin counts. Service takes no time here. Every rule
-shares the chain's ends: the lead-in spins up to end exactly at the first
-arrival (cut short at t=0), and the tail idles the rule's threshold,
-spins down and sleeps to the horizon, never spinning up again.
+state times and spin counts.
 
-Both rules know when the next request comes, so the disk spins up in
-advance and no request waits. That is the paper's offline model, not the
-simulator's reactive 2CPM: ``disk/drive.py`` spins down after ``TB`` of
-idleness whatever comes next, and a request that finds the disk asleep
-waits for the spin-up.
+Two rules know when the next request comes, so the disk spins up in
+advance, no request waits and service takes no time. They share the
+chain's ends: the lead-in spins up to end exactly at the first arrival
+(cut short at t=0), and the tail idles the rule's threshold, spins down
+and sleeps to the horizon, never spinning up again. That is the paper's
+offline model.
+
+The third, :attr:`GapRule.REACTIVE`, is the simulator's: FIFO service
+with the chain's own service times, a spin-up on the arrival that finds
+the disk asleep (after the spin-down it interrupts, which is not
+abortable), and a spin-down ``TB`` after the last completion unless an
+arrival comes first. Where an arrival and a transition share an
+instant, the arrival comes first. It is a derivation independent of
+``disk/drive.py``, so a simulated disk's ledger can be checked against
+it.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.power.breakeven import breakeven_time_with_standby
@@ -32,6 +39,7 @@ from repro.power.states import DiskPowerState
 _STANDBY = DiskPowerState.STANDBY
 _SPIN_UP = DiskPowerState.SPIN_UP
 _IDLE = DiskPowerState.IDLE
+_ACTIVE = DiskPowerState.ACTIVE
 _SPIN_DOWN = DiskPowerState.SPIN_DOWN
 
 
@@ -49,15 +57,24 @@ class GapRule(Enum):
     #: The omniscient yardstick of 2CPM: sleep at once iff a full spin
     #: cycle fits and sleeping costs no more than idling the gap out.
     OMNISCIENT = "omniscient"
+    #: The simulator's reactive 2CPM with FIFO service: idle ``TB`` after
+    #: the last completion, then sleep; the next arrival waits for the
+    #: spin-up. Its gaps run from a completion, and it sleeps through
+    #: one only when it is longer than ``TB``.
+    REACTIVE = "reactive"
 
     def threshold(self, profile: DiskPowerProfile) -> float:
         """Idle seconds before a spin-down (in a gap and in the tail)."""
-        return profile.breakeven_time if self is GapRule.PRE_SPUN else 0.0
+        if self is GapRule.OMNISCIENT:
+            return 0.0
+        return profile.breakeven_time
 
     def window(self, profile: DiskPowerProfile) -> float:
         """Shortest gap, in seconds, the disk sleeps through."""
         if self is GapRule.PRE_SPUN:
             return profile.breakeven_time + profile.transition_time
+        if self is GapRule.REACTIVE:
+            return profile.breakeven_time
         if profile.idle_power <= profile.standby_power:
             return math.inf
         return max(
@@ -77,23 +94,33 @@ def fill_timeline(
     arrival_times: Sequence[float],
     horizon: float,
     rule: GapRule,
-) -> None:
+    service_times: Optional[Sequence[float]] = None,
+) -> List[float]:
     """Credit one disk's timeline over ``[0, horizon]`` seconds to
-    ``ledger`` (fresh) and close it.
+    ``ledger`` (fresh), close it, and return each request's completion
+    instant in chain order (only those at or before the horizon).
 
-    A chain with no arrivals sleeps throughout. The state-time sums are
+    A chain with no arrivals sleeps throughout. Under the two offline
+    rules a request completes on arrival, and the state-time sums are
     float-for-float those the offline evaluator has always produced, so
-    its reports and digests do not move.
+    its reports and digests do not move. :attr:`GapRule.REACTIVE` takes
+    each request's service seconds from ``service_times`` (none: every
+    service takes no time).
 
     Raises:
-        ConfigurationError: if the arrival times are not sorted or the
-            horizon precedes the last arrival.
+        ConfigurationError: if the arrival times are not sorted, the
+            horizon precedes the last arrival, or the service times do
+            not match the chain.
     """
+    if rule is GapRule.REACTIVE:
+        if service_times is None:
+            service_times = [0.0] * len(arrival_times)
+        return _fill_reactive(ledger, profile, arrival_times, service_times, horizon)
     state_time = ledger.state_time
     if not arrival_times:
         state_time[_STANDBY] += horizon
         ledger.mark_closed()
-        return
+        return []
     last = arrival_times[-1]
     if horizon < last:
         raise ConfigurationError("horizon precedes the last arrival")
@@ -129,6 +156,71 @@ def fill_timeline(
     ledger.downs += 1 + cycles
     ledger.requests_serviced += len(arrival_times)
     ledger.mark_closed()
+    return list(arrival_times)
+
+
+def _fill_reactive(
+    ledger: StateLedger[DiskPowerState],
+    profile: DiskPowerProfile,
+    arrival_times: Sequence[float],
+    service_times: Sequence[float],
+    horizon: float,
+) -> List[float]:
+    """The :attr:`GapRule.REACTIVE` walk, from STANDBY at t=0.
+
+    It moves the ledger through the same transitions at the same
+    instants as a simulated disk, so the state-time sums agree float
+    for float. A transition after the horizon is not taken.
+    """
+    if len(service_times) != len(arrival_times):
+        raise ConfigurationError("one service time per arrival")
+    if arrival_times and horizon < arrival_times[-1]:
+        raise ConfigurationError("horizon precedes the last arrival")
+    threshold = profile.breakeven_time
+    spin_up = profile.spin_up_time
+    spin_down = profile.spin_down_time
+
+    def enter(state: DiskPowerState, at: float) -> bool:
+        if at > horizon:
+            return False
+        ledger.transition(state, at)
+        return True
+
+    completions: List[float] = []
+    previous = -math.inf
+    done: Optional[float] = None  # last completion; None while asleep
+    for arrival, service in zip(arrival_times, service_times):
+        if arrival < previous:
+            raise ConfigurationError("arrival times must be sorted")
+        previous = arrival
+        if done is not None and arrival <= done:
+            start = done  # queued behind the request in service
+        elif done is not None and arrival <= done + threshold:
+            enter(_IDLE, done)  # idle until the arrival
+            enter(_ACTIVE, arrival)
+            start = arrival
+        else:
+            if done is None:
+                wake = arrival  # asleep since t=0
+            else:
+                enter(_IDLE, done)
+                asleep = done + threshold + spin_down
+                enter(_SPIN_DOWN, done + threshold)
+                enter(_STANDBY, asleep)
+                wake = max(arrival, asleep)
+            start = wake + spin_up
+            enter(_SPIN_UP, wake)
+            enter(_IDLE, start)
+            enter(_ACTIVE, start)
+        done = start + service
+        if done <= horizon:
+            completions.append(done)
+    if done is not None and enter(_IDLE, done):
+        if enter(_SPIN_DOWN, done + threshold):
+            enter(_STANDBY, done + threshold + spin_down)
+    ledger.requests_serviced += len(completions)
+    ledger.finalize(horizon)
+    return completions
 
 
 def disk_timeline(

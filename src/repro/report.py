@@ -13,12 +13,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.disk.stats import DiskStats
 from repro.errors import SimulationError
 from repro.power.states import DiskPowerState
-from repro.types import DiskId, Request, RequestId
+from repro.types import CompletionRecord, DiskId, Request, RequestId
 
 
 class MetricsCollector:
@@ -26,36 +26,67 @@ class MetricsCollector:
 
     The completion callback runs once per serviced request on the
     simulation hot path, so it does the minimum: one tuple append into a
-    completion log. Response times and the per-request completion map
-    are derived views built on access (each consumed at most once per
-    run, by the report builder and by tests respectively).
+    completion log. Disks report their completions lazily, each disk in
+    its own order, so the log is sorted into global completion order when
+    it is read: by completion instant, then service start instant, then
+    start stamp (the order in which services began). Response times and
+    the per-request completion map are derived views built on access
+    (each consumed at most once per run, by the report builder and by
+    tests respectively).
     """
 
-    __slots__ = ("_log", "_completions_map", "_completions_len", "_lost")
+    __slots__ = (
+        "_log",
+        "record",
+        "_sorted_len",
+        "_completions_map",
+        "_completions_len",
+        "_lost",
+    )
 
     def __init__(self) -> None:
-        # (request_id, disk_id, completion time, response time) per
-        # completion, in completion order.
-        self._log: List[Tuple[RequestId, DiskId, float, float]] = []
+        # One record per completion; sorted on read.
+        self._log: List[CompletionRecord] = []
+        #: A disk's completion callback: stores its record as it is.
+        self.record: Callable[[CompletionRecord], None] = self._log.append
+        self._sorted_len = 0
         self._completions_map: Optional[
             Dict[RequestId, Tuple[DiskId, float]]
         ] = None
         self._completions_len = 0
         self._lost: List[RequestId] = []
 
-    def on_complete(self, request: Request, disk_id: DiskId, now: float) -> None:
-        """Record one completion (response time = now - arrival)."""
-        response = now - request.time
-        if response < 0:
+    def on_complete(
+        self,
+        request: Request,
+        disk_id: DiskId,
+        now: float,
+        started: Optional[float] = None,
+        stamp: int = 0,
+    ) -> None:
+        """Record one completion at ``now`` (response time = now -
+        arrival) of a service that started at ``started`` (default
+        ``now``) under ``stamp``: the checked form of :attr:`record`."""
+        if now < request.time:
             raise SimulationError(
                 f"request {request.request_id} completed before it arrived"
             )
-        self._log.append((request.request_id, disk_id, now, response))
+        self._log.append(
+            (now, now if started is None else started, stamp, request, disk_id)
+        )
+
+    def _ordered(self) -> List[CompletionRecord]:
+        """The log in global completion order."""
+        log = self._log
+        if self._sorted_len != len(log):
+            log.sort()
+            self._sorted_len = len(log)
+        return log
 
     @property
     def response_times(self) -> List[float]:
         """Per-request response times in seconds, completion order."""
-        return [entry[3] for entry in self._log]
+        return [entry[0] - entry[3].time for entry in self._ordered()]
 
     @property
     def completed(self) -> int:
@@ -86,7 +117,8 @@ class MetricsCollector:
             or self._completions_len != len(self._log)
         ):
             self._completions_map = {
-                entry[0]: (entry[1], entry[2]) for entry in self._log
+                entry[3].request_id: (entry[4], entry[0])
+                for entry in self._ordered()
             }
             self._completions_len = len(self._log)
         return self._completions_map
@@ -235,14 +267,16 @@ class SimulationReport:
         duration: Simulated seconds covered (trace span + drain time).
         total_energy: Joules summed over all disks.
         disk_stats: Final per-disk ledgers (state time, spin counts).
-        response_times: Per-request response times, arrival order.
+        response_times: Per-request response times, completion order.
         requests_offered: Requests fed into the system.
         requests_completed: Requests whose I/O finished before the end.
         cache_hits / cache_misses: Block-cache counters (0 = no cache).
-        events_processed: Simulator events fired during the run. A
-            cancelled timer never fires, and a disk's crash-stop cancels
-            its pending timers, so fault runs count no stale events
-            either. 0 for analytically-evaluated offline runs.
+        events_processed: Simulator events during the run: the fired
+            engine events plus the completions, idle timeouts and
+            spin-down ends the disks resolved by the end of the run. A
+            crash-stop leaves nothing of its disk due, so fault runs
+            count no stale events. 0 for analytically-evaluated offline
+            runs.
         availability: Fault/availability outcome; ``None`` unless the run
             had an active fault plan.
         tape: Cold-tier outcome; ``None`` unless the run was tiered.

@@ -19,15 +19,18 @@ queue fails over to the least loaded live replica exactly as in replay.
 
 from __future__ import annotations
 
-from typing import Optional
+from math import inf
+from typing import Callable, Optional
 
-from repro.disk.drive import CompletionCallback
 from repro.errors import SimulationError
 from repro.placement.catalog import PlacementCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import DiskFleet, LostCallback
-from repro.types import DiskId, Request
+from repro.types import CompletionRecord, DiskId, Request
+
+#: ``(request, disk_id, completion instant)``, once per serviced request.
+CompletionCallback = Callable[[Request, DiskId, float], None]
 
 
 class SimBackend(DiskFleet):
@@ -52,9 +55,10 @@ class SimBackend(DiskFleet):
         on_complete: CompletionCallback,
         on_lost: LostCallback,
     ):
-        super().__init__(
-            catalog, config, SimulationEngine(), on_complete, on_lost
-        )
+        def on_served(record: CompletionRecord) -> None:
+            on_complete(record[3], record[4], record[0])
+
+        super().__init__(catalog, config, SimulationEngine(), on_served, on_lost)
         self._submitted = 0
 
     # -- clock injection -----------------------------------------------
@@ -63,20 +67,37 @@ class SimBackend(DiskFleet):
         """Run the engine up to the service clock's ``time_s`` seconds.
 
         Completion callbacks for every event due by then fire inside
-        this call — including events scheduled at exactly the current
-        instant (a disk acting at its submit time). A ``time_s`` behind
-        the engine clock is a no-op (the engine never rewinds).
+        this call, in time order across the disks — including events
+        scheduled at exactly the current instant (a disk acting at its
+        submit time). A ``time_s`` behind the engine clock is a no-op
+        (the engine never rewinds).
         """
         engine = self._engine
         if time_s < engine.now:
             return
-        head_s = engine.peek_time()
-        if time_s > engine.now or (head_s is not None and head_s <= time_s):
-            engine.run(until=time_s)
+        due = self.fleet.due
+        while True:
+            # One instant at a time: the heap's next event or the next
+            # disk transition, whichever is first.
+            step_s = min(due)
+            head_s = engine.peek_time()
+            if head_s is not None and head_s < step_s:
+                step_s = head_s
+            if step_s > time_s:
+                break
+            engine.run(until=step_s)
+            if step_s >= time_s:
+                return
+        engine.run(until=time_s)
 
     def next_event_time(self) -> Optional[float]:
         """Seconds timestamp of the next pending disk event, or None."""
-        return self._engine.peek_time()
+        self._catch_up()
+        next_s = min(self.fleet.due)
+        head_s = self._engine.peek_time()
+        if head_s is not None and head_s < next_s:
+            return head_s
+        return None if next_s == inf else next_s
 
     # -- request injection ---------------------------------------------
 
@@ -97,7 +118,8 @@ class SimBackend(DiskFleet):
 
     @property
     def events_processed(self) -> int:
-        """Engine events fired so far."""
+        """Engine events fired, and disk transitions resolved, so far."""
+        self._catch_up()
         return self._engine.events_processed
 
     def finalize(self, time_s: Optional[float] = None) -> None:

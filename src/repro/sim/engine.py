@@ -2,27 +2,29 @@
 
 The engine is a binary-heap event queue with a monotonic clock. Events are
 plain callables; insertion order breaks timestamp ties so runs are fully
-deterministic.
+deterministic, and a trace replay's arrivals stream beside the heap, each
+firing before a heap event at its instant. Disks keep only their spin-up
+completions here: a :class:`~repro.disk.drive.SimulatedDisk` walks its
+own completions, idle timeout and spin-down when it is read (up to
+:meth:`SimulationEngine.walk_limit`, and to a run's horizon through
+:meth:`SimulationEngine.add_lazy`), counting each in ``events_processed``.
 
 :meth:`SimulationEngine.schedule` posts a fire-and-forget event. The one
-cancellable event is a :class:`ReusableTimer`, built for the cancel/re-arm
-pattern of the 2CPM idleness timer: it keeps at most one heap entry alive,
-cancelling and re-arming to a later deadline are plain field writes (no
-heap traffic), and the single entry lazily migrates to the current
-deadline when it surfaces at the head of the heap. A cancelled timer's
-entry stays in the heap, dormant, until it surfaces or the timer is
-re-armed.
-
-Live events always fire in ``(time, insertion sequence)`` order, and
-``events_processed`` counts only fired callbacks: a dormant entry is
-skipped, never fired.
+cancellable event is a :class:`ReusableTimer`; its cancel/re-arm churn
+now serves only the tape unmount timer (a disk's spin-up uses one so a
+crash can cancel it). It keeps at most one heap entry alive: cancelling
+and re-arming to a later deadline are plain field writes, and the entry
+migrates to the current deadline when it surfaces at the head of the
+heap. A cancelled timer's entry stays in the heap, dormant, until it
+surfaces or the timer is re-armed. Live events fire in ``(time,
+insertion sequence)`` order; a dormant entry is skipped, never fired.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from math import inf
+from math import inf, nextafter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -50,18 +52,11 @@ def _no_arrival_stream(payload: Any) -> None:
 class ReusableTimer:
     """A slotted, cancellable engine timer built for cancel/re-arm churn.
 
-    A ``ReusableTimer`` owns at most one live heap entry for its whole
-    life:
-
-    * :meth:`cancel` marks the timer dormant but leaves the entry in the
-      heap — O(1), no allocation;
-    * re-arming to the same or a later deadline (the 2CPM pattern: the
-      idle timer only ever moves forward) just updates the target — the
-      in-heap entry re-pushes itself to the real deadline when it
-      surfaces, at most once per elapsed entry;
-    * re-arming to an *earlier* deadline abandons the old entry via a
-      generation bump and pushes a fresh one, so arbitrary schedules stay
-      correct.
+    It owns at most one live heap entry: :meth:`cancel` leaves it in the
+    heap, dormant; re-arming to the same or a later deadline (the tape
+    unmount pattern) only updates the target, and the entry re-pushes
+    itself to it when it surfaces; re-arming earlier abandons the entry
+    via a generation bump and pushes a fresh one.
 
     Ties at the same timestamp break by insertion sequence. A migrated
     entry receives its sequence number when it migrates — strictly before
@@ -154,6 +149,8 @@ class SimulationEngine:
         "_events_processed",
         "_running",
         "_cancelled_pending",
+        "_in_arrival",
+        "_lazy",
     )
 
     def __init__(self) -> None:
@@ -164,6 +161,9 @@ class SimulationEngine:
         self._running = False
         #: Dead heap entries: dormant or abandoned timer entries.
         self._cancelled_pending = 0
+        #: True while a streamed arrival fires (see walk_limit).
+        self._in_arrival = False
+        self._lazy: List[Callable[[float], None]] = []
 
     @property
     def now(self) -> float:
@@ -210,6 +210,17 @@ class SimulationEngine:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         self.schedule(self._now + delay, callback)
 
+    def walk_limit(self) -> float:
+        """The latest instant a lazy source may be walked to now: the
+        current instant, or just before it while a streamed arrival
+        fires there (the arrival comes first)."""
+        return nextafter(self._now, -inf) if self._in_arrival else self._now
+
+    def add_lazy(self, advance: Callable[[float], None]) -> None:
+        """Call ``advance(horizon)`` last in every run with a horizon, so
+        a source that resolves its own events on demand catches up."""
+        self._lazy.append(advance)
+
     def timer(self, callback: EventCallback) -> ReusableTimer:
         """A dormant :class:`ReusableTimer` firing ``callback``."""
         return ReusableTimer(self, callback)
@@ -231,7 +242,8 @@ class SimulationEngine:
 
         Args:
             until: Stop once the next event would be strictly after this
-                time; the clock is advanced to ``until``.
+                time; the clock is advanced to ``until`` and every lazy
+                source (:meth:`add_lazy`) walks up to it.
             arrivals: A ``(times, payloads, callback)`` stream of
                 pre-sorted, uncancellable events merged with the heap.
                 Equivalent to :meth:`schedule`-ing every entry before the
@@ -247,9 +259,6 @@ class SimulationEngine:
         if self._running:
             raise SimulationError("engine.run() is not re-entrant")
         self._running = True
-        # The loop body inlines the common live-event case of
-        # _fix_head(): the head is normalised once per iteration and
-        # popped straight into its callback with no helper calls.
         queue = self._queue
         heappop = heapq.heappop
         arrival_times: Sequence[float] = ()
@@ -274,6 +283,7 @@ class SimulationEngine:
         horizon = inf if until is None else until
         try:
             while True:
+                self._in_arrival = True
                 while arrival_index < arrival_count:
                     # A dead heap head only *underestimates* the next
                     # live event time, so firing the arrival when it is
@@ -300,32 +310,18 @@ class SimulationEngine:
                             f"at t={time:.6g}s "
                             f"(event #{self._events_processed}): {exc}"
                         ) from exc
-                if not queue:
-                    break
-                head = queue[0]
-                timer = head[2]
-                if timer is not None and not (
-                    # Live timer firing at its in-heap entry time (the
-                    # overwhelmingly common timer case) — dispatch
-                    # straight from the fast path below. Identity check
-                    # against the heap-stored copy of the same float, not
-                    # a tolerance comparison.
-                    timer._deadline == head[0]  # reprolint: disable=RPL001
-                    and head[3] == timer._generation
+                self._in_arrival = False
+                head = self._fix_head()
+                if arrival_index < arrival_count and (
+                    head is None or arrival_times[arrival_index] <= head[0]
                 ):
-                    head = self._fix_head()  # slow path: dead / migrating
-                    if arrival_index < arrival_count and (
-                        head is None
-                        or arrival_times[arrival_index] <= head[0]
-                    ):
-                        # The dead bound that deferred the arrival was an
-                        # *under*estimate; against the exact live head
-                        # time (or drained queue) the arrival fires
-                        # first after all. Re-run the merge.
-                        continue
-                    if head is None:
-                        break
-                    timer = head[2]
+                    # The dead bound that deferred the arrival was an
+                    # *under*estimate of the live head; the arrival
+                    # fires first after all.
+                    continue
+                if head is None:
+                    break
+                timer = head[2]
                 time = head[0]
                 if time > horizon:
                     break
@@ -347,10 +343,14 @@ class SimulationEngine:
                         f"event callback {callback!r} failed at t={time:.6g}s "
                         f"(event #{self._events_processed}): {exc}"
                     ) from exc
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None:
+                if until > self._now:
+                    self._now = until
+                for advance in self._lazy:
+                    advance(until)
         finally:
             self._running = False
+            self._in_arrival = False
 
     # -- internals ------------------------------------------------------
 

@@ -52,8 +52,9 @@ class DiskFleet:
         catalog: Data placement (``L``).
         config: Power profile, policy, service model, seed and fleet size.
         engine: The virtual clock every disk schedules on.
-        on_complete: Invoked once per serviced request at its completion
-            instant.
+        on_complete: Invoked once per serviced request, when its disk is
+            walked past the completion instant (see
+            :mod:`repro.disk.drive`).
         on_lost: Invoked once per request the fleet gives up on (only
             ever under an active fault plan).
     """
@@ -89,6 +90,11 @@ class DiskFleet:
             )
             for disk_id in range(config.num_disks)
         }
+        # Dense disk ids: one walk per disk, indexed like the columns.
+        self._advance_by_disk = [
+            self._disks[disk_id].advance for disk_id in range(config.num_disks)
+        ]
+        engine.add_lazy(self._advance_due)
         self._finalized = False
         self._on_lost = on_lost
         self._lost = 0
@@ -163,6 +169,22 @@ class DiskFleet:
             disk_id for disk_id in locations if disk_id not in down
         )
 
+    # -- the lazy disks ------------------------------------------------
+
+    def _advance_due(self, until: float) -> None:
+        """Walk every disk due by ``until`` seconds up to it."""
+        due = self.fleet.due
+        if min(due) > until:
+            return
+        advance_by_disk = self._advance_by_disk
+        for disk_id, when in enumerate(due):
+            if when <= until:
+                advance_by_disk[disk_id](until)
+
+    def _catch_up(self) -> None:
+        """Walk every disk up to the engine's walk limit."""
+        self._advance_due(self._engine.walk_limit())
+
     # -- dispatch ------------------------------------------------------
 
     def submit(self, request: Request, disk_id: DiskId) -> None:
@@ -214,6 +236,8 @@ class DiskFleet:
         if not candidates:
             self._defer_or_lose(request)
             return
+        for disk_id in candidates:
+            self._disks[disk_id].catch_up()
         # min keeps the first of equal keys: sorting first breaks ties
         # by disk id.
         best = min(sorted(candidates), key=self.fleet.queue.__getitem__)
@@ -292,15 +316,18 @@ class DiskFleet:
     @property
     def disk_stats(self) -> Dict[DiskId, DiskStats]:
         """Per-disk ledgers, by disk id."""
+        self._catch_up()
         return {disk_id: disk.stats for disk_id, disk in self._disks.items()}
 
     @property
     def energy(self) -> float:
         """Fleet joules over the closed state intervals."""
+        self._catch_up()
         return sum(disk.stats.energy for disk in self._disks.values())
 
     def energy_at(self, time_s: float) -> float:
         """Fleet joules through ``time_s`` (open state intervals included)."""
+        self._catch_up()
         return sum(
             disk.stats.energy_at(time_s) for disk in self._disks.values()
         )
@@ -308,6 +335,7 @@ class DiskFleet:
     @property
     def spin_operations(self) -> int:
         """Fleet spin-up + spin-down transitions so far."""
+        self._catch_up()
         return sum(
             disk.stats.spin_operations for disk in self._disks.values()
         )

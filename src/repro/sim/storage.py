@@ -57,7 +57,7 @@ class StorageSystem(DiskFleet):
             catalog,
             config,
             SimulationEngine(),
-            self._metrics.on_complete,
+            self._metrics.record,
             self._metrics.on_lost,
         )
         self._scheduler = scheduler
@@ -170,6 +170,8 @@ class StorageSystem(DiskFleet):
         deferred = self._deferred
         cache = self.cache
         num_disks = len(self._disks)
+        due = self.fleet.due
+        advance_by_disk = self._advance_by_disk
         # Disk ids are dense (range(num_disks)), so a list of bound
         # submit methods replaces the dict hash + attribute lookup on
         # the hand-off.
@@ -185,7 +187,13 @@ class StorageSystem(DiskFleet):
                 if not locations:
                     defer_or_lose(request)
                     return
-            disk_id = pick(request, locations, engine._now)
+            now = engine._now
+            # The picker reads the candidates' columns: walk the ones
+            # that have a transition due first.
+            for disk_id in locations:
+                if due[disk_id] <= now:
+                    advance_by_disk[disk_id](engine.walk_limit())
+            disk_id = pick(request, locations, now)
             # A read must go to one of the live replicas it was handed; an
             # off-loaded write to any disk, but no negative id may wrap.
             if request.op is _READ:
@@ -245,6 +253,15 @@ class StorageSystem(DiskFleet):
             ]
             if not batch:
                 return
+        # The cover weighs every replica of the batch: walk the ones
+        # that have a transition due first.
+        due = self.fleet.due
+        now = self._engine.now
+        disks = self._disks
+        for request in batch:
+            for disk_id in self._locations_by_data[request.data_id]:
+                if due[disk_id] <= now:
+                    disks[disk_id].catch_up()
         decisions = self._scheduler.choose_batch(batch, self)
         for request in batch:
             try:
@@ -269,10 +286,14 @@ class StorageSystem(DiskFleet):
         return self._disks[disk_id].state
 
     def _complete_from_cache(self, request: Request) -> None:
-        """Serve a read from the cache: no disk is touched."""
+        """Serve a read from the cache: no disk is touched. Its
+        completion orders as a service started on arrival."""
         home = self.cache.home_disk(request.data_id)
+        stamp = next(self._engine._sequence)
 
         def deliver() -> None:
-            self._metrics.on_complete(request, home, self._engine.now)
+            self._metrics.on_complete(
+                request, home, self._engine.now, request.time, stamp
+            )
 
         self._engine.schedule_after(CACHE_HIT_S, deliver)

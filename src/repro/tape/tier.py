@@ -158,7 +158,9 @@ class TieredStorageSystem(StorageSystem):
     def _on_tape_complete(
         self, request: Request, completion_id: int, now: float
     ) -> None:
-        self._metrics.on_complete(request, completion_id, now)
+        self._metrics.on_complete(
+            request, completion_id, now, now, next(self._engine._sequence)
+        )
         self._tape_response_times.append(now - request.time)
         if not self._tier.promote_on_access:
             return

@@ -72,6 +72,14 @@ class Request:
             raise ValueError(f"request size must be positive, got {self.size_bytes}")
 
 
+#: One serviced request as a disk reports it: ``(completion instant,
+#: service start instant, start stamp, request, disk_id)``, instants in
+#: seconds. Sorted, records are in global completion order: by instant,
+#: then the service that started first (see
+#: :class:`repro.report.MetricsCollector`).
+CompletionRecord = Tuple[float, float, int, Request, DiskId]
+
+
 class Assignment:
     """A schedule: the disk chosen for every request.
 

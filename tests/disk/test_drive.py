@@ -36,7 +36,7 @@ def make_disk(engine, profile=BARRACUDA, policy=None, service=0.0, **kwargs):
         policy=policy or TwoCompetitivePolicy(),
         service_model=ConstantServiceModel(service),
         rng=random.Random(0),
-        on_complete=lambda req, disk_id, now: completions.append((req, now)),
+        on_complete=lambda record: completions.append((record[3], record[0])),
         **kwargs,
     )
     return disk, completions

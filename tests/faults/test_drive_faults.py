@@ -21,7 +21,7 @@ from repro.power.policy import TwoCompetitivePolicy
 from repro.power.profile import BARRACUDA
 from repro.power.states import DiskPowerState
 from repro.sim.engine import SimulationEngine
-from repro.types import DiskId, Request
+from repro.types import CompletionRecord, Request
 
 TUP = BARRACUDA.spin_up_time
 
@@ -35,9 +35,8 @@ def make_disk(
 ) -> Tuple[SimulatedDisk, Completions]:
     completions: Completions = []
 
-    def on_complete(request: Request, disk_id: DiskId, now: float) -> None:
-        del disk_id
-        completions.append((request, now))
+    def on_complete(record: CompletionRecord) -> None:
+        completions.append((record[3], record[0]))
 
     disk = SimulatedDisk(
         disk_id=0,

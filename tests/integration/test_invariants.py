@@ -156,8 +156,8 @@ def test_simulated_ledgers_match_the_analytic_timeline(data):
     With zero-time transitions the simulator's reactive 2CPM and the
     pre-spun rule coincide: a gap shorter than TB is idled out, a longer
     one idles TB and sleeps, and a spin-up costs no waiting. A gap of
-    exactly TB is a tie the two break apart: the arrival fires before the
-    idle timer, so the simulated disk stays up while the walk books a
+    exactly TB is a tie the two break apart: the arrival comes before the
+    idle timeout, so the simulated disk stays up while the walk books a
     zero-length spin cycle. Expovariate gaps hit it with probability 0.
     """
     requests, catalog, num_disks, seed = data

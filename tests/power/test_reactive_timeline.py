@@ -1,0 +1,153 @@
+"""The reactive rule (:attr:`GapRule.REACTIVE`) against the simulator.
+
+Static and Random pick a disk without looking at disk state, so the
+chain of requests each disk receives is fixed before the replay runs.
+Walking every disk's realised chain through the reactive rule, with the
+service times its own RNG draws in FIFO order, must then give the
+simulator's ledger float for float: state times, spin counts and
+completion instants.
+"""
+
+import random
+from typing import Dict, List, Sequence
+
+import pytest
+
+from repro.core.random_scheduler import RandomScheduler
+from repro.core.scheduler import OnlineScheduler, Picker, SystemView
+from repro.core.static_scheduler import StaticScheduler
+from repro.errors import ConfigurationError
+from repro.experiments.harness import runner
+from repro.placement.schemes import ZipfOriginalUniformReplicas
+from repro.power.ledger import StateLedger
+from repro.power.profile import BARRACUDA, PAPER_EVAL
+from repro.power.states import DiskPowerState
+from repro.power.timeline import GapRule, disk_timeline, fill_timeline
+from repro.sim.storage import StorageSystem
+from repro.types import DiskId, Request, RequestId
+
+SCALE = 0.05
+SEED = 1
+
+
+class RecordingScheduler(OnlineScheduler):
+    """Wraps a scheduler and records the disk each request went to."""
+
+    def __init__(self, inner: OnlineScheduler):
+        self.inner = inner
+        self.chosen: Dict[RequestId, DiskId] = {}
+
+    def bind(self, view: SystemView) -> Picker:
+        pick = self.inner.bind(view)
+
+        def recorded(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
+            disk_id = pick(request, locations, now)
+            self.chosen[request.request_id] = disk_id
+            return disk_id
+
+        return recorded
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+
+@pytest.mark.parametrize("trace", ["cello", "financial"])
+@pytest.mark.parametrize("key", ["static", "random"])
+def test_reactive_walk_matches_the_simulator(trace, key):
+    disks = runner.num_disks_for(SCALE)
+    requests, catalog = runner.get_workload(trace, SCALE, SEED).bind(
+        ZipfOriginalUniformReplicas(replication_factor=3, zipf_exponent=1.0),
+        num_disks=disks,
+        seed=SEED,
+    )
+    config = runner.make_config(disks, "paper-evaluation", SEED)
+    inner = StaticScheduler() if key == "static" else RandomScheduler(seed=SEED)
+    scheduler = RecordingScheduler(inner)
+    system = StorageSystem(catalog, scheduler, config)
+    report = system.run(requests)
+    chains: Dict[DiskId, List[Request]] = {disk_id: [] for disk_id in range(disks)}
+    for request in sorted(requests):
+        chains[scheduler.chosen[request.request_id]].append(request)
+    busy = 0
+    for disk_id, chain in chains.items():
+        rng = random.Random(config.seed * 1_000_003 + disk_id)
+        service = [config.service_model.service_time(r, rng) for r in chain]
+        ledger = StateLedger(
+            config.profile,
+            DiskPowerState,
+            (DiskPowerState.SPIN_UP, DiskPowerState.SPIN_DOWN),
+            DiskPowerState.STANDBY,
+        )
+        completions = fill_timeline(
+            ledger,
+            config.profile,
+            [r.time for r in chain],
+            report.duration,
+            GapRule.REACTIVE,
+            service,
+        )
+        stats = report.disk_stats[disk_id]
+        assert ledger.state_time == stats.state_time
+        assert (ledger.ups, ledger.downs) == (stats.spin_ups, stats.spin_downs)
+        assert ledger.requests_serviced == stats.requests_serviced
+        simulated = [
+            system._metrics.completion_of(r.request_id)
+            for r in chain[: len(completions)]
+        ]
+        assert simulated == [(disk_id, at) for at in completions]
+        busy += bool(chain)
+    assert busy > 1
+    assert report.requests_completed == sum(
+        report.disk_stats[d].requests_serviced for d in range(disks)
+    )
+
+
+class TestReactiveRule:
+    # BARRACUDA with TB = 10 s: Tup = 6, Tdown = 2.
+    PROFILE = BARRACUDA.with_overrides(breakeven_override=10.0)
+
+    def walk(self, arrivals, service, horizon):
+        ledger = StateLedger(
+            self.PROFILE,
+            DiskPowerState,
+            (DiskPowerState.SPIN_UP, DiskPowerState.SPIN_DOWN),
+            DiskPowerState.STANDBY,
+        )
+        completions = fill_timeline(
+            ledger, self.PROFILE, arrivals, horizon, GapRule.REACTIVE, service
+        )
+        return ledger, completions
+
+    def test_arrival_during_spin_down_waits_for_it_and_a_spin_up(self):
+        # Up [0, 6], served [6, 7], idle [7, 17], down [17, 19]; the
+        # arrival at 18 waits for 19 + 6 and is served [25, 26].
+        ledger, completions = self.walk([0.0, 18.0], [1.0, 1.0], 40.0)
+        assert completions == [7.0, 26.0]
+        assert (ledger.ups, ledger.downs) == (2, 2)
+        assert ledger.state_time[DiskPowerState.STANDBY] == 2.0
+
+    def test_arrival_at_the_idle_timeout_is_served_at_once(self):
+        ledger, completions = self.walk([0.0, 17.0], [1.0, 1.0], 40.0)
+        assert completions == [7.0, 18.0]
+        assert (ledger.ups, ledger.downs) == (1, 1)
+
+    def test_queued_requests_serve_back_to_back(self):
+        ledger, completions = self.walk([0.0, 1.0, 7.0], [1.0, 1.0, 1.0], 40.0)
+        assert completions == [7.0, 8.0, 9.0]
+        assert ledger.state_time[DiskPowerState.ACTIVE] == 3.0
+
+    def test_completions_past_the_horizon_are_cut(self):
+        ledger, completions = self.walk([0.0], [1.0], 5.0)
+        assert completions == []
+        assert ledger.requests_serviced == 0
+        assert ledger.state_time[DiskPowerState.SPIN_UP] == 5.0
+
+    def test_one_service_time_per_arrival(self):
+        with pytest.raises(ConfigurationError):
+            self.walk([0.0, 1.0], [1.0], 40.0)
+
+    def test_zero_service_default_tiles_the_horizon(self):
+        ledger = disk_timeline(PAPER_EVAL, [0.0, 100.0], 300.0, GapRule.REACTIVE)
+        assert ledger.total_time == pytest.approx(300.0)
+        assert ledger.ups == ledger.downs == 2

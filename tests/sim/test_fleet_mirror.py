@@ -110,10 +110,12 @@ def make_requests(times, data_ids):
 
 
 def assert_columns_mirror_disks(view, now):
-    """Each disk's column slots encode its current object-model state."""
+    """Each disk's column slots encode its current object-model state,
+    once the disk is walked up to now (as every reader walks it)."""
     fleet = view.fleet
     for disk_id in view.disk_ids:
         disk = view.disk(disk_id)
+        disk.catch_up()
         # Queue column is P(dk): queued + in service.
         assert fleet.queue[disk_id] == float(disk.queue_length), disk_id
         # The columns' Eq. 5 term (Eq. 6 with alpha = beta = 1) equals

@@ -1,12 +1,12 @@
 """Timer-churn properties of :class:`~repro.sim.engine.ReusableTimer`.
 
-The 2CPM idle timer cancels and re-arms once per disk visit. These tests
-drive that pattern hard and check the two guarantees the disk relies on:
+The tape unmount timer cancels and re-arms once per drive visit. These
+tests drive that pattern hard and check the two guarantees it relies on:
 
 * timers behave exactly like a plain dict of deadlines — each armed
   timer fires once at its latest deadline, a cancelled one never fires;
 * the heap holds at most one entry per timer when every re-arm moves the
-  deadline later (the 2CPM pattern), so cancel churn cannot grow it.
+  deadline later (the unmount pattern), so cancel churn cannot grow it.
 """
 
 from hypothesis import given, settings

@@ -173,31 +173,17 @@ class ConflictGraph:
         return touched
 
 
-class ChainTerm(Protocol):
-    """A term pairing two consecutive requests of one disk's chain."""
-
-    @property
-    def predecessor(self) -> Hashable: ...
-
-    @property
-    def successor(self) -> Hashable: ...
-
-    @property
-    def disk(self) -> Hashable: ...
-
-    @property
-    def weight(self) -> float: ...
-
-
 _NO_TERMS: AbstractSet[int] = frozenset()
 
 
 class SavingTermGraph:
     """Implicit conflict graph over chain terms ``(p, s, d)``.
 
-    Node ``i`` is ``terms[i]``. Two terms that share a request conflict
-    unless they sit on the same disk and one's successor is the other's
-    predecessor (the chain ``ri -> rj -> rk``), as in
+    The terms arrive as parallel columns: node ``i`` is the term from
+    ``pred[i]`` to ``succ[i]`` on ``disk[i]``, of weight ``weights[i]``.
+    Two terms that share a request conflict unless they sit on the same
+    disk and one's successor is the other's predecessor (the chain
+    ``ri -> rj -> rk``), as in
     ``repro.core.saving.SavingTerm.conflicts_with`` (Section 3.1).
     No edge is stored. Live terms are indexed by the
     request they start at and the request they end at, so the
@@ -214,11 +200,16 @@ class SavingTermGraph:
     order of requests, and no ``(p, s, d)`` appears twice.
     """
 
-    def __init__(self, terms: Sequence[ChainTerm]) -> None:
-        self._pred = [term.predecessor for term in terms]
-        self._succ = [term.successor for term in terms]
-        self._disk = [term.disk for term in terms]
-        self._weights = [term.weight for term in terms]
+    def __init__(
+        self,
+        pred: Sequence[Hashable],
+        succ: Sequence[Hashable],
+        disk: Sequence[Hashable],
+        weights: Sequence[float],
+    ) -> None:
+        # The columns are shared with the caller, never written.
+        self._pred, self._succ, self._disk = pred, succ, disk
+        self._weights = weights
         # Live terms by the request they start at / end at.
         self._out: Dict[Hashable, Set[int]] = defaultdict(set)
         self._into: Dict[Hashable, Set[int]] = defaultdict(set)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union, cast
 
 from repro.algorithms.graph import ConflictGraph, MWISGraph, N, NodeId
 from repro.errors import ConfigurationError
@@ -37,6 +37,11 @@ Scorer = Callable[[MWISGraph[N], N], float]
 #: ones outnumber the live nodes this many times over.
 HEAP_COMPACTION_FACTOR = 2
 
+#: Rules whose key the greedy computes inline, with no call per heap
+#: entry: GWMIN's ``-w(v) / (deg(v) + 1)`` and min-degree's ``deg(v)``.
+_GWMIN_KEY = "gwmin"
+_MIN_DEGREE_KEY = "min-degree"
+
 
 def gwmin(graph: MWISGraph[N]) -> List[N]:
     """GWMIN greedy: pick argmax ``w(v) / (deg(v) + 1)`` until empty.
@@ -45,63 +50,71 @@ def gwmin(graph: MWISGraph[N]) -> List[N]:
     selected independent set in pick order.
 
     Implementation note: scores only change when a vertex loses neighbours,
-    so a lazy max-heap whose entries carry the degree they were scored at
-    gives O((V + E) log V) instead of the naive O(V^2) rescan — the
-    difference between seconds and hours on full-scale trace graphs.
+    so a lazy max-heap re-scoring only those vertices gives
+    O((V + E) log V) instead of the naive O(V^2) rescan — the difference
+    between seconds and hours on full-scale trace graphs. The greedy
+    computes the key ``-w / (deg + 1)`` inline, from its own weight list.
     """
-
-    def score(live: MWISGraph[N], node: N) -> float:
-        return -live.weight(node) / (live.degree(node) + 1)
-
-    return _lazy_heap_greedy(graph, score)
+    return _lazy_heap_greedy(graph, _GWMIN_KEY)
 
 
-def _lazy_heap_greedy(graph: MWISGraph[N], score: Scorer[N]) -> List[N]:
+def _lazy_heap_greedy(graph: MWISGraph[N], score: Union[Scorer[N], str]) -> List[N]:
     """Shared lazy-heap skeleton for the greedy MWIS family.
 
-    ``score(live, node)`` returns a value to *minimise* (negate for
+    ``score`` is ``_GWMIN_KEY``, ``_MIN_DEGREE_KEY`` or a
+    ``score(live, node)`` returning a value to *minimise* (negate for
     maximisation). A node's score may only depend on its own weight and
     its current neighbourhood, which is exactly what GWMIN, GWMIN2 and
     min-degree need: scores change only when a vertex loses neighbours,
-    and every such loss lowers its degree, so a heap entry carrying the
-    degree it was scored at is stale once the degree has moved. The
-    greedy works on ``graph.copy()``; ``graph`` is left as it was.
+    so only the survivors of each removal are scored again. The greedy
+    works on ``graph.copy()``; ``graph`` is left as it was.
 
-    Every live node has exactly one valid entry, and its key
-    ``(score, insertion index)`` is unique, so rebuilding the heap from
-    the valid entries never changes the pick order.
+    Heap entries are ``(score, insertion index)``. ``valid[i]`` holds
+    node ``i``'s one valid entry, or None once the node is removed, so an
+    entry is stale exactly when it is not the one its index holds. Valid
+    keys are unique, so rebuilding the heap from ``valid`` never changes
+    the pick order.
     """
-    # Insertion index of every live node; removed nodes drop out.
-    order: Dict[N, int] = {node: i for i, node in enumerate(graph.nodes)}
+    nodes = graph.nodes
+    index_of: Dict[N, int] = {node: index for index, node in enumerate(nodes)}
+    weights = [graph.weight(node) for node in nodes]
+    by_ratio, by_degree = score == _GWMIN_KEY, score == _MIN_DEGREE_KEY
+    scorer = cast(Scorer[N], score)  # called only for the other rules
     live = graph.copy()
     degree = live.degree
-    heap: List[Tuple[float, int, int, N]] = [
-        (score(live, node), index, degree(node), node)
-        for node, index in order.items()
-    ]
-    heapq.heapify(heap)
+    valid: List[Optional[Tuple[float, int]]] = [None] * len(nodes)
+    remaining = len(nodes)
+    heap: List[Tuple[float, int]] = []
     push, pop = heapq.heappush, heapq.heappop
     selected: List[N] = []
-    while order:
-        if len(heap) > (HEAP_COMPACTION_FACTOR + 1) * len(order):
-            heap = [
-                item for item in heap
-                if item[3] in order and degree(item[3]) == item[2]
-            ]
+    touched: Iterable[N] = nodes  # every node is scored once up front
+    while True:
+        for node in touched:
+            index = index_of[node]
+            if by_ratio:
+                key = -weights[index] / (degree(node) + 1)
+            elif by_degree:
+                key = degree(node)
+            else:
+                key = scorer(live, node)
+            entry = valid[index] = (key, index)
+            push(heap, entry)
+        if not remaining:
+            return selected
+        if len(heap) > (HEAP_COMPACTION_FACTOR + 1) * remaining:
+            heap = [entry for entry in valid if entry is not None]
             heapq.heapify(heap)
-        _score, _order, scored_degree, node = pop(heap)
-        if node not in order or degree(node) != scored_degree:
-            continue
+        entry = pop(heap)
+        while valid[entry[1]] is not entry:
+            entry = pop(heap)
+        node = nodes[entry[1]]
         selected.append(node)
-        for victim in live.neighbors(node):
-            del order[victim]
-        del order[node]
-        for survivor in live.remove_closed_neighborhood(node):
-            push(
-                heap,
-                (score(live, survivor), order[survivor], degree(survivor), survivor),
-            )
-    return selected
+        victims = live.neighbors(node)
+        for victim in victims:
+            valid[index_of[victim]] = None
+        valid[entry[1]] = None
+        remaining -= len(victims) + 1
+        touched = live.remove_closed_neighborhood(node)
 
 
 def gwmin2(graph: MWISGraph[N]) -> List[N]:
@@ -130,10 +143,7 @@ def greedy_min_degree(graph: MWISGraph[N]) -> List[N]:
     ablations comparing weighted vs unweighted selection.
     """
 
-    def score(live: MWISGraph[N], node: N) -> float:
-        return float(live.degree(node))
-
-    return _lazy_heap_greedy(graph, score)
+    return _lazy_heap_greedy(graph, _MIN_DEGREE_KEY)
 
 
 def exact_mwis(graph: MWISGraph[N], max_nodes: int = 40) -> List[N]:

@@ -4,7 +4,8 @@ The four steps of the paper's algorithm (Fig. 4):
 
 1. **Nodes** — one per non-zero saving term ``X(i, j, k)`` (Eq. 3/4):
    disk ``dk`` holds the data of both ``ri`` and ``rj``, ``rj`` follows
-   ``ri`` within the saving window ``TB + Tup + Tdown``.
+   ``ri`` within the saving window ``TB + Tup + Tdown``. The terms are
+   columns; a ``SavingTerm`` is made only when one is read.
 2. **Edges** — between any two terms violating the energy-constraint
    (shared predecessor — and, symmetrically, shared successor, as the
    paper's own Fig. 4 step 2 shows for request r3) or the
@@ -40,10 +41,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.algorithms.graph import SavingTermGraph
 from repro.algorithms.independent_set import solve_mwis
 from repro.core.problem import SchedulingProblem
-from repro.core.saving import SavingTerm, gap_energy, max_request_energy, saving_window
+from repro.core.saving import (
+    SavingTerm,
+    SavingTermColumns,
+    gap_energy,
+    max_request_energy,
+    saving_window,
+)
 from repro.core.scheduler import OfflineScheduler
 from repro.power.profile import DiskPowerProfile
-from repro.types import Assignment, DiskId, Request
+from repro.types import Assignment, DiskId, RequestId
 
 
 @dataclass(frozen=True)
@@ -87,40 +94,49 @@ class MWISOfflineScheduler(OfflineScheduler):
 
     def build_graph(
         self, problem: SchedulingProblem
-    ) -> Tuple[SavingTermGraph, List[SavingTerm]]:
+    ) -> Tuple[SavingTermGraph, SavingTermColumns]:
         """Construct the conflict graph of saving terms.
 
-        Graph nodes are integer indices into the returned term list. The
-        graph is implicit: conflicts only occur between terms sharing a
-        request, so it indexes terms by request and derives degrees and
+        Graph nodes are integer indices into the returned term columns,
+        filled from each disk's sorted requests with Eq. 3 evaluated as
+        :func:`~repro.core.saving.saving_value` does. The graph is
+        implicit: conflicts only occur between terms sharing a request,
+        so it indexes terms by request and derives degrees and
         neighbourhoods on demand instead of storing the edges.
         """
         profile = problem.profile
         window = saving_window(profile)
+        energy = profile.transition_energy
+        breakeven = profile.breakeven_time
+        idle_power = profile.idle_power
+        cap = self.neighborhood
 
-        requests_on_disk: Dict[DiskId, List[Request]] = {}
+        requests_on_disk: Dict[DiskId, List[Tuple[float, RequestId]]] = {}
         for request in problem.requests:
+            key = (request.time, request.request_id)
             for disk_id in problem.locations_of(request):
-                requests_on_disk.setdefault(disk_id, []).append(request)
+                requests_on_disk.setdefault(disk_id, []).append(key)
 
-        terms: List[SavingTerm] = []
-        for disk_id, disk_requests in requests_on_disk.items():
-            disk_requests.sort()
-            count = len(disk_requests)
-            for a in range(count):
-                ri = disk_requests[a]
-                limit = count if self.neighborhood is None else min(
-                    count, a + 1 + self.neighborhood
-                )
+        terms = SavingTermColumns([], [], [], [])
+        pred, succ, disk, weight = terms.predecessor, terms.successor, terms.disk, terms.weight
+        for disk_id, stream in requests_on_disk.items():
+            stream.sort()
+            count = len(stream)
+            for a, (ti, i) in enumerate(stream):
+                limit = count if cap is None else min(count, a + 1 + cap)
                 for b in range(a + 1, limit):
-                    rj = disk_requests[b]
-                    if rj.time - ri.time >= window:
+                    tj, j = stream[b]
+                    gap = tj - ti
+                    if gap >= window:
                         break
-                    term = SavingTerm.build(ri, rj, disk_id, profile)
-                    if term is not None:
-                        terms.append(term)
+                    value = energy + (breakeven - gap) * idle_power
+                    if value > 0:
+                        pred.append(i)
+                        succ.append(j)
+                        disk.append(disk_id)
+                        weight.append(value)
 
-        return SavingTermGraph(terms), terms
+        return SavingTermGraph(pred, succ, disk, weight), terms
 
     # -- Step 3 + 4 ----------------------------------------------------
 

@@ -20,6 +20,7 @@ and ``ti < tj`` (Eq. 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence, Union, overload
 
 from repro.power.profile import DiskPowerProfile
 from repro.types import DiskId, Request, RequestId
@@ -122,3 +123,43 @@ class SavingTerm:
         if shared and self.disk != other.disk:
             return True
         return False
+
+
+class SavingTermColumns(Sequence[SavingTerm]):
+    """Saving terms stored as four parallel columns.
+
+    Term ``i`` is ``X(predecessor[i], successor[i], disk[i])`` of saving
+    ``weight[i]``; indexing makes its :class:`SavingTerm` on demand, so a
+    graph of a million terms holds four lists, not a million objects.
+    """
+
+    def __init__(
+        self,
+        predecessor: List[RequestId],
+        successor: List[RequestId],
+        disk: List[DiskId],
+        weight: List[float],
+    ) -> None:
+        self.predecessor = predecessor
+        self.successor = successor
+        self.disk = disk
+        self.weight = weight
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    @overload
+    def __getitem__(self, index: int) -> SavingTerm: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> Sequence[SavingTerm]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[SavingTerm, Sequence[SavingTerm]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return SavingTerm(
+            self.predecessor[index], self.successor[index],
+            self.disk[index], self.weight[index],
+        )

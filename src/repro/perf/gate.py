@@ -29,10 +29,11 @@ from repro.errors import ConfigurationError
 
 #: The checkout this module belongs to: the gate's head side.
 ROOT = Path(__file__).resolve().parents[3]
-#: The benchmark workloads both sides run: the Fig. 6 cell, and the
-#: fault run, so that neither a fault-free nor a faulty replay can slow
-#: down unseen.
-GATE_WORKLOADS = ("online-cello", "faulty-financial")
+#: The benchmark workloads both sides run: the Fig. 6 cell, the fault
+#: run and the offline MWIS schedule, so that neither a fault-free nor a
+#: faulty replay nor the offline graph build and solve can slow down
+#: unseen.
+GATE_WORKLOADS = ("online-cello", "faulty-financial", "offline-mwis")
 #: The end-to-end metric compared (higher is better).
 GATE_METRIC = "requests_per_s"
 #: One paired run per seed.

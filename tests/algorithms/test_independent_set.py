@@ -1,12 +1,15 @@
 """Tests for the MWIS solvers."""
 
 import heapq
+import itertools
+import math
 import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.strategies import small_problems
 
 from repro.algorithms import independent_set
 from repro.algorithms.graph import ConflictGraph
@@ -19,6 +22,7 @@ from repro.algorithms.independent_set import (
     independence_check,
     solve_mwis,
 )
+from repro.core.mwis import MWISOfflineScheduler
 from repro.errors import ConfigurationError
 
 
@@ -153,3 +157,83 @@ class TestHeapCompaction:
         # before most picks.
         picks = sum(len(selected) for selected in expected)
         assert len(rebuilds) - len(graphs) > picks // 2
+
+
+def gwmin_key(live, node):
+    return -live.weight(node) / (live.degree(node) + 1)
+
+
+def gwmin2_key(live, node):
+    weight = live.weight(node)
+    closed = math.fsum([weight, *map(live.weight, live.neighbors(node))])
+    if closed <= 0:
+        return -1.0 / (live.degree(node) + 1)
+    return -weight / closed
+
+
+def min_degree_key(live, node):
+    return live.degree(node)
+
+
+GREEDY_DEFINITIONS = (
+    (gwmin, gwmin_key),
+    (gwmin2, gwmin2_key),
+    (greedy_min_degree, min_degree_key),
+)
+
+
+def naive_greedy(graph, key):
+    """The greedies by definition, in O(V^2): each round, take the live
+    node with the smallest ``(key, insertion index)`` and remove its
+    closed neighbourhood."""
+    insertion = {node: index for index, node in enumerate(graph.nodes)}
+    live = graph.copy()
+    selected = []
+    while len(live):
+        node = min(live.nodes, key=lambda n: (key(live, n), insertion[n]))
+        selected.append(node)
+        live.remove_closed_neighborhood(node)
+    return selected
+
+
+#: Node ids of three kinds; labels are drawn in a shuffled order, so
+#: insertion order is neither id order nor label order.
+NODE_IDS = {
+    "int": lambda label: label,
+    "str": lambda label: f"n{label}",
+    "tuple": lambda label: (label % 3, str(label)),
+}
+
+
+@st.composite
+def conflict_graphs(draw):
+    size = draw(st.integers(min_value=0, max_value=12))
+    make_id = NODE_IDS[draw(st.sampled_from(sorted(NODE_IDS)))]
+    ids = [make_id(label) for label in draw(st.permutations(range(size)))]
+    # Few distinct weights and zeros, so keys tie and insertion order decides.
+    weight = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0.0, max_value=10.0)
+    )
+    graph = ConflictGraph()
+    for node in ids:
+        graph.add_node(node, draw(weight))
+    pairs = list(itertools.combinations(range(size), 2))
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            graph.add_edge(ids[a], ids[b])
+    return graph
+
+
+class TestGreediesMatchTheirDefinition:
+    @given(graph=conflict_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_on_random_conflict_graphs(self, graph):
+        for greedy, key in GREEDY_DEFINITIONS:
+            assert greedy(graph) == naive_greedy(graph, key), greedy.__name__
+
+    @given(problem=small_problems(max_requests=12))
+    @settings(max_examples=100, deadline=None)
+    def test_on_saving_term_graphs(self, problem):
+        graph, _terms = MWISOfflineScheduler(neighborhood=None).build_graph(problem)
+        for greedy, key in GREEDY_DEFINITIONS:
+            assert greedy(graph) == naive_greedy(graph, key), greedy.__name__

@@ -10,54 +10,29 @@ invariants checked are the load-bearing claims of Section 3.1:
 * objective energy == N * EPmax - true saving (the formulation identity);
 * the exact solver is never beaten by any feasible schedule (optimality
   on brute-forceable instances);
+* the columnar graph build makes exactly the terms of the pairwise
+  specification (``SavingTerm.build`` on every same-disk pair), in order;
 * the implicit saving-term graph is the explicit pairwise conflict graph:
   same edges, degrees and edge count, before and after every removal,
   and every solver picks the same nodes on both.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.strategies import small_problems
 
 from repro.algorithms import independent_set
 from repro.algorithms.graph import ConflictGraph
 from repro.algorithms.independent_set import exact_mwis, solve_mwis
 from repro.core.mwis import MWISOfflineScheduler
 from repro.core.offline import OfflineEvaluator
-from repro.core.problem import SchedulingProblem
-from repro.placement.catalog import PlacementCatalog
-from repro.power.profile import PAPER_UNIT
-from repro.types import Assignment, Request
-
-
-@st.composite
-def small_problems(draw):
-    num_disks = draw(st.integers(min_value=1, max_value=4))
-    num_requests = draw(st.integers(min_value=1, max_value=7))
-    locations = {}
-    for data_id in range(num_requests):
-        count = draw(st.integers(min_value=1, max_value=num_disks))
-        disks = draw(
-            st.permutations(range(num_disks)).map(lambda p: list(p)[:count])
-        )
-        locations[data_id] = disks
-    times = sorted(
-        draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=30.0),
-                min_size=num_requests,
-                max_size=num_requests,
-            )
-        )
-    )
-    requests = [
-        Request(time=t, request_id=i, data_id=i) for i, t in enumerate(times)
-    ]
-    return SchedulingProblem.build(
-        requests, PlacementCatalog(locations), PAPER_UNIT, num_disks
-    )
+from repro.core.saving import SavingTerm, saving_value, saving_window
+from repro.power.profile import PAPER_EVAL, PAPER_UNIT
+from repro.types import Assignment
 
 
 @given(problem=small_problems())
@@ -131,6 +106,58 @@ def test_every_request_energy_bounded_by_epmax(problem):
     epmax = problem.profile.max_request_energy
     for energy in evaluation.request_energy.values():
         assert -1e-9 <= energy <= epmax + 1e-9
+
+
+#: Spin-up/down power below idle power: Eq. 3 goes negative for gaps
+#: inside the saving window (from 76/9.3 ~ 8.2 s on), and the clamp drops
+#: those terms.
+SLOW_SPIN = replace(
+    PAPER_EVAL, name="slow-spin", spin_up_power=2.0, spin_down_power=2.0
+)
+
+
+def test_slow_spin_clamps_terms_inside_the_window():
+    assert 10.0 < saving_window(SLOW_SPIN)
+    assert saving_value(0.0, 10.0, SLOW_SPIN) == 0.0
+
+
+def reference_terms(problem, neighborhood):
+    """Step 1 by the specification: ``SavingTerm.build`` for every pair of
+    one disk's time-sorted requests, the successor among the next
+    ``neighborhood`` (all when None), disks in order of first request."""
+    on_disk = {}
+    for request in problem.requests:
+        for disk in problem.locations_of(request):
+            on_disk.setdefault(disk, []).append(request)
+    terms = []
+    for disk, requests in on_disk.items():
+        requests.sort()
+        for a, ri in enumerate(requests):
+            stop = None if neighborhood is None else a + 1 + neighborhood
+            for rj in requests[a + 1 : stop]:
+                term = SavingTerm.build(ri, rj, disk, problem.profile)
+                if term is not None:
+                    terms.append(term)
+    return terms
+
+
+@pytest.mark.parametrize(
+    "profile", [PAPER_UNIT, PAPER_EVAL, SLOW_SPIN], ids=lambda profile: profile.name
+)
+@pytest.mark.parametrize("neighborhood", [None, 1, 4])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_build_graph_makes_the_specified_terms(profile, neighborhood, data):
+    problem = data.draw(small_problems(profile=profile, max_requests=20))
+    graph, terms = MWISOfflineScheduler(neighborhood=neighborhood).build_graph(
+        problem
+    )
+    expected = reference_terms(problem, neighborhood)
+    assert list(terms) == expected
+    assert len(graph) == len(expected)
+    assert [graph.weight(node) for node in graph.nodes] == [
+        term.weight for term in expected
+    ]
 
 
 def explicit_graph(terms):

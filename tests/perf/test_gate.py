@@ -57,7 +57,7 @@ def test_bound_comes_from_benchmark_json(tmp_path, monkeypatch):
 
 
 def test_gate_pairs_the_fault_run_as_well():
-    assert gate.GATE_WORKLOADS == ("online-cello", "faulty-financial")
+    assert gate.GATE_WORKLOADS == ("online-cello", "faulty-financial", "offline-mwis")
 
 
 def _fake_runs(monkeypatch, rate):
@@ -99,7 +99,7 @@ def test_run_gate_pairs_and_alternates_the_sides(tmp_path, monkeypatch):
     for start in range(0, len(calls), per_workload):
         firsts = [tree for tree, _, _ in calls[start : start + per_workload : 2]]
         assert firsts[:2] == [base, gate.ROOT]
-    assert lines[-1] == "perf gate FAILED on online-cello, faulty-financial"
+    assert lines[-1] == "perf gate FAILED on online-cello, faulty-financial, offline-mwis"
 
 
 def test_run_gate_fails_when_only_the_fault_run_slows(tmp_path, monkeypatch):
@@ -123,7 +123,7 @@ def test_run_gate_passes_when_every_workload_holds(tmp_path, monkeypatch):
     _fake_runs(monkeypatch, lambda tree, workload: 100_000.0)
     lines = []
     assert gate.run_gate(base, emit=lines.append) == 0
-    assert lines[-1] == "perf gate ok on online-cello, faulty-financial"
+    assert lines[-1] == "perf gate ok on online-cello, faulty-financial, offline-mwis"
 
 
 def test_run_gate_rejects_a_base_without_the_benchmark(tmp_path):

@@ -27,6 +27,7 @@ from typing import (
     Protocol,
     Sequence,
     Set,
+    Tuple,
     TypeVar,
 )
 
@@ -71,10 +72,11 @@ class MWISGraph(Protocol[N]):
     def copy(self) -> MWISGraph[N]:
         """An independent graph to remove nodes from."""
 
-    def remove_closed_neighborhood(self, node: N) -> Set[N]:
-        """Remove ``node`` and its neighbours; return the surviving nodes
-        that lost a neighbour (each lost at least one, so its degree
-        fell)."""
+    def remove_closed_neighborhood(self, node: N) -> Tuple[Set[N], Set[N]]:
+        """Remove ``node`` and its neighbours; return ``(removed,
+        touched)``: the removed nodes, ``node`` included, and the
+        surviving nodes that lost a neighbour (each lost at least one,
+        so its degree fell)."""
 
 
 class ConflictGraph:
@@ -159,9 +161,12 @@ class ConflictGraph:
         }
         return result
 
-    def remove_closed_neighborhood(self, node: NodeId) -> Set[NodeId]:
-        """Remove ``node`` and its neighbours; return the surviving nodes
-        that lost a neighbour."""
+    def remove_closed_neighborhood(
+        self, node: NodeId
+    ) -> Tuple[Set[NodeId], Set[NodeId]]:
+        """Remove ``node`` and its neighbours; return ``(removed,
+        touched)``: the removed nodes and the survivors that lost a
+        neighbour."""
         removed = self._adjacency[node] | {node}
         touched: Set[NodeId] = set()
         for victim in removed:
@@ -170,7 +175,7 @@ class ConflictGraph:
                     self._adjacency[neighbor].discard(victim)
                     touched.add(neighbor)
             del self._weights[victim]
-        return touched
+        return removed, touched
 
 
 _NO_TERMS: AbstractSet[int] = frozenset()
@@ -311,9 +316,10 @@ class SavingTermGraph:
         result._degree = list(self._degree)
         return result
 
-    def remove_closed_neighborhood(self, node: int) -> Set[int]:
-        """Remove ``node`` and its neighbours; return the surviving terms
-        that lost a neighbour."""
+    def remove_closed_neighborhood(self, node: int) -> Tuple[Set[int], Set[int]]:
+        """Remove ``node`` and its neighbours; return ``(removed,
+        touched)``: the removed terms and the survivors that lost a
+        neighbour."""
         pred, succ, disk = self._pred, self._succ, self._disk
         out, into, degree = self._out, self._into, self._degree
         victims = self.neighbors(node)
@@ -342,4 +348,4 @@ class SavingTermGraph:
                 if disk[u] != d:
                     degree[u] -= 1
                     touched.add(u)
-        return touched
+        return set(victims), touched

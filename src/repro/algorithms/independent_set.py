@@ -109,12 +109,10 @@ def _lazy_heap_greedy(graph: MWISGraph[N], score: Union[Scorer[N], str]) -> List
             entry = pop(heap)
         node = nodes[entry[1]]
         selected.append(node)
-        victims = live.neighbors(node)
-        for victim in victims:
+        removed, touched = live.remove_closed_neighborhood(node)
+        for victim in removed:
             valid[index_of[victim]] = None
-        valid[entry[1]] = None
-        remaining -= len(victims) + 1
-        touched = live.remove_closed_neighborhood(node)
+        remaining -= len(removed)
 
 
 def gwmin2(graph: MWISGraph[N]) -> List[N]:

@@ -124,7 +124,7 @@ HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "schedule_after",
         "transition",
         "_admit",
-        "_dispatch",
+        "dispatch_batch",
         "admit",
         "cached_arrival",
         "pick",

@@ -1,20 +1,20 @@
 """Live storage backend: the disk fleet under an injected clock.
 
 :class:`SimBackend` is a :class:`~repro.sim.fleet.DiskFleet` — the same
-disks, Eq. 5/6 cost columns, placement and
-:class:`~repro.core.scheduler.SystemView` the trace replay
-(:class:`~repro.sim.storage.StorageSystem`) runs on — but inverts who
-owns time. The trace replayer preloads every arrival and drains the
-engine once; here the *service clock* owns the timeline, and the backend
-is advanced incrementally (``advance_to``) as asyncio time passes, with
-requests injected at their live arrival instants.
+disks, Eq. 5/6 cost columns, placement, fault path and dispatch core
+the trace replay (:class:`~repro.sim.storage.StorageSystem`) runs on —
+but inverts who owns time. The trace replayer streams every arrival
+through one engine run; here the *service clock* owns the timeline, and
+the backend is advanced incrementally (``advance_to``) as asyncio time
+passes, with requests handed to the fleet's admission closure or batch
+tick at their live instants.
 
-Because the view is the replay's own, the existing online/batch
-schedulers run against it unchanged — that is the whole point: the
-serving policies *are* the paper's scheduling models, re-hosted behind a
-request API. So is the fault path: a ``config.fault_plan`` (serving's
-scripted disk deaths) is armed at construction, and a dead disk's
-queue fails over to the least loaded live replica exactly as in replay.
+The serving policies *are* the paper's scheduling models, re-hosted
+behind a request API: they dispatch through the replay's own code, and a
+request that finds no live replica is lost through the same ``on_lost``
+as one whose last replica dies in flight. One rule differs: before each
+dispatch, ``advance_to`` resolves the transitions due at that very
+instant, where the replay fires an arrival first.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional
 
-from repro.errors import SimulationError
 from repro.placement.catalog import PlacementCatalog
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.fleet import DiskFleet, LostCallback
+from repro.sim.fleet import DiskFleet, DispatchCallback, LostCallback
 from repro.types import CompletionRecord, DiskId, Request
 
 #: ``(request, disk_id, completion instant)``, once per serviced request.
@@ -44,8 +43,11 @@ class SimBackend(DiskFleet):
             on the serving path.
         on_complete: Invoked once per serviced request, *during*
             :meth:`advance_to`, at the request's completion instant.
-        on_lost: Invoked, also during :meth:`advance_to`, for a request
-            whose every replica died under it.
+        on_lost: Invoked for a request with no live replica left: at its
+            dispatch, or during :meth:`advance_to` when its every replica
+            died under it.
+        on_dispatch: Invoked after each dispatch of the admission closure
+            and the batch tick.
     """
 
     def __init__(
@@ -54,12 +56,20 @@ class SimBackend(DiskFleet):
         config: SimulationConfig,
         on_complete: CompletionCallback,
         on_lost: LostCallback,
+        on_dispatch: Optional[DispatchCallback] = None,
     ):
         def on_served(record: CompletionRecord) -> None:
             on_complete(record[3], record[4], record[0])
 
-        super().__init__(catalog, config, SimulationEngine(), on_served, on_lost)
-        self._submitted = 0
+        def on_dispatched(request: Request, disk_id: DiskId) -> None:
+            self._dispatched += 1
+            if on_dispatch is not None:
+                on_dispatch(request, disk_id)
+
+        super().__init__(
+            catalog, config, SimulationEngine(), on_served, on_lost, on_dispatched
+        )
+        self._dispatched = 0
 
     # -- clock injection -----------------------------------------------
 
@@ -99,22 +109,12 @@ class SimBackend(DiskFleet):
             return head_s
         return None if next_s == inf else next_s
 
-    # -- request injection ---------------------------------------------
-
-    def submit(self, request: Request, disk_id: DiskId) -> None:
-        """Hand ``request`` to ``disk_id`` at the current engine time,
-        with the replay path's dispatch checks."""
-        if self._finalized:
-            raise SimulationError("backend already finalized")
-        super().submit(request, disk_id)
-        self._submitted += 1
-
     # -- accounting ----------------------------------------------------
 
     @property
     def requests_submitted(self) -> int:
-        """Requests handed to disks so far."""
-        return self._submitted
+        """Requests handed to disks so far: dispatches and failovers."""
+        return self._dispatched + self._redispatched
 
     @property
     def events_processed(self) -> int:

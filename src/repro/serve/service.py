@@ -12,9 +12,11 @@ serving policies:
   (:class:`~repro.core.wsc.WSCBatchScheduler`), reproducing the batch
   model's few-disks-active behaviour as a latency/energy trade-off knob.
 
-Around the policies sit the serving concerns: bounded-ingress admission
-control with per-client token buckets (:mod:`repro.serve.admission`),
-typed load shedding, graceful drain, and a live
+Both dispatch through the trace replay's own core in the disk fleet
+(its admission closure, its batch tick). Around the policies sit the
+serving concerns: bounded-ingress admission control with per-client
+token buckets (:mod:`repro.serve.admission`), typed load shedding,
+window and drain timing, graceful drain, and a live
 :class:`~repro.sim.metrics.MetricsRegistry`. Everything is clock-agnostic:
 run it under :func:`~repro.serve.clock.virtual_run` for deterministic,
 byte-reproducible sessions, or on a stock loop for wall-clock serving.
@@ -247,6 +249,7 @@ class SchedulingService:
             config.make_sim_config(),
             self._on_complete,
             self._on_lost,
+            self._on_dispatch,
         )
         self._admission = AdmissionController(
             queue_limit=config.queue_limit,
@@ -254,18 +257,14 @@ class SchedulingService:
             client_burst=config.client_burst,
         )
         if config.policy == POLICY_ONLINE:
-            self._online: Optional[HeuristicScheduler] = HeuristicScheduler(
-                config.cost_function()
-            )
-            self._batch: Optional[WSCBatchScheduler] = None
-            dispatch = self._run_online()
+            dispatch = self._run_online(HeuristicScheduler(config.cost_function()))
         else:
-            self._online = None
-            self._batch = WSCBatchScheduler(
-                interval=config.window_s,
-                cost_function=config.cost_function(),
+            dispatch = self._run_micro_batch(
+                WSCBatchScheduler(
+                    interval=config.window_s,
+                    cost_function=config.cost_function(),
+                )
             )
-            dispatch = self._run_micro_batch()
         self._arrived = asyncio.Event()
         self._engine_wake = asyncio.Event()
         self._drain_event = asyncio.Event()
@@ -406,64 +405,52 @@ class SchedulingService:
         if self._draining and not self._inflight:
             self._idle.set()
 
-    def _dispatch_one(self, pending: _Pending, disk_id: DiskId) -> None:
-        """Move one admitted request onto its chosen disk."""
-        backend = self.backend
-        self._inflight[pending.request.request_id] = pending
+    def _on_dispatch(self, request: Request, disk_id: DiskId) -> None:
+        """Backend callback: the fleet sent an admitted request to a disk."""
         self._m_inflight.set(len(self._inflight))
-        self._m_queue_wait.observe(backend.now - pending.request.time)
-        backend.submit(pending.request, disk_id)
+        self._m_queue_wait.observe(self.backend.now - request.time)
         self._engine_wake.set()
 
-    def _shed_unavailable(self, pending: _Pending, now_s: float) -> None:
-        """Shed an admitted request whose every replica disk is dead."""
+    def _on_lost(self, request: Request, now_s: float) -> None:
+        """Backend callback: no replica of an admitted request was live
+        at its dispatch, or a disk death took its last one in flight at
+        ``now_s``; shed it with ``DATA_UNAVAILABLE``."""
+        pending = self._inflight.pop(request.request_id)
         self._m_rejected.inc()
         self._reject_counter(RejectReason.DATA_UNAVAILABLE).inc()
         pending.future.set_result(
             Rejected(
                 client_id=pending.client_id,
-                data_id=pending.request.data_id,
+                data_id=request.data_id,
                 reason=RejectReason.DATA_UNAVAILABLE,
                 rejected_s=now_s,
             )
         )
-
-    def _on_lost(self, request: Request, now_s: float) -> None:
-        """Backend callback: a disk death took the in-flight request's
-        last replica at ``now_s``; shed it with ``DATA_UNAVAILABLE``."""
-        self._shed_unavailable(self._inflight.pop(request.request_id), now_s)
         self._m_inflight.set(len(self._inflight))
         if self._draining and not self._inflight:
             self._idle.set()
 
     # -- dispatch policies ----------------------------------------------
 
-    async def _run_online(self) -> None:
+    async def _run_online(self, scheduler: HeuristicScheduler) -> None:
         """Per-request dispatch at the arrival instant (Eq. 6 cost)."""
-        scheduler = self._online
-        assert scheduler is not None
         backend = self.backend
         clock = self.clock
         ingress = self._ingress
-        pick = scheduler.bind(backend)
+        admit = backend.admission(scheduler)
         while True:
             while ingress:
                 pending = ingress.popleft()
                 self._m_queue_depth.set(len(ingress))
                 backend.advance_to(clock.now)
-                request = pending.request
-                locations = backend.available_locations(request.data_id)
-                if not locations:
-                    # Every replica disk died before dispatch.
-                    self._shed_unavailable(pending, clock.now)
-                    continue
-                self._dispatch_one(pending, pick(request, locations, backend.now))
+                self._inflight[pending.request.request_id] = pending
+                admit(pending.request)
             if self._draining:
                 break
             self._arrived.clear()
             await self._arrived.wait()
 
-    async def _run_micro_batch(self) -> None:
+    async def _run_micro_batch(self, scheduler: WSCBatchScheduler) -> None:
         """Window-aligned batch dispatch through the WSC set-cover model.
 
         Ticks land on multiples of ``window_s`` (like the replay path's
@@ -471,9 +458,6 @@ class SchedulingService:
         is force-flushed in one final batch exactly at the deadline —
         a batch arriving at that instant is dispatched, not shed.
         """
-        scheduler = self._batch
-        assert scheduler is not None
-        backend = self.backend
         clock = self.clock
         window_s = self._config.window_s
         ingress = self._ingress
@@ -507,15 +491,15 @@ class SchedulingService:
                         pass
             now_s = clock.now
             final = deadline_s is not None and now_s >= deadline_s
-            self._flush_batch(limit=None if final else self._config.max_batch)
+            self._flush_batch(scheduler, None if final else self._config.max_batch)
             if final:
                 while ingress:  # max_batch no longer caps the force-flush
-                    self._flush_batch(limit=None)
+                    self._flush_batch(scheduler, None)
                 break
             if self._draining and not ingress:
                 break
 
-    def _flush_batch(self, limit: Optional[int]) -> None:
+    def _flush_batch(self, scheduler: WSCBatchScheduler, limit: Optional[int]) -> None:
         """Dispatch up to ``limit`` queued requests as one batch."""
         ingress = self._ingress
         if not ingress:
@@ -524,27 +508,15 @@ class SchedulingService:
         take = len(ingress) if limit is None else min(limit, len(ingress))
         batch = [ingress.popleft() for _ in range(take)]
         self._m_queue_depth.set(len(ingress))
-        backend = self.backend
-        backend.advance_to(self.clock.now)
-        # Shed batch members whose last replica died; choose_batch
-        # would otherwise raise for the whole batch.
-        servable = []
         for pending in batch:
-            if backend.available_locations(pending.request.data_id):
-                servable.append(pending)
-            else:
-                self._shed_unavailable(pending, self.clock.now)
-        batch = servable
-        if not batch:
-            return
-        scheduler = self._batch
-        assert scheduler is not None
-        requests = [pending.request for pending in batch]
-        decisions = scheduler.choose_batch(requests, backend)
-        for pending in batch:
-            self._dispatch_one(pending, decisions[pending.request.request_id])
-        self._m_batches.inc()
-        self._m_batch_size.observe(float(len(batch)))
+            self._inflight[pending.request.request_id] = pending
+        self.backend.advance_to(self.clock.now)
+        dispatched = self.backend.dispatch_batch(
+            scheduler, [pending.request for pending in batch]
+        )
+        if dispatched:
+            self._m_batches.inc()
+            self._m_batch_size.observe(float(dispatched))
 
     # -- engine pump ----------------------------------------------------
 

@@ -4,15 +4,15 @@
 :class:`~repro.disk.drive.SimulatedDisk` per disk on a common engine,
 the Eq. 5/6 columns they keep current (``view.fleet``), the data
 placement, the :class:`~repro.core.scheduler.SystemView` protocol, the
-checked dispatch and the one fault path (the
-:class:`~repro.faults.injector.FaultInjector` of ``config.fault_plan``,
-which arms every disk's faults at construction and draws each as the
-run reaches it; failover to the least loaded live replica, backoff,
-typed loss). The trace replay
+one fault path (the :class:`~repro.faults.injector.FaultInjector` of
+``config.fault_plan``, which arms every disk's faults at construction
+and draws each as the run reaches it; failover to the least loaded live
+replica, backoff, typed loss) and the one dispatch core (the online
+:meth:`~DiskFleet.admission` closure and the batch tick,
+:meth:`~DiskFleet.dispatch_batch`). The trace replay
 (:class:`~repro.sim.storage.StorageSystem`, the tiered system included)
-and the serving backend
-(:class:`~repro.serve.backend.SimBackend`) subclass it and differ only
-in who drives the clock and how a backed-off request is re-admitted.
+and the serving backend (:class:`~repro.serve.backend.SimBackend`)
+subclass it; their owners decide only when requests reach the core.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.fleet import FleetCostState
+from repro.core.scheduler import BatchScheduler, OnlineScheduler
 from repro.disk.drive import CompletionCallback, SimulatedDisk
 from repro.disk.stats import DiskStats
 from repro.errors import PlacementError, SchedulingError
@@ -34,9 +35,15 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.types import DataId, DiskId, OpKind, Request, RequestId
 
+_READ = OpKind.READ
+
 #: ``(request, now_s)``: the request can no longer be served — every
 #: replica is permanently dead, or its backoff budget ran out.
 LostCallback = Callable[[Request, float], None]
+
+#: ``(request, disk_id)``: an admission or a batch tick (not a
+#: failover) just sent the request to that disk.
+DispatchCallback = Callable[[Request, DiskId], None]
 
 #: First failover-retry delay in seconds; doubles on every further attempt.
 RETRY_BASE_S = 0.5
@@ -57,6 +64,8 @@ class DiskFleet:
             :mod:`repro.disk.drive`).
         on_lost: Invoked once per request the fleet gives up on (only
             ever under an active fault plan).
+        on_dispatch: Invoked after each dispatch of :meth:`admission`
+            and :meth:`dispatch_batch`.
     """
 
     def __init__(
@@ -66,6 +75,7 @@ class DiskFleet:
         engine: SimulationEngine,
         on_complete: CompletionCallback,
         on_lost: LostCallback,
+        on_dispatch: Optional[DispatchCallback] = None,
     ):
         # data_id -> locations tuple, resolved once: per-request placement
         # lookups are one dict access instead of a catalog method call.
@@ -97,6 +107,7 @@ class DiskFleet:
         engine.add_lazy(self._advance_due)
         self._finalized = False
         self._on_lost = on_lost
+        self._on_dispatch = on_dispatch
         self._lost = 0
         self._redispatched = 0
         self._failover_retries = 0
@@ -206,11 +217,101 @@ class DiskFleet:
             )
         disk.submit(request)
 
-    def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        """Submit a request; one that was deferred is deferred no more."""
-        self.submit(request, disk_id)
-        if self._deferred:
-            self._deferred.pop(request.request_id, None)
+    def admission(self, scheduler: OnlineScheduler) -> Callable[[Request], None]:
+        """One closure admits every request through ``scheduler``'s picker,
+        bound once: live replicas (back off or lose when none is live),
+        pick, the dispatch check, submit and ``on_dispatch``."""
+        pick = scheduler.bind(self)
+        locations_by_data = self._locations_by_data
+        available_locations = self.available_locations
+        defer_or_lose = self._defer_or_lose
+        down = self.fleet.down
+        engine = self._engine
+        deferred = self._deferred
+        on_dispatch = self._on_dispatch
+        num_disks = len(self._disks)
+        due = self.fleet.due
+        advance_by_disk = self._advance_by_disk
+        # Disk ids are dense (range(num_disks)), so a list of bound
+        # submit methods replaces the dict hash + attribute lookup on
+        # the hand-off.
+        submit_by_disk = [self._disks[disk_id].submit for disk_id in range(num_disks)]
+
+        def admit(request: Request) -> None:
+            try:
+                locations = locations_by_data[request.data_id]
+            except KeyError:
+                raise PlacementError(f"unknown data id {request.data_id}")
+            if down and not down.isdisjoint(locations):
+                locations = available_locations(request.data_id)
+                if not locations:
+                    defer_or_lose(request)
+                    return
+            now = engine._now
+            # The picker reads the candidates' columns: walk the ones
+            # that have a transition due first.
+            for disk_id in locations:
+                if due[disk_id] <= now:
+                    advance_by_disk[disk_id](engine.walk_limit())
+            disk_id = pick(request, locations, now)
+            # A read must go to one of the live replicas it was handed; an
+            # off-loaded write to any disk, but no negative id may wrap.
+            if request.op is _READ:
+                if disk_id not in locations:
+                    raise SchedulingError(
+                        f"scheduler sent read {request.request_id} to disk {disk_id}, "
+                        f"not a live replica of data {request.data_id}"
+                    )
+            elif not 0 <= disk_id < num_disks:
+                raise SchedulingError(f"scheduler sent write to unknown disk {disk_id}")
+            submit_by_disk[disk_id](request)
+            if deferred:
+                deferred.pop(request.request_id, None)
+            if on_dispatch is not None:
+                on_dispatch(request, disk_id)
+
+        return admit
+
+    def dispatch_batch(self, scheduler: BatchScheduler, batch: List[Request]) -> int:
+        """One batch tick now: a request with no live replica backs off or
+        is lost, ``choose_batch`` decides the rest, and each goes through
+        the dispatch check, submit and ``on_dispatch``. Returns how many
+        it dispatched."""
+        if self._faults is not None:
+            servable_or_deferred = self._servable_or_deferred
+            batch = [  # reprolint: disable=RPL007 -- only under a fault plan
+                request for request in batch if servable_or_deferred(request)
+            ]
+        if not batch:
+            return 0
+        # The cover weighs every replica of the batch: walk the ones
+        # that have a transition due first.
+        due = self.fleet.due
+        now = self._engine.now
+        disks = self._disks
+        locations_by_data = self._locations_by_data
+        for request in batch:
+            for disk_id in locations_by_data[request.data_id]:
+                if due[disk_id] <= now:
+                    disks[disk_id].catch_up()
+        decisions = scheduler.choose_batch(batch, self)
+        submit = self.submit
+        deferred = self._deferred
+        on_dispatch = self._on_dispatch
+        for request in batch:
+            try:
+                disk_id = decisions[request.request_id]
+            except KeyError as exc:
+                raise SchedulingError(
+                    f"batch scheduler left request {request.request_id} "
+                    f"undecided at tick t={now:.6g}s"
+                ) from exc
+            submit(request, disk_id)
+            if deferred:
+                deferred.pop(request.request_id, None)
+            if on_dispatch is not None:
+                on_dispatch(request, disk_id)
+        return len(batch)
 
     # -- failover (fault injection only) -------------------------------
 
@@ -242,7 +343,13 @@ class DiskFleet:
         # by disk id.
         best = min(sorted(candidates), key=self.fleet.queue.__getitem__)
         self._redispatched += 1
-        self._dispatch(request, best)
+        self._redispatch(request, best)
+
+    def _redispatch(self, request: Request, disk_id: DiskId) -> None:
+        """A failover's dispatch: a deferred request is deferred no more."""
+        self.submit(request, disk_id)
+        if self._deferred:
+            self._deferred.pop(request.request_id, None)
 
     def _servable_or_deferred(self, request: Request) -> bool:
         """True when some replica is live; otherwise defers the request."""
@@ -341,4 +448,4 @@ class DiskFleet:
         )
 
 
-__all__ = ["DiskFleet", "LostCallback"]
+__all__ = ["DiskFleet", "DispatchCallback", "LostCallback"]

@@ -8,8 +8,9 @@ each :class:`~repro.disk.drive.SimulatedDisk`) spins idle disks down.
 The disks, their cost columns and the
 :class:`~repro.core.scheduler.SystemView` the schedulers observe come
 from :class:`~repro.sim.fleet.DiskFleet`, and so do fault injection,
-failover and typed loss; this class adds the trace replay: admission,
-batching and caching.
+failover, typed loss and the dispatch core (the online admission
+closure and the batch tick's body); this class adds the trace replay:
+the arrival stream, batch ticks timed on the engine, and the cache.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import operator
 from typing import Callable, List, Sequence
 
 from repro.core.scheduler import BatchScheduler, OnlineScheduler, Scheduler
-from repro.errors import PlacementError, SchedulingError, SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.placement.catalog import PlacementCatalog
 from repro.power.states import DiskPowerState
 from repro.sim.config import SimulationConfig
@@ -53,23 +54,25 @@ class StorageSystem(DiskFleet):
                 "run_offline() for offline schedulers"
             )
         self._metrics = MetricsCollector()
+        self.cache = config.cache_factory() if config.cache_factory else None
         super().__init__(
             catalog,
             config,
             SimulationEngine(),
             self._metrics.record,
             self._metrics.on_lost,
+            None if self.cache is None else self._cache_insert,
         )
         self._scheduler = scheduler
         self._batch_buffer: List[Request] = []
         self._tick_scheduled = False
         self._offered = 0
         self._ran = False
-        self.cache = config.cache_factory() if config.cache_factory else None
-        #: The one admission path: every arrival the cache does not
-        #: serve, and every backoff re-admission.
+        #: Every arrival the cache does not serve, and every backoff
+        #: re-admission: the fleet's admission closure, or the batch
+        #: buffer.
         self._admission: Callable[[Request], None] = (
-            self._online_admission(scheduler)
+            self.admission(scheduler)
             if isinstance(scheduler, OnlineScheduler)
             else self._batch_admission
         )
@@ -157,68 +160,10 @@ class StorageSystem(DiskFleet):
 
         return cached_arrival
 
-    def _online_admission(self, scheduler: OnlineScheduler) -> Callable[[Request], None]:
-        """One closure admits every request through ``scheduler``'s picker,
-        bound once: live replicas (back off or lose when none is live),
-        pick, the dispatch check, submit, and a read's cache insert."""
-        pick = scheduler.bind(self)
-        locations_by_data = self._locations_by_data
-        available_locations = self.available_locations
-        defer_or_lose = self._defer_or_lose
-        down = self.fleet.down
-        engine = self._engine
-        deferred = self._deferred
-        cache = self.cache
-        num_disks = len(self._disks)
-        due = self.fleet.due
-        advance_by_disk = self._advance_by_disk
-        # Disk ids are dense (range(num_disks)), so a list of bound
-        # submit methods replaces the dict hash + attribute lookup on
-        # the hand-off.
-        submit_by_disk = [self._disks[disk_id].submit for disk_id in range(num_disks)]
-
-        def admit(request: Request) -> None:
-            try:
-                locations = locations_by_data[request.data_id]
-            except KeyError:
-                raise PlacementError(f"unknown data id {request.data_id}")
-            if down and not down.isdisjoint(locations):
-                locations = available_locations(request.data_id)
-                if not locations:
-                    defer_or_lose(request)
-                    return
-            now = engine._now
-            # The picker reads the candidates' columns: walk the ones
-            # that have a transition due first.
-            for disk_id in locations:
-                if due[disk_id] <= now:
-                    advance_by_disk[disk_id](engine.walk_limit())
-            disk_id = pick(request, locations, now)
-            # A read must go to one of the live replicas it was handed; an
-            # off-loaded write to any disk, but no negative id may wrap.
-            if request.op is _READ:
-                if disk_id not in locations:
-                    raise SchedulingError(
-                        f"scheduler sent read {request.request_id} to disk {disk_id}, "
-                        f"not a live replica of data {request.data_id}"
-                    )
-            elif not 0 <= disk_id < num_disks:
-                raise SchedulingError(f"scheduler sent write to unknown disk {disk_id}")
-            submit_by_disk[disk_id](request)
-            if deferred:
-                deferred.pop(request.request_id, None)
-            if cache is not None and request.op is _READ:
-                cache.insert(request.data_id, disk_id, self._disk_state)
-
-        return admit
-
     def _batch_admission(self, request: Request) -> None:
         """Queue a request for the next batch tick, unless no replica is
         live: then it backs off or is lost."""
-        if self._faults is not None and not self.available_locations(
-            request.data_id
-        ):
-            self._defer_or_lose(request)
+        if self._faults is not None and not self._servable_or_deferred(request):
             return
         self._batch_buffer.append(request)
         self._ensure_tick()
@@ -241,45 +186,19 @@ class StorageSystem(DiskFleet):
 
     def _on_tick(self) -> None:
         self._tick_scheduled = False
-        if not self._batch_buffer:
-            return
         assert isinstance(self._scheduler, BatchScheduler)
         batch, self._batch_buffer = self._batch_buffer, []
-        if self._faults is not None:
-            batch = [
-                request
-                for request in batch
-                if self._servable_or_deferred(request)
-            ]
-            if not batch:
-                return
-        # The cover weighs every replica of the batch: walk the ones
-        # that have a transition due first.
-        due = self.fleet.due
-        now = self._engine.now
-        disks = self._disks
-        for request in batch:
-            for disk_id in self._locations_by_data[request.data_id]:
-                if due[disk_id] <= now:
-                    disks[disk_id].catch_up()
-        decisions = self._scheduler.choose_batch(batch, self)
-        for request in batch:
-            try:
-                disk_id = decisions[request.request_id]
-            except KeyError as exc:
-                raise SchedulingError(
-                    f"batch scheduler left request {request.request_id} "
-                    f"undecided at tick t={self._engine.now:.6g}s"
-                ) from exc
-            self._dispatch(request, disk_id)
+        self.dispatch_batch(self._scheduler, batch)
 
-    def _dispatch(self, request: Request, disk_id: DiskId) -> None:
-        """A batch tick's or a failover's dispatch; a read's home disk
-        enters the cache."""
-        # The direct base call skips building a super() proxy each time.
-        DiskFleet._dispatch(self, request, disk_id)
+    def _cache_insert(self, request: Request, disk_id: DiskId) -> None:
+        """A dispatch's cache insert: a read's home disk enters the cache."""
         if self.cache is not None and request.op is _READ:
             self.cache.insert(request.data_id, disk_id, self._disk_state)
+
+    def _redispatch(self, request: Request, disk_id: DiskId) -> None:
+        """A failover's dispatch, with the cache insert too."""
+        super()._redispatch(request, disk_id)
+        self._cache_insert(request, disk_id)
 
     def _disk_state(self, disk_id: DiskId) -> DiskPowerState:
         """The cache's eviction probe."""

@@ -1,8 +1,9 @@
 """The one admission closure, for every online scheduler, under faults.
 
-Every online scheduler's arrivals and backoff re-admissions go through
-:meth:`StorageSystem._online_admission`, which calls the picker the
-scheduler bound once for the run. On tiny traces under small fault
+Every online scheduler's arrivals and backoff re-admissions in the
+replay go through the fleet's admission closure
+(:meth:`DiskFleet.admission <repro.sim.fleet.DiskFleet.admission>`),
+which calls the picker the scheduler bound once for the run. On tiny traces under small fault
 plans, every offered request must complete or end in a typed loss,
 whatever the scheduler; and a scheduler that defines only ``choose``
 (reached through the base ``bind`` fallback) must replay exactly as

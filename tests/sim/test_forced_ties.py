@@ -7,6 +7,13 @@ worked out by hand from the paper's disk model (Section 2): FIFO
 service, a spin-up on arrival at a sleeping disk, 2CPM spin-down ``TB``
 after the last completion. Where an arrival and a disk transition share
 an instant, the arrival comes first.
+
+The serving backend (:class:`~repro.serve.backend.SimBackend`) runs the
+same admission closure but resolves the other way: serving advances the
+fleet to ``now`` before it dispatches, so a transition due at that
+instant has already happened when the picker looks. The last tests pin
+that rule on the same instants; they are the ones to flip once both
+owners share one tie rule.
 """
 
 from typing import List, Sequence, Tuple
@@ -19,6 +26,7 @@ from repro.disk.service import ConstantServiceModel
 from repro.placement.catalog import PlacementCatalog
 from repro.power.profile import BARRACUDA
 from repro.power.states import DiskPowerState
+from repro.serve.backend import SimBackend
 from repro.sim.config import SimulationConfig
 from repro.sim.storage import StorageSystem
 from repro.types import DiskId, Request
@@ -205,3 +213,91 @@ def test_arrival_at_the_spin_down_edges(arrival):
         assert state is SPIN_DOWN
         assert list(report.response_times) == [7.0, 7.0]
         assert (stats.spin_ups, stats.spin_downs) == (2, 2)
+
+
+def serve(
+    placement: PlacementCatalog,
+    sim_config: SimulationConfig,
+    requests: Sequence[Request],
+    horizon: float,
+) -> Tuple[RecordingScheduler, SimBackend, List[float]]:
+    """Dispatch ``requests`` the way serving's online policy does: the
+    fleet advanced to each arrival instant, then the admission closure;
+    returns the scheduler, the finalized backend and the response times
+    in completion order."""
+    response_times: List[float] = []
+    backend = SimBackend(
+        placement,
+        sim_config,
+        on_complete=lambda request, disk_id, now: response_times.append(
+            now - request.time
+        ),
+        on_lost=lambda request, now: None,
+    )
+    scheduler = RecordingScheduler()
+    admit = backend.admission(scheduler)
+    for request in requests:
+        backend.advance_to(request.time)
+        admit(request)
+    backend.finalize(horizon)
+    return scheduler, backend, response_times
+
+
+def test_serving_dispatch_at_a_completion_instant_sees_the_idle_disk():
+    # The replay's r1 sees r0 still in service (ACTIVE, one request);
+    # serving's sees r0 completed: IDLE since 1.0, nothing queued, the
+    # Eq. 5 idle slope on. Both serve r1 over [1, 2].
+    scheduler, backend, response_times = serve(
+        PlacementCatalog({0: [0]}),
+        config(1, 20.0, initial_state=IDLE),
+        [Request(time=0.0, request_id=0, data_id=0), Request(time=1.0, request_id=1, data_id=0)],
+        20.0,
+    )
+    assert scheduler.seen[1] == (1.0, (IDLE, 0, PROFILE.idle_power, 0.0))
+    assert response_times == [1.0, 1.0]
+    assert state_times(backend, 0) == {
+        STANDBY: 6.0,
+        SPIN_UP: 0.0,
+        IDLE: 10.0,
+        ACTIVE: 2.0,
+        SPIN_DOWN: 2.0,
+    }
+
+
+def test_serving_dispatch_at_a_spin_up_end_sees_the_disk_serving():
+    # The replay's r1 sees SPIN_UP; serving's sees the spin-up ended and
+    # r0 in service (ACTIVE, one request). The Eq. 5 terms are the same,
+    # and so are the response times.
+    scheduler, backend, response_times = serve(
+        PlacementCatalog({0: [0]}),
+        config(1, 25.0),
+        [Request(time=0.0, request_id=0, data_id=0), Request(time=6.0, request_id=1, data_id=0)],
+        25.0,
+    )
+    assert scheduler.seen[1] == (6.0, (ACTIVE, 1, 0.0, 0.0))
+    assert response_times == [7.0, 2.0]
+    assert state_times(backend, 0) == {
+        STANDBY: 5.0,
+        SPIN_UP: 6.0,
+        IDLE: 10.0,
+        ACTIVE: 2.0,
+        SPIN_DOWN: 2.0,
+    }
+
+
+def test_serving_dispatch_at_the_idle_timeout_finds_the_disk_spinning_down():
+    # At 17.0 the replay's r1 finds the disk IDLE and is served at once
+    # (see test_arrival_at_the_spin_down_edges); serving's finds the
+    # spin-down begun, pays the full wake-up and waits: down [17, 19],
+    # up [19, 25], served [25, 26].
+    scheduler, backend, response_times = serve(
+        PlacementCatalog({0: [0]}),
+        config(1, 60.0),
+        [Request(time=0.0, request_id=0, data_id=0), Request(time=17.0, request_id=1, data_id=0)],
+        60.0,
+    )
+    marginal = backend.fleet.standby_marginal
+    assert scheduler.seen[1] == (17.0, (SPIN_DOWN, 0, 0.0, marginal))
+    assert response_times == [7.0, 9.0]
+    stats = backend.disk_stats[0]
+    assert (stats.spin_ups, stats.spin_downs) == (2, 2)

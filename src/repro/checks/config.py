@@ -116,11 +116,9 @@ HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "choose",
         "cost",
         "energy_cost",
-        "marginal_energy",
         "locations",
         "available_locations",
         "submit",
-        "schedule_at",
         "schedule_after",
         "transition",
         "_admit",

@@ -44,7 +44,7 @@ from repro.power.states import DiskPowerState
 from repro.types import CompletionRecord, DiskId, Request
 
 if TYPE_CHECKING:  # used only in annotations; avoids a package import cycle
-    from repro.sim.engine import SimulationEngine
+    from repro.sim.engine import Event, SimulationEngine
 
 #: Called once per serviced request with its record.
 CompletionCallback = Callable[[CompletionRecord], None]
@@ -76,7 +76,7 @@ class SimulatedDisk:
         "_started",
         "_stamp",
         "_due",
-        "_spin_up_timer",
+        "_spin_up",
         "_idle_timeout_s",
         "last_request_time",
         "_fleet",
@@ -126,7 +126,8 @@ class SimulatedDisk:
         self._in_service: Optional[Request] = None
         self._started = 0.0
         self._stamp = 0
-        self._spin_up_timer = engine.timer(self._on_spin_up_complete)
+        #: The pending spin-up end on the engine, for a crash to cancel.
+        self._spin_up: Optional[Event] = None
         policy = policy or TwoCompetitivePolicy()
         self._idle_timeout_s = policy.idle_timeout(profile)
         #: ``Tlast`` of Eq. 5 — when this disk last *received* a request.
@@ -212,7 +213,9 @@ class SimulatedDisk:
         elif state is _SPIN_DOWN and len(queue) == 1 and self.profile.spin_up_time > 0:
             # The first request to wait out a spin-down arms the spin-up
             # after it; the walk moves only the ledger.
-            self._spin_up_timer.schedule_at(self._due + self.profile.spin_up_time)
+            self._spin_up = self._engine.schedule(
+                self._due + self.profile.spin_up_time, self._on_spin_up_complete
+            )
         # ACTIVE / SPIN_UP: served after the requests ahead of it.
 
     def held_requests(self) -> List[Request]:
@@ -292,7 +295,8 @@ class SimulatedDisk:
         drained = self.held_requests()
         self._health = DiskHealth.FAILED if permanent else DiskHealth.DOWN
         self._fleet.down.add(self.disk_id)
-        self._spin_up_timer.cancel()
+        if self._spin_up is not None:
+            self._engine.cancel(self._spin_up)
         self._in_service = None
         self._queue.clear()
         self._f_queue[self.disk_id] = 0.0
@@ -380,7 +384,9 @@ class SimulatedDisk:
         if self.profile.spin_up_time <= 0:
             self._finish_spin_up(now)
         elif not armed:
-            self._spin_up_timer.schedule_after(self.profile.spin_up_time)
+            self._spin_up = self._engine.schedule_after(
+                self.profile.spin_up_time, self._on_spin_up_complete
+            )
 
     def _on_spin_up_complete(self) -> None:
         self.catch_up()  # a spin-down the spin-up waited for

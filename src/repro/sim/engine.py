@@ -9,15 +9,15 @@ own completions, idle timeout and spin-down when it is read (up to
 :meth:`SimulationEngine.walk_limit`, and to a run's horizon through
 :meth:`SimulationEngine.add_lazy`), counting each in ``events_processed``.
 
-:meth:`SimulationEngine.schedule` posts a fire-and-forget event. The one
-cancellable event is a :class:`ReusableTimer`; its cancel/re-arm churn
-now serves only the tape unmount timer (a disk's spin-up uses one so a
-crash can cancel it). It keeps at most one heap entry alive: cancelling
-and re-arming to a later deadline are plain field writes, and the entry
-migrates to the current deadline when it surfaces at the head of the
-heap. A cancelled timer's entry stays in the heap, dormant, until it
-surfaces or the timer is re-armed. Live events fire in ``(time,
-insertion sequence)`` order; a dormant entry is skipped, never fired.
+:meth:`SimulationEngine.schedule` returns the event itself, its heap
+entry ``[time, sequence, callback]``, and :meth:`SimulationEngine.cancel`
+clears the callback slot. A cancelled entry stays in the heap, dead,
+until it surfaces at the head and is dropped; the run loop clears the
+slot of each entry it pops, so cancelling a fired event does nothing.
+Cancelling is how a crash stops a disk's spin-up and how an arrival
+stops a tape drive's unmount; re-arming is a cancel and a new event.
+Live events fire in ``(time, sequence)`` order, the sequence being the
+order they were scheduled in.
 """
 
 from __future__ import annotations
@@ -36,100 +36,16 @@ EventCallback = Callable[[], None]
 #: ``callback(payload)`` fired once per entry at its timestamp.
 ArrivalStream = Tuple[Sequence[float], Sequence[Any], Callable[[Any], None]]
 
-#: One heap entry: ``(time, sequence, timer, payload)``. For scheduled
-#: events the timer slot is ``None`` and the payload is the callback; for
-#: timer entries the payload is the generation the entry was pushed
-#: under. The unique sequence number guarantees tuple comparison never
-#: reaches the payload slot.
-_QueueEntry = Tuple[float, int, Optional["ReusableTimer"], Any]
+#: A scheduled event, which is its heap entry: ``[time, sequence,
+#: callback]``, the callback slot ``None`` once it fired or was
+#: cancelled. The unique sequence number guarantees list comparison never
+#: reaches the callback slot.
+Event = List[Any]
 
 
 def _no_arrival_stream(payload: Any) -> None:
     """Placeholder arrival callback; unreachable (arrival_count stays 0)."""
     raise SimulationError("arrival fired without an arrival stream")
-
-
-class ReusableTimer:
-    """A slotted, cancellable engine timer built for cancel/re-arm churn.
-
-    It owns at most one live heap entry: :meth:`cancel` leaves it in the
-    heap, dormant; re-arming to the same or a later deadline (the tape
-    unmount pattern) only updates the target, and the entry re-pushes
-    itself to it when it surfaces; re-arming earlier abandons the entry
-    via a generation bump and pushes a fresh one.
-
-    Ties at the same timestamp break by insertion sequence. A migrated
-    entry receives its sequence number when it migrates — strictly before
-    its deadline — so it orders after anything pushed for that deadline
-    before the migration, and before anything pushed after it.
-    """
-
-    __slots__ = ("_engine", "_callback", "_deadline", "_entry_time", "_generation")
-
-    def __init__(self, engine: "SimulationEngine", callback: EventCallback):
-        self._engine = engine
-        self._callback = callback
-        #: Current firing target in simulated seconds; None = dormant.
-        self._deadline: Optional[float] = None
-        #: Timestamp of this generation's in-heap entry; None = no entry.
-        self._entry_time: Optional[float] = None
-        self._generation = 0
-
-    @property
-    def armed(self) -> bool:
-        """True when the timer has a pending deadline."""
-        return self._deadline is not None
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """The firing instant in simulated seconds, or ``None`` if dormant."""
-        return self._deadline
-
-    def schedule_at(self, time: float) -> None:
-        """Arm (or re-arm) the timer to fire at absolute ``time`` seconds.
-
-        Raises:
-            SimulationError: when scheduling into the past.
-        """
-        engine = self._engine
-        if time < engine._now:
-            raise SimulationError(
-                f"cannot schedule timer at {time} before now={engine._now}"
-            )
-        entry_time = self._entry_time
-        if entry_time is not None and entry_time <= time:
-            # In-place re-arm: the existing entry fires no later than the
-            # new deadline and will migrate itself forward when popped.
-            if self._deadline is None:
-                engine._cancelled_pending -= 1  # entry is live again
-            self._deadline = time
-            return
-        if entry_time is not None:
-            # Earlier than the in-heap entry: abandon it to a stale
-            # generation (dropped when it surfaces).
-            self._generation += 1
-            if self._deadline is not None:
-                engine._cancelled_pending += 1
-        self._deadline = time
-        self._entry_time = time
-        heapq.heappush(
-            engine._queue,
-            (time, next(engine._sequence), self, self._generation),
-        )
-
-    def schedule_after(self, delay: float) -> None:
-        """Arm the timer ``delay`` seconds from the engine's current time."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        self.schedule_at(self._engine._now + delay)
-
-    def cancel(self) -> None:
-        """Disarm the timer (idempotent; the heap entry is reused later)."""
-        if self._deadline is None:
-            return
-        self._deadline = None
-        if self._entry_time is not None:
-            self._engine._cancelled_pending += 1
 
 
 class SimulationEngine:
@@ -155,11 +71,11 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[Event] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._running = False
-        #: Dead heap entries: dormant or abandoned timer entries.
+        #: Cancelled entries still in the heap.
         self._cancelled_pending = 0
         #: True while a streamed arrival fires (see walk_limit).
         self._in_arrival = False
@@ -176,24 +92,18 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Live events still queued.
-
-        A dormant :class:`ReusableTimer` entry counts as dead; an armed
-        timer counts as exactly one live event regardless of where its
-        heap entry currently sits.
-        """
+        """Live events still queued (cancelled entries excluded)."""
         return len(self._queue) - self._cancelled_pending
 
     @property
     def queue_depth(self) -> int:
-        """Raw heap size, dead timer entries included."""
+        """Raw heap size, cancelled entries included."""
         return len(self._queue)
 
-    def schedule(self, time: float, callback: EventCallback) -> None:
+    def schedule(self, time: float, callback: EventCallback) -> Event:
         """Fire ``callback`` at absolute simulated ``time`` (seconds).
 
-        Fire-and-forget: the event cannot be cancelled. Use a
-        :meth:`timer` for an event that may need cancelling.
+        Returns the event, for :meth:`cancel`.
 
         Raises:
             SimulationError: when scheduling into the past.
@@ -202,13 +112,22 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self._now}"
             )
-        heapq.heappush(self._queue, (time, next(self._sequence), None, callback))
+        event = [time, next(self._sequence), callback]
+        heapq.heappush(self._queue, event)
+        return event
 
-    def schedule_after(self, delay: float, callback: EventCallback) -> None:
+    def schedule_after(self, delay: float, callback: EventCallback) -> Event:
         """Fire ``callback`` after a relative ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        self.schedule(self._now + delay, callback)
+        return self.schedule(self._now + delay, callback)
+
+    def cancel(self, event: Event) -> None:
+        """Stop ``event`` from firing; does nothing once it has fired or
+        was cancelled already."""
+        if event[2] is not None:
+            event[2] = None
+            self._cancelled_pending += 1
 
     def walk_limit(self) -> float:
         """The latest instant a lazy source may be walked to now: the
@@ -220,10 +139,6 @@ class SimulationEngine:
         """Call ``advance(horizon)`` last in every run with a horizon, so
         a source that resolves its own events on demand catches up."""
         self._lazy.append(advance)
-
-    def timer(self, callback: EventCallback) -> ReusableTimer:
-        """A dormant :class:`ReusableTimer` firing ``callback``."""
-        return ReusableTimer(self, callback)
 
     def peek_time(self) -> Optional[float]:
         """Seconds timestamp of the next live event, or ``None`` if
@@ -321,17 +236,12 @@ class SimulationEngine:
                     continue
                 if head is None:
                     break
-                timer = head[2]
                 time = head[0]
                 if time > horizon:
                     break
                 heappop(queue)
-                if timer is not None:
-                    timer._deadline = None
-                    timer._entry_time = None
-                    callback = timer._callback
-                else:
-                    callback = head[3]
+                callback = head[2]
+                head[2] = None  # fired: a later cancel does nothing
                 self._now = time
                 self._events_processed += 1
                 try:
@@ -354,33 +264,14 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------
 
-    def _fix_head(self) -> Optional[_QueueEntry]:
-        """Normalise the heap head: drop dead timer entries, migrate
-        re-armed ones to their current deadline, and return the live head
-        (or ``None`` when drained)."""
+    def _fix_head(self) -> Optional[Event]:
+        """Drop cancelled entries off the heap head and return the live
+        head (or ``None`` when drained)."""
         queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
         while queue:
             head = queue[0]
-            timer = head[2]
-            if timer is None:  # scheduled events are always live
+            if head[2] is not None:
                 return head
-            if head[3] != timer._generation:
-                heappop(queue)
-                self._cancelled_pending -= 1
-                continue
-            deadline = timer._deadline
-            if deadline is None:
-                heappop(queue)
-                self._cancelled_pending -= 1
-                timer._entry_time = None
-                continue
-            if deadline > head[0]:
-                # Re-armed later while in flight: migrate the entry.
-                heappop(queue)
-                heappush(queue, (deadline, next(self._sequence), timer, head[3]))
-                timer._entry_time = deadline
-                continue
-            return head
+            heapq.heappop(queue)
+            self._cancelled_pending -= 1
         return None

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 from repro.sim.metrics import Histogram, MetricsRegistry
 from repro.tape.profile import TapePowerProfile
 from repro.tape.sequencer import TapeSequencer
@@ -68,7 +68,7 @@ class TapeDrive:
         "_plan",
         "_current",
         "_current_seek_s",
-        "_unmount_timer",
+        "_unmount",
         "_seek_histogram",
         "_energy_histogram",
     )
@@ -103,7 +103,8 @@ class TapeDrive:
         self._plan: Deque[Tuple[Request, float]] = deque()
         self._current: Optional[Tuple[Request, float]] = None
         self._current_seek_s = 0.0
-        self._unmount_timer = engine.timer(self._on_unmount_timeout)
+        #: The pending mount-breakeven unmount, for an arrival to cancel.
+        self._unmount: Optional[Event] = None
         self._seek_histogram: Optional[Histogram] = None
         self._energy_histogram: Optional[Histogram] = None
         if registry is not None:
@@ -146,7 +147,8 @@ class TapeDrive:
         elif state is _LOADED:
             # Idle with a cartridge threaded: cancel the breakeven
             # unmount timer and plan a fresh batch immediately.
-            self._unmount_timer.cancel()
+            if self._unmount is not None:
+                self._engine.cancel(self._unmount)
             self._advance()
         # MOUNTING / SEEKING / READING / UNMOUNTING: picked up when the
         # in-flight transition or service completes.
@@ -192,8 +194,8 @@ class TapeDrive:
             if not self._plan:
                 if not self._pending:
                     self._transition(_LOADED)
-                    self._unmount_timer.schedule_after(
-                        self.profile.mount_breakeven_time
+                    self._unmount = self._engine.schedule_after(
+                        self.profile.mount_breakeven_time, self._on_unmount_timeout
                     )
                     return
                 self._build_plan()

@@ -1,11 +1,12 @@
 """The reactive rule (:attr:`GapRule.REACTIVE`) against the simulator.
 
-Static and Random pick a disk without looking at disk state, so the
-chain of requests each disk receives is fixed before the replay runs.
-Walking every disk's realised chain through the reactive rule, with the
-service times its own RNG draws in FIFO order, must then give the
-simulator's ledger float for float: state times, spin counts and
-completion instants.
+A disk's timeline under the reactive rule follows from the chain of
+requests it receives alone. The test records each disk's realised chain
+during a replay, so any scheduler qualifies: Static and Random, which
+ignore disk state, and the Heuristic, whose picks read it. Walking every
+chain through the reactive rule, with the service times the disk's own
+RNG draws in FIFO order, must then give the simulator's ledger float for
+float: state times, spin counts and completion instants.
 """
 
 import random
@@ -13,6 +14,7 @@ from typing import Dict, List, Sequence
 
 import pytest
 
+from repro.core.heuristic import HeuristicScheduler
 from repro.core.random_scheduler import RandomScheduler
 from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.core.static_scheduler import StaticScheduler
@@ -53,7 +55,7 @@ class RecordingScheduler(OnlineScheduler):
 
 
 @pytest.mark.parametrize("trace", ["cello", "financial"])
-@pytest.mark.parametrize("key", ["static", "random"])
+@pytest.mark.parametrize("key", ["static", "random", "heuristic"])
 def test_reactive_walk_matches_the_simulator(trace, key):
     disks = runner.num_disks_for(SCALE)
     requests, catalog = runner.get_workload(trace, SCALE, SEED).bind(
@@ -62,7 +64,11 @@ def test_reactive_walk_matches_the_simulator(trace, key):
         seed=SEED,
     )
     config = runner.make_config(disks, "paper-evaluation", SEED)
-    inner = StaticScheduler() if key == "static" else RandomScheduler(seed=SEED)
+    inner: OnlineScheduler = {
+        "static": StaticScheduler(),
+        "random": RandomScheduler(seed=SEED),
+        "heuristic": HeuristicScheduler(),
+    }[key]
     scheduler = RecordingScheduler(inner)
     system = StorageSystem(catalog, scheduler, config)
     report = system.run(requests)

@@ -56,19 +56,24 @@ def test_negative_delay_rejected():
         engine.schedule_after(-0.1, lambda: None)
 
 
-def test_schedule_is_fire_and_forget():
+def test_schedule_returns_the_event():
+    """The event is its heap entry ``[time, sequence, callback]``."""
     engine = SimulationEngine()
-    assert engine.schedule(1.0, lambda: None) is None
-    assert engine.schedule_after(1.0, lambda: None) is None
+
+    def callback():
+        pass
+
+    event = engine.schedule(1.0, callback)
+    assert event[0] == 1.0 and event[2] is callback
+    assert engine.schedule_after(2.0, callback)[0] == 2.0
 
 
 def test_cancelled_events_do_not_fire():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append("cancelled"))
-    timer.schedule_at(1.0)
+    event = engine.schedule(1.0, lambda: fired.append("cancelled"))
     engine.schedule(2.0, lambda: fired.append("kept"))
-    timer.cancel()
+    engine.cancel(event)
     engine.run()
     assert fired == ["kept"]
 
@@ -76,9 +81,8 @@ def test_cancelled_events_do_not_fire():
 def test_cancel_from_within_earlier_event():
     engine = SimulationEngine()
     fired = []
-    late = engine.timer(lambda: fired.append("late"))
-    late.schedule_at(5.0)
-    engine.schedule(1.0, late.cancel)
+    late = engine.schedule(5.0, lambda: fired.append("late"))
+    engine.schedule(1.0, lambda: engine.cancel(late))
     engine.run()
     assert fired == []
 
@@ -116,22 +120,10 @@ def test_events_scheduled_during_run_are_processed():
 
 def test_peek_time_skips_cancelled():
     engine = SimulationEngine()
-    timer = engine.timer(lambda: None)
-    timer.schedule_at(1.0)
+    event = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
-    timer.cancel()
+    engine.cancel(event)
     assert engine.peek_time() == 2.0
-
-
-def test_peek_time_reports_a_migrated_deadline():
-    engine = SimulationEngine()
-    timer = engine.timer(lambda: None)
-    timer.schedule_at(1.0)
-    timer.schedule_at(3.0)  # later: the 1.0 entry migrates on surfacing
-    engine.schedule(2.0, lambda: None)
-    assert engine.peek_time() == 2.0
-    engine.run(until=2.0)
-    assert engine.peek_time() == 3.0
 
 
 def test_events_processed_counter():
@@ -145,20 +137,18 @@ def test_events_processed_counter():
 def test_events_processed_excludes_cancelled():
     engine = SimulationEngine()
     engine.schedule(1.0, lambda: None)
-    cancelled = engine.timer(lambda: None)
-    cancelled.schedule_at(2.0)
+    cancelled = engine.schedule(2.0, lambda: None)
     engine.schedule(3.0, lambda: None)
-    cancelled.cancel()
+    engine.cancel(cancelled)
     engine.run()
     assert engine.events_processed == 2
 
 
 def test_events_processed_excludes_timer_cancelled_mid_run():
-    """A timer cancelled by an earlier event never counts as processed."""
+    """An event cancelled by an earlier event never counts as processed."""
     engine = SimulationEngine()
-    late = engine.timer(lambda: None)
-    late.schedule_at(5.0)
-    engine.schedule(1.0, late.cancel)
+    late = engine.schedule(5.0, lambda: None)
+    engine.schedule(1.0, lambda: engine.cancel(late))
     engine.run()
     assert engine.events_processed == 1
 
@@ -183,45 +173,45 @@ def test_run_not_reentrant():
 
 def test_pending_events_counts_only_live_events():
     engine = SimulationEngine()
-    keep = engine.timer(lambda: None)
-    keep.schedule_at(1.0)
-    dead = engine.timer(lambda: None)
-    dead.schedule_at(2.0)
-    dead.cancel()
+    keep = engine.schedule(1.0, lambda: None)
+    dead = engine.schedule(2.0, lambda: None)
+    engine.cancel(dead)
     assert engine.pending_events == 1
     assert engine.queue_depth == 2
-    keep.cancel()
+    engine.cancel(keep)
     assert engine.pending_events == 0
     assert engine.queue_depth == 2
 
 
 def test_pending_events_counts_armed_timer_once():
+    """Re-arming is a cancel and a new event: the heap holds both
+    entries, and only the new one counts."""
     engine = SimulationEngine()
-    timer = engine.timer(lambda: None)
-    timer.schedule_at(5.0)
+    event = engine.schedule(5.0, lambda: None)
     assert engine.pending_events == 1
-    timer.schedule_at(9.0)  # re-arm later: same single heap entry
+    engine.cancel(event)
+    event = engine.schedule(9.0, lambda: None)
     assert engine.pending_events == 1
-    timer.cancel()
+    assert engine.queue_depth == 2
+    engine.cancel(event)
     assert engine.pending_events == 0
-    assert engine.queue_depth == 1  # dormant entry awaits reuse
 
 
 def test_double_cancel_counts_once():
     engine = SimulationEngine()
-    timer = engine.timer(lambda: None)
-    timer.schedule_at(1.0)
+    event = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
-    timer.cancel()
-    timer.cancel()
+    engine.cancel(event)
+    engine.cancel(event)
     assert engine.pending_events == 1
 
 
 def test_abandoned_entry_counts_as_dead():
+    """A timer re-armed earlier leaves its cancelled entry in the heap,
+    dead, until the run drops it."""
     engine = SimulationEngine()
-    timer = engine.timer(lambda: None)
-    timer.schedule_at(9.0)
-    timer.schedule_at(1.0)  # earlier: the 9.0 entry is abandoned
+    engine.cancel(engine.schedule(9.0, lambda: None))
+    engine.schedule(1.0, lambda: None)
     assert engine.pending_events == 1
     assert engine.queue_depth == 2
     engine.run()
@@ -230,43 +220,63 @@ def test_abandoned_entry_counts_as_dead():
     assert engine.events_processed == 1
 
 
-def test_abandoned_entry_never_carries_a_later_arm():
-    """An abandoned entry is dropped when it surfaces, even once the
-    timer is armed past it again: the live entry alone carries the
-    deadline, so ties order by when that entry was pushed."""
+def test_cancel_after_firing_does_nothing():
+    engine = SimulationEngine()
+    event = engine.schedule(1.0, lambda: None)
+    engine.run()
+    engine.schedule(2.0, lambda: None)
+    engine.cancel(event)
+    assert engine.pending_events == 1
+    engine.run()
+    assert engine.events_processed == 2
+
+
+def test_an_event_cannot_cancel_itself_once_fired():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append(("timer", engine.now)))
-    timer.schedule_at(5.0)
-    timer.schedule_at(1.0)  # abandons the 5.0 entry
-    engine.schedule(3.0, lambda: None)  # keeps the 5.0 entry off the head
-    engine.run(until=2.0)
-    timer.schedule_at(8.0)  # fresh entry; the abandoned one is still queued
-    timer.schedule_at(10.0)  # in place: the 8.0 entry migrates at t=8
-    engine.schedule(
-        6.0,
-        lambda: engine.schedule(10.0, lambda: fired.append(("event", 10.0))),
-    )
+
+    def fire():
+        fired.append(engine.now)
+        engine.cancel(event)
+
+    event = engine.schedule(1.0, fire)
     engine.run()
-    # The event at 10.0 was pushed at t=6, before the timer's entry
-    # migrated at t=8, so it fires first.
-    assert fired == [("timer", 1.0), ("event", 10.0), ("timer", 10.0)]
-    assert engine.pending_events == 0
+    assert fired == [1.0]
+    assert engine.pending_events == 0 and engine.queue_depth == 0
+
+
+# -- tie rule ---------------------------------------------------------------
+
+
+def test_ties_fire_in_scheduling_order_and_a_rescheduled_event_goes_last():
+    """At one instant events fire in the order they were scheduled, with
+    no exception: an event cancelled and scheduled again takes the place
+    of its new scheduling, behind events scheduled in between."""
+    engine = SimulationEngine()
+    fired = []
+    first = engine.schedule(3.0, lambda: fired.append("first"))
+    engine.schedule(3.0, lambda: fired.append("second"))
+
+    def reschedule():
+        engine.cancel(first)
+        engine.schedule(3.0, lambda: fired.append("first, again"))
+        engine.schedule(3.0, lambda: fired.append("third"))
+
+    engine.schedule(1.0, reschedule)
+    engine.run()
+    assert fired == ["second", "first, again", "third"]
 
 
 # -- arrival stream ---------------------------------------------------------
 
 
 def test_arrival_fires_before_a_later_live_timer_behind_a_dead_head():
-    """A dormant head only underestimates the next live time; once it is
-    dropped, an arrival due before the live timer still fires first."""
+    """A cancelled head only underestimates the next live time; once it
+    is dropped, an arrival due before the live event still fires first."""
     engine = SimulationEngine()
     fired = []
-    dormant = engine.timer(lambda: fired.append("dormant"))
-    dormant.schedule_at(1.0)
-    dormant.cancel()
-    timer = engine.timer(lambda: fired.append("timer"))
-    timer.schedule_at(3.0)
+    engine.cancel(engine.schedule(1.0, lambda: fired.append("dormant")))
+    engine.schedule(3.0, lambda: fired.append("timer"))
     engine.run(arrivals=([2.0, 3.0], ["a", "b"], fired.append))
     # At t=3.0 the stream fires first, as preloaded events would.
     assert fired == ["a", "b", "timer"]
@@ -281,27 +291,25 @@ def test_arrival_stream_stops_at_the_horizon():
     assert engine.now == 1.5
 
 
-# -- ReusableTimer ----------------------------------------------------------
+# -- cancellable events as timers -------------------------------------------
 
 
 def test_timer_fires_at_deadline():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append(engine.now))
-    timer.schedule_at(3.0)
-    assert timer.armed and timer.deadline == 3.0
+    engine.schedule(3.0, lambda: fired.append(engine.now))
+    assert engine.pending_events == 1
     engine.run()
     assert fired == [3.0]
-    assert not timer.armed
+    assert engine.pending_events == 0
 
 
 def test_timer_rearm_later_fires_once_at_new_deadline():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append(engine.now))
-    timer.schedule_at(2.0)
-    timer.schedule_at(7.0)  # moves forward without a new heap entry
-    assert engine.queue_depth == 1
+    event = engine.schedule(2.0, lambda: fired.append(engine.now))
+    engine.cancel(event)
+    engine.schedule(7.0, lambda: fired.append(engine.now))
     engine.run()
     assert fired == [7.0]
     assert engine.events_processed == 1
@@ -310,34 +318,19 @@ def test_timer_rearm_later_fires_once_at_new_deadline():
 def test_timer_rearm_earlier_fires_at_new_deadline():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append(engine.now))
-    timer.schedule_at(9.0)
-    timer.schedule_at(1.0)  # earlier: abandons the old entry
+    event = engine.schedule(9.0, lambda: fired.append(engine.now))
+    engine.cancel(event)
+    engine.schedule(1.0, lambda: fired.append(engine.now))
     engine.run()
     assert fired == [1.0]
     assert engine.events_processed == 1
 
 
-def test_timer_cancel_then_rearm_reuses_the_entry():
-    engine = SimulationEngine()
-    fired = []
-    timer = engine.timer(lambda: fired.append(engine.now))
-    timer.schedule_at(2.0)
-    timer.cancel()
-    assert engine.pending_events == 0
-    timer.schedule_at(4.0)  # resurrects the dormant in-heap entry
-    assert engine.pending_events == 1
-    assert engine.queue_depth == 1
-    engine.run()
-    assert fired == [4.0]
-
-
 def test_timer_cancelled_never_fires():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append("timer"))
-    timer.schedule_at(2.0)
-    engine.schedule(1.0, timer.cancel)
+    event = engine.schedule(2.0, lambda: fired.append("timer"))
+    engine.schedule(1.0, lambda: engine.cancel(event))
     engine.run()
     assert fired == []
     assert engine.events_processed == 1
@@ -350,10 +343,9 @@ def test_timer_refire_after_firing():
     def tick():
         fired.append(engine.now)
         if engine.now < 3.0:
-            timer.schedule_after(1.0)
+            engine.schedule_after(1.0, tick)
 
-    timer = engine.timer(tick)
-    timer.schedule_at(1.0)
+    engine.schedule(1.0, tick)
     engine.run()
     assert fired == [1.0, 2.0, 3.0]
 
@@ -362,18 +354,16 @@ def test_timer_rejects_past_deadline():
     engine = SimulationEngine()
     engine.schedule(5.0, lambda: None)
     engine.run()
-    timer = engine.timer(lambda: None)
     with pytest.raises(SimulationError):
-        timer.schedule_at(1.0)
+        engine.schedule(1.0, lambda: None)
     with pytest.raises(SimulationError):
-        timer.schedule_after(-0.5)
+        engine.schedule_after(-0.5, lambda: None)
 
 
 def test_timer_ties_respect_insertion_order():
     engine = SimulationEngine()
     fired = []
-    timer = engine.timer(lambda: fired.append("timer"))
-    timer.schedule_at(2.0)
+    engine.schedule(2.0, lambda: fired.append("timer"))
     engine.schedule(2.0, lambda: fired.append("event"))
     engine.run()
     assert fired == ["timer", "event"]

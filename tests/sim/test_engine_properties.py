@@ -24,20 +24,17 @@ def schedules(draw):
 @given(data=schedules())
 @settings(max_examples=100, deadline=None)
 def test_fires_exactly_uncancelled_events_in_stable_time_order(data):
-    """Even tags are timers, odd tags plain events; only timers cancel."""
+    """Events tagged in ``cancel`` are cancelled before the run."""
     times, cancel = data
     engine = SimulationEngine()
     fired = []
-    timers = {}
-    for tag, time in enumerate(times):
-        if tag % 2 == 0:
-            timers[tag] = engine.timer(lambda t=tag: fired.append(t))
-            timers[tag].schedule_at(time)
-        else:
-            engine.schedule(time, lambda t=tag: fired.append(t))
-    cancelled = {tag for tag in cancel if tag in timers}
+    events = [
+        engine.schedule(time, lambda t=tag: fired.append(t))
+        for tag, time in enumerate(times)
+    ]
+    cancelled = {tag for tag in cancel if tag < len(events)}
     for tag in cancelled:
-        timers[tag].cancel()
+        engine.cancel(events[tag])
     assert engine.pending_events == len(times) - len(cancelled)
     engine.run()
 

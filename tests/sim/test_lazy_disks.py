@@ -50,13 +50,7 @@ def test_a_fault_free_replay_fires_no_disk_event_but_spin_up_ends(monkeypatch):
 
         return fire
 
-    original_timer = SimulationEngine.timer
     original_schedule = SimulationEngine.schedule
-    monkeypatch.setattr(
-        SimulationEngine,
-        "timer",
-        lambda engine, callback: original_timer(engine, recorded(callback)),
-    )
     monkeypatch.setattr(
         SimulationEngine,
         "schedule",

@@ -1,6 +1,6 @@
 """Whole-program analysis substrate for the project-wide RPL rules.
 
-Per-file AST rules (RPL001-RPL007) see one module at a time; the RPL1xx
+Per-file AST rules (RPL001-RPL008) see one module at a time; the RPL1xx
 determinism, RPL2xx asyncio, and RPL3xx layering families need to know how
 modules import each other and which functions call which.  This package
 builds that picture once per lint run:

@@ -14,6 +14,9 @@ from repro.checks.rules.rpl004_scheduler_contract import SchedulerContractRule
 from repro.checks.rules.rpl005_mutable_defaults import MutableDefaultRule
 from repro.checks.rules.rpl006_broad_except import BroadExceptRule
 from repro.checks.rules.rpl007_hot_path_allocation import HotPathAllocationRule
+from repro.checks.rules.rpl008_invariant_filter_container import (
+    InvariantFilterContainerRule,
+)
 from repro.checks.rules.rpl101_wall_clock import WallClockRule
 from repro.checks.rules.rpl102_seed_fallthrough import SeedFallthroughRule
 from repro.checks.rules.rpl103_unordered_serialisation import (
@@ -29,6 +32,7 @@ __all__ = [
     "BroadExceptRule",
     "FloatEqualityRule",
     "HotPathAllocationRule",
+    "InvariantFilterContainerRule",
     "LayeringRule",
     "MutableDefaultRule",
     "OrphanTaskRule",

@@ -71,14 +71,17 @@ class ZipfOriginalUniformReplicas(PlacementScheme):
         _validate(num_disks, self.replication_factor)
         sampler = ZipfSampler(num_disks, self.zipf_exponent)
         rank_to_disk = rank_permutation(num_disks, rng)
+        # Replica pools are built once per placement: pool ``o`` holds
+        # every disk but ``o`` in ascending order. ``rng.sample`` reads
+        # only a population's length and indexing, so drawing from the
+        # shared pool equals drawing from a list rebuilt per item.
+        disks = list(range(num_disks))
+        pools = [disks[:original] + disks[original + 1:] for original in disks]
+        replicas = self.replication_factor - 1
         locations: Dict[DataId, List[DiskId]] = {}
         for data_id in data_ids:
             original = rank_to_disk[sampler.sample(rng)]
-            disks = [original]
-            disks.extend(
-                _uniform_distinct(rng, num_disks, self.replication_factor - 1, disks)
-            )
-            locations[data_id] = disks
+            locations[data_id] = [original, *rng.sample(pools[original], replicas)]
         return PlacementCatalog(locations)
 
 
@@ -94,23 +97,10 @@ class UniformPlacement(PlacementScheme):
         self, data_ids: Sequence[DataId], num_disks: int, rng: random.Random
     ) -> PlacementCatalog:
         _validate(num_disks, self.replication_factor)
-        locations: Dict[DataId, List[DiskId]] = {}
-        for data_id in data_ids:
-            locations[data_id] = _uniform_distinct(
-                rng, num_disks, self.replication_factor, []
-            )
-        return PlacementCatalog(locations)
-
-
-def _uniform_distinct(
-    rng: random.Random, num_disks: int, count: int, exclude: Sequence[DiskId]
-) -> List[DiskId]:
-    """Draw ``count`` distinct disks uniformly, avoiding ``exclude``."""
-    if count == 0:
-        return []
-    available = [disk for disk in range(num_disks) if disk not in set(exclude)]
-    if count > len(available):
-        raise PlacementError(
-            f"cannot pick {count} distinct disks from {len(available)} remaining"
+        pool = list(range(num_disks))
+        return PlacementCatalog(
+            {
+                data_id: rng.sample(pool, self.replication_factor)
+                for data_id in data_ids
+            }
         )
-    return rng.sample(available, count)

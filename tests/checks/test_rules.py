@@ -438,13 +438,79 @@ def test_rpl007_pragma_waives_the_call_line():
     assert all(v.code != "RPL007" for v in lint_hot(RPL007_PASS_PRAGMA))
 
 
+# ---------------------------------------------------------------- RPL008
+
+RPL008_FAIL_SET_PER_DISK = """
+def uniform_distinct(rng, num_disks, count, exclude):
+    available = [disk for disk in range(num_disks) if disk not in set(exclude)]
+    return rng.sample(available, count)
+"""
+
+RPL008_PASS_HOISTED = """
+def uniform_distinct(rng, num_disks, count, exclude):
+    excluded = set(exclude)
+    available = [x for x in range(num_disks) if x not in excluded]
+    return rng.sample(available, count)
+"""
+
+RPL008_PASS_ELEMENT_BUILDER = """
+def fresh_sets(r):
+    return [set() for _ in r]
+"""
+
+RPL008_PASS_NAMES_A_TARGET = """
+def unsorted(rows):
+    return [row for row in rows if list(row) != sorted(row)]
+"""
+
+RPL008_FAIL_OUTER_TARGET_IN_INNER_FILTER = """
+def firsts(groups):
+    return [
+        [d for d in group if d not in frozenset(group[1:])]
+        for group in groups
+    ]
+"""
+
+
+def test_rpl008_flags_a_set_rebuilt_per_element():
+    violations = [v for v in lint(RPL008_FAIL_SET_PER_DISK) if v.code == "RPL008"]
+    assert len(violations) == 1
+    assert violations[0].line == 3
+    assert "set(...)" in violations[0].message
+
+
+def test_rpl008_flags_outside_the_hot_path_modules():
+    violations = check_source(
+        textwrap.dedent(RPL008_FAIL_SET_PER_DISK),
+        path="src/repro/placement/schemes.py",
+    )
+    assert [v.code for v in violations] == ["RPL008"]
+
+
+def test_rpl008_flags_an_outer_target_in_an_inner_filter():
+    # ``group`` is the outer loop's variable: invariant over the inner ``d``.
+    violations = [
+        v for v in lint(RPL008_FAIL_OUTER_TARGET_IN_INNER_FILTER) if v.code == "RPL008"
+    ]
+    assert len(violations) == 1 and "frozenset" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [RPL008_PASS_HOISTED, RPL008_PASS_ELEMENT_BUILDER, RPL008_PASS_NAMES_A_TARGET],
+    ids=["hoisted", "element-builder", "names-a-target"],
+)
+def test_rpl008_accepts_invariant_free_filters(snippet):
+    assert "RPL008" not in codes(snippet)
+
+
 # ---------------------------------------------------------------- catalogue
 
 
 def test_every_rule_has_a_failing_fixture():
     """Meta-check: every registered code has fixture coverage.
 
-    RPL001–007 are exercised above; the whole-program families
+    RPL001–008 are exercised above; the whole-program families
     (RPL1xx/RPL2xx/RPL3xx) are exercised in ``test_project_rules.py``.
     """
     from repro.checks import all_rules
@@ -457,6 +523,7 @@ def test_every_rule_has_a_failing_fixture():
         "RPL005",
         "RPL006",
         "RPL007",
+        "RPL008",
         "RPL101",
         "RPL102",
         "RPL103",

@@ -9,9 +9,60 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.placement.schemes import UniformPlacement, ZipfOriginalUniformReplicas
+from repro.placement.zipf import ZipfSampler, rank_permutation
 
 
 DATA = list(range(400))
+
+
+def reference_placement(data_ids, num_disks, rng, replication_factor, zipf_exponent):
+    """Per-item draw that rebuilds the candidate population for every item.
+
+    ``zipf_exponent=None`` is :class:`UniformPlacement`; otherwise the
+    original comes from the Zipf sampler, as in the paper's scheme.
+    """
+
+    def uniform_distinct(count, exclude):
+        if count == 0:
+            return ()
+        available = [disk for disk in range(num_disks) if disk not in exclude]
+        return tuple(rng.sample(available, count))
+
+    if zipf_exponent is None:
+        return {d: uniform_distinct(replication_factor, ()) for d in data_ids}
+    sampler = ZipfSampler(num_disks, zipf_exponent)
+    rank_to_disk = rank_permutation(num_disks, rng)
+    locations = {}
+    for data_id in data_ids:
+        original = rank_to_disk[sampler.sample(rng)]
+        replicas = uniform_distinct(replication_factor - 1, (original,))
+        locations[data_id] = (original, *replicas)
+    return locations
+
+
+@st.composite
+def placement_cases(draw):
+    num_disks = draw(st.integers(min_value=2, max_value=200))
+    replication_factor = draw(st.integers(min_value=1, max_value=min(5, num_disks)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return num_disks, replication_factor, seed
+
+
+@given(case=placement_cases(), zipf_exponent=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_schemes_match_a_population_rebuilt_per_item(case, zipf_exponent):
+    num_disks, replication_factor, seed = case
+    data_ids = list(range(300))
+    schemes = {
+        zipf_exponent: ZipfOriginalUniformReplicas(replication_factor, zipf_exponent),
+        None: UniformPlacement(replication_factor),
+    }
+    for exponent, scheme in schemes.items():
+        catalog = scheme.place(data_ids, num_disks, random.Random(seed))
+        expected = reference_placement(
+            data_ids, num_disks, random.Random(seed), replication_factor, exponent
+        )
+        assert dict(catalog.mapping()) == expected
 
 
 class TestZipfOriginalUniformReplicas:
@@ -89,6 +140,10 @@ class TestUniformPlacement:
             DATA, 8, random.Random(0)
         )
         assert all(catalog.replication_factor(d) == 2 for d in DATA)
+
+    def test_replication_beyond_disks_rejected(self):
+        with pytest.raises(PlacementError):
+            UniformPlacement(replication_factor=11).place(DATA, 10, random.Random(0))
 
     def test_roughly_balanced(self):
         catalog = UniformPlacement(replication_factor=1).place(

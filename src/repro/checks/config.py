@@ -120,7 +120,7 @@ HOT_FUNCTIONS: FrozenSet[str] = frozenset(
         "available_locations",
         "submit",
         "schedule_after",
-        "transition",
+        "_transition",
         "_admit",
         "dispatch_batch",
         "admit",

@@ -20,10 +20,10 @@ each transition into the ledger and reporting each completion;
 ``fleet.due`` holds the instant of the next one, so a reader spends one
 float compare on a disk that is already current. Every reader of the
 disk's state walks it first (:meth:`~SimulatedDisk.catch_up`), up to
-:meth:`~repro.sim.engine.SimulationEngine.walk_limit`. The one disk
-event left on the engine is the spin-up completion: the spin-up fault
-hook may brick the disk then, and its queue must fail over at that
-instant.
+and including the current instant: a request sees every transition due
+at its instant already made. The one disk event left on the engine is
+the spin-up completion: the spin-up fault hook may brick the disk then,
+and its queue must fail over at that instant.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ class SimulatedDisk:
                 f"request {request.request_id}"
             )
         now = self._engine._now
-        if self._due <= now:
-            self.catch_up()
+        self.advance(now)
         self.last_request_time = now
         i = self.disk_id
         self._f_tlast[i] = now
@@ -231,10 +230,8 @@ class SimulatedDisk:
         self.stats.finalize(self._engine.now)
 
     def catch_up(self) -> None:
-        """Walk this disk up to the engine's walk limit."""
-        engine = self._engine
-        if self._due <= engine._now:
-            self.advance(engine.walk_limit())
+        """Walk this disk up to the engine's current instant."""
+        self.advance(self._engine._now)
 
     def advance(self, until: float) -> None:
         """Resolve every completion, idle timeout and spin-down end due at

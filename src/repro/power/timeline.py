@@ -19,9 +19,10 @@ with the chain's own service times, a spin-up on the arrival that finds
 the disk asleep (after the spin-down it interrupts, which is not
 abortable), and a spin-down ``TB`` after the last completion unless an
 arrival comes first. Where an arrival and a transition share an
-instant, the arrival comes first. It is a derivation independent of
-``disk/drive.py``, so a simulated disk's ledger can be checked against
-it.
+instant, the transition comes first: an arrival at a completion finds
+the disk idle, one at the idle timeout finds the spin-down begun. It
+is a derivation independent of ``disk/drive.py``, so a simulated disk's
+ledger can be checked against it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class GapRule(Enum):
     #: The simulator's reactive 2CPM with FIFO service: idle ``TB`` after
     #: the last completion, then sleep; the next arrival waits for the
     #: spin-up. Its gaps run from a completion, and it sleeps through
-    #: one only when it is longer than ``TB``.
+    #: one of ``TB`` or more.
     REACTIVE = "reactive"
 
     def threshold(self, profile: DiskPowerProfile) -> float:
@@ -193,9 +194,9 @@ def _fill_reactive(
         if arrival < previous:
             raise ConfigurationError("arrival times must be sorted")
         previous = arrival
-        if done is not None and arrival <= done:
+        if done is not None and arrival < done:
             start = done  # queued behind the request in service
-        elif done is not None and arrival <= done + threshold:
+        elif done is not None and arrival < done + threshold:
             enter(_IDLE, done)  # idle until the arrival
             enter(_ACTIVE, arrival)
             start = arrival

@@ -12,9 +12,9 @@ tick at their live instants.
 The serving policies *are* the paper's scheduling models, re-hosted
 behind a request API: they dispatch through the replay's own code, and a
 request that finds no live replica is lost through the same ``on_lost``
-as one whose last replica dies in flight. One rule differs: before each
-dispatch, ``advance_to`` resolves the transitions due at that very
-instant, where the replay fires an arrival first.
+as one whose last replica dies in flight. The tie rule is the replay's
+too: ``advance_to`` resolves everything due at an instant, so a request
+dispatched there sees it done.
 """
 
 from __future__ import annotations

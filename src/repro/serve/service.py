@@ -489,18 +489,24 @@ class SchedulingService:
                         continue  # drain began: recompute the target
                     except asyncio.TimeoutError:
                         pass
-            now_s = clock.now
-            final = deadline_s is not None and now_s >= deadline_s
-            self._flush_batch(scheduler, None if final else self._config.max_batch)
+            # Dispatch at the tick instant itself, as the replay does: the
+            # clock can wake an ulp short of it.
+            tick_s = max(clock.now, target_s)
+            final = deadline_s is not None and tick_s >= deadline_s
+            limit = None if final else self._config.max_batch
+            self._flush_batch(scheduler, limit, tick_s)
             if final:
                 while ingress:  # max_batch no longer caps the force-flush
-                    self._flush_batch(scheduler, None)
+                    self._flush_batch(scheduler, None, tick_s)
                 break
             if self._draining and not ingress:
                 break
 
-    def _flush_batch(self, scheduler: WSCBatchScheduler, limit: Optional[int]) -> None:
-        """Dispatch up to ``limit`` queued requests as one batch."""
+    def _flush_batch(
+        self, scheduler: WSCBatchScheduler, limit: Optional[int], tick_s: float
+    ) -> None:
+        """Dispatch up to ``limit`` queued requests as one batch at
+        ``tick_s`` seconds."""
         ingress = self._ingress
         if not ingress:
             self._m_empty_ticks.inc()
@@ -510,7 +516,7 @@ class SchedulingService:
         self._m_queue_depth.set(len(ingress))
         for pending in batch:
             self._inflight[pending.request.request_id] = pending
-        self.backend.advance_to(self.clock.now)
+        self.backend.advance_to(tick_s)
         dispatched = self.backend.dispatch_batch(
             scheduler, [pending.request for pending in batch]
         )

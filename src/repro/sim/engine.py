@@ -3,11 +3,13 @@
 The engine is a binary-heap event queue with a monotonic clock. Events are
 plain callables; insertion order breaks timestamp ties so runs are fully
 deterministic, and a trace replay's arrivals stream beside the heap, each
-firing before a heap event at its instant. Disks keep only their spin-up
-completions here: a :class:`~repro.disk.drive.SimulatedDisk` walks its
-own completions, idle timeout and spin-down when it is read (up to
-:meth:`SimulationEngine.walk_limit`, and to a run's horizon through
+firing after the heap events due at its instant. Disks keep only their
+spin-up completions here: a :class:`~repro.disk.drive.SimulatedDisk`
+walks its own completions, idle timeout and spin-down when it is read
+(up to the current instant, and to a run's horizon through
 :meth:`SimulationEngine.add_lazy`), counting each in ``events_processed``.
+One tie rule follows: everything due at an instant happens before a
+request dispatched at that instant.
 
 :meth:`SimulationEngine.schedule` returns the event itself, its heap
 entry ``[time, sequence, callback]``, and :meth:`SimulationEngine.cancel`
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import inf, nextafter
+from math import inf
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -65,7 +67,6 @@ class SimulationEngine:
         "_events_processed",
         "_running",
         "_cancelled_pending",
-        "_in_arrival",
         "_lazy",
     )
 
@@ -77,8 +78,6 @@ class SimulationEngine:
         self._running = False
         #: Cancelled entries still in the heap.
         self._cancelled_pending = 0
-        #: True while a streamed arrival fires (see walk_limit).
-        self._in_arrival = False
         self._lazy: List[Callable[[float], None]] = []
 
     @property
@@ -129,12 +128,6 @@ class SimulationEngine:
             event[2] = None
             self._cancelled_pending += 1
 
-    def walk_limit(self) -> float:
-        """The latest instant a lazy source may be walked to now: the
-        current instant, or just before it while a streamed arrival
-        fires there (the arrival comes first)."""
-        return nextafter(self._now, -inf) if self._in_arrival else self._now
-
     def add_lazy(self, advance: Callable[[float], None]) -> None:
         """Call ``advance(horizon)`` last in every run with a horizon, so
         a source that resolves its own events on demand catches up."""
@@ -161,12 +154,12 @@ class SimulationEngine:
                 source (:meth:`add_lazy`) walks up to it.
             arrivals: A ``(times, payloads, callback)`` stream of
                 pre-sorted, uncancellable events merged with the heap.
-                Equivalent to :meth:`schedule`-ing every entry before the
-                run — at equal timestamps the stream fires first, exactly
-                as preloaded events (with their earlier sequence numbers)
-                would — but the entries never touch the heap, so bulk
-                trace arrivals stop paying ``O(log n)`` push/pop each and
-                stop inflating every other event's heap operations. The
+                An entry fires after every heap event due at or before
+                its timestamp, those scheduled while earlier entries
+                fired included, so a request sees everything due at its
+                instant. The entries never touch the heap, so bulk trace
+                arrivals pay no ``O(log n)`` push/pop each and do not
+                inflate every other event's heap operations. The
                 stream is consumed only up to ``until``; entries after the
                 cutoff are dropped, so callers replaying a trace should
                 pass a horizon at or after the last arrival.
@@ -198,15 +191,14 @@ class SimulationEngine:
         horizon = inf if until is None else until
         try:
             while True:
-                self._in_arrival = True
                 while arrival_index < arrival_count:
                     # A dead heap head only *underestimates* the next
                     # live event time, so firing the arrival when it is
-                    # <= that bound is always order-correct — and skips
+                    # < that bound is always order-correct — and skips
                     # normalising the head on the overwhelmingly common
                     # trace-replay iteration.
                     time = arrival_times[arrival_index]
-                    if queue and time > queue[0][0]:
+                    if queue and time >= queue[0][0]:
                         break  # a heap event (or dead bound) comes first
                     if time > horizon:
                         arrival_index = arrival_count  # past the horizon
@@ -225,10 +217,9 @@ class SimulationEngine:
                             f"at t={time:.6g}s "
                             f"(event #{self._events_processed}): {exc}"
                         ) from exc
-                self._in_arrival = False
                 head = self._fix_head()
                 if arrival_index < arrival_count and (
-                    head is None or arrival_times[arrival_index] <= head[0]
+                    head is None or arrival_times[arrival_index] < head[0]
                 ):
                     # The dead bound that deferred the arrival was an
                     # *under*estimate of the live head; the arrival
@@ -260,7 +251,6 @@ class SimulationEngine:
                     advance(until)
         finally:
             self._running = False
-            self._in_arrival = False
 
     # -- internals ------------------------------------------------------
 

@@ -193,8 +193,8 @@ class DiskFleet:
                 advance_by_disk[disk_id](until)
 
     def _catch_up(self) -> None:
-        """Walk every disk up to the engine's walk limit."""
-        self._advance_due(self._engine.walk_limit())
+        """Walk every disk up to the engine's current instant."""
+        self._advance_due(self._engine.now)
 
     # -- dispatch ------------------------------------------------------
 
@@ -252,7 +252,7 @@ class DiskFleet:
             # that have a transition due first.
             for disk_id in locations:
                 if due[disk_id] <= now:
-                    advance_by_disk[disk_id](engine.walk_limit())
+                    advance_by_disk[disk_id](now)
             disk_id = pick(request, locations, now)
             # A read must go to one of the live replicas it was handed; an
             # off-loaded write to any disk, but no negative id may wrap.
@@ -284,16 +284,13 @@ class DiskFleet:
             ]
         if not batch:
             return 0
-        # The cover weighs every replica of the batch: walk the ones
-        # that have a transition due first.
-        due = self.fleet.due
+        # The cover weighs every replica of the batch: walk them first.
         now = self._engine.now
-        disks = self._disks
+        advance_by_disk = self._advance_by_disk
         locations_by_data = self._locations_by_data
         for request in batch:
             for disk_id in locations_by_data[request.data_id]:
-                if due[disk_id] <= now:
-                    disks[disk_id].catch_up()
+                advance_by_disk[disk_id](now)
         decisions = scheduler.choose_batch(batch, self)
         submit = self.submit
         deferred = self._deferred

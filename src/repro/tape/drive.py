@@ -14,8 +14,7 @@ One :class:`TapeDrive` is the cold-tier counterpart of
   mount-breakeven timer and unmounts (rewinding to the start of the
   tape) when it fires, and
 * a :class:`~repro.tape.stats.TapeStats` ledger integrating time,
-  energy and wound metres, plus optional per-request seek-distance and
-  energy histograms in a :class:`~repro.sim.metrics.MetricsRegistry`.
+  energy and wound metres.
 
 Plan-per-busy-period semantics: the sequencer plans over the requests
 pending when the drive comes free; requests arriving mid-batch wait for
@@ -31,7 +30,6 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Event, SimulationEngine
-from repro.sim.metrics import Histogram, MetricsRegistry
 from repro.tape.profile import TapePowerProfile
 from repro.tape.sequencer import TapeSequencer
 from repro.tape.states import TapePowerState
@@ -67,10 +65,7 @@ class TapeDrive:
         "_pending",
         "_plan",
         "_current",
-        "_current_seek_s",
         "_unmount",
-        "_seek_histogram",
-        "_energy_histogram",
     )
 
     def __init__(
@@ -81,7 +76,6 @@ class TapeDrive:
         sequencer: TapeSequencer,
         on_complete: Optional[TapeCompletionCallback] = None,
         completion_id: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         """Create a drive attached to ``engine``.
 
@@ -102,14 +96,8 @@ class TapeDrive:
         self._pending: List[Tuple[Request, float]] = []
         self._plan: Deque[Tuple[Request, float]] = deque()
         self._current: Optional[Tuple[Request, float]] = None
-        self._current_seek_s = 0.0
         #: The pending mount-breakeven unmount, for an arrival to cancel.
         self._unmount: Optional[Event] = None
-        self._seek_histogram: Optional[Histogram] = None
-        self._energy_histogram: Optional[Histogram] = None
-        if registry is not None:
-            self._seek_histogram = registry.histogram("tape.seek_distance_m")
-            self._energy_histogram = registry.histogram("tape.request_energy_j")
 
     # ------------------------------------------------------------------
     # public interface
@@ -203,11 +191,8 @@ class TapeDrive:
             request, position = self._plan.popleft()
             distance = abs(position - self._head_m)
             self.stats.note_seek(distance)
-            if self._seek_histogram is not None:
-                self._seek_histogram.observe(distance)
             self._current = (request, position)
             seek_s = self.profile.seek_time(distance)
-            self._current_seek_s = seek_s
             if seek_s > 0:
                 self._transition(_SEEKING)
                 self._engine.schedule_after(seek_s, self._on_seek_complete)
@@ -218,7 +203,7 @@ class TapeDrive:
             if read_s > 0:
                 self._engine.schedule_after(read_s, self._on_read_complete)
                 return
-            self._complete_current(read_s)
+            self._complete_current()
             # loop: next planned request (or replan / go idle)
 
     def _build_plan(self) -> None:
@@ -242,7 +227,7 @@ class TapeDrive:
         if read_s > 0:
             self._engine.schedule_after(read_s, self._on_read_complete)
             return
-        self._complete_current(read_s)
+        self._complete_current()
         self._advance()
 
     def _on_read_complete(self) -> None:
@@ -251,25 +236,16 @@ class TapeDrive:
                 f"read completion in state {self._state.value} on tape "
                 f"drive {self.drive_id}"
             )
-        current = self._current
-        if current is None:
-            raise SimulationError("read completion with no request in flight")
-        read_s = self.profile.read_time(current[0].size_bytes)
-        self._complete_current(read_s)
+        self._complete_current()
         self._advance()
 
-    def _complete_current(self, read_s: float) -> None:
+    def _complete_current(self) -> None:
         current = self._current
         if current is None:
             raise SimulationError("completion with no request in flight")
         self._current = None
         request = current[0]
         self.stats.note_request_serviced()
-        if self._energy_histogram is not None:
-            self._energy_histogram.observe(
-                self._current_seek_s * self.profile.seek_power
-                + read_s * self.profile.read_power
-            )
         if self._on_complete is not None:
             self._on_complete(request, self.completion_id, self._engine.now)
 

@@ -41,7 +41,6 @@ from repro.errors import ConfigurationError
 from repro.placement.catalog import PlacementCatalog
 from repro.report import SimulationReport, TapeTierReport
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.storage import StorageSystem
 from repro.tape.drive import TapeDrive
 from repro.tape.layout import TapeLayout
@@ -70,9 +69,6 @@ class TieredStorageSystem(StorageSystem):
         # Hot ids take the disk-only arrival handler, so the disk tier
         # behaves byte-identically to a disk-only run.
         self._disk_admit = super()._arrival_callback()
-        #: Live tape metrics (per-request seek distance and energy
-        #: histograms) — the drives' window into repro.sim.metrics.
-        self.registry = MetricsRegistry()
         self._drives: List[TapeDrive] = [
             TapeDrive(
                 drive_id=index,
@@ -81,7 +77,6 @@ class TieredStorageSystem(StorageSystem):
                 sequencer=make_sequencer(tier.sequencer),
                 on_complete=self._on_tape_complete,
                 completion_id=config.num_disks + index,
-                registry=self.registry,
             )
             for index in range(tier.num_tape_drives)
         ]

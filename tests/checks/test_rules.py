@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.checks import check_source, get_rule
+from repro.checks.config import HOT_FUNCTIONS, HOT_PATH_PARTS
 
 
 def lint(snippet: str) -> list:
@@ -436,6 +440,20 @@ def test_rpl007_out_of_scope_module_is_exempt():
 
 def test_rpl007_pragma_waives_the_call_line():
     assert all(v.code != "RPL007" for v in lint_hot(RPL007_PASS_PRAGMA))
+
+
+def test_rpl007_hot_functions_name_real_functions():
+    # A renamed hot function must not leave a stale name behind: every
+    # listed name is defined somewhere under the hot-path modules.
+    package = Path(repro.__file__).parent
+    defined = {
+        node.name
+        for path in sorted(package.rglob("*.py"))
+        if any(part in path.as_posix() for part in HOT_PATH_PARTS)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert sorted(HOT_FUNCTIONS - defined) == []
 
 
 # ---------------------------------------------------------------- RPL008

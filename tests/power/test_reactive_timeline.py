@@ -133,10 +133,12 @@ class TestReactiveRule:
         assert (ledger.ups, ledger.downs) == (2, 2)
         assert ledger.state_time[DiskPowerState.STANDBY] == 2.0
 
-    def test_arrival_at_the_idle_timeout_is_served_at_once(self):
+    def test_arrival_at_the_idle_timeout_finds_the_spin_down_begun(self):
+        # The timeout at 17 comes first: down [17, 19], up [19, 25],
+        # served [25, 26].
         ledger, completions = self.walk([0.0, 17.0], [1.0, 1.0], 40.0)
-        assert completions == [7.0, 18.0]
-        assert (ledger.ups, ledger.downs) == (1, 1)
+        assert completions == [7.0, 26.0]
+        assert (ledger.ups, ledger.downs) == (2, 2)
 
     def test_queued_requests_serve_back_to_back(self):
         ledger, completions = self.walk([0.0, 1.0, 7.0], [1.0, 1.0, 1.0], 40.0)

@@ -12,9 +12,8 @@ config, with the horizon set to the session's end. The two must agree:
   energy, every disk's ledger, spin counts and response times, all
   bit-identical;
 * ``micro-batch`` against :class:`~repro.core.wsc.WSCBatchScheduler`:
-  energy and ledgers bit-identical, response times within 1e-12 s
-  (serving dispatches at the clock's reading of a tick, the replay at
-  ``k * interval``, which can differ in the last bit).
+  energy, ledgers and response times, all bit-identical (both dispatch
+  a batch at the tick instant ``k * interval``).
 
 With scripted disk deaths, every request serving sheds as
 ``DATA_UNAVAILABLE`` is one the replay counts lost, and both redispatch
@@ -48,8 +47,6 @@ NUM_REQUESTS = 3_000
 #: Seven of the 18 disks die, one every 5 s from 5 s on: enough that
 #: some data loses every replica while the stream still runs.
 DISK_DEATHS = tuple((disk_id, 5.0 + 5.0 * disk_id) for disk_id in range(7))
-#: Micro-batch response times may differ by a tick's last-bit rounding.
-BATCH_RESPONSE_TOLERANCE_S = 1e-12
 
 
 class RecordingService(SchedulingService):
@@ -142,12 +139,7 @@ def test_a_serving_session_is_its_replay(
     )
     replayed = sorted(report.response_times)
     assert len(served) == len(replayed) == report.requests_completed
-    if policy == POLICY_ONLINE:
-        assert served == replayed
-    else:
-        assert max(
-            (abs(a - b) for a, b in zip(served, replayed)), default=0.0
-        ) <= BATCH_RESPONSE_TOLERANCE_S
+    assert served == replayed
 
     shed = [outcome for outcome in outcomes if isinstance(outcome, Rejected)]
     assert all(o.reason is RejectReason.DATA_UNAVAILABLE for o in shed)

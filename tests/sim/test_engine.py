@@ -278,8 +278,8 @@ def test_arrival_fires_before_a_later_live_timer_behind_a_dead_head():
     engine.cancel(engine.schedule(1.0, lambda: fired.append("dormant")))
     engine.schedule(3.0, lambda: fired.append("timer"))
     engine.run(arrivals=([2.0, 3.0], ["a", "b"], fired.append))
-    # At t=3.0 the stream fires first, as preloaded events would.
-    assert fired == ["a", "b", "timer"]
+    # At t=3.0 the heap event due there fires first.
+    assert fired == ["a", "timer", "b"]
     assert engine.events_processed == 3
 
 

@@ -454,22 +454,28 @@ class SchedulingService:
         """Window-aligned batch dispatch through the WSC set-cover model.
 
         Ticks land on multiples of ``window_s`` (like the replay path's
-        batch ticks). During a graceful drain with a deadline, the queue
-        is force-flushed in one final batch exactly at the deadline —
-        a batch arriving at that instant is dispatched, not shed.
+        batch ticks), and each is flushed once. During a graceful drain
+        with a deadline, the queue is force-flushed in one final batch
+        exactly at the deadline — a batch arriving at that instant is
+        dispatched, not shed.
         """
         clock = self.clock
         window_s = self._config.window_s
         ingress = self._ingress
+        last_tick_s = -math.inf
         while True:
             if self._draining and not ingress and self._drain_deadline_s is None:
                 break
             now_s = clock.now
-            # Strictly-future tick: floor arithmetic can round (k+1)*w
-            # back onto now (e.g. 4.3 with w=0.1), which would spin.
-            tick_index = math.floor(now_s / window_s) + 1
+            # The next tick is strictly after both now and the last tick
+            # flushed: the clock can wake an ulp short of a tick, and
+            # floor arithmetic can round (k+1)*w back onto the instant it
+            # starts from (e.g. 4.3 with w=0.1). Either would flush one
+            # tick twice.
+            since_s = max(now_s, last_tick_s)
+            tick_index = math.floor(since_s / window_s) + 1
             next_tick_s = tick_index * window_s
-            while next_tick_s <= now_s:
+            while next_tick_s <= since_s:
                 tick_index += 1
                 next_tick_s = tick_index * window_s
             deadline_s = self._drain_deadline_s
@@ -491,7 +497,7 @@ class SchedulingService:
                         pass
             # Dispatch at the tick instant itself, as the replay does: the
             # clock can wake an ulp short of it.
-            tick_s = max(clock.now, target_s)
+            tick_s = last_tick_s = max(clock.now, target_s)
             final = deadline_s is not None and tick_s >= deadline_s
             limit = None if final else self._config.max_batch
             self._flush_batch(scheduler, limit, tick_s)

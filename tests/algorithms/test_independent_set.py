@@ -1,10 +1,8 @@
 """Tests for the MWIS solvers."""
 
-import heapq
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -132,33 +130,6 @@ class TestDeterminism:
         assert solver(graph) == solver(graph)
 
 
-class TestHeapCompaction:
-    @pytest.mark.parametrize("solver", (gwmin, gwmin2, greedy_min_degree))
-    def test_rebuilding_every_pick_keeps_picks(self, solver, monkeypatch):
-        rng = random.Random(11)
-        graphs = [random_graph(rng, 40, 0.15) for _ in range(5)]
-        expected = [solver(graph) for graph in graphs]
-        rebuilds = []
-
-        def heapify(heap):
-            rebuilds.append(len(heap))
-            heapq.heapify(heap)
-
-        monkeypatch.setattr(independent_set, "HEAP_COMPACTION_FACTOR", 0)
-        monkeypatch.setattr(
-            independent_set,
-            "heapq",
-            SimpleNamespace(
-                heapify=heapify, heappush=heapq.heappush, heappop=heapq.heappop
-            ),
-        )
-        assert [solver(graph) for graph in graphs] == expected
-        # Beyond the one initial heapify per solve, the heap was rebuilt
-        # before most picks.
-        picks = sum(len(selected) for selected in expected)
-        assert len(rebuilds) - len(graphs) > picks // 2
-
-
 def gwmin_key(live, node):
     return -live.weight(node) / (live.degree(node) + 1)
 
@@ -237,3 +208,74 @@ class TestGreediesMatchTheirDefinition:
         graph, _terms = MWISOfflineScheduler(neighborhood=None).build_graph(problem)
         for greedy, key in GREEDY_DEFINITIONS:
             assert greedy(graph) == naive_greedy(graph, key), greedy.__name__
+
+
+#: Block sizes that split every drawn graph of more than three nodes
+#: into several blocks.
+SMALL_BLOCKS = (1, 3)
+
+
+class TestBlockBoundaries:
+    """Picks cross the greedy's key blocks as if the column were one."""
+
+    @pytest.mark.parametrize("block_size", SMALL_BLOCKS)
+    @given(graph=conflict_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_on_random_conflict_graphs(self, graph, block_size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(independent_set, "BLOCK_SIZE", block_size)
+            for greedy, key in GREEDY_DEFINITIONS:
+                assert greedy(graph) == naive_greedy(graph, key), greedy.__name__
+
+    @pytest.mark.parametrize("block_size", SMALL_BLOCKS)
+    @given(problem=small_problems(max_requests=12))
+    @settings(max_examples=60, deadline=None)
+    def test_on_saving_term_graphs(self, problem, block_size):
+        graph, _terms = MWISOfflineScheduler(neighborhood=None).build_graph(problem)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(independent_set, "BLOCK_SIZE", block_size)
+            for greedy, key in GREEDY_DEFINITIONS:
+                assert greedy(graph) == naive_greedy(graph, key), greedy.__name__
+
+    @pytest.mark.parametrize("greedy, key", GREEDY_DEFINITIONS)
+    def test_at_the_default_block_size(self, greedy, key):
+        rng = random.Random(23)
+        graph = random_graph(rng, 2 * independent_set.BLOCK_SIZE + 50, 0.02)
+        assert greedy(graph) == naive_greedy(graph, key)
+
+
+def tie_across_blocks():
+    """Two equal components ``x - z`` and ``y - z2``, where ``y`` first
+    has a second neighbour ``w``, which the first pick ``v`` removes.
+
+    Once ``w`` is gone, ``x`` and ``y`` have equal keys under every rule,
+    and ``y``'s key was written last, in a later block than ``x``'s.
+    """
+    graph = ConflictGraph()
+    for node, weight in (
+        ("v", 100.0), ("x", 2.0), ("z", 1.0), ("w", 1.0), ("y", 2.0), ("z2", 1.0)
+    ):
+        graph.add_node(node, weight)
+    for u, v in (("v", "w"), ("w", "y"), ("x", "z"), ("y", "z2")):
+        graph.add_edge(u, v)
+    return graph
+
+
+class TestTiesAcrossBlocks:
+    @pytest.mark.parametrize("block_size", (1, 2, 4))
+    @pytest.mark.parametrize("greedy, key", GREEDY_DEFINITIONS)
+    def test_lower_insertion_index_wins(self, greedy, key, block_size, monkeypatch):
+        monkeypatch.setattr(independent_set, "BLOCK_SIZE", block_size)
+        graph = tie_across_blocks()
+        assert greedy(graph) == naive_greedy(graph, key) == ["v", "x", "y"]
+
+    @pytest.mark.parametrize("greedy, key", GREEDY_DEFINITIONS)
+    def test_signed_zero_keys_tie(self, greedy, key, monkeypatch):
+        # Weights -0.0 and 0.0 give GWMIN keys 0.0 and -0.0, which tie:
+        # the first node wins although its key's sign bit is clear.
+        monkeypatch.setattr(independent_set, "BLOCK_SIZE", 1)
+        graph = ConflictGraph()
+        graph.add_node("a", -0.0)
+        graph.add_node("b", 0.0)
+        graph.add_edge("a", "b")
+        assert greedy(graph) == naive_greedy(graph, key) == ["a"]

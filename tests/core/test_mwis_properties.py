@@ -212,11 +212,12 @@ def test_implicit_graph_matches_explicit(problem, neighborhood):
 
 @given(problem=small_problems())
 @settings(max_examples=40, deadline=None)
-def test_heap_rebuilt_every_pick_keeps_picks(problem):
+def test_picks_do_not_depend_on_the_block_size(problem):
     graph, _terms = MWISOfflineScheduler(neighborhood=None).build_graph(problem)
     expected = {m: solve_mwis(graph, m) for m in ("gwmin", "gwmin2", "min-degree")}
     with pytest.MonkeyPatch.context() as patch:
-        # Rebuild whenever the heap holds a single stale entry.
-        patch.setattr(independent_set, "HEAP_COMPACTION_FACTOR", 0)
-        for method, picks in expected.items():
-            assert solve_mwis(graph, method) == picks, method
+        for block_size in (1, 2, 5):
+            # Every graph of more nodes than this spans several blocks.
+            patch.setattr(independent_set, "BLOCK_SIZE", block_size)
+            for method, picks in expected.items():
+                assert solve_mwis(graph, method) == picks, (method, block_size)

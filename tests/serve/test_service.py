@@ -1,21 +1,23 @@
 """Tests for SchedulingService: policies, drain semantics, rejections.
 
-The micro-batch edge cases (empty window ticks, a batch force-flushed
-exactly at the drain deadline, queue-full shedding) all run under the
-virtual clock — no wall sleeps anywhere.
+The micro-batch edge cases (empty window ticks, each tick flushed once,
+a batch force-flushed exactly at the drain deadline, queue-full
+shedding) all run under the virtual clock — no wall sleeps anywhere.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import List
+from typing import List, Optional
 
 import pytest
 
+from repro.core.wsc import WSCBatchScheduler
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.serve.admission import Completed, Outcome, Rejected, RejectReason
 from repro.serve.clock import virtual_run
+from repro.serve.loadgen import LoadgenConfig, open_loop_schedule, submit_schedule
 from repro.serve.service import SchedulingService, ServiceConfig
 
 
@@ -120,6 +122,40 @@ def test_micro_batch_empty_window_ticks_are_counted() -> None:
     assert snap["counters"]["batches.empty_ticks"] >= 5
     assert snap["counters"]["batches.dispatched"] == 0
     assert snap["counters"]["requests.completed"] == 0
+
+
+class FlushRecordingService(SchedulingService):
+    """Records the instant of every micro-batch flush, empty or not."""
+
+    def __init__(self, config: ServiceConfig):
+        super().__init__(config)
+        self.flushes: List[float] = []
+
+    def _flush_batch(
+        self, scheduler: WSCBatchScheduler, limit: Optional[int], tick_s: float
+    ) -> None:
+        self.flushes.append(tick_s)
+        super()._flush_batch(scheduler, limit, tick_s)
+
+
+def test_micro_batch_flushes_each_tick_once() -> None:
+    """A 3,000-request Poisson session: the clock wakes an ulp short of
+    some ticks (15.2 for ``152 * 0.1``), and the pass after such a tick
+    must not flush it a second time as an empty batch."""
+    config = ServiceConfig(policy="micro-batch", seed=3, queue_limit=3_000)
+    load = LoadgenConfig(num_requests=3_000, rate_per_s=50.0, seed=7)
+    service = FlushRecordingService(config)
+
+    async def session() -> None:
+        await service.start()
+        await submit_schedule(service, open_loop_schedule(load, config.num_data))
+        await service.drain()
+
+    virtual_run(session())
+    flushes = service.flushes
+    assert len(flushes) > 500
+    assert len(set(flushes)) == len(flushes)
+    assert flushes == sorted(flushes)
 
 
 def test_micro_batch_flushes_queued_batch_exactly_at_drain_deadline() -> None:

@@ -45,28 +45,23 @@ def test_fig06_energy_vs_replication_cello(benchmark, show):
 
 
 def test_fig06_offline_ordering_at_common_scale(benchmark, show):
-    """MWIS <= WSC <= Heuristic when everything runs at the same scale."""
+    """MWIS <= WSC <= Heuristic on the campaign's cells (one scale)."""
 
     def collect():
-        rows = []
-        for rf in (3, 5):
-            mwis = common.run_cell("cello", rf, "mwis").normalized_energy
-            wsc = common.run_cell(
-                "cello", rf, "wsc", scale=common.MWIS_SCALE
-            ).normalized_energy
-            heuristic = common.run_cell(
-                "cello", rf, "heuristic", scale=common.MWIS_SCALE
-            ).normalized_energy
-            rows.append((rf, mwis, wsc, heuristic))
-        return rows
+        return [
+            (rf, *(
+                common.run_cell("cello", rf, key).normalized_energy
+                for key in ("mwis", "wsc", "heuristic")
+            ))
+            for rf in (3, 5)
+        ]
 
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
     for _rf, mwis, wsc, heuristic in rows:
         assert mwis <= wsc + 0.02
         assert wsc <= heuristic + 0.03
     show(
-        "fig6 (ordering check at MWIS scale "
-        f"{common.MWIS_SCALE}):\n"
+        f"fig6 (ordering check at scale {common.SCALE}):\n"
         + "\n".join(
             f"  rf={rf}: MWIS={m:.3f} <= WSC={w:.3f} <= Heuristic={h:.3f}"
             for rf, m, w, h in rows

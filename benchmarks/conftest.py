@@ -6,11 +6,10 @@ Cello campaign is simulated a single time for Figs. 6-9 and 12-13), prints
 the figure's series as a table, asserts the paper's qualitative shape, and
 reports wall-clock through pytest-benchmark.
 
-Scale notes: simulated runs default to the paper's full scale (180 disks,
-70 000 requests — seconds per run in this simulator); offline MWIS runs
-default to ``REPRO_MWIS_SCALE`` = 0.15 because its conflict graph at full
-scale is ~1M nodes. Ordering assertions against MWIS are therefore made
-at the MWIS scale (all schedulers re-run there, cheaply).
+Scale notes: every cell, offline MWIS included, runs at ``REPRO_SCALE``
+(default 1.0: the paper's 180 disks and 70 000 requests). A simulated
+cell takes seconds; a paper-scale MWIS cell takes 4-41 s and up to about
+0.9 GB, once, after which the run cache keeps it.
 """
 
 from __future__ import annotations

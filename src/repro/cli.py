@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--validate)",
     )
     bench.add_argument("--scale", type=float, default=None)
-    bench.add_argument("--mwis-scale", type=float, default=None)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument(
         "--jobs", type=int, default=1, help="process-pool workers"
@@ -424,7 +423,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     cache = RunCache(enabled=False) if args.no_cache else None
     kwargs = dict(
         scale=args.scale,
-        mwis_scale=args.mwis_scale,
         seed=args.seed,
         jobs=args.jobs,
         cache=cache,

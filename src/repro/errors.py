@@ -40,14 +40,5 @@ class ReplicaUnavailableError(ReproError):
     """
 
 
-class DataLossError(ReproError):
-    """Data became permanently unreachable: every replica is dead.
-
-    The simulation never raises this during a run (unreachable requests
-    are *counted* as lost, not crashed on); it exists for strict callers
-    that ask the fault subsystem to verify that data survived a run.
-    """
-
-
 class TraceFormatError(ReproError):
     """A trace file could not be parsed in the declared format."""

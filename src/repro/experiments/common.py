@@ -21,11 +21,9 @@ Scale control (environment variables, read at import; override at
 runtime with :func:`configure` or by assigning the module globals):
 
 * ``REPRO_SCALE`` — trace/disks scale factor for simulated runs
-  (default 1.0 = the paper's full 70 000 requests on 180 disks; the
-  event simulator handles that in seconds).
-* ``REPRO_MWIS_SCALE`` — scale for offline MWIS runs (default 0.15;
-  the MWIS conflict graph at full scale has ~1M nodes, which pure-Python
-  greedy MWIS handles too slowly for a default benchmark run).
+  (default 1.0 = the paper's full 70 000 requests on 180 disks). Every
+  cell runs at it, offline MWIS included, so every scheduler of a figure
+  sees the same binding and normalises against the same always-on run.
 * ``REPRO_SEED`` — base RNG seed (default 1).
 * ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` — persistent run cache
   location / kill-switch (see :mod:`repro.experiments.harness.cache`).
@@ -58,7 +56,6 @@ from repro.traces import Workload
 from repro.types import Request
 
 SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
-MWIS_SCALE = float(os.environ.get("REPRO_MWIS_SCALE", "0.15"))
 BASE_SEED = int(os.environ.get("REPRO_SEED", "1"))
 
 PAPER_NUM_DISKS = harness_runner.PAPER_NUM_DISKS
@@ -74,9 +71,9 @@ SCHEDULER_LABELS = {
     "always-on": "Always-on",
 }
 
-#: A bench's cell list: (scale, mwis_scale, seed) -> every spec its
-#: figure reads, always-on baselines included.
-CellList = Callable[[float, float, int], List[RunSpec]]
+#: A bench's cell list: (scale, seed) -> every spec its figure reads,
+#: always-on baselines included.
+CellList = Callable[[float, int], List[RunSpec]]
 
 #: The one spec-keyed memo; a baseline maps to its run normalised to itself.
 _results: Dict[RunSpec, "RunResult"] = {}
@@ -86,17 +83,11 @@ _runner: Optional[SweepRunner] = None
 _log: Optional[SweepOutcome] = None
 
 
-def configure(
-    scale: Optional[float] = None,
-    mwis_scale: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> None:
+def configure(scale: Optional[float] = None, seed: Optional[int] = None) -> None:
     """Override the campaign's scale/seed at runtime (CLI ``--scale``)."""
-    global SCALE, MWIS_SCALE, BASE_SEED
+    global SCALE, BASE_SEED
     if scale is not None:
         SCALE = scale
-    if mwis_scale is not None:
-        MWIS_SCALE = mwis_scale
     if seed is not None:
         BASE_SEED = seed
 
@@ -196,27 +187,6 @@ def make_scheduler_for_key(
     return harness_runner.make_scheduler(spec)
 
 
-def cell(
-    trace: str,
-    replication_factor: int,
-    scheduler_key: str,
-    scale: float,
-    mwis_scale: float,
-    seed: int,
-    **axes: float,
-) -> RunSpec:
-    """One cell spec: MWIS runs at ``mwis_scale``, the rest at ``scale``.
-
-    MWIS cells get their own always-on baseline at their own scale, so
-    their *normalised* energies remain comparable with the simulated
-    cells.
-    """
-    run_scale = mwis_scale if scheduler_key == "mwis" else scale
-    return cell_spec(
-        trace, replication_factor, scheduler_key, scale=run_scale, seed=seed, **axes
-    )
-
-
 def with_baselines(specs: Sequence[RunSpec]) -> List[RunSpec]:
     """The distinct specs, then the always-on baselines they normalise
     against, each in first-seen order."""
@@ -225,14 +195,12 @@ def with_baselines(specs: Sequence[RunSpec]) -> List[RunSpec]:
 
 def knobs(
     scale: Optional[float] = None, seed: Optional[int] = None
-) -> Tuple[float, float, int]:
-    """A cell list's (scale, mwis_scale, seed): the campaign's, unless an
-    explicit ``scale`` pins every scheduler (MWIS included) to it."""
-    if seed is None:
-        seed = BASE_SEED
-    if scale is None:
-        return SCALE, MWIS_SCALE, seed
-    return scale, scale, seed
+) -> Tuple[float, int]:
+    """A cell list's (scale, seed): the campaign's, unless given."""
+    return (
+        SCALE if scale is None else scale,
+        BASE_SEED if seed is None else seed,
+    )
 
 
 def fetch(specs: Sequence[RunSpec]) -> None:
@@ -272,7 +240,7 @@ def get_baseline(
     trace: str, scale: Optional[float] = None, seed: Optional[int] = None
 ) -> SimulationReport:
     """Always-on energy for a trace (placement-independent up to ~0.1%)."""
-    scale, _mwis_scale, seed = knobs(scale, seed)
+    scale, seed = knobs(scale, seed)
     spec = baseline_spec(trace, scale=scale, seed=seed)
     fetch([spec])
     return _results[spec].report
@@ -291,17 +259,18 @@ def run_cell(
 ) -> RunResult:
     """Run (or fetch from cache) one cell of the evaluation matrix.
 
-    Without an explicit ``scale``, MWIS cells run at ``MWIS_SCALE`` (see
-    :func:`cell`).  ``fault_rate`` (per-disk permanent failures per
-    simulated second) > 0 turns on fault injection for the cell; its
-    baseline stays fault-free so normalised energy remains a fraction of
-    the healthy always-on fleet.
+    ``fault_rate`` (per-disk permanent failures per simulated second)
+    > 0 turns on fault injection for the cell; its baseline stays
+    fault-free so normalised energy remains a fraction of the healthy
+    always-on fleet.
     """
-    spec = cell(
+    scale, seed = knobs(scale, seed)
+    spec = cell_spec(
         trace,
         replication_factor,
         scheduler_key,
-        *knobs(scale, seed),
+        scale=scale,
+        seed=seed,
         zipf_exponent=zipf_exponent,
         alpha=alpha,
         beta=beta,
@@ -321,13 +290,11 @@ def clear_caches() -> None:
 __all__ = [
     "BASE_SEED",
     "CellList",
-    "MWIS_SCALE",
     "PAPER_NUM_DISKS",
     "REPLICATION_FACTORS",
     "RunResult",
     "SCALE",
     "SCHEDULER_LABELS",
-    "cell",
     "clear_caches",
     "configure",
     "fetch",

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import common
 from repro.experiments.ablations import AblationResult, Panel
-from repro.experiments.harness.spec import RunSpec
+from repro.experiments.harness.spec import RunSpec, cell_spec
 
 #: Per-disk permanent failures per simulated second.  The derived horizon
 #: of the default benches is a few thousand seconds, so this grid spans
@@ -55,16 +55,15 @@ SWEEP_TRACE = "cello"
 
 def fault_sweep_cells(
     scale: float,
-    mwis_scale: float,
     seed: int,
     rates: Sequence[float] = FAULT_RATES_PER_S,
 ) -> List[RunSpec]:
     """Every (scheduler, rate) cell of the sweep, with the baseline."""
     return common.with_baselines(
         [
-            common.cell(
-                SWEEP_TRACE, SWEEP_REPLICATION, key, scale, mwis_scale, seed,
-                fault_rate=rate,
+            cell_spec(
+                SWEEP_TRACE, SWEEP_REPLICATION, key,
+                fault_rate=rate, scale=scale, seed=seed,
             )
             for key in SWEEP_SCHEDULERS
             for rate in rates

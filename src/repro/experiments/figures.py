@@ -19,11 +19,10 @@ from repro.experiments import common
 from repro.experiments.common import (
     REPLICATION_FACTORS,
     SCHEDULER_LABELS,
-    cell,
     run_cell,
     with_baselines,
 )
-from repro.experiments.harness.spec import RunSpec
+from repro.experiments.harness.spec import RunSpec, cell_spec
 from repro.power.profile import PAPER_EVAL
 from repro.power.states import STATE_ORDER, DiskPowerState
 
@@ -68,35 +67,31 @@ def _grid(
     keys: Sequence[str],
     rfs: Sequence[int],
     scale: float,
-    mwis_scale: float,
     seed: int,
 ) -> List[RunSpec]:
     """Every scheduler in ``keys`` at every rf in ``rfs``, with baselines."""
     return with_baselines(
-        [cell(trace, rf, key, scale, mwis_scale, seed) for key in keys for rf in rfs]
+        [
+            cell_spec(trace, rf, key, scale=scale, seed=seed)
+            for key in keys
+            for rf in rfs
+        ]
     )
 
 
-def energy_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
-    """Fig. 6/14 cells: every scheduler at every replication factor."""
-    return _grid(trace, ENERGY_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
+def energy_cells(trace: str, scale: float, seed: int) -> List[RunSpec]:
+    """Fig. 6/7/14/15 cells: every scheduler at every replication factor."""
+    return _grid(trace, ENERGY_KEYS, REPLICATION_FACTORS, scale, seed)
 
 
-def spin_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
-    """Fig. 7/15 cells: Fig. 6's plus Static at the MWIS scale."""
-    specs = _grid(trace, ENERGY_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
-    specs += _grid(trace, ("static",), REPLICATION_FACTORS, mwis_scale, mwis_scale, seed)
-    return with_baselines(specs)
-
-
-def response_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+def response_cells(trace: str, scale: float, seed: int) -> List[RunSpec]:
     """Fig. 8/13/16 cells: the online schedulers at every rf."""
-    return _grid(trace, RESPONSE_KEYS, REPLICATION_FACTORS, scale, mwis_scale, seed)
+    return _grid(trace, RESPONSE_KEYS, REPLICATION_FACTORS, scale, seed)
 
 
-def breakdown_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+def breakdown_cells(trace: str, scale: float, seed: int) -> List[RunSpec]:
     """Fig. 9/17 cells: the breakdown panels at rf=3."""
-    return _grid(trace, BREAKDOWN_KEYS, (3,), scale, mwis_scale, seed)
+    return _grid(trace, BREAKDOWN_KEYS, (3,), scale, seed)
 
 
 def fig5() -> str:
@@ -121,8 +116,6 @@ def _energy_vs_replication(trace: str, figure_id: str) -> FigureResult:
         notes=[
             "paper shape: Static flat, Random rises toward 1.0, "
             "energy-aware falls monotonically, MWIS <= WSC <= Heuristic",
-            f"MWIS evaluated at scale {common.MWIS_SCALE} "
-            "(REPRO_MWIS_SCALE) with its own always-on baseline",
         ],
     )
 
@@ -133,27 +126,17 @@ def fig6() -> FigureResult:
 
 
 def _spin_vs_replication(trace: str, figure_id: str) -> FigureResult:
-    common.fetch(spin_cells(trace, *common.knobs()))
+    common.fetch(energy_cells(trace, *common.knobs()))
     static_ops = {
         rf: run_cell(trace, rf, "static").spin_operations
         for rf in REPLICATION_FACTORS
     }
     series: Dict[str, List[float]] = {}
     for key in ENERGY_KEYS:
-        label = SCHEDULER_LABELS[key]
-        values = []
-        for rf in REPLICATION_FACTORS:
-            result = run_cell(trace, rf, key)
-            if key == "mwis":
-                # MWIS runs at its own scale; normalise against Static at
-                # that same scale for a like-for-like ratio.
-                static_at_scale = run_cell(
-                    trace, rf, "static", scale=common.MWIS_SCALE
-                ).spin_operations
-                values.append(result.spin_operations / max(1, static_at_scale))
-            else:
-                values.append(result.spin_operations / max(1, static_ops[rf]))
-        series[label] = values
+        series[SCHEDULER_LABELS[key]] = [
+            run_cell(trace, rf, key).spin_operations / max(1, static_ops[rf])
+            for rf in REPLICATION_FACTORS
+        ]
     return FigureResult(
         figure_id=figure_id,
         title=f"Disk spin-up/down operations normalised to Static ({trace})",
@@ -249,7 +232,6 @@ RF_GRID = (1, 3, 5)
 
 def fig10_cells(
     scale: float,
-    mwis_scale: float,
     seed: int,
     z_grid: Sequence[float] = Z_GRID,
     rf_grid: Sequence[int] = RF_GRID,
@@ -257,7 +239,7 @@ def fig10_cells(
     """Fig. 10 cells: the locality schedulers over the (rf, z) grid."""
     return with_baselines(
         [
-            cell("cello", rf, key, scale, mwis_scale, seed, zipf_exponent=z)
+            cell_spec("cello", rf, key, zipf_exponent=z, scale=scale, seed=seed)
             for key in LOCALITY_KEYS
             for rf in rf_grid
             for z in z_grid
@@ -305,7 +287,6 @@ BETA_GRID = (1.0, 10.0, 100.0, 500.0, 1000.0)
 
 def fig11_cells(
     scale: float,
-    mwis_scale: float,
     seed: int,
     alpha_grid: Sequence[float] = ALPHA_GRID,
     beta_grid: Sequence[float] = BETA_GRID,
@@ -313,7 +294,9 @@ def fig11_cells(
     """Fig. 11 cells: the Heuristic over the (alpha, beta) grid at rf=3."""
     return with_baselines(
         [
-            cell("cello", 3, "heuristic", scale, mwis_scale, seed, alpha=alpha, beta=beta)
+            cell_spec(
+                "cello", 3, "heuristic", alpha=alpha, beta=beta, scale=scale, seed=seed
+            )
             for beta in beta_grid
             for alpha in alpha_grid
         ]
@@ -377,9 +360,9 @@ RESPONSE_THRESHOLDS = (
 )
 
 
-def fig12_cells(trace: str, scale: float, mwis_scale: float, seed: int) -> List[RunSpec]:
+def fig12_cells(trace: str, scale: float, seed: int) -> List[RunSpec]:
     """Fig. 12 cells: the online schedulers at rf=3, with their baseline."""
-    return _grid(trace, RESPONSE_KEYS, (3,), scale, mwis_scale, seed)
+    return _grid(trace, RESPONSE_KEYS, (3,), scale, seed)
 
 
 def fig12(trace: str = "cello") -> FigureResult:

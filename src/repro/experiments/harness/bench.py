@@ -38,7 +38,6 @@ from repro.experiments.figures import (
     fig11_cells,
     fig12_cells,
     response_cells,
-    spin_cells,
 )
 from repro.experiments.harness.cache import RunCache
 from repro.experiments.harness.runner import SweepOutcome, SweepRunner
@@ -180,7 +179,7 @@ def _tape_tier_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
 _FIGURE_BENCHES: Tuple[Tuple[str, str, Optional[CellList]], ...] = (
     ("fig5", "power configuration table", None),
     ("fig6", "energy vs replication (cello)", partial(energy_cells, "cello")),
-    ("fig7", "spin ops vs replication (cello)", partial(spin_cells, "cello")),
+    ("fig7", "spin ops vs replication (cello)", partial(energy_cells, "cello")),
     ("fig8", "mean response vs replication (cello)", partial(response_cells, "cello")),
     ("fig9", "per-disk state breakdown (cello)", partial(breakdown_cells, "cello")),
     ("fig10", "energy surface over (rf, z)", fig10_cells),
@@ -188,7 +187,7 @@ _FIGURE_BENCHES: Tuple[Tuple[str, str, Optional[CellList]], ...] = (
     ("fig12", "response-time inverse CDF (cello)", partial(fig12_cells, "cello")),
     ("fig13", "p90 response vs replication (cello)", partial(response_cells, "cello")),
     ("fig14", "energy vs replication (financial)", partial(energy_cells, "financial")),
-    ("fig15", "spin ops vs replication (financial)", partial(spin_cells, "financial")),
+    ("fig15", "spin ops vs replication (financial)", partial(energy_cells, "financial")),
     (
         "fig16",
         "mean response vs replication (financial)",
@@ -278,7 +277,6 @@ def run_bench(
     bench_id: str,
     *,
     scale: Optional[float] = None,
-    mwis_scale: Optional[float] = None,
     seed: Optional[int] = None,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
@@ -296,7 +294,7 @@ def run_bench(
         raise ConfigurationError(
             f"unknown bench {bench_id!r}; known: {sorted(BENCHES)}"
         )
-    common.configure(scale=scale, mwis_scale=mwis_scale, seed=seed)
+    common.configure(scale=scale, seed=seed)
     if cache is None:
         cache = common.persistent_cache()
     else:
@@ -312,7 +310,7 @@ def run_bench(
     payload = bench_document(
         bench_id,
         scale=common.SCALE,
-        mwis_scale=common.MWIS_SCALE,
+        mwis_scale=common.SCALE,
         seed=common.BASE_SEED,
         jobs=jobs,
         wall_clock_s=wall_clock_s,
@@ -344,7 +342,6 @@ def run_bench(
 def run_all(
     *,
     scale: Optional[float] = None,
-    mwis_scale: Optional[float] = None,
     seed: Optional[int] = None,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
@@ -356,7 +353,6 @@ def run_all(
         _payload, path = run_bench(
             bench_id,
             scale=scale,
-            mwis_scale=mwis_scale,
             seed=seed,
             jobs=jobs,
             cache=cache,

@@ -18,13 +18,12 @@ from repro.analysis.tables import format_table
 from repro.experiments.common import (
     REPLICATION_FACTORS,
     SCHEDULER_LABELS,
-    cell,
     fetch,
     knobs,
     run_cell,
     with_baselines,
 )
-from repro.experiments.harness.spec import RunSpec
+from repro.experiments.harness.spec import RunSpec, cell_spec
 
 #: The energy-aware schedulers competing for the best energy cut.
 ENERGY_AWARE_KEYS = ("heuristic", "wsc", "mwis")
@@ -81,17 +80,15 @@ class HeadlineClaims:
         )
 
 
-def headline_cells(
-    trace: str, scale: float, mwis_scale: float, seed: int
-) -> List[RunSpec]:
+def headline_cells(trace: str, scale: float, seed: int) -> List[RunSpec]:
     """Every cell the claims read: the energy-aware schedulers at every
     rf, and Static at rf=3."""
     specs = [
-        cell(trace, rf, key, scale, mwis_scale, seed)
+        cell_spec(trace, rf, key, scale=scale, seed=seed)
         for key in ENERGY_AWARE_KEYS
         for rf in REPLICATION_FACTORS
     ]
-    specs.append(cell(trace, 3, "static", scale, mwis_scale, seed))
+    specs.append(cell_spec(trace, 3, "static", scale=scale, seed=seed))
     return with_baselines(specs)
 
 

@@ -121,15 +121,13 @@ def cells_digest(specs: Sequence[RunSpec]) -> str:
 
 def fig6_digest() -> str:
     """Combined digest of the fig6 smoke sweep."""
-    return cells_digest(energy_cells("cello", FIG6_SCALE, FIG6_SCALE, FIG6_SEED))
+    return cells_digest(energy_cells("cello", FIG6_SCALE, FIG6_SEED))
 
 
 def fault_sweep_digest() -> str:
     """Combined digest of the fault_sweep smoke cells (every scheduler at
     every failure rate, plus the baseline)."""
-    return cells_digest(
-        fault_sweep_cells(FAULT_SWEEP_SCALE, FAULT_SWEEP_SCALE, FAULT_SWEEP_SEED)
-    )
+    return cells_digest(fault_sweep_cells(FAULT_SWEEP_SCALE, FAULT_SWEEP_SEED))
 
 
 def mwis_solver_digest() -> str:

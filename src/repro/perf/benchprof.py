@@ -38,7 +38,7 @@ def profile_bench(
         raise ConfigurationError(
             f"unknown bench {bench_id!r}; known: {sorted(BENCHES)}"
         )
-    specs = bench.specs(scale, scale, seed) if bench.specs else []
+    specs = bench.specs(scale, seed) if bench.specs else []
     if not specs:
         raise ConfigurationError(
             f"bench {bench_id!r} has no runnable specs to profile "

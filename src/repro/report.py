@@ -253,10 +253,6 @@ class TapeTierReport:
             return 0.0
         return sum(self.tape_response_times) / len(self.tape_response_times)
 
-    def tape_response_percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile of the tape response times."""
-        return percentile(sorted(self.tape_response_times), fraction)
-
 
 @dataclass(frozen=True)
 class SimulationReport:

@@ -221,11 +221,6 @@ class ShardSupervisor:
         self._response_qs[shard_id] = response_q
         self._processes[shard_id] = process
 
-    @property
-    def live_shards(self) -> Tuple[int, ...]:
-        """Shards currently up (a SIGSTOPped worker still counts)."""
-        return tuple(sorted(self._live))
-
     def is_live(self, shard_id: int) -> bool:
         """Whether ``shard_id`` is currently in the live set."""
         return shard_id in self._live

@@ -95,11 +95,10 @@ class StorageSystem(DiskFleet):
         horizon = self._prepare(ordered)
         # Arrivals stream straight through the engine's merge loop: they
         # never touch the heap, so the trace stops paying O(log n) per
-        # event and every runtime event's heap ops shrink. Ordering is
-        # identical to post()-ing each one up front (preloaded events
-        # carry the earliest sequence numbers, so at equal timestamps
-        # they fired before any runtime event — the stream-first merge
-        # rule reproduces exactly that).
+        # event and every runtime event's heap ops shrink. At equal
+        # timestamps an arrival fires after every heap event due at its
+        # instant, so a request sees everything due then (the engine's
+        # tie rule, shared with serving).
         # The event loop allocates only short-lived, acyclic objects, so
         # the cyclic collector can only cost time here; pause it for the
         # drain (restored even on error — callers keep their setting).

@@ -11,7 +11,7 @@ requests' positions, emit a service order.
 A sequencer is a pure function — ``plan(head_position_m, positions)``
 returns a permutation of ``range(len(positions))`` — which keeps the
 policies unit-testable (and property-testable) without a drive or an
-engine. Three families are registered:
+engine. The four families of :data:`SEQUENCER_FACTORIES`:
 
 * ``fifo`` — arrival order; the baseline every policy is guarded
   against.
@@ -311,14 +311,13 @@ class LtspSequencer(TapeSequencer):
 
 SequencerFactory = Callable[[], TapeSequencer]
 
-SEQUENCER_FACTORIES: Dict[str, SequencerFactory] = {}
-
-
-def register_sequencer(name: str, factory: SequencerFactory) -> None:
-    """Add a sequencer family to the registry (names must be unique)."""
-    if name in SEQUENCER_FACTORIES:
-        raise ConfigurationError(f"sequencer {name!r} already registered")
-    SEQUENCER_FACTORIES[name] = factory
+#: Sequencer name -> factory.
+SEQUENCER_FACTORIES: Dict[str, SequencerFactory] = {
+    "fifo": FifoSequencer,
+    "nearest": NearestSequencer,
+    "scan": ScanSequencer,
+    "ltsp": LtspSequencer,
+}
 
 
 def make_sequencer(name: str) -> TapeSequencer:
@@ -340,9 +339,3 @@ def make_sequencer(name: str) -> TapeSequencer:
 def sequencer_names() -> Tuple[str, ...]:
     """Registered sequencer names, sorted."""
     return tuple(sorted(SEQUENCER_FACTORIES))
-
-
-register_sequencer("fifo", FifoSequencer)
-register_sequencer("nearest", NearestSequencer)
-register_sequencer("scan", ScanSequencer)
-register_sequencer("ltsp", LtspSequencer)

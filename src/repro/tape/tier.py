@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import replace
 from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.scheduler import Scheduler
 from repro.errors import ConfigurationError
@@ -227,7 +227,3 @@ class TieredStorageSystem(StorageSystem):
     def drive(self, drive_index: int) -> TapeDrive:
         """Live view of one tape drive."""
         return self._drives[drive_index]
-
-    def tape_position(self, data_id: DataId) -> Optional[float]:
-        """The id's tape position in metres (None before :meth:`run`)."""
-        return self._position_of.get(data_id)

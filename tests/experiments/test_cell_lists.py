@@ -16,16 +16,15 @@ from repro.experiments.harness import runner as harness_runner
 from repro.experiments.harness.bench import BENCHES, run_bench
 from repro.experiments.harness.cache import RunCache
 from repro.experiments.harness.runner import SweepOutcome, SweepRunner
-from repro.experiments.harness.spec import RunSpec
+from repro.experiments.harness.spec import RunSpec, baseline_of
 
 SCALE = 0.05
-MWIS_SCALE = 0.03
 SEED = 1
 
 CELL_BENCHES = sorted(
     bench_id
     for bench_id, bench in BENCHES.items()
-    if bench.specs and bench.specs(SCALE, MWIS_SCALE, SEED)
+    if bench.specs and bench.specs(SCALE, SEED)
 )
 
 
@@ -44,7 +43,7 @@ class _ReadLog(dict):
 @pytest.fixture
 def campaign(monkeypatch):
     """Restore the campaign knobs ``run_bench`` reconfigures."""
-    for name in ("SCALE", "MWIS_SCALE", "BASE_SEED"):
+    for name in ("SCALE", "BASE_SEED"):
         monkeypatch.setattr(common, name, getattr(common, name))
 
 
@@ -55,10 +54,27 @@ def test_every_figure_family_declares_cells():
 
 
 @pytest.mark.parametrize("bench_id", CELL_BENCHES)
+def test_every_cell_runs_at_the_campaign_scale(bench_id):
+    """Offline MWIS included, every cell of a bench runs on the online
+    cells' own binding and normalises against their always-on run."""
+    specs = BENCHES[bench_id].specs(*common.knobs())
+    assert {spec.scale for spec in specs} == {common.SCALE}
+    wsc = {
+        (spec.trace, spec.replication_factor): spec
+        for spec in specs
+        if spec.scheduler_key == "wsc"
+    }
+    for spec in specs:
+        if spec.scheduler_key == "mwis":
+            twin = wsc[spec.trace, spec.replication_factor]
+            assert baseline_of(spec) == baseline_of(twin)
+
+
+@pytest.mark.parametrize("bench_id", CELL_BENCHES)
 def test_bench_reads_exactly_its_declared_cells(
     bench_id, campaign, monkeypatch, tmp_path
 ):
-    declared = set(BENCHES[bench_id].specs(SCALE, MWIS_SCALE, SEED))
+    declared = set(BENCHES[bench_id].specs(SCALE, SEED))
     memo = _ReadLog()
     monkeypatch.setattr(common, "_results", memo)
     sweeps: List[Sequence[RunSpec]] = []
@@ -72,7 +88,6 @@ def test_bench_reads_exactly_its_declared_cells(
     document, _path = run_bench(
         bench_id,
         scale=SCALE,
-        mwis_scale=MWIS_SCALE,
         seed=SEED,
         cache=RunCache(enabled=False),
         output_dir=tmp_path,
@@ -90,7 +105,6 @@ def test_bench_reads_exactly_its_declared_cells(
 def test_fig12_draws_from_a_warm_cache_alone(campaign, monkeypatch, tmp_path):
     """fig12 reads its cells and generates no workload of its own."""
     monkeypatch.setattr(common, "SCALE", SCALE)
-    monkeypatch.setattr(common, "MWIS_SCALE", MWIS_SCALE)
     monkeypatch.setattr(common, "BASE_SEED", SEED)
     common.set_persistent_cache(RunCache(root=tmp_path))
     expected = figures.fig12().series

@@ -17,10 +17,10 @@ SCALE = 0.05
 
 @pytest.fixture(autouse=True)
 def small_scale():
-    previous = (common.SCALE, common.MWIS_SCALE)
-    common.SCALE = common.MWIS_SCALE = SCALE
+    previous = common.SCALE
+    common.SCALE = SCALE
     yield
-    common.SCALE, common.MWIS_SCALE = previous
+    common.SCALE = previous
 
 
 def _energy(replication_factor, key):

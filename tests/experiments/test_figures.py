@@ -8,11 +8,11 @@ from repro.experiments import common, figures
 @pytest.fixture(autouse=True, scope="module")
 def small_scale():
     """Run every figure at a tiny scale; restore afterwards."""
-    old_scale, old_mwis = common.SCALE, common.MWIS_SCALE
-    common.SCALE, common.MWIS_SCALE = 0.05, 0.05
+    old_scale = common.SCALE
+    common.SCALE = 0.05
     common.clear_caches()
     yield
-    common.SCALE, common.MWIS_SCALE = old_scale, old_mwis
+    common.SCALE = old_scale
     common.clear_caches()
 
 

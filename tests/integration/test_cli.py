@@ -13,7 +13,6 @@ from repro.experiments.harness.schema import validate_bench_file
 def small_scale(monkeypatch):
     """Shrink the experiment scale so CLI tests stay fast."""
     monkeypatch.setattr(common, "SCALE", 0.05)
-    monkeypatch.setattr(common, "MWIS_SCALE", 0.05)
     common.clear_caches()
     yield
     common.clear_caches()

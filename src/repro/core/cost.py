@@ -67,7 +67,7 @@ def energy_cost(
     if state in (DiskPowerState.ACTIVE, DiskPowerState.SPIN_UP):
         return 0.0
     if state in (DiskPowerState.STANDBY, DiskPowerState.SPIN_DOWN):
-        return profile.transition_energy + profile.breakeven_time * profile.idle_power
+        return profile.max_request_energy
     # IDLE
     if last_request_time is None:
         return 0.0

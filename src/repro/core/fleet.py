@@ -94,11 +94,8 @@ class FleetCostState:
             raise ValueError("num_disks must be positive")
         self.num_disks = num_disks
         self.idle_power = profile.idle_power
-        # Same expression as energy_cost()'s STANDBY/SPIN_DOWN branch.
-        self.standby_marginal = (
-            profile.transition_energy
-            + profile.breakeven_time * profile.idle_power
-        )
+        # EPmax, as energy_cost()'s STANDBY/SPIN_DOWN branch reads it.
+        self.standby_marginal = profile.max_request_energy
         #: ``(pi, const)`` per power state of a disk that has received
         #: a request: :meth:`encode`'s table, one lookup per transition.
         self.terms: Dict[DiskPowerState, Tuple[float, float]] = {

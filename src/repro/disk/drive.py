@@ -15,10 +15,12 @@ arrivals, so its completions, idle timeout and spin-down never go
 through the engine. It holds the request in service with its completion
 instant, and a FIFO of waiting requests whose service times are drawn
 at their service start, from the disk's own RNG.
-:meth:`~SimulatedDisk.advance` walks the disk up to an instant, writing
-each transition into the ledger and reporting each completion;
-``fleet.due`` holds the instant of the next one, so a reader spends one
-float compare on a disk that is already current. Every reader of the
+:meth:`~SimulatedDisk.advance` walks the disk up to an instant, making
+each transition and reporting each completion; ``fleet.due`` holds the
+instant of the next one, so a reader spends one float compare on a disk
+that is already current. Every power-state change, walked or not, goes
+through :meth:`~SimulatedDisk._transition`, the one place that writes
+the disk's ledger and its Eq. 5/6 cost terms. Every reader of the
 disk's state walks it first (:meth:`~SimulatedDisk.catch_up`), up to
 and including the current instant: a request sees every transition due
 at its instant already made. The one disk event left on the engine is
@@ -255,15 +257,7 @@ class SimulatedDisk:
                 if self._queue:
                     self._serve(due)
                 else:
-                    # _transition(_IDLE, due), inlined: once per request.
-                    stats = self.stats
-                    stats.state_time[_ACTIVE] += due - stats._state_since
-                    if stats.transitions is not None:
-                        stats.transitions.append((due, _IDLE))
-                    stats._current_state = _IDLE
-                    stats._state_since = due
-                    self._state = _IDLE
-                    self._f_pi[i], self._f_const[i] = self._terms[_IDLE]
+                    self._transition(_IDLE, due)
                     timeout = self._idle_timeout_s
                     self._due = inf if timeout is None else due + timeout
             elif state is _IDLE:  # the policy's idle timeout
@@ -316,9 +310,11 @@ class SimulatedDisk:
     # -- state machine internals -------------------------------------
 
     def _transition(self, new_state: DiskPowerState, now: float) -> None:
-        """Enter ``new_state`` at ``now``: ledger (StateLedger.transition,
-        inlined) and columns (FleetCostState.terms; a disk is IDLE only
-        after its first request, so its Tlast is known)."""
+        """Enter ``new_state`` at ``now``: the disk's one writer of its
+        power state, ledger (StateLedger.transition, inlined without its
+        closed and time-order checks) and columns (FleetCostState.terms;
+        a disk is IDLE only after its first request, so its Tlast is
+        known)."""
         stats = self.stats
         stats.state_time[self._state] += now - stats._state_since
         if stats.transitions is not None:
@@ -339,16 +335,7 @@ class SimulatedDisk:
         configuration) completes inline and the next starts, iteratively;
         a drained queue leaves the disk IDLE."""
         if self._state is not _ACTIVE:
-            # _transition(_ACTIVE, now), inlined: once per request.
-            stats = self.stats
-            stats.state_time[self._state] += now - stats._state_since
-            if stats.transitions is not None:
-                stats.transitions.append((now, _ACTIVE))
-            stats._current_state = _ACTIVE
-            stats._state_since = now
-            self._state = _ACTIVE
-            i = self.disk_id
-            self._f_pi[i], self._f_const[i] = self._terms[_ACTIVE]
+            self._transition(_ACTIVE, now)
         queue = self._queue
         while queue:
             request = queue.popleft()

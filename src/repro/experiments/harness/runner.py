@@ -36,7 +36,7 @@ from repro.faults.plan import FaultPlan
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
 from repro.power.profile import get_profile
-from repro.sim import SimulationConfig, always_on_baseline, run_offline, simulate
+from repro.sim import SimulationConfig, always_on_baseline, simulate
 from repro.traces import (
     CelloLikeConfig,
     FinancialLikeConfig,
@@ -160,11 +160,6 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
         )
     if spec.kind == KIND_BASELINE:
         report = always_on_baseline(requests, catalog, config)
-    elif spec.scheduler_key == "mwis":
-        scheduler = make_scheduler(spec)
-        if not isinstance(scheduler, MWISOfflineScheduler):
-            raise ConfigurationError("mwis spec produced a non-offline scheduler")
-        report = run_offline(requests, catalog, scheduler, config).report
     else:
         report = simulate(requests, catalog, make_scheduler(spec), config)
     return {

@@ -78,7 +78,9 @@ def _stats_to_payload(stats: DiskStats) -> Dict[str, Any]:
         "spin_ups": stats.spin_ups,
         "spin_downs": stats.spin_downs,
         "requests_serviced": stats.requests_serviced,
-        "lump_transition_energy_j": stats.lump_transition_energy,
+        # A ledger's energy is power x time alone; the key stays in the
+        # layout so pinned report bytes do not move.
+        "lump_transition_energy_j": 0.0,
     }
 
 
@@ -96,8 +98,11 @@ def _stats_from_payload(
         requests_serviced=payload["requests_serviced"],
     )
     lump = payload["lump_transition_energy_j"]
-    if lump:
-        stats.add_transition_energy(lump)
+    if lump != 0.0:
+        raise ConfigurationError(
+            f"lump transition energy {lump!r} J: a ledger's energy is "
+            "power x state time alone"
+        )
     stats.mark_closed()
     return stats
 

@@ -6,9 +6,14 @@ the device's power profile. It is parameterised by the state enum and
 by the two states whose entries it counts, so
 :class:`~repro.disk.stats.DiskStats` (SPIN_UP/SPIN_DOWN) and
 :class:`~repro.tape.stats.TapeStats` (MOUNTING/UNMOUNTING) are thin
-names over it. The disk's fused per-request transitions write
-``state_time``, ``transitions``, ``_current_state`` and
-``_state_since`` directly, so those slot names are part of the contract.
+names over it. Energy is power x time per state and nothing else:
+both power profiles charge a transition as its state's power over its
+duration (``Eup = Pup * Tup``). Besides :meth:`StateLedger.transition`,
+one writer moves the ledger: ``SimulatedDisk._transition`` (an inlined
+copy on the disk's hot path) writes ``state_time``, ``transitions``,
+``_current_state`` and ``_state_since`` directly, so those slot names
+are part of the contract. The offline timeline credits ``state_time``
+directly and seals the ledger with :meth:`StateLedger.mark_closed`.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ class StateLedger(Generic[S]):
         "_current_state",
         "_state_since",
         "_closed",
-        "_lump_energy",
     )
 
     def __init__(
@@ -79,7 +83,6 @@ class StateLedger(Generic[S]):
         self._current_state = initial
         self._state_since = 0.0
         self._closed = False
-        self._lump_energy = 0.0
 
     def enable_transition_log(self) -> None:
         """Start recording every state transition as ``(time, state)``."""
@@ -143,19 +146,11 @@ class StateLedger(Generic[S]):
 
     @property
     def energy(self) -> float:
-        """Joules consumed: per-state power x time, plus any lump charge.
-
-        Transition energy is captured through the transition states'
-        powers (``Eup = Pup * Tup``), so no separate lump charge is
-        needed; for profiles with zero transition *time* but non-zero
-        energy the device adds the lump via :meth:`add_transition_energy`.
-        """
-        return (
-            sum(
-                self.profile.power(state) * seconds
-                for state, seconds in self.state_time.items()
-            )
-            + self._lump_energy
+        """Joules consumed: per-state power x time, transition states
+        included (``Eup = Pup * Tup``)."""
+        return sum(
+            self.profile.power(state) * seconds
+            for state, seconds in self.state_time.items()
         )
 
     def energy_at(self, now: float) -> float:
@@ -172,18 +167,6 @@ class StateLedger(Generic[S]):
             now - self._state_since
         )
         return self.energy + open_interval
-
-    @property
-    def lump_transition_energy(self) -> float:
-        """Joules charged via :meth:`add_transition_energy` (serialisers
-        need it to rebuild an exact ledger)."""
-        return self._lump_energy
-
-    def add_transition_energy(self, joules: float) -> None:
-        """Charge transition energy not representable as power x time."""
-        if joules < 0:
-            raise SimulationError("transition energy must be >= 0")
-        self._lump_energy += joules
 
     def state_fractions(self) -> Dict[S, float]:
         """Fraction of total time per state (zeros if no time elapsed)."""

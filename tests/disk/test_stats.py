@@ -94,21 +94,6 @@ def test_state_fractions_zero_when_no_time():
     assert all(v == 0.0 for v in stats.state_fractions().values())
 
 
-def test_lump_energy_added():
-    stats = DiskStats(PAPER_UNIT)
-    stats.begin(DiskPowerState.IDLE, 0.0)
-    stats.finalize(10.0)
-    before = stats.energy
-    stats.add_transition_energy(3.0)
-    assert stats.energy == pytest.approx(before + 3.0)
-
-
-def test_negative_lump_rejected():
-    stats = DiskStats(PAPER_UNIT)
-    with pytest.raises(SimulationError):
-        stats.add_transition_energy(-1.0)
-
-
 def test_mark_closed_seals_without_crediting():
     stats = DiskStats(PAPER_UNIT)
     stats.state_time[DiskPowerState.IDLE] += 7.0

@@ -8,9 +8,13 @@ compact separators — see ``repro.experiments.harness.serialize``):
 * a fresh compute vs a persistent-cache hit (across cache reopen).
 """
 
+import copy
 import pickle
 from dataclasses import replace
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     RunCache,
     SweepRunner,
@@ -145,6 +149,17 @@ class TestCacheEquivalence:
         payload = execute_spec(spec)
         report = report_from_payload(payload["report"])
         assert canonical_report_json(report) == _report_bytes(payload)
+
+    def test_a_lump_transition_energy_is_rejected(self):
+        # A ledger's energy is power x state time alone: the payload
+        # keeps its lump key at 0.0 and a reader refuses anything else.
+        spec = cell_spec("cello", 1, "static", scale=SCALE, seed=SEED)
+        payload = copy.deepcopy(execute_spec(spec)["report"])
+        disk_stats = payload["disk_stats"].values()
+        assert {stats["lump_transition_energy_j"] for stats in disk_stats} == {0.0}
+        next(iter(disk_stats))["lump_transition_energy_j"] = 3.0
+        with pytest.raises(ConfigurationError, match="lump"):
+            report_from_payload(payload)
 
     def test_spec_pickles_and_hashes(self):
         spec = cell_spec("cello", 3, "wsc", scale=SCALE, seed=SEED)

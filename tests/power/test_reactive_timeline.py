@@ -3,14 +3,16 @@
 A disk's timeline under the reactive rule follows from the chain of
 requests it receives alone. The test records each disk's realised chain
 during a replay, so any scheduler qualifies: Static and Random, which
-ignore disk state, and the Heuristic, whose picks read it. Walking every
-chain through the reactive rule, with the service times the disk's own
-RNG draws in FIFO order, must then give the simulator's ledger float for
-float: state times, spin counts and completion instants.
+ignore disk state, the Heuristic, whose picks read it, and the WSC batch
+model, whose requests reach their disks at the tick that dispatches
+them, in batch order. Walking every chain through the reactive rule,
+with the service times the disk's own RNG draws in FIFO order, must then
+give the simulator's ledger float for float: state times, spin counts
+and completion instants.
 """
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple, Union
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.heuristic import HeuristicScheduler
 from repro.core.random_scheduler import RandomScheduler
 from repro.core.scheduler import OnlineScheduler, Picker, SystemView
 from repro.core.static_scheduler import StaticScheduler
+from repro.core.wsc import WSCBatchScheduler
 from repro.errors import ConfigurationError
 from repro.experiments.harness import runner
 from repro.placement.schemes import ZipfOriginalUniformReplicas
@@ -31,20 +34,23 @@ from repro.types import DiskId, Request, RequestId
 SCALE = 0.05
 SEED = 1
 
+#: ``(instant, request, disk)`` per dispatch, in dispatch order.
+Dispatches = List[Tuple[float, Request, DiskId]]
+
 
 class RecordingScheduler(OnlineScheduler):
-    """Wraps a scheduler and records the disk each request went to."""
+    """Wraps a scheduler and records where and when each request went."""
 
     def __init__(self, inner: OnlineScheduler):
         self.inner = inner
-        self.chosen: Dict[RequestId, DiskId] = {}
+        self.dispatched: Dispatches = []
 
     def bind(self, view: SystemView) -> Picker:
         pick = self.inner.bind(view)
 
         def recorded(request: Request, locations: Sequence[DiskId], now: float) -> DiskId:
             disk_id = pick(request, locations, now)
-            self.chosen[request.request_id] = disk_id
+            self.dispatched.append((now, request, disk_id))
             return disk_id
 
         return recorded
@@ -54,8 +60,26 @@ class RecordingScheduler(OnlineScheduler):
         return self.inner.name
 
 
+class RecordingBatchScheduler(WSCBatchScheduler):
+    """WSC that records each request under its disk at the tick instant,
+    in batch order (the order the batch is submitted in)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dispatched: Dispatches = []
+
+    def choose_batch(
+        self, requests: Sequence[Request], view: SystemView
+    ) -> Dict[RequestId, DiskId]:
+        decisions = super().choose_batch(requests, view)
+        self.dispatched.extend(
+            (view.now, request, decisions[request.request_id]) for request in requests
+        )
+        return decisions
+
+
 @pytest.mark.parametrize("trace", ["cello", "financial"])
-@pytest.mark.parametrize("key", ["static", "random", "heuristic"])
+@pytest.mark.parametrize("key", ["static", "random", "heuristic", "wsc"])
 def test_reactive_walk_matches_the_simulator(trace, key):
     disks = runner.num_disks_for(SCALE)
     requests, catalog = runner.get_workload(trace, SCALE, SEED).bind(
@@ -64,21 +88,29 @@ def test_reactive_walk_matches_the_simulator(trace, key):
         seed=SEED,
     )
     config = runner.make_config(disks, "paper-evaluation", SEED)
-    inner: OnlineScheduler = {
-        "static": StaticScheduler(),
-        "random": RandomScheduler(seed=SEED),
-        "heuristic": HeuristicScheduler(),
-    }[key]
-    scheduler = RecordingScheduler(inner)
+    scheduler: Union[RecordingScheduler, RecordingBatchScheduler]
+    if key == "wsc":
+        scheduler = RecordingBatchScheduler()
+    else:
+        scheduler = RecordingScheduler(
+            {
+                "static": StaticScheduler(),
+                "random": RandomScheduler(seed=SEED),
+                "heuristic": HeuristicScheduler(),
+            }[key]
+        )
     system = StorageSystem(catalog, scheduler, config)
     report = system.run(requests)
-    chains: Dict[DiskId, List[Request]] = {disk_id: [] for disk_id in range(disks)}
-    for request in sorted(requests):
-        chains[scheduler.chosen[request.request_id]].append(request)
+    assert len(scheduler.dispatched) == len(requests)
+    chains: Dict[DiskId, List[Tuple[float, Request]]] = {
+        disk_id: [] for disk_id in range(disks)
+    }
+    for at, request, disk_id in scheduler.dispatched:
+        chains[disk_id].append((at, request))
     busy = 0
     for disk_id, chain in chains.items():
         rng = random.Random(config.seed * 1_000_003 + disk_id)
-        service = [config.service_model.service_time(r, rng) for r in chain]
+        service = [config.service_model.service_time(r, rng) for _, r in chain]
         ledger = StateLedger(
             config.profile,
             DiskPowerState,
@@ -88,7 +120,7 @@ def test_reactive_walk_matches_the_simulator(trace, key):
         completions = fill_timeline(
             ledger,
             config.profile,
-            [r.time for r in chain],
+            [at for at, _ in chain],
             report.duration,
             GapRule.REACTIVE,
             service,
@@ -99,7 +131,7 @@ def test_reactive_walk_matches_the_simulator(trace, key):
         assert ledger.requests_serviced == stats.requests_serviced
         simulated = [
             system._metrics.completion_of(r.request_id)
-            for r in chain[: len(completions)]
+            for _, r in chain[: len(completions)]
         ]
         assert simulated == [(disk_id, at) for at in completions]
         busy += bool(chain)

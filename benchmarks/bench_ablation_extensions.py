@@ -35,4 +35,7 @@ def test_ablation_extensions(benchmark, show):
     # Write off-loading beats the write-oblivious Heuristic on a
     # write-heavy workload, and actually diverted writes.
     assert write_energy[offload_key] <= plain_writes + 0.01
-    assert result.total_offloaded > 0
+    offloaded = dict(
+        zip(write_labels, result.series(WRITE_PANEL, "writes off-loaded"))
+    )
+    assert offloaded[offload_key] > 0

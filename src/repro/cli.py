@@ -155,8 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
         "or 'list' — 'list' prints them grouped by family (omit with "
         "--validate)",
     )
-    bench.add_argument("--scale", type=float, default=None)
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument(
+        "--scale", type=float, help="every bench's scale (default: REPRO_SCALE or 1.0)"
+    )
+    bench.add_argument(
+        "--seed", type=int, help="every bench's seed (default: REPRO_SEED or 1)"
+    )
     bench.add_argument(
         "--jobs", type=int, default=1, help="process-pool workers"
     )

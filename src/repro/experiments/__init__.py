@@ -1,6 +1,6 @@
 """Experiment harness reproducing every figure of the paper's evaluation."""
 
-from repro.experiments.ablations import ABLATIONS, AblationResult, run_ablation
+from repro.experiments.ablations import ABLATIONS, AblationResult
 from repro.experiments.common import (
     REPLICATION_FACTORS,
     SCHEDULER_LABELS,
@@ -36,7 +36,6 @@ __all__ = [
     "get_binding",
     "get_workload",
     "headline_claims",
-    "run_ablation",
     "run_cell",
     "run_figure",
 ]

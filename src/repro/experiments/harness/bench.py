@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.analysis.export import figure_to_rows
 from repro.errors import ConfigurationError
 from repro.experiments import common
-from repro.experiments.ablations import ABLATIONS, AblationResult, run_ablation
+from repro.experiments.ablations import ABLATIONS, AblationResult
 from repro.experiments.common import CellList
 from repro.experiments.fault_sweep import fault_sweep_cells, run_fault_sweep
 from repro.experiments.figures import (
@@ -45,10 +45,12 @@ from repro.experiments.harness.schema import bench_document, validate_bench_payl
 from repro.experiments.headline import headline_cells, headline_claims
 from repro.experiments.serve_scale import run_serve_scale
 from repro.experiments.serve_sweep import run_serve_sweep
+from repro.experiments.tape_tier import run_tape_tier
 from repro.perf.profiler import peak_rss_bytes
 
-#: result builder signature: (explicit scale or None) -> (payload, events).
-_ResultFn = Callable[[Optional[float]], Tuple[Dict[str, Any], int]]
+#: result builder signature: () -> (payload, events). It runs at the
+#: campaign's (scale, seed), which ``run_bench`` configures first.
+_ResultFn = Callable[[], Tuple[Dict[str, Any], int]]
 
 
 #: Bench families, in the display order of ``repro-storage bench list``.
@@ -95,14 +97,14 @@ def _serialize_result(value: Any) -> Dict[str, Any]:
 
 
 def _figure_result(figure_id: str) -> _ResultFn:
-    def build(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
+    def build() -> Tuple[Dict[str, Any], int]:
         return _serialize_result(FIGURES[figure_id]()), 0
 
     return build
 
 
 def _headline_result(trace: str) -> _ResultFn:
-    def build(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
+    def build() -> Tuple[Dict[str, Any], int]:
         claims = headline_claims(trace)
         return (
             {
@@ -139,39 +141,19 @@ def ablation_result_payload(result: AblationResult) -> Dict[str, Any]:
     }
 
 
-def _ablation_result(ablation_id: str) -> _ResultFn:
-    def build(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
-        result = run_ablation(ablation_id, scale)
+def _sweep_result(sweep: Callable[[], AblationResult]) -> _ResultFn:
+    # Ablation, serve and tape sweeps run live (no run cache); their
+    # engine events are the bench's event count.
+    def build() -> Tuple[Dict[str, Any], int]:
+        result = sweep()
         return ablation_result_payload(result), result.events_processed
 
     return build
 
 
-def _fault_sweep_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
+def _fault_sweep_result() -> Tuple[Dict[str, Any], int]:
     # Cell events are already counted by the sweep points; report 0 extra.
-    return ablation_result_payload(run_fault_sweep(scale)), 0
-
-
-def _serve_sweep_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
-    # Serve cells run live (no run cache); their engine events are the
-    # bench's event count.
-    result = run_serve_sweep(scale)
-    return ablation_result_payload(result), result.events_processed
-
-
-def _serve_scale_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
-    # Sharded cells run live in worker processes; no run cache either.
-    result = run_serve_scale(scale)
-    return ablation_result_payload(result), result.events_processed
-
-
-def _tape_tier_result(scale: Optional[float]) -> Tuple[Dict[str, Any], int]:
-    # Tiered cells run live (the tier axis is not part of the run-cache
-    # key space); their engine events are the bench's event count.
-    from repro.experiments.tape_tier import run_tape_tier
-
-    result = run_tape_tier(scale)
-    return ablation_result_payload(result), result.events_processed
+    return ablation_result_payload(run_fault_sweep()), 0
 
 
 #: The figure benches: id, description and the figure's cell list (fig5
@@ -231,26 +213,26 @@ def _build_registry() -> Dict[str, BenchDefinition]:
     add(
         "serve_sweep",
         "live serving: online vs micro-batch across arrival rates",
-        _serve_sweep_result,
+        _sweep_result(run_serve_sweep),
         family="serve",
     )
     add(
         "serve_scale",
         "sharded serving: aggregate events/sec across 1/2/4/8 shards",
-        _serve_scale_result,
+        _sweep_result(run_serve_scale),
         family="serve",
     )
     add(
         "tape_tier",
         "tiered disk/tape: energy vs latency across tier splits",
-        _tape_tier_result,
+        _sweep_result(run_tape_tier),
         family="tape",
     )
     for ablation_id in ABLATIONS:
         add(
             ablation_id,
             "ablation sweep (uncached)",
-            _ablation_result(ablation_id),
+            _sweep_result(ABLATIONS[ablation_id]),
             family="ablations",
         )
     return registry
@@ -303,7 +285,7 @@ def run_bench(
 
     started = time.perf_counter()
     with common.recording(SweepRunner(cache=cache, jobs=jobs)) as outcome:
-        result, extra_events = bench.result(scale)
+        result, extra_events = bench.result()
     wall_clock_s = time.perf_counter() - started
 
     events = outcome.events_processed + extra_events

@@ -35,6 +35,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.heuristic import HeuristicScheduler
+from repro.experiments import common
 from repro.experiments.ablations import AblationResult, Panel
 from repro.placement.catalog import PlacementCatalog
 from repro.placement.schemes import ZipfOriginalUniformReplicas
@@ -117,18 +118,19 @@ def run_tape_tier(
     scale: Optional[float] = None,
     hot_fractions: Sequence[float] = TIER_HOT_FRACTIONS,
     sequencers: Sequence[str] = TIER_SEQUENCERS,
-    seed: int = 11,
+    seed: Optional[int] = None,
 ) -> AblationResult:
     """Sweep hot fractions across the sequencer families.
 
     Args:
-        scale: Optional multiplier on the per-cell request count (the
-            bench tier's usual knob; ``None`` = 1.0).
+        scale: Multiplier on the per-cell request count (default: the
+            campaign's scale).
         hot_fractions: Fractions of the id space kept on disk.
         sequencers: Sequencer family names to compare.
-        seed: Workload + simulation base seed.
+        seed: Workload + simulation base seed (default: the campaign's).
     """
-    num_requests = max(1, round(TIER_REQUESTS * (scale if scale else 1.0)))
+    scale, seed = common.knobs(scale, seed)
+    num_requests = max(1, round(TIER_REQUESTS * scale))
     requests = _workload(num_requests, seed)
     catalog = ZipfOriginalUniformReplicas(
         replication_factor=TIER_REPLICATION

@@ -30,8 +30,8 @@ class CelloLikeConfig:
 
     Defaults reproduce the paper's experiment slice at full scale. The
     mean arrival rate is ``burst_rate * duty + quiet_rate * (1-duty)``;
-    with the defaults it is ~21.5 req/s, i.e. 70 000 requests span roughly
-    54 minutes, keeping per-disk inter-arrival gaps commensurate with the
+    with the defaults it is 21 req/s, i.e. 70 000 requests span roughly
+    56 minutes, keeping per-disk inter-arrival gaps commensurate with the
     ~43 s breakeven time of the ``PAPER_EVAL`` profile (this calibration
     puts the replication-factor-1 energy at ~0.85 of always-on, near the
     paper's ~0.88).
@@ -86,18 +86,22 @@ class CelloLikeConfig:
             size_bytes=self.size_bytes,
         )
 
+    def arrivals(self) -> MMPPArrivals:
+        """The bursty arrival process these rates and dwell times define."""
+        return MMPPArrivals(
+            burst_rate=self.burst_rate,
+            quiet_rate=self.quiet_rate,
+            mean_burst=self.mean_burst,
+            mean_quiet=self.mean_quiet,
+        )
+
 
 def generate_cello_like(
     config: CelloLikeConfig = CelloLikeConfig(), seed: int = 0
 ) -> List[TraceRecord]:
     """Generate a bursty, Zipf-popular synthetic trace (Cello substitute)."""
     rng = random.Random(seed)
-    arrivals = MMPPArrivals(
-        burst_rate=config.burst_rate,
-        quiet_rate=config.quiet_rate,
-        mean_burst=config.mean_burst,
-        mean_quiet=config.mean_quiet,
-    ).generate(config.num_requests, rng)
+    arrivals = config.arrivals().generate(config.num_requests, rng)
     popularity = ZipfPopularity(config.num_data, config.popularity_exponent)
     records = []
     for arrival in arrivals:

@@ -27,9 +27,9 @@ from repro.types import DEFAULT_REQUEST_BYTES, OpKind
 class FinancialLikeConfig:
     """Knobs of the synthetic Financial1-like generator.
 
-    The default mean rate matches the Cello-like generator (~21.5 req/s) so
-    cross-trace comparisons isolate burstiness, exactly the contrast the
-    paper draws in Appendix A.4.
+    The default mean rate, 21.5 req/s, is within 2.5% of the Cello-like
+    generator's 21 req/s, so cross-trace comparisons isolate burstiness,
+    exactly the contrast the paper draws in Appendix A.4.
     """
 
     num_requests: int = 70_000
